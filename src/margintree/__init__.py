@@ -15,6 +15,7 @@ from .core import (
     NodeData,
     TreeNode,
     ancestor_chain,
+    features_of,
     leaf_partition,
     subset,
 )
@@ -49,6 +50,8 @@ from .metrics import (
 )
 from .objective import (
     ExclusiveWeights,
+    ProxSpec,
+    Regularizer,
     RegularizerConfig,
     cost_matrix,
     exclusive_reg,
@@ -58,7 +61,7 @@ from .objective import (
     hinge_loss,
     node_objective,
 )
-from .optim import ProxSpec, SolverConfig, prox_group, prox_sparse_group, prox_weighted_l1, solve_w
+from .optim import SolverConfig, prox_group, prox_sparse_group, prox_weighted_l1, solve_w
 from .split import BalanceBounds, SplitResult, balance_bounds, init_assignment, split_node, splitting_score
 
 __version__ = "0.1.0"

@@ -84,6 +84,8 @@ class NodeData:
 
     @property
     def features(self) -> np.ndarray:
+        """The node's rows, copied on every access; hot loops should read
+        this once and pass the array on."""
         return self.parent.features[self.indices]
 
     @property
@@ -174,6 +176,12 @@ class Hierarchy:
 
     def non_leaves(self) -> list[TreeNode]:
         return [n for n in self.nodes.values() if not n.is_leaf]
+
+
+def features_of(data) -> np.ndarray:
+    """The n x P float features of a NodeData (a fresh copy) or of an
+    array-like (no copy when it already is a float array)."""
+    return data.features if isinstance(data, NodeData) else np.asarray(data, dtype=float)
 
 
 def subset(dataset: Dataset, indices) -> NodeData:

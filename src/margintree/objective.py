@@ -15,6 +15,10 @@ and the exclusive overlap with the frozen ancestor-path models
 
 which for fixed ancestors is a weighted l1 norm with per-feature weights
 lambda_E. At the root (no ancestors) E and lambda_E are identically zero.
+
+A Regularizer is built once per weight update: it computes lambda_E and the
+group normalization lambda_G = 1/(P K) from the ancestor chain, and owns the
+variant table for both the regularizer value and its prox thresholds.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AncestorChain, ClusterModels, NodeData
+from .core import AncestorChain, ClusterModels, features_of
 from .errors import ValidationError
 
 VARIANTS = ("sparse_group", "group_only", "exclusive_only", "l1", "squared_l2")
@@ -67,12 +71,28 @@ class ExclusiveWeights:
         object.__setattr__(self, "lambda_e", lam)
 
 
+@dataclass(frozen=True)
+class ProxSpec:
+    """Thresholds of the regularizer prox, per unit step: the prox applied
+    with step s uses s * l1_thresholds entrywise and s * group_threshold
+    column-wise. For squared_l2, group_threshold holds the quadratic
+    coefficient alpha/(K P) instead."""
+
+    l1_thresholds: np.ndarray
+    group_threshold: float
+    variant: str
+
+    def __post_init__(self):
+        t = np.asarray(self.l1_thresholds, dtype=float)
+        if np.any(t < 0) or not np.all(np.isfinite(t)) or self.group_threshold < 0:
+            raise ValidationError("prox thresholds must be finite and >= 0")
+        t = t.copy()
+        t.setflags(write=False)
+        object.__setattr__(self, "l1_thresholds", t)
+
+
 def _weights(models) -> np.ndarray:
     return models.weights if isinstance(models, ClusterModels) else np.asarray(models, dtype=float)
-
-
-def _features(data) -> np.ndarray:
-    return data.features if isinstance(data, NodeData) else np.asarray(data, dtype=float)
 
 
 def _check_labels(labels, n: int, k: int) -> np.ndarray:
@@ -82,6 +102,11 @@ def _check_labels(labels, n: int, k: int) -> np.ndarray:
     if y.size and (y.min() < 1 or y.max() > k):
         raise ValidationError(f"labels must lie in 1..{k}")
     return y
+
+
+def _check_dims(w: np.ndarray, x: np.ndarray) -> None:
+    if w.shape[1] != x.shape[1]:
+        raise ValidationError(f"model dimension {w.shape[1]} != feature dimension {x.shape[1]}")
 
 
 def _pairwise_hinge(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -96,33 +121,40 @@ def _pairwise_hinge(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 def cost_matrix(models, data) -> np.ndarray:
     """Per-instance, per-cluster assignment costs:
     cost[i, y] = sum_{y' != y} [1 - w_y.x_i + w_y'.x_i]_+^2."""
-    w, x = _weights(models), _features(data)
-    if w.shape[1] != x.shape[1]:
-        raise ValidationError(f"model dimension {w.shape[1]} != feature dimension {x.shape[1]}")
+    w, x = _weights(models), features_of(data)
+    _check_dims(w, x)
     return (_pairwise_hinge(w, x) ** 2).sum(axis=2)
 
 
-def hinge_loss(models, data, labels) -> float:
-    """Averaged squared hinge loss of assigning each instance to its label."""
-    w, x = _weights(models), _features(data)
-    n, k = x.shape[0], w.shape[0]
-    y = _check_labels(labels, n, k)
-    costs = cost_matrix(w, x)
-    return float(costs[np.arange(n), y - 1].sum() / (n * k))
-
-
-def hinge_grad(models, data, labels) -> np.ndarray:
-    """Exact gradient of hinge_loss with respect to the K x P weights."""
-    w, x = _weights(models), _features(data)
+def _label_margins(w: np.ndarray, x: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # margins[i, y] = 1 - w_{y_i}.x_i + w_y.x_i with the y = y_i entry zeroed:
+    # row i of the cost tensor at the instance's own label; also the row
+    # positions and the 0-based labels
+    _check_dims(w, x)
     n, k = x.shape[0], w.shape[0]
     y0 = _check_labels(labels, n, k) - 1
     scores = x @ w.T
     rows = np.arange(n)
     margins = 1.0 - scores[rows, y0][:, None] + scores
     margins[rows, y0] = 0.0
+    return margins, rows, y0
+
+
+def hinge_loss(models, data, labels) -> float:
+    """Averaged squared hinge loss of assigning each instance to its label;
+    equals cost_matrix(models, data)[i, y_i] summed over i, over n K."""
+    w, x = _weights(models), features_of(data)
+    margins, _, _ = _label_margins(w, x, labels)
+    return float((np.maximum(margins, 0.0) ** 2).sum(axis=1).sum() / (x.shape[0] * w.shape[0]))
+
+
+def hinge_grad(models, data, labels) -> np.ndarray:
+    """Exact gradient of hinge_loss with respect to the K x P weights."""
+    w, x = _weights(models), features_of(data)
+    margins, rows, y0 = _label_margins(w, x, labels)
     active = 2.0 * np.maximum(margins, 0.0)
     active[rows, y0] = -active.sum(axis=1)
-    return (active.T @ x) / (n * k)
+    return (active.T @ x) / (x.shape[0] * w.shape[0])
 
 
 def group_reg(models) -> float:
@@ -150,19 +182,53 @@ def exclusive_reg(models, chain: AncestorChain) -> float:
     return float((np.abs(w) * lam).sum())
 
 
+class Regularizer:
+    """The variant-selected regularization term of one split (everything
+    except the hinge), for K x P weights under a fixed ancestor chain.
+
+    lambda_E and lambda_G are computed and validated once, here; value(w)
+    evaluates the term and prox_spec holds the thresholds of its prox.
+    """
+
+    def __init__(self, config: RegularizerConfig, chain: AncestorChain, k: int, p: int):
+        self.config = config
+        self.lambda_g = 1.0 / (p * k)
+        self.lambda_e = exclusive_weights(chain, k, p).lambda_e
+        self._has_ancestors = len(chain) > 0
+        alpha, beta, variant = config.alpha, config.beta, config.variant
+        if variant == "sparse_group":
+            self.prox_spec = ProxSpec(beta * self.lambda_e, alpha * self.lambda_g, variant)
+        elif variant == "group_only":
+            self.prox_spec = ProxSpec(np.zeros(p), alpha * self.lambda_g, variant)
+        elif variant == "exclusive_only":
+            self.prox_spec = ProxSpec(beta * self.lambda_e, 0.0, variant)
+        elif variant == "l1":
+            self.prox_spec = ProxSpec(np.full(p, alpha * self.lambda_g), 0.0, variant)
+        else:  # squared_l2
+            self.prox_spec = ProxSpec(np.zeros(p), alpha * self.lambda_g, variant)
+
+    def _exclusive(self, w: np.ndarray) -> float:
+        return float((np.abs(w) * self.lambda_e).sum()) if self._has_ancestors else 0.0
+
+    def value(self, models) -> float:
+        w = _weights(models)
+        k, p = w.shape
+        alpha, beta, variant = self.config.alpha, self.config.beta, self.config.variant
+        if variant == "sparse_group":
+            return alpha * group_reg(w) + beta * self._exclusive(w)
+        if variant == "group_only":
+            return alpha * group_reg(w)
+        if variant == "exclusive_only":
+            return beta * self._exclusive(w)
+        if variant == "l1":
+            return alpha * float(np.abs(w).sum()) / (k * p)
+        return alpha * float((w**2).sum()) / (k * p)
+
+
 def regularizer_value(models, chain: AncestorChain, config: RegularizerConfig) -> float:
     """The variant-selected regularization term (everything except the hinge)."""
     w = _weights(models)
-    k, p = w.shape
-    if config.variant == "sparse_group":
-        return config.alpha * group_reg(w) + config.beta * exclusive_reg(w, chain)
-    if config.variant == "group_only":
-        return config.alpha * group_reg(w)
-    if config.variant == "exclusive_only":
-        return config.beta * exclusive_reg(w, chain)
-    if config.variant == "l1":
-        return config.alpha * float(np.abs(w).sum()) / (k * p)
-    return config.alpha * float((w**2).sum()) / (k * p)
+    return Regularizer(config, chain, *w.shape).value(w)
 
 
 def node_objective(models, labels, chain: AncestorChain, data, config: RegularizerConfig) -> float:

@@ -19,18 +19,20 @@ with memory 0 this degrades to plain spectral proximal gradient.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AncestorChain, ClusterModels, NodeData
+from .core import AncestorChain, ClusterModels, NodeData, features_of
 from .errors import SolverError, ValidationError
 from .objective import (
+    ProxSpec,
+    Regularizer,
     RegularizerConfig,
-    exclusive_weights,
     hinge_grad,
     hinge_loss,
-    regularizer_value,
+    regularizer_value,  # noqa: F401  perfbench/layers.py traces calls through optim.regularizer_value
 )
 
 logger = logging.getLogger(__name__)
@@ -56,40 +58,9 @@ class SolverConfig:
             raise ValidationError("lbfgs_memory must be >= 0")
 
 
-@dataclass(frozen=True)
-class ProxSpec:
-    """Thresholds of the regularizer prox, per unit step: the prox applied
-    with step s uses s * l1_thresholds entrywise and s * group_threshold
-    column-wise. For squared_l2, group_threshold holds the quadratic
-    coefficient alpha/(K P) instead."""
-
-    l1_thresholds: np.ndarray
-    group_threshold: float
-    variant: str
-
-    def __post_init__(self):
-        t = np.asarray(self.l1_thresholds, dtype=float)
-        if np.any(t < 0) or not np.all(np.isfinite(t)) or self.group_threshold < 0:
-            raise ValidationError("prox thresholds must be finite and >= 0")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "l1_thresholds", t)
-
-
 def make_prox_spec(reg: RegularizerConfig, chain: AncestorChain, k: int, p: int) -> ProxSpec:
-    """Assemble per-variant thresholds; lambda_G = 1/(P K) is the group
-    normalization, lambda_E the ancestor-induced per-feature l1 weights."""
-    lam_g = 1.0 / (p * k)
-    lam_e = exclusive_weights(chain, k, p).lambda_e
-    if reg.variant == "sparse_group":
-        return ProxSpec(reg.beta * lam_e, reg.alpha * lam_g, reg.variant)
-    if reg.variant == "group_only":
-        return ProxSpec(np.zeros(p), reg.alpha * lam_g, reg.variant)
-    if reg.variant == "exclusive_only":
-        return ProxSpec(reg.beta * lam_e, 0.0, reg.variant)
-    if reg.variant == "l1":
-        return ProxSpec(np.full(p, reg.alpha * lam_g), 0.0, reg.variant)
-    return ProxSpec(np.zeros(p), reg.alpha * lam_g, reg.variant)  # squared_l2
+    """Per-variant prox thresholds of the split's Regularizer."""
+    return Regularizer(reg, chain, k, p).prox_spec
 
 
 def prox_weighted_l1(w: np.ndarray, thresholds) -> np.ndarray:
@@ -101,10 +72,8 @@ def prox_group(w: np.ndarray, t: float) -> np.ndarray:
     """Column-wise shrinkage toward zero: each feature column scaled by
     [||col|| - t]_+ / ||col||, zero columns staying zero."""
     norms = np.linalg.norm(w, axis=0)
-    scale = np.zeros_like(norms)
-    nz = norms > 0
-    scale[nz] = np.maximum(norms[nz] - t, 0.0) / norms[nz]
-    return w * scale
+    # a zero column has [0 - t]_+ = 0 in the numerator: dividing by 1 keeps it zero
+    return w * (np.maximum(norms - t, 0.0) / np.where(norms > 0.0, norms, 1.0))
 
 
 def prox_sparse_group(w: np.ndarray, spec: ProxSpec, s: float) -> np.ndarray:
@@ -128,7 +97,7 @@ class _LbfgsMetric:
             self._w = None
             return
         s_last, y_last = pairs[-1]
-        self.sigma = float(np.clip(np.dot(y_last, y_last) / np.dot(s_last, y_last), 1e-8, 1e12))
+        self.sigma = min(max(float(y_last @ y_last) / float(s_last @ y_last), 1e-8), 1e12)
         s_mat = np.stack([s for s, _ in pairs], axis=1)
         y_mat = np.stack([y for _, y in pairs], axis=1)
         sty = s_mat.T @ y_mat
@@ -149,47 +118,53 @@ class _LbfgsMetric:
 
 def _solve_model(w0_flat, grad_flat, metric, step, prox, reg_val_flat, max_iters):
     """Approximately minimize the quadratic model + regularizer by monotone
-    spectral proximal gradient; returns the flat iterate."""
-
-    def q_grad(u):
-        return grad_flat + metric.apply(u - w0_flat) / step
+    spectral proximal gradient; returns the flat iterate and its regularizer
+    value."""
 
     def q_val(u):
+        # the model value at u, and B(u - w0), from which its gradient
+        # grad + B(u - w0)/step follows without a second metric product
         d = u - w0_flat
-        return float(grad_flat @ d + 0.5 * (d @ metric.apply(d)) / step)
+        bd = metric.apply(d)
+        return float(grad_flat @ d + 0.5 * (d @ bd) / step), bd
 
-    u = prox(w0_flat - (step / metric.sigma) * grad_flat, step / metric.sigma)
-    psi = q_val(u) + reg_val_flat(u)
     t = step / metric.sigma
+    u = prox(w0_flat - t * grad_flat, t)
+    q, bd = q_val(u)
+    reg_u = reg_val_flat(u)
+    psi = q + reg_u
     prev_u = w0_flat
     prev_g = grad_flat
     for _ in range(max_iters - 1):
-        g = q_grad(u)
+        g = grad_flat + bd / step
         du = u - prev_u
         dg = g - prev_g
         curv = float(du @ dg)
         if curv > 1e-16:
-            t = float(np.clip((du @ du) / curv, 1e-12, 1e12))
+            t = min(max(float(du @ du) / curv, 1e-12), 1e12)
         prev_u, prev_g = u, g
         accepted = False
         for _ in range(30):
             cand = prox(u - t * g, t)
-            psi_cand = q_val(cand) + reg_val_flat(cand)
+            q_cand, bd_cand = q_val(cand)
+            reg_cand = reg_val_flat(cand)
+            psi_cand = q_cand + reg_cand
             if psi_cand <= psi + 1e-14 * max(1.0, abs(psi)):
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             break
-        if np.linalg.norm(cand - u) <= 1e-12 * (1.0 + np.linalg.norm(u)):
-            u, psi = cand, psi_cand
+        move = cand - u
+        converged = math.sqrt(move @ move) <= 1e-12 * (1.0 + math.sqrt(u @ u))
+        u, psi, bd, reg_u = cand, psi_cand, bd_cand, reg_cand
+        if converged:
             break
-        u, psi = cand, psi_cand
-    return u
+    return u, reg_u
 
 
 def solve_w(
-    data: NodeData,
+    data: NodeData | np.ndarray,
     labels,
     chain: AncestorChain,
     reg: RegularizerConfig,
@@ -198,32 +173,30 @@ def solve_w(
 ) -> ClusterModels:
     """Minimize the split objective in the weights for fixed labels.
 
-    Stops when the relative objective change drops below cfg.rel_obj_tol or
-    the outer budget is exhausted; the objective is non-increasing across
-    accepted iterations. Raises SolverError if the objective turns
-    non-finite.
+    data is the node (its features are copied once per call) or its n x P
+    feature matrix. Stops when the relative objective change drops below
+    cfg.rel_obj_tol or the outer budget is exhausted; the objective is
+    non-increasing across accepted iterations. Raises SolverError if the
+    objective turns non-finite.
     """
     w = np.array(w0.weights, dtype=float)
     k, p = w.shape
     labels = np.asarray(labels, dtype=np.int64)
-    spec = make_prox_spec(reg, chain, k, p)
-
-    def f_smooth(mat):
-        return hinge_loss(mat, data, labels)
-
-    def f_reg(mat):
-        return regularizer_value(mat, chain, reg)
+    x = features_of(data)
+    regularizer = Regularizer(reg, chain, k, p)
+    spec = regularizer.prox_spec
 
     def reg_val_flat(vec):
-        return f_reg(vec.reshape(k, p))
+        return regularizer.value(vec.reshape(k, p))
 
     def prox_flat(vec, t):
         return prox_sparse_group(vec.reshape(k, p), spec, t).ravel()
 
-    fw = f_smooth(w) + f_reg(w)
+    reg_w = regularizer.value(w)
+    fw = hinge_loss(w, x, labels) + reg_w
     if not np.isfinite(fw):
         raise SolverError(f"objective not finite at the initial point (value {fw})")
-    grad = hinge_grad(w, data, labels).ravel()
+    grad = hinge_grad(w, x, labels).ravel()
     w_flat = w.ravel()
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     step = 1.0
@@ -233,30 +206,30 @@ def solve_w(
         step = min(step * 2.0, 1e8)
         accepted = False
         for _ in range(40):
-            u = _solve_model(w_flat, grad, metric, step, prox_flat, reg_val_flat, cfg.inner_prox_iters)
+            u, reg_u = _solve_model(w_flat, grad, metric, step, prox_flat, reg_val_flat, cfg.inner_prox_iters)
             d = u - w_flat
             if not np.all(np.isfinite(u)):
                 raise SolverError(f"iterate diverged at outer iteration {outer} (step {step:.3e})")
-            model_dec = float(grad @ d) + reg_val_flat(u) - reg_val_flat(w_flat)
-            fu = f_smooth(u.reshape(k, p)) + reg_val_flat(u)
+            model_dec = float(grad @ d) + reg_u - reg_w
+            fu = hinge_loss(u.reshape(k, p), x, labels) + reg_u
             if not np.isfinite(fu):
                 raise SolverError(f"objective not finite at outer iteration {outer} (step {step:.3e})")
             if model_dec <= 0 and fu <= fw + cfg.sufficient_decrease * model_dec:
                 accepted = True
                 break
             step *= cfg.line_search_shrink
-        if not accepted or np.linalg.norm(d) == 0.0:
+        d_sq = float(d @ d)
+        if not accepted or d_sq == 0.0:
             break
-        new_grad = hinge_grad(u.reshape(k, p), data, labels).ravel()
+        new_grad = hinge_grad(u.reshape(k, p), x, labels).ravel()
         if cfg.lbfgs_memory > 0:
-            s_vec = u - w_flat
             y_vec = new_grad - grad
-            if float(s_vec @ y_vec) > 1e-12 * np.linalg.norm(s_vec) * max(np.linalg.norm(y_vec), 1e-30):
-                pairs.append((s_vec, y_vec))
+            if float(d @ y_vec) > 1e-12 * math.sqrt(d_sq) * max(math.sqrt(y_vec @ y_vec), 1e-30):
+                pairs.append((d, y_vec))
                 if len(pairs) > cfg.lbfgs_memory:
                     pairs.pop(0)
         decrease = fw - fu
-        w_flat, grad, fw = u, new_grad, fu
+        w_flat, grad, fw, reg_w = u, new_grad, fu, reg_u
         logger.debug(
             "w-update iter=%d obj=%.10e step=%.3e",
             outer,

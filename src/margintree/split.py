@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AncestorChain, ClusterModels, NodeData
+from .core import AncestorChain, ClusterModels, NodeData, features_of
 from .errors import SolverError, UnsplittableNodeError
 from .flow import DEFAULT_SCALE, solve_balanced_assignment
 from .kmeans import kmeans
@@ -64,26 +64,30 @@ def balance_bounds(n: int, k: int) -> BalanceBounds:
     return BalanceBounds(lower=lower, upper=upper)
 
 
-def init_assignment(data: NodeData, k: int, bounds: BalanceBounds, seed: int) -> np.ndarray:
+def init_assignment(data: NodeData | np.ndarray, k: int, bounds: BalanceBounds, seed: int) -> np.ndarray:
     """Seeded k-means labels repaired to the balance bounds by solving the
-    assignment with squared-distance costs."""
-    result = kmeans(data, k, seed)
-    x = data.features
+    assignment with squared-distance costs. data is the node or its n x P
+    feature matrix."""
+    x = features_of(data)
+    result = kmeans(x, k, seed)
     costs = ((x[:, None, :] - result.centroids[None, :, :]) ** 2).sum(axis=2)
     return solve_balanced_assignment(costs, bounds.lower, bounds.upper, DEFAULT_SCALE)
+
+
+def _score(w: np.ndarray, labels: np.ndarray, x: np.ndarray, chain: AncestorChain) -> float:
+    denom = group_reg(w) + exclusive_reg(w, chain)
+    if denom == 0.0:
+        return float("-inf")
+    scores = x @ w.T
+    numer = float(scores[np.arange(x.shape[0]), labels - 1].sum())
+    return numer / denom
 
 
 def splitting_score(result: SplitResult, data: NodeData, chain: AncestorChain, reg: RegularizerConfig) -> float:
     """Fit-to-assignment score sum over instances divided by the model
     complexity G + E; -inf sentinel when the models are all zero (such a
     candidate is never selected)."""
-    w = result.models.weights
-    denom = group_reg(w) + exclusive_reg(w, chain)
-    if denom == 0.0:
-        return float("-inf")
-    scores = data.features @ w.T
-    numer = float(scores[np.arange(data.size), result.labels - 1].sum())
-    return numer / denom
+    return _score(result.models.weights, result.labels, features_of(data), chain)
 
 
 def split_node(
@@ -98,11 +102,12 @@ def split_node(
     """Alternate weight fitting and balanced assignment until the labels
     reach a fixed point, the relative objective change drops below 1e-6, or
     the alternation budget runs out."""
+    x = data.features  # one copy of the node's rows for the whole split
     bounds = balance_bounds(data.size, k)
-    labels = init_assignment(data, k, bounds, seed)
-    w0 = ClusterModels(weights=np.zeros((k, data.features.shape[1])))
-    models = solve_w(data, labels, chain, reg, cfg, w0)
-    objective = node_objective(models, labels, chain, data, reg)
+    labels = init_assignment(x, k, bounds, seed)
+    w0 = ClusterModels(weights=np.zeros((k, x.shape[1])))
+    models = solve_w(x, labels, chain, reg, cfg, w0)
+    objective = node_objective(models, labels, chain, x, reg)
     trace = [objective]
     # quantization of costs in the flow solver can lift the objective by at
     # most ~(K-1)/scale per instance; allow that much slack in the descent check
@@ -110,9 +115,9 @@ def split_node(
 
     iterations = 0
     for iterations in range(1, max_alternations + 1):
-        costs = cost_matrix(models, data)
+        costs = cost_matrix(models, x)
         new_labels = solve_balanced_assignment(costs, bounds.lower, bounds.upper, DEFAULT_SCALE)
-        after_assign = node_objective(models, new_labels, chain, data, reg)
+        after_assign = node_objective(models, new_labels, chain, x, reg)
         if after_assign > trace[-1] + slack * max(1.0, abs(trace[-1])):
             raise SolverError(
                 f"objective rose after assignment half-step: {trace[-1]:.12e} -> {after_assign:.12e}"
@@ -123,8 +128,8 @@ def split_node(
         labels = new_labels
         trace.append(after_assign)
 
-        models = solve_w(data, labels, chain, reg, cfg, models)
-        objective = node_objective(models, labels, chain, data, reg)
+        models = solve_w(x, labels, chain, reg, cfg, models)
+        objective = node_objective(models, labels, chain, x, reg)
         if objective > after_assign + 1e-9 * max(1.0, abs(after_assign)):
             raise SolverError(
                 f"objective rose after weight half-step: {after_assign:.12e} -> {objective:.12e}"
@@ -134,15 +139,7 @@ def split_node(
         if rel_change < REL_OBJ_TOL:
             break
 
-    result = SplitResult(
-        models=models,
-        labels=labels,
-        objective=trace[-1],
-        score=float("nan"),
-        iterations=iterations,
-        trace=tuple(trace),
-    )
-    score = splitting_score(result, data, chain, reg)
+    score = _score(models.weights, labels, x, chain)
     logger.debug("split converged: n=%d iterations=%d objective=%.6e score=%.6e", data.size, iterations, trace[-1], score)
     return SplitResult(
         models=models,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from margintree import (
     AncestorChain,
     ClusterModels,
+    Regularizer,
     RegularizerConfig,
     ValidationError,
     cost_matrix,
@@ -17,6 +18,7 @@ from margintree import (
     node_objective,
 )
 from margintree.core import EMPTY_CHAIN
+from margintree.objective import VARIANTS, regularizer_value
 from helpers import random_problem
 from oracles import finite_difference_grad, hinge_grad_loops, hinge_loss_loops
 
@@ -93,6 +95,22 @@ class TestHingeLoss:
         with pytest.raises(ValidationError):
             hinge_loss(np.zeros((2, 2)), np.zeros((1, 2)), [3])
 
+    def test_bit_identical_to_cost_matrix_rows(self):
+        # the loss reads one entry per row of the cost tensor without building it
+        rng = np.random.default_rng(13)
+        for n_max, k_max in ((20, 4), (300, 9)):
+            for _ in range(15):
+                w, x, labels = random_problem(rng, n_max=n_max, k_max=k_max)
+                w = w * rng.uniform(0.01, 3.0)
+                n, k = x.shape[0], w.shape[0]
+                via_costs = float(cost_matrix(w, x)[np.arange(n), labels - 1].sum() / (n * k))
+                assert hinge_loss(w, x, labels) == via_costs
+                assert hinge_loss(w, x, labels) == pytest.approx(hinge_loss_loops(w, x, labels), rel=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValidationError):
+            hinge_loss(np.zeros((2, 3)), np.zeros((4, 2)), [1, 2, 1, 2])
+
 
 class TestHingeGrad:
     def test_zero_on_separable(self):
@@ -163,6 +181,41 @@ class TestExclusive:
         chain = chain_of([5.0, 0.0, 0.0])
         w = np.array([[0.0, 1.0, 2.0], [0.0, -3.0, 1.0]])
         assert exclusive_reg(w, chain) == 0.0
+
+
+class TestRegularizer:
+    CHAINS = {"root": EMPTY_CHAIN, "two_ancestors": chain_of([1.0, -2.0, 0.0, 0.5], [0.0, 3.0, -1.0, 0.25])}
+
+    @staticmethod
+    def by_formula(w, chain, cfg):
+        k, p = w.shape
+        return {
+            "sparse_group": cfg.alpha * group_reg(w) + cfg.beta * exclusive_reg(w, chain),
+            "group_only": cfg.alpha * group_reg(w),
+            "exclusive_only": cfg.beta * exclusive_reg(w, chain),
+            "l1": cfg.alpha * float(np.abs(w).sum()) / (k * p),
+            "squared_l2": cfg.alpha * float((w**2).sum()) / (k * p),
+        }[cfg.variant]
+
+    @pytest.mark.parametrize("chain_name", sorted(CHAINS))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_value_equals_regularizer_value_exactly(self, variant, chain_name):
+        chain = self.CHAINS[chain_name]
+        rng = np.random.default_rng(14)
+        cfg = RegularizerConfig(alpha=0.3, beta=0.7, variant=variant)
+        regularizer = Regularizer(cfg, chain, 3, 4)
+        for _ in range(10):
+            w = rng.normal(size=(3, 4))
+            assert regularizer.value(w) == regularizer_value(w, chain, cfg)
+            assert regularizer.value(w) == self.by_formula(w, chain, cfg)
+            assert regularizer.value(ClusterModels(w)) == regularizer.value(w)
+
+    def test_lambdas_match_chain(self):
+        chain = self.CHAINS["two_ancestors"]
+        regularizer = Regularizer(RegularizerConfig(), chain, 3, 4)
+        assert np.array_equal(regularizer.lambda_e, exclusive_weights(chain, 3, 4).lambda_e)
+        assert regularizer.lambda_g == 1.0 / 12
+        assert not regularizer.lambda_e.flags.writeable
 
 
 class TestNodeObjective:

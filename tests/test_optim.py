@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from margintree import (
     subset,
 )
 from margintree.core import EMPTY_CHAIN
+import margintree.objective
 from margintree.optim import make_prox_spec
 from helpers import blob_dataset
 from test_objective import chain_of
@@ -62,6 +64,15 @@ class TestProxGroup:
         w[:, 1] = [1.0, 2.0, 2.0]
         out = prox_group(w, 0.5)
         assert np.array_equal(out[:, 0], np.zeros(3))
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 10.0])
+    def test_zero_columns_raise_no_float_warning(self, t):
+        w = np.zeros((3, 4))
+        w[:, 2] = [1.0, 2.0, 2.0]
+        with np.errstate(all="raise"):
+            out = prox_group(w, t)
+        assert np.array_equal(out[:, [0, 1, 3]], np.zeros((3, 3)))
+        assert np.allclose(out[:, 2], w[:, 2] * max(3.0 - t, 0.0) / 3.0)
 
 
 def random_prox_instance(rng):
@@ -192,6 +203,32 @@ class TestSolveW:
             ours = node_objective(w, labels, EMPTY_CHAIN, nd, reg)
             oracle = gradient_descent_smooth_oracle(x, labels, alpha, 2)
             assert ours <= oracle * (1 + 1e-4) + 1e-10
+
+    def test_lambda_e_computed_once_per_call(self, monkeypatch):
+        nd, labels = self.separable_node()
+        calls = []
+        original = margintree.objective.exclusive_weights
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(margintree.objective, "exclusive_weights", counting)
+        chain = chain_of([1.0, 0.5], [0.2, 2.0])
+        reg = RegularizerConfig(alpha=0.05, beta=0.05)
+        solve_w(nd, labels, chain, reg, SolverConfig(), ClusterModels(np.zeros((2, 2))))
+        assert len(calls) == 1
+
+    def test_features_array_same_iterates_as_node(self):
+        rng = np.random.default_rng(9)
+        nd, _ = self.separable_node()
+        labels = rng.integers(1, 3, size=nd.size)
+        chain = chain_of([1.0, 0.5])
+        reg = RegularizerConfig(alpha=0.05, beta=0.05)
+        w0 = ClusterModels(rng.normal(size=(2, 2)))
+        from_node = solve_w(nd, labels, chain, reg, SolverConfig(), w0)
+        from_array = solve_w(nd.features, labels, chain, reg, SolverConfig(), w0)
+        assert np.array_equal(from_node.weights, from_array.weights)
 
     def test_memory_zero_still_works(self):
         nd, labels = self.separable_node()

@@ -16,7 +16,7 @@ from margintree import (
     splitting_score,
     subset,
 )
-from margintree.core import EMPTY_CHAIN
+from margintree.core import EMPTY_CHAIN, NodeData
 from margintree.split import SplitResult
 from helpers import blob_dataset
 
@@ -124,6 +124,23 @@ class TestSplitNode:
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.models.weights, b.models.weights)
         assert a.objective == b.objective
+
+    def test_reads_node_features_once(self, monkeypatch):
+        from margintree import Dataset
+
+        ds = Dataset(features=np.random.default_rng(3).normal(size=(20, 4)), ids=np.arange(20))
+        nd = subset(ds, np.arange(20))
+        reads = []
+        original = NodeData.features
+
+        def counting(node):
+            reads.append(node)
+            return original.fget(node)
+
+        monkeypatch.setattr(NodeData, "features", property(counting))
+        res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), SolverConfig(), seed=3)
+        assert res.iterations >= 1
+        assert len(reads) == 1
 
     def test_too_small_node(self):
         ds = blob_dataset(8, [[0.0, 0.0]], per_blob=1)
