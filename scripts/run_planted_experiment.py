@@ -22,15 +22,13 @@ from margintree import (
     build_hierarchy,
     build_hkm,
     build_hkm_d,
+    flat_hierarchy,
     generate_synthetic,
     kmeans,
     leaf_partition,
-    rand_index,
-    semantic_score,
+    score_leaves,
     subset,
 )
-from margintree.cli import _flat_hierarchy
-from margintree.metrics import semantic_score_partition
 
 
 def main():
@@ -64,7 +62,7 @@ def main():
 
     def km_flat():
         result = kmeans(subset(dataset, np.arange(dataset.n)), n_classes, seed=args.seed)
-        return _flat_hierarchy(dataset, result.labels, result.centroids)
+        return flat_hierarchy(dataset, result.labels, result.centroids)
 
     def mmc_flat():
         cfg = BuildConfig(
@@ -80,16 +78,9 @@ def main():
         hierarchy = builder()
         elapsed = time.perf_counter() - started
         part = leaf_partition(hierarchy)
-        pred = np.array([part[i] for i in range(dataset.n)])
-        ri = rand_index(pred, dataset.labels)
-        flat = all(node.depth <= 1 for node in hierarchy.nodes.values())
-        if flat:
-            sp = semantic_score_partition(pred, None, truth, dataset.labels, "SP")
-            ps = semantic_score_partition(pred, None, truth, dataset.labels, "PS")
-        else:
-            sp = semantic_score(hierarchy, truth, dataset, "SP")
-            ps = semantic_score(hierarchy, truth, dataset, "PS")
-        print(f"{name:<12} {sp:8.4f} {ps:8.4f} {ri:8.4f} {elapsed:7.1f}s")
+        leaf_ids = [part[i] for i in dataset.ids.tolist()]
+        scores = score_leaves(leaf_ids, hierarchy.root_id, hierarchy.children_map(), dataset.labels, truth)
+        print(f"{name:<12} {scores['sp']:8.4f} {scores['ps']:8.4f} {scores['rand_index']:8.4f} {elapsed:7.1f}s")
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from .core import (
     TreeNode,
     ancestor_chain,
     features_of,
+    flat_hierarchy,
     leaf_partition,
     subset,
 )
@@ -45,6 +46,7 @@ from .metrics import (
     ClassTree,
     path_sharing_similarity,
     rand_index,
+    score_leaves,
     semantic_score,
     shortest_path_similarity,
 )

@@ -16,28 +16,12 @@ from .hier import BuildConfig, _Candidate, grow_tree, node_seed
 from .kmeans import KMeansResult, kmeans
 
 
-def hkm_split_score(result: KMeansResult, data: NodeData, pairwise: bool = False) -> float:
-    """Negated average within-cluster distance of a fitted k-means split.
-
-    By default "distance" means distance to the assigned centroid;
-    pairwise=True averages over within-cluster point pairs instead.
-    """
+def hkm_split_score(result: KMeansResult, data: NodeData) -> float:
+    """Negated average distance of a node's instances to their assigned
+    centroid in a fitted k-means split."""
     x = data.features
-    labels0 = result.labels - 1
-    if not pairwise:
-        dists = np.linalg.norm(x - result.centroids[labels0], axis=1)
-        return -float(dists.mean())
-    total = 0.0
-    count = 0
-    for j in range(result.centroids.shape[0]):
-        members = x[labels0 == j]
-        m = members.shape[0]
-        if m < 2:
-            continue
-        diffs = np.linalg.norm(members[:, None, :] - members[None, :, :], axis=2)
-        total += diffs[np.triu_indices(m, k=1)].sum()
-        count += m * (m - 1) // 2
-    return -(total / count) if count else 0.0
+    dists = np.linalg.norm(x - result.centroids[result.labels - 1], axis=1)
+    return -float(dists.mean())
 
 
 def hkm_d_split_score(data: NodeData) -> float:

@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import build_hkm, build_hkm_d
-from .core import ClusterModels, Dataset, Hierarchy, TreeNode, leaf_partition, subset
+from .core import Dataset, Hierarchy, flat_hierarchy, leaf_partition, subset
 from .data import SyntheticSpec, generate_synthetic, load_dataset, pca_reduce, standardize
 from .errors import InfeasibleFlowError, SolverError, ValidationError
 from .export import export_hierarchy, load_hierarchy_json, render_json, summary_to_dot
 from .hier import BuildConfig, StoppingCriterion, build_hierarchy, global_objective
 from .kmeans import kmeans
-from .metrics import ClassTree, class_tree_from_hierarchy, flat_class_tree, rand_index, semantic_score_partition
+from .metrics import ClassTree, score_leaves
 from .objective import RegularizerConfig
 from .optim import SolverConfig
 
@@ -56,7 +56,6 @@ class ExperimentSpec:
     dot_out: str | None = None
     report_out: str | None = None
     top_features: int = 3
-    pair_budget: int | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -100,39 +99,6 @@ def load_class_tree(path: str) -> ClassTree:
     )
 
 
-def _codes_for_labels(tree: ClassTree, labels) -> np.ndarray:
-    """Map ground-truth labels to the tree's class indices, tolerant of
-    int-vs-string round trips through files."""
-    by_str = {str(c): i for i, c in enumerate(tree.class_ids)}
-    try:
-        return np.asarray([tree.class_index(c) for c in labels])
-    except ValidationError:
-        pass
-    try:
-        return np.asarray([by_str[str(c)] for c in labels])
-    except KeyError as err:
-        raise ValidationError(f"label {err.args[0]!r} not present in the truth tree") from None
-
-
-def _flat_hierarchy(dataset: Dataset, labels: np.ndarray, centroids: np.ndarray) -> Hierarchy:
-    """Wrap a flat partition as a depth-1 hierarchy for uniform export."""
-    hierarchy = Hierarchy.with_root(dataset)
-    root = hierarchy.root
-    root.models = ClusterModels(weights=centroids)
-    root.labels = labels
-    k = centroids.shape[0]
-    for cluster in range(1, k + 1):
-        child = TreeNode(
-            id=cluster + 1,
-            data=subset(dataset, root.data.indices[labels == cluster]),
-            depth=1,
-            parent_id=root.id,
-        )
-        hierarchy.nodes[child.id] = child
-        root.child_ids.append(child.id)
-    return hierarchy
-
-
 def _leaf_inertia(dataset: Dataset, hierarchy: Hierarchy) -> float:
     total = 0.0
     for leaf in hierarchy.leaves():
@@ -159,30 +125,15 @@ def _build_once(dataset: Dataset, spec: ExperimentSpec, seed: int) -> tuple[Hier
         hierarchy = builder(dataset, config)
         return hierarchy, _leaf_inertia(dataset, hierarchy)
     result = kmeans(subset(dataset, np.arange(dataset.n)), spec.k, seed)
-    hierarchy = _flat_hierarchy(dataset, result.labels, result.centroids)
+    hierarchy = flat_hierarchy(dataset, result.labels, result.centroids)
     return hierarchy, result.inertia
 
 
-def _evaluate_against_truth(
-    dataset: Dataset,
-    partition_leaf_ids: np.ndarray,
-    learned_tree: ClassTree | None,
-    truth: ClassTree,
-    pair_budget: int | None,
-    seed: int,
-) -> dict:
-    metrics = {"rand_index": rand_index(partition_leaf_ids, dataset.labels)}
-    if learned_tree is None:
-        codes = partition_leaf_ids
-    else:
-        codes = np.asarray([learned_tree.class_index(leaf) for leaf in partition_leaf_ids])
-    truth_codes = _codes_for_labels(truth, dataset.labels)
-    relabeled = np.asarray([truth.class_ids[i] for i in truth_codes], dtype=object)
-    for metric in ("SP", "PS"):
-        metrics[metric.lower()] = semantic_score_partition(
-            codes, learned_tree, truth, relabeled, metric, pair_budget, seed
-        )
-    return metrics
+def _evaluate_against_truth(dataset: Dataset, leaf_ids, root, children: dict, truth_tree: str | None) -> dict:
+    """RI/SP/PS of a leaf assignment against the truth tree file, or against
+    a flat truth tree over the labels when none is given."""
+    truth = load_class_tree(truth_tree) if truth_tree else None
+    return score_leaves(leaf_ids, root, children, dataset.labels, truth)
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
@@ -223,15 +174,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     }
 
     if dataset.labels is not None:
-        truth = load_class_tree(spec.truth_tree) if spec.truth_tree else flat_class_tree(
-            sorted({str(c) for c in dataset.labels})
-        )
         partition = leaf_partition(hierarchy)
-        leaf_ids = np.asarray([partition[i.item() if hasattr(i, "item") else i] for i in dataset.ids])
-        flat = all(node.depth <= 1 for node in hierarchy.nodes.values())
-        learned_tree = None if flat else class_tree_from_hierarchy(hierarchy)
+        leaf_ids = [partition[i] for i in dataset.ids.tolist()]
         report["metrics"] = _evaluate_against_truth(
-            dataset, leaf_ids, learned_tree, truth, spec.pair_budget, spec.seed
+            dataset, leaf_ids, hierarchy.root_id, hierarchy.children_map(), spec.truth_tree
         )
 
     outputs = {}
@@ -314,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dot-out")
     run.add_argument("--report-out")
     run.add_argument("--top-features", type=int, default=3)
-    run.add_argument("--pair-budget", type=int)
 
     ev = sub.add_parser("evaluate", help="score an exported hierarchy against ground truth")
     _add_common(ev)
@@ -324,8 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--label-column", action="store_true")
     ev.add_argument("--truth-tree")
     ev.add_argument("--report-out")
-    ev.add_argument("--pair-budget", type=int)
-    ev.add_argument("--seed", type=int, default=0)
 
     ex = sub.add_parser("export", help="convert an exported hierarchy json to dot")
     _add_common(ex)
@@ -418,7 +361,6 @@ def _cmd_cluster(args) -> int:
         dot_out=args.dot_out,
         report_out=args.report_out,
         top_features=args.top_features,
-        pair_budget=args.pair_budget,
     )
     report = run_experiment(spec)
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -430,22 +372,12 @@ def _cmd_evaluate(args) -> int:
     dataset = load_dataset(args.input, args.format, args.label_column)
     if dataset.labels is None:
         raise ValidationError("evaluate requires ground-truth labels (--label-column or libsvm labels)")
-    truth = load_class_tree(args.truth_tree) if args.truth_tree else flat_class_tree(
-        sorted({str(c) for c in dataset.labels})
-    )
     members = summary.leaf_members()
     try:
-        leaf_ids = np.asarray([members[i.item() if hasattr(i, "item") else i] for i in dataset.ids])
+        leaf_ids = [members[i] for i in dataset.ids.tolist()]
     except KeyError as err:
         raise ValidationError(f"instance {err.args[0]!r} missing from the hierarchy's leaves") from None
-    depths = summary.depths()
-    flat = all(d <= 1 for d in depths.values())
-    learned_tree = None
-    if not flat:
-        children = summary.children_map()
-        leaf_classes = {r["id"]: r["id"] for r in summary.nodes if not r["children"]}
-        learned_tree = ClassTree(root=summary.root, children=children, leaf_classes=leaf_classes)
-    metrics = _evaluate_against_truth(dataset, leaf_ids, learned_tree, truth, args.pair_budget, args.seed)
+    metrics = _evaluate_against_truth(dataset, leaf_ids, summary.root, summary.children_map(), args.truth_tree)
     report = {"hierarchy": args.hierarchy, "input": args.input, "metrics": metrics}
     if args.report_out:
         with open(args.report_out, "w") as fh:

@@ -177,6 +177,30 @@ class Hierarchy:
     def non_leaves(self) -> list[TreeNode]:
         return [n for n in self.nodes.values() if not n.is_leaf]
 
+    def children_map(self) -> dict:
+        """Node id -> child ids, for every node that has children."""
+        return {n.id: list(n.child_ids) for n in self.nodes.values() if n.child_ids}
+
+
+def flat_hierarchy(dataset: Dataset, labels: np.ndarray, centroids: np.ndarray) -> Hierarchy:
+    """Wrap a flat partition (labels in {1..K}, one centroid row per
+    cluster) as a depth-1 hierarchy, so it exports and scores like a tree."""
+    hierarchy = Hierarchy.with_root(dataset)
+    root = hierarchy.root
+    root.models = ClusterModels(weights=centroids)
+    root.labels = labels
+    k = centroids.shape[0]
+    for cluster in range(1, k + 1):
+        child = TreeNode(
+            id=cluster + 1,
+            data=subset(dataset, root.data.indices[labels == cluster]),
+            depth=1,
+            parent_id=root.id,
+        )
+        hierarchy.nodes[child.id] = child
+        root.child_ids.append(child.id)
+    return hierarchy
+
 
 def features_of(data) -> np.ndarray:
     """The n x P float features of a NodeData (a fresh copy) or of an
@@ -225,11 +249,10 @@ def leaf_partition(hierarchy: Hierarchy) -> dict:
     """Map every instance id to the unique leaf node containing it."""
     mapping = {}
     for leaf in hierarchy.leaves():
-        for instance_id in leaf.data.ids:
-            key = instance_id.item() if hasattr(instance_id, "item") else instance_id
-            if key in mapping:
-                raise StructureError(f"instance {key} appears in more than one leaf")
-            mapping[key] = leaf.id
+        for instance_id in leaf.data.ids.tolist():
+            if instance_id in mapping:
+                raise StructureError(f"instance {instance_id} appears in more than one leaf")
+            mapping[instance_id] = leaf.id
     root_ids = hierarchy.root.data.ids
     if len(mapping) != len(root_ids):
         raise StructureError("leaves do not cover the root's instances")

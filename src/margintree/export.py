@@ -39,7 +39,7 @@ def hierarchy_to_dict(hierarchy: Hierarchy, top_features: int = 3) -> dict:
             order = np.argsort(-norms, kind="stable")
             record["top_features"] = [int(i) for i in order[:top_features]]
         if node.is_leaf:
-            record["members"] = [i.item() if hasattr(i, "item") else i for i in node.data.ids]
+            record["members"] = node.data.ids.tolist()
         nodes.append(record)
     return {
         "format": SCHEMA_NAME,
@@ -100,9 +100,6 @@ class HierarchySummary:
 
     def children_map(self) -> dict:
         return {r["id"]: list(r["children"]) for r in self.nodes if r["children"]}
-
-    def depths(self) -> dict:
-        return {r["id"]: r["depth"] for r in self.nodes}
 
 
 def load_hierarchy_json(path: str) -> HierarchySummary:

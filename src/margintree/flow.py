@@ -198,10 +198,11 @@ def build_assignment_network(costs, lower: int, upper: int, scale: int = DEFAULT
         raise ValidationError(f"scale must be a positive integer, got {scale}")
     source, sink = 0, n + k + 1
     arcs = [Arc(source, 1 + i, 1, 1, 0) for i in range(n)]
-    scaled = np.rint(costs * scale).astype(np.int64)
+    # Python ints, so costs beyond the int64 range stay exact and positive
+    scaled = np.rint(costs * scale).tolist()
     for i in range(n):
         for y in range(k):
-            arcs.append(Arc(1 + i, 1 + n + y, 0, 1, int(scaled[i, y])))
+            arcs.append(Arc(1 + i, 1 + n + y, 0, 1, int(scaled[i][y])))
     arcs.extend(Arc(1 + n + y, sink, lower, upper, 0) for y in range(k))
     supplies = [0] * (n + k + 2)
     supplies[source] = n

@@ -125,14 +125,6 @@ def path_sharing_similarity(tree: ClassTree, a, b, include_leaf: bool = True) ->
     return float(tree.ps_table(include_leaf=include_leaf)[i, j])
 
 
-def class_tree_from_hierarchy(hierarchy: Hierarchy) -> ClassTree:
-    """View a learned hierarchy as a class tree whose classes are its leaf
-    node ids."""
-    children = {node.id: list(node.child_ids) for node in hierarchy.nodes.values() if node.child_ids}
-    leaf_classes = {leaf.id: leaf.id for leaf in hierarchy.leaves()}
-    return ClassTree(root=hierarchy.root_id, children=children, leaf_classes=leaf_classes)
-
-
 def flat_class_tree(classes) -> ClassTree:
     """Depth-1 tree: a root whose children are the given classes."""
     classes = list(classes)
@@ -162,15 +154,46 @@ def rand_index(pred, truth) -> float:
     return float(agreements / total)
 
 
-def _pair_indices(n: int, pair_budget: int | None, seed: int):
-    if pair_budget is None or pair_budget >= n * (n - 1) // 2:
-        i, j = np.triu_indices(n, k=1)
-        return i, j
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, n, size=pair_budget)
-    j = rng.integers(0, n - 1, size=pair_budget)
-    j = np.where(j >= i, j + 1, j)  # uniform over ordered pairs with i != j
-    return i, j
+def _class_codes(tree: ClassTree, classes) -> np.ndarray:
+    """Map class identifiers to the tree's class indices. When they are not
+    all class ids as given, they are matched by str(), which tolerates
+    int-vs-string round trips through files."""
+    unique, inverse = np.unique(np.asarray(classes), return_inverse=True)
+    unique = unique.tolist()
+    try:
+        codes = [tree.class_index(c) for c in unique]
+    except ValidationError:
+        by_str = {str(c): i for i, c in enumerate(tree.class_ids)}
+        try:
+            codes = [by_str[str(c)] for c in unique]
+        except KeyError as err:
+            raise ValidationError(f"class {err.args[0]!r} is not in the tree") from None
+    return np.asarray(codes, dtype=np.int64)[inverse]
+
+
+def _similarity_table(tree: ClassTree, metric: str, include_leaf: bool) -> np.ndarray:
+    return tree.sp_table() if metric == "SP" else tree.ps_table(include_leaf)
+
+
+def _pair_score(learned_codes, learned_table, truth_codes, truth_table) -> float:
+    """1 - mean over instance pairs of (learned - true similarity)^2, from
+    the learned x true class count matrix C alone. For each distinct learned
+    similarity v, C'[L == v]C counts the ordered instance pairs per pair of
+    true classes, and each contributes (v - T)^2. Self-pairs are counted too
+    but add nothing: every class has similarity 1 to itself in both tables."""
+    if learned_codes.shape != truth_codes.shape:
+        raise ValidationError("one learned and one true class per instance required")
+    n = learned_codes.size
+    if n < 2:
+        return 1.0
+    n_truth = truth_table.shape[0]
+    counts = np.bincount(learned_codes * n_truth + truth_codes, minlength=learned_table.shape[0] * n_truth)
+    counts = counts.reshape(-1, n_truth).astype(float)
+    total = 0.0
+    for value in np.unique(learned_table):
+        pairs = counts.T @ (learned_table == value) @ counts
+        total += float(np.sum(pairs * (value - truth_table) ** 2))
+    return 1.0 - total / (n * (n - 1))
 
 
 def semantic_score_partition(
@@ -179,31 +202,49 @@ def semantic_score_partition(
     truth: ClassTree,
     truth_labels,
     metric: str = "SP",
-    pair_budget: int | None = None,
-    seed: int = 0,
     include_leaf: bool = True,
 ) -> float:
     """1 - MSE between learned and ground-truth pairwise similarities.
 
     cluster_codes maps each instance to a learned class index; learned_tree
     gives the learned class similarities, or None for the flat convention
-    (same cluster -> 1, else 0).
+    (same cluster -> 1, else 0). Exact over all instance pairs, in time
+    linear in the number of instances and memory independent of it.
     """
     if metric not in ("SP", "PS"):
         raise ValidationError(f"metric must be SP or PS, got {metric!r}")
-    truth_labels = np.asarray(truth_labels)
-    n = truth_labels.size
-    truth_codes = np.asarray([truth.class_index(c) for c in truth_labels])
-    truth_table = truth.sp_table() if metric == "SP" else truth.ps_table(include_leaf)
-    if learned_tree is not None:
-        learned_table = learned_tree.sp_table() if metric == "SP" else learned_tree.ps_table(include_leaf)
-    i, j = _pair_indices(n, pair_budget, seed)
-    true_sim = truth_table[truth_codes[i], truth_codes[j]]
     if learned_tree is None:
-        learned_sim = (cluster_codes[i] == cluster_codes[j]).astype(float)
+        clusters, codes = np.unique(cluster_codes, return_inverse=True)
+        learned_table = np.eye(clusters.size)
     else:
-        learned_sim = learned_table[cluster_codes[i], cluster_codes[j]]
-    return float(1.0 - np.mean((learned_sim - true_sim) ** 2))
+        codes = np.asarray(cluster_codes, dtype=np.int64)
+        learned_table = _similarity_table(learned_tree, metric, include_leaf)
+    truth_table = _similarity_table(truth, metric, include_leaf)
+    return _pair_score(codes, learned_table, _class_codes(truth, truth_labels), truth_table)
+
+
+def score_leaves(
+    leaf_ids, root, children: dict, labels, truth: ClassTree | None = None, include_leaf: bool = True
+) -> dict:
+    """Rand index, SP and PS of a learned tree's leaf assignment.
+
+    leaf_ids[i] is the leaf holding instance i, and root with children (node
+    id -> child ids) is the learned tree. A flat tree (every leaf a child of
+    the root) is scored with the same-cluster/else-0 convention. truth
+    defaults to a flat class tree over the labels' string forms.
+    """
+    leaf_ids = np.asarray(leaf_ids)
+    if truth is None:
+        truth = flat_class_tree(sorted({str(c) for c in labels}))
+    learned_tree, codes = None, leaf_ids
+    if any(children.get(kid) for kid in children.get(root, ())):
+        leaves = {kid for kids in children.values() for kid in kids if not children.get(kid)}
+        learned_tree = ClassTree(root, children, {leaf: leaf for leaf in leaves})
+        codes = _class_codes(learned_tree, leaf_ids)
+    scores = {"rand_index": rand_index(leaf_ids, labels)}
+    for metric in ("SP", "PS"):
+        scores[metric.lower()] = semantic_score_partition(codes, learned_tree, truth, labels, metric, include_leaf)
+    return scores
 
 
 def semantic_score(
@@ -211,26 +252,15 @@ def semantic_score(
     truth: ClassTree,
     dataset: Dataset,
     metric: str = "SP",
-    pair_budget: int | None = None,
-    seed: int = 0,
     include_leaf: bool = True,
 ) -> float:
-    """Score a learned hierarchy against the ground-truth class tree.
-
-    A flat hierarchy (every leaf a child of the root) falls back to the
-    same-cluster/else-0 similarity convention.
-    """
+    """Score a learned hierarchy against the ground-truth class tree with
+    SP or PS (see score_leaves)."""
+    if metric not in ("SP", "PS"):
+        raise ValidationError(f"metric must be SP or PS, got {metric!r}")
     if dataset.labels is None:
         raise ValidationError("semantic scoring requires ground-truth labels")
     partition = leaf_partition(learned)
-    leaf_of_instance = np.asarray([partition[i.item() if hasattr(i, "item") else i] for i in dataset.ids])
-    flat = all(node.depth <= 1 for node in learned.nodes.values())
-    if flat:
-        codes = leaf_of_instance
-        learned_tree = None
-    else:
-        learned_tree = class_tree_from_hierarchy(learned)
-        codes = np.asarray([learned_tree.class_index(leaf_id) for leaf_id in leaf_of_instance])
-    return semantic_score_partition(
-        codes, learned_tree, truth, dataset.labels, metric, pair_budget, seed, include_leaf
-    )
+    leaf_ids = [partition[i] for i in dataset.ids.tolist()]
+    scores = score_leaves(leaf_ids, learned.root_id, learned.children_map(), dataset.labels, truth, include_leaf)
+    return scores[metric.lower()]

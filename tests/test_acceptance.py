@@ -18,6 +18,7 @@ from margintree import (
     build_hierarchy,
     build_hkm,
     build_hkm_d,
+    flat_hierarchy,
     generate_synthetic,
     hierarchy_to_dict,
     hinge_grad,
@@ -31,7 +32,6 @@ from margintree import (
     split_node,
     subset,
 )
-from margintree.cli import _flat_hierarchy
 from margintree.core import EMPTY_CHAIN
 from margintree.export import render_json
 from margintree.metrics import semantic_score_partition
@@ -281,7 +281,7 @@ def test_criterion_8_determinism():
 
     def kmeans_flat():
         result = kmeans(subset(ds, np.arange(ds.n)), 4, seed=7)
-        return _flat_hierarchy(ds, result.labels, result.centroids)
+        return flat_hierarchy(ds, result.labels, result.centroids)
 
     builders = {"hmmc": hmmc, "hkm": hkm, "hkm_d": hkm_d, "mmc_flat": mmc_flat, "kmeans_flat": kmeans_flat}
     mismatched = [

@@ -175,6 +175,14 @@ class TestClusterCommand:
             texts.append(json.dumps(payload, sort_keys=True))
         assert texts[0] == texts[1]
 
+    def test_large_feature_magnitudes(self, tmp_path):
+        # assignment costs of this data overflow int64 once scaled to fixed point
+        rng = np.random.default_rng(0)
+        rows = np.vstack([rng.normal(0.0, 1.0, (30, 3)), rng.normal(5.0, 1.0, (30, 3))]) * 1e7
+        data = tmp_path / "big.csv"
+        np.savetxt(data, rows, delimiter=",")
+        assert main(["cluster", "--input", str(data), "--k", "2"]) == 0
+
     def test_validation_exit_code(self, tmp_path):
         missing = str(tmp_path / "missing.csv")
         assert main(["cluster", "--input", missing, "--method", "hmmc"]) == 1
@@ -233,6 +241,20 @@ class TestEvaluateAndExport:
         assert code == 0
         report = json.loads(eval_path.read_text())
         assert set(report["metrics"]) == {"rand_index", "sp", "ps"}
+
+    @pytest.mark.parametrize("method", ["hmmc", "kmeans_flat"])
+    def test_evaluate_equals_cluster_report(self, planted_files, tmp_path, method):
+        data, truth = planted_files
+        hier_path, report_path, eval_path = tmp_path / "h.json", tmp_path / "r.json", tmp_path / "e.json"
+        common = ["--input", data, "--label-column", "--truth-tree", truth]
+        assert main(
+            ["cluster", *common, "--method", method, "--k", "2" if method == "hmmc" else "4",
+             "--max-leaves", "4", "--seed", "0", "--hierarchy-out", str(hier_path), "--report-out", str(report_path)]
+        ) == 0
+        assert main(["evaluate", *common, "--hierarchy", str(hier_path), "--report-out", str(eval_path)]) == 0
+        cluster_metrics = json.loads(report_path.read_text())["metrics"]
+        assert json.loads(eval_path.read_text())["metrics"] == cluster_metrics
+        assert set(cluster_metrics) == {"rand_index", "sp", "ps"}
 
     def test_export_to_dot(self, planted_files, tmp_path):
         data, _ = planted_files

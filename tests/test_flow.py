@@ -184,6 +184,16 @@ class TestBalancedAssignment:
             assert np.array_equal(permuted, base[perm])
             done += 1
 
+    def test_costs_beyond_int64_once_scaled(self):
+        # 1e13 * SCALE exceeds the int64 range; the optimum must still be found
+        rng = np.random.default_rng(29)
+        for k in (2, 3):
+            costs = 1e13 * rng.uniform(1.0, 2.0, (7, k))
+            b = balance_bounds(7, k)
+            labels = solve_balanced_assignment(costs, b.lower, b.upper, SCALE)
+            _, best = brute_force_assignment(costs, b.lower, b.upper)
+            assert float(costs[np.arange(7), labels - 1].sum()) == pytest.approx(best, rel=1e-12)
+
 
 class TestBruteForce:
     def test_forced_by_balance(self):

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +15,9 @@ from margintree import (
     semantic_score,
     shortest_path_similarity,
 )
-from margintree.metrics import flat_class_tree, semantic_score_partition
+from margintree.metrics import flat_class_tree, score_leaves, semantic_score_partition
 from helpers import manual_hierarchy
+from oracles import exhaustive_pair_score
 
 
 def balanced_tree():
@@ -145,18 +149,6 @@ class TestSemanticScore:
         with pytest.raises(ValidationError):
             semantic_score(learned, truth, unlabeled, "SP")
 
-    def test_sampled_close_to_full(self):
-        ds, truth, learned = eight_instance_case()
-        full = semantic_score(learned, truth, ds, "SP")
-        sampled = semantic_score(learned, truth, ds, "SP", pair_budget=100000, seed=1)
-        assert abs(full - sampled) <= 0.02
-
-    def test_full_budget_equals_exhaustive(self):
-        ds, truth, learned = eight_instance_case()
-        assert semantic_score(learned, truth, ds, "SP", pair_budget=10**9) == semantic_score(
-            learned, truth, ds, "SP"
-        )
-
 
 class TestFlatClassTree:
     def test_structure(self):
@@ -164,3 +156,99 @@ class TestFlatClassTree:
         assert shortest_path_similarity(tree, "a", "a") == 1.0
         assert shortest_path_similarity(tree, "a", "b") == 0.0
         assert path_sharing_similarity(tree, "a", "b") == 0.5
+
+
+def random_class_tree(rng, classes) -> ClassTree:
+    """Random rooted tree over the given classes: each internal node splits
+    its classes into 2 or 3 non-empty groups, so leaf depths vary."""
+    children, leaf_classes = {}, {}
+    counter = itertools.count()
+
+    def grow(group):
+        node = ("node", next(counter))
+        if len(group) == 1:
+            leaf_classes[node] = group[0]
+            return node
+        parts = int(rng.integers(2, min(3, len(group)) + 1))
+        cuts = np.sort(rng.choice(np.arange(1, len(group)), size=parts - 1, replace=False))
+        children[node] = [grow(part) for part in np.split(np.asarray(group, dtype=object), cuts)]
+        return node
+
+    root = grow(list(rng.permutation(np.asarray(classes, dtype=object))))
+    return ClassTree(root=root, children=children, leaf_classes=leaf_classes)
+
+
+def check_against_exhaustive(rng, n, n_learned, n_truth):
+    truth = random_class_tree(rng, [f"t{c}" for c in range(n_truth)])
+    learned = random_class_tree(rng, list(range(n_learned)))
+    labels = np.asarray(truth.class_ids, dtype=object)[rng.integers(0, n_truth, n)]
+    truth_codes = np.asarray([truth.class_index(c) for c in labels])
+    codes = rng.integers(0, n_learned, n)
+    flat_codes = rng.integers(0, n_learned, n) * 7 - 3  # arbitrary cluster labels
+    for metric in ("SP", "PS"):
+        for include_leaf in (True, False):
+            table = learned.sp_table() if metric == "SP" else learned.ps_table(include_leaf)
+            truth_table = truth.sp_table() if metric == "SP" else truth.ps_table(include_leaf)
+            got = semantic_score_partition(codes, learned, truth, labels, metric, include_leaf)
+            assert abs(got - exhaustive_pair_score(codes, table, truth_codes, truth_table)) <= 1e-12
+            got = semantic_score_partition(flat_codes, None, truth, labels, metric, include_leaf)
+            assert abs(got - exhaustive_pair_score(flat_codes, None, truth_codes, truth_table)) <= 1e-12
+
+
+class TestExactPairScore:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_exhaustive_enumeration(self, seed):
+        rng = np.random.default_rng(seed)
+        check_against_exhaustive(rng, int(rng.integers(2, 80)), int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+
+    @pytest.mark.parametrize("n, n_learned, n_truth", [(2, 3, 4), (2, 1, 1), (40, 1, 5), (40, 6, 1)])
+    def test_edge_shapes(self, n, n_learned, n_truth):
+        check_against_exhaustive(np.random.default_rng(n * 100 + n_learned * 10 + n_truth), n, n_learned, n_truth)
+
+    def test_memory_independent_of_n(self):
+        rng = np.random.default_rng(0)
+        n = 3000
+        truth = balanced_tree()
+        labels = np.asarray(truth.class_ids)[rng.integers(0, 4, n)]
+        tree = {1: [2, 3], 2: [4, 5], 3: [6, 7]}
+        flat = {1: [2, 3, 4, 5]}
+        leaf_ids = rng.integers(4, 8, n)
+        tracemalloc.start()
+        try:
+            tree_scores = score_leaves(leaf_ids, 1, tree, labels, truth)
+            flat_scores = score_leaves(leaf_ids - 2, 1, flat, labels, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert 0.0 < tree_scores["sp"] < 1.0 and 0.0 < flat_scores["sp"] < 1.0
+
+
+class TestScoreLeaves:
+    def test_matches_semantic_score(self):
+        ds, truth, learned = eight_instance_case()
+        leaf_ids = [4, 4, 5, 4, 6, 6, 7, 7]
+        scores = score_leaves(leaf_ids, 1, learned.children_map(), ds.labels, truth)
+        assert scores == {
+            "rand_index": rand_index(leaf_ids, ds.labels),
+            "sp": semantic_score(learned, truth, ds, "SP"),
+            "ps": semantic_score(learned, truth, ds, "PS"),
+        }
+
+    def test_labels_matched_by_string(self):
+        truth = flat_class_tree(["0", "1"])
+        leaf_ids, children = [2, 3, 3, 3], {1: [2, 3]}
+        assert score_leaves(leaf_ids, 1, children, np.array([0, 0, 1, 1]), truth) == score_leaves(
+            leaf_ids, 1, children, np.array(["0", "0", "1", "1"]), truth
+        )
+
+    def test_default_truth_is_flat_over_labels(self):
+        labels = np.array([0, 0, 1, 1])
+        assert score_leaves([2, 2, 3, 3], 1, {1: [2, 3]}, labels) == score_leaves(
+            [2, 2, 3, 3], 1, {1: [2, 3]}, labels, flat_class_tree(["0", "1"])
+        )
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(ValidationError):
+            score_leaves([2, 3], 1, {1: [2, 3]}, np.array(["a", "zz"]), flat_class_tree(["a", "b"]))
