@@ -32,14 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .export import export_hierarchy, hierarchy_to_dict, load_hierarchy_json
-from .flow import (
-    FlowNetwork,
-    FlowResult,
-    brute_force_assignment,
-    build_assignment_network,
-    min_cost_flow,
-    solve_balanced_assignment,
-)
+from .flow import solve_balanced_assignment
 from .hier import BuildConfig, StoppingCriterion, build_hierarchy, global_objective, node_seed, should_stop
 from .kmeans import KMeansResult, kmeans
 from .metrics import (

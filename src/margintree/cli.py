@@ -19,7 +19,7 @@ import numpy as np
 from .baselines import build_hkm, build_hkm_d
 from .core import Dataset, Hierarchy, flat_hierarchy, leaf_partition, subset
 from .data import SyntheticSpec, generate_synthetic, load_dataset, pca_reduce, standardize
-from .errors import InfeasibleFlowError, SolverError, ValidationError
+from .errors import SolverError, ValidationError
 from .export import export_hierarchy, load_hierarchy_json, render_json, summary_to_dot
 from .hier import BuildConfig, StoppingCriterion, build_hierarchy, global_objective
 from .kmeans import kmeans
@@ -424,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (SolverError, InfeasibleFlowError) as err:
+    except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 2
 

@@ -4,9 +4,8 @@ splitting score used by the greedy hierarchy builder.
 
 The alternation fixes labels and solves for weights (convex), then fixes
 weights and solves the balanced assignment exactly by min-cost flow; both
-half-steps can only lower the split objective (up to the fixed-point
-quantization of assignment costs), so the sequence of objective values is
-non-increasing and terminates.
+half-steps can only lower the split objective (up to float rounding), so the
+sequence of objective values is non-increasing and terminates.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from .core import AncestorChain, ClusterModels, NodeData, features_of
 from .errors import SolverError, UnsplittableNodeError
-from .flow import DEFAULT_SCALE, solve_balanced_assignment
+from .flow import solve_balanced_assignment
 from .kmeans import kmeans
 from .objective import RegularizerConfig, cost_matrix, exclusive_reg, group_reg, node_objective
 from .optim import SolverConfig, solve_w
@@ -71,7 +70,7 @@ def init_assignment(data: NodeData | np.ndarray, k: int, bounds: BalanceBounds, 
     x = features_of(data)
     result = kmeans(x, k, seed)
     costs = ((x[:, None, :] - result.centroids[None, :, :]) ** 2).sum(axis=2)
-    return solve_balanced_assignment(costs, bounds.lower, bounds.upper, DEFAULT_SCALE)
+    return solve_balanced_assignment(costs, bounds.lower, bounds.upper)
 
 
 def _score(w: np.ndarray, labels: np.ndarray, x: np.ndarray, chain: AncestorChain) -> float:
@@ -109,16 +108,13 @@ def split_node(
     models = solve_w(x, labels, chain, reg, cfg, w0)
     objective = node_objective(models, labels, chain, x, reg)
     trace = [objective]
-    # quantization of costs in the flow solver can lift the objective by at
-    # most ~(K-1)/scale per instance; allow that much slack in the descent check
-    slack = (k - 1) / DEFAULT_SCALE + 1e-9
 
     iterations = 0
     for iterations in range(1, max_alternations + 1):
         costs = cost_matrix(models, x)
-        new_labels = solve_balanced_assignment(costs, bounds.lower, bounds.upper, DEFAULT_SCALE)
+        new_labels = solve_balanced_assignment(costs, bounds.lower, bounds.upper)
         after_assign = node_objective(models, new_labels, chain, x, reg)
-        if after_assign > trace[-1] + slack * max(1.0, abs(trace[-1])):
+        if after_assign > trace[-1] + 1e-9 * max(1.0, abs(trace[-1])):
             raise SolverError(
                 f"objective rose after assignment half-step: {trace[-1]:.12e} -> {after_assign:.12e}"
             )

@@ -14,7 +14,6 @@ from margintree import (
     SolverConfig,
     StoppingCriterion,
     SyntheticSpec,
-    brute_force_assignment,
     build_hierarchy,
     build_hkm,
     build_hkm_d,
@@ -38,6 +37,7 @@ from margintree.metrics import semantic_score_partition
 from margintree.split import balance_bounds
 from helpers import blob_dataset, manual_hierarchy, random_problem
 from oracles import (
+    brute_force_assignment,
     finite_difference_grad,
     prox_objective,
     prox_optimality_residual,
@@ -45,7 +45,6 @@ from oracles import (
 )
 from test_optim import random_prox_instance, spec_for
 
-SCALE = 10**6
 PLANTED = SyntheticSpec(
     depth=2, branching=2, per_class=50, informative_dims=10, noise_dims=10,
     magnitudes=(5.0, 3.0), noise_scale=1.0,
@@ -69,12 +68,11 @@ def test_criterion_1_mcf_oracle_equivalence():
             continue
         costs = rng.uniform(0.0, 10.0, size=(n, k))
         bounds = balance_bounds(n, k)
-        labels = solve_balanced_assignment(costs, bounds.lower, bounds.upper, SCALE)
+        labels = solve_balanced_assignment(costs, bounds.lower, bounds.upper)
         _, best = brute_force_assignment(costs, bounds.lower, bounds.upper)
         got = float(costs[np.arange(n), labels - 1].sum())
-        slack = n * (k - 1) / SCALE
         worst = max(worst, got - best)
-        assert got <= best + slack, f"instance {solved}: {got} vs oracle {best}"
+        assert got - best <= 1e-9, f"instance {solved}: {got} vs oracle {best}"
         solved += 1
     elapsed = time.perf_counter() - started
     _report(1, elapsed < 10.0, f"200 instances match brute force (worst gap {worst:.2e}), {elapsed:.1f}s < 10s")

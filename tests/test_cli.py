@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import margintree
 from margintree import (
     Dataset,
     RegularizerConfig,
@@ -294,6 +298,43 @@ class TestEvaluateAndExport:
         )
         converted = summary_to_dot(load_hierarchy_json(str(hier_path)))
         assert converted == dot_path.read_text()
+
+
+def degenerate_rows(kind):
+    rng = np.random.default_rng(1)
+    if kind == "duplicate_rows":  # 5 distinct rows, 8 copies each
+        return np.repeat(rng.normal(size=(5, 3)), 8, axis=0)
+    if kind == "identical_rows":
+        return np.tile(rng.normal(size=(1, 3)), (40, 1))
+    rows = rng.normal(size=(40, 3))
+    rows[:, 1] = 2.5  # constant column
+    return rows
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("kind", ["duplicate_rows", "identical_rows", "constant_column"])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_cluster_completes(self, tmp_path, kind, k):
+        data = tmp_path / "data.csv"
+        np.savetxt(data, degenerate_rows(kind), delimiter=",")
+        report = tmp_path / "report.json"
+        src = os.path.dirname(os.path.dirname(margintree.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        # a process of its own, so a solver that never terminates fails on the timeout
+        run = subprocess.run(
+            [
+                sys.executable, "-c", "import sys; from margintree.cli import main; sys.exit(main(sys.argv[1:]))",
+                "cluster", "--input", str(data), "--k", str(k), "--report-out", str(report),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        payload = json.loads(report.read_text())
+        assert payload["incomplete"] is False
+        assert payload["leaf_count"] == k
 
 
 class TestRunExperiment:

@@ -1,20 +1,16 @@
 import numpy as np
 import pytest
 
-from margintree import (
-    ConfigError,
+from margintree import ConfigError, GuardError, InfeasibleFlowError, ValidationError, solve_balanced_assignment
+from margintree.split import balance_bounds
+from oracles import (
+    Arc,
     FlowNetwork,
-    GuardError,
-    InfeasibleFlowError,
-    ValidationError,
     brute_force_assignment,
+    brute_force_network_optimum,
     build_assignment_network,
     min_cost_flow,
-    solve_balanced_assignment,
 )
-from margintree.flow import Arc
-from margintree.split import balance_bounds
-from oracles import brute_force_network_optimum
 
 SCALE = 10**6
 
@@ -153,10 +149,10 @@ class TestBalancedAssignment:
                 continue
             costs = rng.uniform(0, 10, (n, k))
             b = balance_bounds(n, k)
-            labels = solve_balanced_assignment(costs, b.lower, b.upper, SCALE)
+            labels = solve_balanced_assignment(costs, b.lower, b.upper)
             _, best = brute_force_assignment(costs, b.lower, b.upper)
             got = float(costs[np.arange(n), labels - 1].sum())
-            assert got <= best + n * (k - 1) / SCALE
+            assert got - best <= 1e-9
 
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(23)
@@ -185,14 +181,73 @@ class TestBalancedAssignment:
             done += 1
 
     def test_costs_beyond_int64_once_scaled(self):
-        # 1e13 * SCALE exceeds the int64 range; the optimum must still be found
+        # 1e13 * 10**6 exceeds the int64 range; the optimum must still be found
         rng = np.random.default_rng(29)
         for k in (2, 3):
             costs = 1e13 * rng.uniform(1.0, 2.0, (7, k))
             b = balance_bounds(7, k)
-            labels = solve_balanced_assignment(costs, b.lower, b.upper, SCALE)
+            labels = solve_balanced_assignment(costs, b.lower, b.upper)
             _, best = brute_force_assignment(costs, b.lower, b.upper)
             assert float(costs[np.arange(7), labels - 1].sum()) == pytest.approx(best, rel=1e-12)
+
+
+def fill_in_index_order(n, k, lower, upper):
+    """The documented tie-break on all-equal costs: each instance in turn goes
+    to the lowest-index cluster below lower or, once none is, below upper."""
+    sizes = [0] * k
+    labels = []
+    for _ in range(n):
+        short = [b for b in range(k) if sizes[b] < lower] or [b for b in range(k) if sizes[b] < upper]
+        sizes[short[0]] += 1
+        labels.append(short[0] + 1)
+    return labels
+
+
+class TestAgainstMinCostFlow:
+    """The n x K solver against the generic capacity-scaling min-cost flow.
+    Costs are exact multiples of 1/scale, so the oracle's fixed-point network
+    carries them exactly and its optimum is the true one."""
+
+    @staticmethod
+    def random_costs(rng, kind, n, k):
+        if kind == "dyadic":
+            return rng.integers(0, 2**20, (n, k)) / 1024.0, 1024
+        if kind == "integer_ties":
+            return rng.integers(0, 4, (n, k)).astype(float), 1
+        distinct = rng.integers(0, 50, (int(rng.integers(2, 8)), k)).astype(float)
+        return distinct[rng.integers(0, distinct.shape[0], n)], 1
+
+    @pytest.mark.parametrize("kind", ["dyadic", "integer_ties", "repeated_rows"])
+    def test_equals_oracle_optimum(self, kind):
+        rng = np.random.default_rng({"dyadic": 31, "integer_ties": 37, "repeated_rows": 41}[kind])
+        for _ in range(12):
+            n = int(rng.integers(50, 401))
+            k = int(rng.integers(2, 7))
+            lower = int(rng.integers(0, n // k + 1))
+            upper = int(rng.integers(max(lower, -(-n // k)), n + 1))
+            costs, scale = self.random_costs(rng, kind, n, k)
+            labels = solve_balanced_assignment(costs, lower, upper)
+            sizes = np.bincount(labels - 1, minlength=k)
+            assert labels.min() >= 1 and sizes.size == k
+            assert sizes.min() >= lower and sizes.max() <= upper
+            best = min_cost_flow(build_assignment_network(costs, lower, upper, scale)).total_cost / scale
+            got = float(costs[np.arange(n), labels - 1].sum())
+            assert abs(got - best) <= 1e-9 * max(1.0, best), (n, k, lower, upper, got, best)
+
+    @pytest.mark.parametrize(
+        "n,k,lower,upper", [(6, 2, 2, 4), (10, 3, 3, 4), (12, 4, 2, 4), (9, 3, 0, 9), (40, 4, 9, 11)]
+    )
+    def test_all_equal_costs_tie_break(self, n, k, lower, upper):
+        costs = np.full((n, k), 2.5)
+        first = solve_balanced_assignment(costs, lower, upper)
+        assert first.tolist() == fill_in_index_order(n, k, lower, upper)
+        assert np.array_equal(solve_balanced_assignment(costs, lower, upper), first)
+
+    def test_repeated_calls_identical_on_ties(self):
+        rng = np.random.default_rng(43)
+        costs = rng.integers(0, 3, (300, 5)).astype(float)
+        first = solve_balanced_assignment(costs, 50, 70)
+        assert np.array_equal(solve_balanced_assignment(costs, 50, 70), first)
 
 
 class TestBruteForce:
