@@ -157,10 +157,17 @@ def hinge_grad(models, data, labels) -> np.ndarray:
     return (active.T @ x) / (x.shape[0] * w.shape[0])
 
 
+def column_norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each feature column of a real K x P array; the same
+    float operations as numpy's vector 2-norm along axis 0, without its
+    argument handling."""
+    return np.sqrt(np.add.reduce(w * w, axis=0))
+
+
 def group_reg(models) -> float:
     """Column-wise group norm G(w); zero iff w = 0."""
     w = _weights(models)
-    return float(np.linalg.norm(w, axis=0).sum() / (w.shape[1] * w.shape[0]))
+    return float(column_norms(w).sum() / (w.shape[1] * w.shape[0]))
 
 
 def exclusive_weights(chain: AncestorChain, k: int, p: int) -> ExclusiveWeights:
@@ -187,7 +194,8 @@ class Regularizer:
     except the hinge), for K x P weights under a fixed ancestor chain.
 
     lambda_E and lambda_G are computed and validated once, here; value(w)
-    evaluates the term and prox_spec holds the thresholds of its prox.
+    evaluates the term, complexity(w) the G + E denominator of the splitting
+    score, and prox_spec holds the thresholds of its prox.
     """
 
     def __init__(self, config: RegularizerConfig, chain: AncestorChain, k: int, p: int):
@@ -210,14 +218,20 @@ class Regularizer:
     def _exclusive(self, w: np.ndarray) -> float:
         return float((np.abs(w) * self.lambda_e).sum()) if self._has_ancestors else 0.0
 
-    def value(self, models) -> float:
+    def complexity(self, models) -> float:
+        """G(w) + E(w), with this split's lambda_E, whatever the variant."""
         w = _weights(models)
+        return group_reg(w) + self._exclusive(w)
+
+    def value(self, models) -> float:
+        # an ndarray (the weight update's K x P iterate) is used as it is
+        w = models if type(models) is np.ndarray else _weights(models)
         k, p = w.shape
         alpha, beta, variant = self.config.alpha, self.config.beta, self.config.variant
         if variant == "sparse_group":
-            return alpha * group_reg(w) + beta * self._exclusive(w)
+            return alpha * float(column_norms(w).sum() / (p * k)) + beta * self._exclusive(w)
         if variant == "group_only":
-            return alpha * group_reg(w)
+            return alpha * float(column_norms(w).sum() / (p * k))
         if variant == "exclusive_only":
             return beta * self._exclusive(w)
         if variant == "l1":

@@ -30,6 +30,7 @@ from .objective import (
     ProxSpec,
     Regularizer,
     RegularizerConfig,
+    column_norms,
     hinge_grad,
     hinge_loss,
     regularizer_value,  # noqa: F401  perfbench/layers.py traces calls through optim.regularizer_value
@@ -71,7 +72,7 @@ def prox_weighted_l1(w: np.ndarray, thresholds) -> np.ndarray:
 def prox_group(w: np.ndarray, t: float) -> np.ndarray:
     """Column-wise shrinkage toward zero: each feature column scaled by
     [||col|| - t]_+ / ||col||, zero columns staying zero."""
-    norms = np.linalg.norm(w, axis=0)
+    norms = column_norms(w)
     # a zero column has [0 - t]_+ = 0 in the numerator: dividing by 1 keeps it zero
     return w * (np.maximum(norms - t, 0.0) / np.where(norms > 0.0, norms, 1.0))
 
@@ -89,12 +90,13 @@ def prox_sparse_group(w: np.ndarray, spec: ProxSpec, s: float) -> np.ndarray:
 
 class _LbfgsMetric:
     """Compact representation of the L-BFGS Hessian approximation
-    B = sigma*I - W M^-1 W^T over flattened weight vectors."""
+    B = sigma*I - W M^-1 W^T over flattened weight vectors; w_mat (W) is
+    None for B = sigma*I."""
 
     def __init__(self, pairs: list[tuple[np.ndarray, np.ndarray]]):
+        self.w_mat = self.m_inv = None
         if not pairs:
             self.sigma = 1.0
-            self._w = None
             return
         s_last, y_last = pairs[-1]
         self.sigma = min(max(float(y_last @ y_last) / float(s_last @ y_last), 1e-8), 1e12)
@@ -104,59 +106,60 @@ class _LbfgsMetric:
         lower = np.tril(sty, k=-1)
         diag = np.diag(np.diag(sty))
         m = np.block([[self.sigma * (s_mat.T @ s_mat), lower], [lower.T, -diag]])
-        self._w = np.concatenate([self.sigma * s_mat, y_mat], axis=1)
         try:
-            self._m_inv = np.linalg.inv(m)
+            self.m_inv = np.linalg.inv(m)
         except np.linalg.LinAlgError:
-            self._w = None
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        if self._w is None:
-            return self.sigma * v
-        return self.sigma * v - self._w @ (self._m_inv @ (self._w.T @ v))
+            return
+        self.w_mat = np.concatenate([self.sigma * s_mat, y_mat], axis=1)
 
 
-def _solve_model(w0_flat, grad_flat, metric, step, prox, reg_val_flat, max_iters):
+def _solve_model(w0, grad, metric, step, spec, regularizer, max_iters):
     """Approximately minimize the quadratic model + regularizer by monotone
-    spectral proximal gradient; returns the flat iterate and its regularizer
-    value."""
+    spectral proximal gradient over K x P iterates; returns the iterate and
+    its regularizer value.
 
-    def q_val(u):
-        # the model value at u, and B(u - w0), from which its gradient
-        # grad + B(u - w0)/step follows without a second metric product
-        d = u - w0_flat
-        bd = metric.apply(d)
-        return float(grad_flat @ d + 0.5 * (d @ bd) / step), bd
-
-    t = step / metric.sigma
-    u = prox(w0_flat - t * grad_flat, t)
-    q, bd = q_val(u)
-    reg_u = reg_val_flat(u)
-    psi = q + reg_u
-    prev_u = w0_flat
+    The model at u is grad.d + d.Bd / (2 step) with d the flat view of
+    u - w0; Bd also gives the model gradient grad + Bd/step at the accepted
+    iterate, so each candidate costs one metric product. Products use
+    ndarray.dot: on these 1-d and 2-d operands it makes the BLAS call that @
+    makes, without the ufunc dispatch.
+    """
+    sigma, w_mat, m_inv = metric.sigma, metric.w_mat, metric.m_inv
+    w_mat_t = None if w_mat is None else w_mat.T
+    grad_flat = grad.ravel()
+    t = step / sigma
+    u = prox_sparse_group(w0 - t * grad, spec, t)
+    reg_u = regularizer.value(u)
+    d = (u - w0).ravel()
+    bd = sigma * d if w_mat is None else sigma * d - w_mat.dot(m_inv.dot(w_mat_t.dot(d)))
+    psi = float(grad_flat.dot(d) + 0.5 * d.dot(bd) / step) + reg_u
+    # the last move of the iterate (the first from w0) and its squared length
+    du, du_sq = d, d.dot(d)
     prev_g = grad_flat
     for _ in range(max_iters - 1):
         g = grad_flat + bd / step
-        du = u - prev_u
-        dg = g - prev_g
-        curv = float(du @ dg)
+        curv = float(du.dot(g - prev_g))
         if curv > 1e-16:
-            t = min(max(float(du @ du) / curv, 1e-12), 1e12)
-        prev_u, prev_g = u, g
+            t = min(max(float(du_sq) / curv, 1e-12), 1e12)
+        prev_g = g
+        g = g.reshape(u.shape)
         accepted = False
         for _ in range(30):
-            cand = prox(u - t * g, t)
-            q_cand, bd_cand = q_val(cand)
-            reg_cand = reg_val_flat(cand)
-            psi_cand = q_cand + reg_cand
+            cand = prox_sparse_group(u - t * g, spec, t)
+            reg_cand = regularizer.value(cand)
+            d = (cand - w0).ravel()
+            bd_cand = sigma * d if w_mat is None else sigma * d - w_mat.dot(m_inv.dot(w_mat_t.dot(d)))
+            psi_cand = float(grad_flat.dot(d) + 0.5 * d.dot(bd_cand) / step) + reg_cand
             if psi_cand <= psi + 1e-14 * max(1.0, abs(psi)):
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             break
-        move = cand - u
-        converged = math.sqrt(move @ move) <= 1e-12 * (1.0 + math.sqrt(u @ u))
+        du = (cand - u).ravel()
+        du_sq = du.dot(du)
+        u_flat = u.ravel()
+        converged = math.sqrt(du_sq) <= 1e-12 * (1.0 + math.sqrt(u_flat.dot(u_flat)))
         u, psi, bd, reg_u = cand, psi_cand, bd_cand, reg_cand
         if converged:
             break
@@ -186,18 +189,11 @@ def solve_w(
     regularizer = Regularizer(reg, chain, k, p)
     spec = regularizer.prox_spec
 
-    def reg_val_flat(vec):
-        return regularizer.value(vec.reshape(k, p))
-
-    def prox_flat(vec, t):
-        return prox_sparse_group(vec.reshape(k, p), spec, t).ravel()
-
     reg_w = regularizer.value(w)
     fw = hinge_loss(w, x, labels) + reg_w
     if not np.isfinite(fw):
         raise SolverError(f"objective not finite at the initial point (value {fw})")
-    grad = hinge_grad(w, x, labels).ravel()
-    w_flat = w.ravel()
+    grad = hinge_grad(w, x, labels)
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     step = 1.0
 
@@ -206,12 +202,12 @@ def solve_w(
         step = min(step * 2.0, 1e8)
         accepted = False
         for _ in range(40):
-            u, reg_u = _solve_model(w_flat, grad, metric, step, prox_flat, reg_val_flat, cfg.inner_prox_iters)
-            d = u - w_flat
+            u, reg_u = _solve_model(w, grad, metric, step, spec, regularizer, cfg.inner_prox_iters)
+            d = (u - w).ravel()
             if not np.all(np.isfinite(u)):
                 raise SolverError(f"iterate diverged at outer iteration {outer} (step {step:.3e})")
-            model_dec = float(grad @ d) + reg_u - reg_w
-            fu = hinge_loss(u.reshape(k, p), x, labels) + reg_u
+            model_dec = float(grad.ravel() @ d) + reg_u - reg_w
+            fu = hinge_loss(u, x, labels) + reg_u
             if not np.isfinite(fu):
                 raise SolverError(f"objective not finite at outer iteration {outer} (step {step:.3e})")
             if model_dec <= 0 and fu <= fw + cfg.sufficient_decrease * model_dec:
@@ -221,15 +217,15 @@ def solve_w(
         d_sq = float(d @ d)
         if not accepted or d_sq == 0.0:
             break
-        new_grad = hinge_grad(u.reshape(k, p), x, labels).ravel()
+        new_grad = hinge_grad(u, x, labels)
         if cfg.lbfgs_memory > 0:
-            y_vec = new_grad - grad
+            y_vec = (new_grad - grad).ravel()
             if float(d @ y_vec) > 1e-12 * math.sqrt(d_sq) * max(math.sqrt(y_vec @ y_vec), 1e-30):
                 pairs.append((d, y_vec))
                 if len(pairs) > cfg.lbfgs_memory:
                     pairs.pop(0)
         decrease = fw - fu
-        w_flat, grad, fw, reg_w = u, new_grad, fu, reg_u
+        w, grad, fw, reg_w = u, new_grad, fu, reg_u
         logger.debug(
             "w-update iter=%d obj=%.10e step=%.3e",
             outer,
@@ -240,4 +236,4 @@ def solve_w(
         if decrease <= cfg.rel_obj_tol * max(1.0, abs(fw)):
             break
 
-    return ClusterModels(weights=w_flat.reshape(k, p))
+    return ClusterModels(weights=w)

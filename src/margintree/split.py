@@ -19,7 +19,7 @@ from .core import AncestorChain, ClusterModels, NodeData, features_of
 from .errors import SolverError, UnsplittableNodeError
 from .flow import solve_balanced_assignment
 from .kmeans import kmeans
-from .objective import RegularizerConfig, cost_matrix, exclusive_reg, group_reg, node_objective
+from .objective import Regularizer, RegularizerConfig, cost_matrix, node_objective
 from .optim import SolverConfig, solve_w
 
 logger = logging.getLogger(__name__)
@@ -73,8 +73,8 @@ def init_assignment(data: NodeData | np.ndarray, k: int, bounds: BalanceBounds, 
     return solve_balanced_assignment(costs, bounds.lower, bounds.upper)
 
 
-def _score(w: np.ndarray, labels: np.ndarray, x: np.ndarray, chain: AncestorChain) -> float:
-    denom = group_reg(w) + exclusive_reg(w, chain)
+def _score(w: np.ndarray, labels: np.ndarray, x: np.ndarray, regularizer: Regularizer) -> float:
+    denom = regularizer.complexity(w)
     if denom == 0.0:
         return float("-inf")
     scores = x @ w.T
@@ -86,7 +86,8 @@ def splitting_score(result: SplitResult, data: NodeData, chain: AncestorChain, r
     """Fit-to-assignment score sum over instances divided by the model
     complexity G + E; -inf sentinel when the models are all zero (such a
     candidate is never selected)."""
-    return _score(result.models.weights, result.labels, features_of(data), chain)
+    w = result.models.weights
+    return _score(w, result.labels, features_of(data), Regularizer(reg, chain, *w.shape))
 
 
 def split_node(
@@ -135,7 +136,7 @@ def split_node(
         if rel_change < REL_OBJ_TOL:
             break
 
-    score = _score(models.weights, labels, x, chain)
+    score = _score(models.weights, labels, x, Regularizer(reg, chain, k, x.shape[1]))
     logger.debug("split converged: n=%d iterations=%d objective=%.6e score=%.6e", data.size, iterations, trace[-1], score)
     return SplitResult(
         models=models,

@@ -2,18 +2,23 @@
 
 Everything here is deliberately written from scratch (loops, enumeration,
 first principles) so that a bug in the fast paths cannot hide in its own
-oracle.
+oracle. The one exception is reference_solve_w, a frozen copy of an earlier
+weight solver: it checks that a faster solver keeps the same iterates bit
+for bit, not that they are optimal.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from margintree.errors import ConfigError, GuardError, InfeasibleFlowError, ValidationError
+from margintree.core import features_of
+from margintree.errors import ConfigError, GuardError, InfeasibleFlowError, SolverError, ValidationError
+from margintree.objective import Regularizer, exclusive_weights, hinge_grad, hinge_loss
 
 
 def finite_difference_grad(fn, w: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -149,6 +154,173 @@ def gradient_descent_smooth_oracle(
             break
         w, fw = cand, fc
     return fw
+
+
+# -- the weight update as it was before its inner loop was made lean ----------
+# A frozen copy of optim.solve_w/_solve_model, with the np.linalg.norm-based
+# prox and regularizer value they called. The lean solver must reproduce its
+# iterates bit for bit: same float operations, in the same order.
+
+
+def reference_prox_weighted_l1(w: np.ndarray, thresholds) -> np.ndarray:
+    return np.sign(w) * np.maximum(np.abs(w) - thresholds, 0.0)
+
+
+def reference_prox_group(w: np.ndarray, t: float) -> np.ndarray:
+    norms = np.linalg.norm(w, axis=0)
+    return w * (np.maximum(norms - t, 0.0) / np.where(norms > 0.0, norms, 1.0))
+
+
+def reference_prox_sparse_group(w: np.ndarray, spec, s: float) -> np.ndarray:
+    if s <= 0:
+        raise ValidationError("prox step must be positive")
+    if spec.variant == "squared_l2":
+        return w / (1.0 + 2.0 * s * spec.group_threshold)
+    return reference_prox_group(reference_prox_weighted_l1(w, s * spec.l1_thresholds), s * spec.group_threshold)
+
+
+def reference_regularizer_value(w: np.ndarray, config, lambda_e: np.ndarray, has_ancestors: bool) -> float:
+    k, p = w.shape
+    alpha, beta, variant = config.alpha, config.beta, config.variant
+    group = float(np.linalg.norm(w, axis=0).sum() / (w.shape[1] * w.shape[0]))
+    exclusive = float((np.abs(w) * lambda_e).sum()) if has_ancestors else 0.0
+    if variant == "sparse_group":
+        return alpha * group + beta * exclusive
+    if variant == "group_only":
+        return alpha * group
+    if variant == "exclusive_only":
+        return beta * exclusive
+    if variant == "l1":
+        return alpha * float(np.abs(w).sum()) / (k * p)
+    return alpha * float((w**2).sum()) / (k * p)
+
+
+class _ReferenceLbfgsMetric:
+    def __init__(self, pairs):
+        if not pairs:
+            self.sigma = 1.0
+            self._w = None
+            return
+        s_last, y_last = pairs[-1]
+        self.sigma = min(max(float(y_last @ y_last) / float(s_last @ y_last), 1e-8), 1e12)
+        s_mat = np.stack([s for s, _ in pairs], axis=1)
+        y_mat = np.stack([y for _, y in pairs], axis=1)
+        sty = s_mat.T @ y_mat
+        lower = np.tril(sty, k=-1)
+        diag = np.diag(np.diag(sty))
+        m = np.block([[self.sigma * (s_mat.T @ s_mat), lower], [lower.T, -diag]])
+        self._w = np.concatenate([self.sigma * s_mat, y_mat], axis=1)
+        try:
+            self._m_inv = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            self._w = None
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        if self._w is None:
+            return self.sigma * v
+        return self.sigma * v - self._w @ (self._m_inv @ (self._w.T @ v))
+
+
+def _reference_solve_model(w0_flat, grad_flat, metric, step, prox, reg_val_flat, max_iters):
+    def q_val(u):
+        d = u - w0_flat
+        bd = metric.apply(d)
+        return float(grad_flat @ d + 0.5 * (d @ bd) / step), bd
+
+    t = step / metric.sigma
+    u = prox(w0_flat - t * grad_flat, t)
+    q, bd = q_val(u)
+    reg_u = reg_val_flat(u)
+    psi = q + reg_u
+    prev_u = w0_flat
+    prev_g = grad_flat
+    for _ in range(max_iters - 1):
+        g = grad_flat + bd / step
+        du = u - prev_u
+        dg = g - prev_g
+        curv = float(du @ dg)
+        if curv > 1e-16:
+            t = min(max(float(du @ du) / curv, 1e-12), 1e12)
+        prev_u, prev_g = u, g
+        accepted = False
+        for _ in range(30):
+            cand = prox(u - t * g, t)
+            q_cand, bd_cand = q_val(cand)
+            reg_cand = reg_val_flat(cand)
+            psi_cand = q_cand + reg_cand
+            if psi_cand <= psi + 1e-14 * max(1.0, abs(psi)):
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+        move = cand - u
+        converged = math.sqrt(move @ move) <= 1e-12 * (1.0 + math.sqrt(u @ u))
+        u, psi, bd, reg_u = cand, psi_cand, bd_cand, reg_cand
+        if converged:
+            break
+    return u, reg_u
+
+
+def reference_solve_w(data, labels, chain, reg, cfg, w0) -> np.ndarray:
+    """The K x P weights the pre-optimisation solve_w returned for these
+    arguments (same signature as margintree.solve_w)."""
+    w = np.array(w0.weights, dtype=float)
+    k, p = w.shape
+    labels = np.asarray(labels, dtype=np.int64)
+    x = features_of(data)
+    lambda_e = exclusive_weights(chain, k, p).lambda_e
+    has_ancestors = len(chain) > 0
+    spec = Regularizer(reg, chain, k, p).prox_spec
+
+    def reg_val_flat(vec):
+        return reference_regularizer_value(vec.reshape(k, p), reg, lambda_e, has_ancestors)
+
+    def prox_flat(vec, t):
+        return reference_prox_sparse_group(vec.reshape(k, p), spec, t).ravel()
+
+    reg_w = reference_regularizer_value(w, reg, lambda_e, has_ancestors)
+    fw = hinge_loss(w, x, labels) + reg_w
+    if not np.isfinite(fw):
+        raise SolverError(f"objective not finite at the initial point (value {fw})")
+    grad = hinge_grad(w, x, labels).ravel()
+    w_flat = w.ravel()
+    pairs = []
+    step = 1.0
+
+    for outer in range(cfg.max_outer_iters):
+        metric = _ReferenceLbfgsMetric(pairs)
+        step = min(step * 2.0, 1e8)
+        accepted = False
+        for _ in range(40):
+            u, reg_u = _reference_solve_model(w_flat, grad, metric, step, prox_flat, reg_val_flat, cfg.inner_prox_iters)
+            d = u - w_flat
+            if not np.all(np.isfinite(u)):
+                raise SolverError(f"iterate diverged at outer iteration {outer} (step {step:.3e})")
+            model_dec = float(grad @ d) + reg_u - reg_w
+            fu = hinge_loss(u.reshape(k, p), x, labels) + reg_u
+            if not np.isfinite(fu):
+                raise SolverError(f"objective not finite at outer iteration {outer} (step {step:.3e})")
+            if model_dec <= 0 and fu <= fw + cfg.sufficient_decrease * model_dec:
+                accepted = True
+                break
+            step *= cfg.line_search_shrink
+        d_sq = float(d @ d)
+        if not accepted or d_sq == 0.0:
+            break
+        new_grad = hinge_grad(u.reshape(k, p), x, labels).ravel()
+        if cfg.lbfgs_memory > 0:
+            y_vec = new_grad - grad
+            if float(d @ y_vec) > 1e-12 * math.sqrt(d_sq) * max(math.sqrt(y_vec @ y_vec), 1e-30):
+                pairs.append((d, y_vec))
+                if len(pairs) > cfg.lbfgs_memory:
+                    pairs.pop(0)
+        decrease = fw - fu
+        w_flat, grad, fw, reg_w = u, new_grad, fu, reg_u
+        if decrease <= cfg.rel_obj_tol * max(1.0, abs(fw)):
+            break
+
+    return w_flat.reshape(k, p)
 
 
 def brute_force_network_optimum(network) -> int | None:

@@ -210,6 +210,18 @@ class TestRegularizer:
             assert regularizer.value(w) == self.by_formula(w, chain, cfg)
             assert regularizer.value(ClusterModels(w)) == regularizer.value(w)
 
+    @pytest.mark.parametrize("chain_name", sorted(CHAINS))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_complexity_equals_group_plus_exclusive_exactly(self, variant, chain_name):
+        chain = self.CHAINS[chain_name]
+        rng = np.random.default_rng(15)
+        regularizer = Regularizer(RegularizerConfig(alpha=0.3, beta=0.7, variant=variant), chain, 3, 4)
+        for _ in range(10):
+            w = rng.normal(size=(3, 4))
+            assert regularizer.complexity(w) == group_reg(w) + exclusive_reg(w, chain)
+            assert regularizer.complexity(ClusterModels(w)) == regularizer.complexity(w)
+        assert regularizer.complexity(np.zeros((3, 4))) == 0.0
+
     def test_lambdas_match_chain(self):
         chain = self.CHAINS["two_ancestors"]
         regularizer = Regularizer(RegularizerConfig(), chain, 3, 4)

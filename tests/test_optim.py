@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 from margintree import (
     ClusterModels,
+    Regularizer,
     RegularizerConfig,
     SolverConfig,
+    SyntheticSpec,
+    generate_synthetic,
     hinge_loss,
     node_objective,
     prox_group,
@@ -16,6 +19,7 @@ from margintree import (
     subset,
 )
 from margintree.core import EMPTY_CHAIN
+from margintree.objective import VARIANTS
 import margintree.objective
 from margintree.optim import make_prox_spec
 from helpers import blob_dataset
@@ -24,6 +28,9 @@ from oracles import (
     gradient_descent_smooth_oracle,
     prox_objective,
     prox_optimality_residual,
+    reference_prox_group,
+    reference_prox_sparse_group,
+    reference_solve_w,
     subgradient_prox_oracle,
 )
 
@@ -236,3 +243,90 @@ class TestSolveW:
         cfg = SolverConfig(lbfgs_memory=0, max_outer_iters=300)
         w = solve_w(nd, labels, EMPTY_CHAIN, reg, cfg, ClusterModels(np.zeros((2, 2))))
         assert hinge_loss(w, nd, labels) <= 0.05
+
+
+def signed_zero_weights():
+    """K x P weights with +0.0 and -0.0 entries, an all +0.0 and an all -0.0
+    column, and small entries of both signs below the l1 threshold."""
+    w = np.array(
+        [
+            [0.0, -0.0, 0.0, -0.0, 0.01, -0.01, 2.0, -1.5],
+            [0.0, -0.0, -0.0, 0.0, -0.02, 0.003, 0.0, -0.0],
+            [0.0, -0.0, 0.0, 0.0, 0.005, -0.004, -3.0, 0.7],
+        ]
+    )
+    assert np.signbit(w[:, 1]).all() and not np.signbit(w[:, 0]).any()
+    return w
+
+
+def assert_same_bits(ours, reference):
+    assert np.array_equal(ours, reference)
+    assert np.array_equal(np.signbit(ours), np.signbit(reference))
+
+
+class TestProxSignedZeros:
+    """The prox keeps the float operations of its np.linalg.norm-based
+    formula: same values and the same sign of every zero, and no
+    floating-point warning on zero columns."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.005, 0.5, 10.0])
+    def test_prox_group(self, t):
+        w = signed_zero_weights()
+        with np.errstate(all="raise"):
+            assert_same_bits(prox_group(w, t), reference_prox_group(w, t))
+
+    @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_prox_sparse_group(self, variant, chain_name):
+        w = signed_zero_weights()
+        k, p = w.shape
+        chain = EMPTY_CHAIN if chain_name == "root" else chain_of(np.linspace(-2.0, 2.0, p), np.ones(p))
+        reg = RegularizerConfig(alpha=0.5, beta=2.0, variant=variant)
+        spec = Regularizer(reg, chain, k, p).prox_spec
+        for s in (0.01, 0.3, 1.0, 4.0):
+            with np.errstate(all="raise"):
+                assert_same_bits(prox_sparse_group(w, spec, s), reference_prox_sparse_group(w, spec, s))
+
+
+def planted_node(k):
+    """40 planted rows (4 classes, 20 features), labelled by the planted
+    top-level branch for K=2 and by class for K=4."""
+    ds, _ = generate_synthetic(SyntheticSpec(per_class=10, seed=3))
+    labels = ds.labels // 2 + 1 if k == 2 else ds.labels + 1
+    return subset(ds, np.arange(ds.n)), labels, ds.p
+
+
+class TestLeanSolverBitIdentity:
+    """solve_w returns exactly the weights of the frozen reference solver."""
+
+    @staticmethod
+    def chain(name, p):
+        if name == "root":
+            return EMPTY_CHAIN
+        rng = np.random.default_rng(21)
+        return chain_of(rng.normal(size=p), rng.normal(size=p))
+
+    # the default shrink 0.5 keeps every step a power of two, so s * (1/step)
+    # would equal s / step there; shrink 0.3 makes steps that are not
+    @pytest.mark.parametrize("shrink", [0.5, 0.3])
+    @pytest.mark.parametrize("memory", [0, 10])
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_equals_reference(self, variant, chain_name, k, memory, shrink):
+        nd, labels, p = planted_node(k)
+        chain = self.chain(chain_name, p)
+        reg = RegularizerConfig(alpha=0.01, beta=0.01, variant=variant)
+        cfg = SolverConfig(lbfgs_memory=memory, max_outer_iters=30, line_search_shrink=shrink)
+        w0 = ClusterModels(np.zeros((k, p)))
+        ours = solve_w(nd, labels, chain, reg, cfg, w0)
+        assert np.array_equal(ours.weights, reference_solve_w(nd, labels, chain, reg, cfg, w0))
+
+    def test_equals_reference_from_warm_start(self):
+        rng = np.random.default_rng(22)
+        nd, labels, p = planted_node(2)
+        chain = self.chain("two_ancestors", p)
+        reg = RegularizerConfig(alpha=0.05, beta=0.02)
+        w0 = ClusterModels(rng.normal(size=(2, p)))
+        ours = solve_w(nd, labels, chain, reg, SolverConfig(), w0)
+        assert np.array_equal(ours.weights, reference_solve_w(nd, labels, chain, reg, SolverConfig(), w0))

@@ -17,8 +17,10 @@ from margintree import (
     subset,
 )
 from margintree.core import EMPTY_CHAIN, NodeData
+from margintree.objective import exclusive_reg, group_reg
 from margintree.split import SplitResult
 from helpers import blob_dataset
+from test_objective import chain_of
 
 
 class TestBalanceBounds:
@@ -187,3 +189,14 @@ class TestSplittingScore:
         s1 = splitting_score(self.make_result(w, labels), nd, EMPTY_CHAIN, RegularizerConfig())
         s2 = splitting_score(self.make_result(3.0 * w, labels), nd, EMPTY_CHAIN, RegularizerConfig())
         assert s1 == pytest.approx(s2, rel=1e-9)
+
+    def test_equals_split_node_score_under_a_chain(self):
+        ds = blob_dataset(10, [[3.0, 0.0, 1.0], [-3.0, 0.0, -1.0]], per_blob=12)
+        nd = subset(ds, np.arange(ds.n))
+        chain = chain_of([0.5, -1.0, 2.0], [1.0, 0.0, -0.5])
+        reg = RegularizerConfig(alpha=0.05, beta=0.05)
+        result = split_node(nd, chain, 2, reg, SolverConfig(), seed=0)
+        w = result.models.weights
+        numer = float((nd.features @ w.T)[np.arange(nd.size), result.labels - 1].sum())
+        assert splitting_score(result, nd, chain, reg) == result.score
+        assert result.score == numer / (group_reg(w) + exclusive_reg(w, chain))
