@@ -2,7 +2,7 @@
 
 Top-down greedy construction of a cluster tree; each node split jointly
 optimizes per-cluster linear models (sparse-group regularized squared-hinge
-loss, proximal quasi-Newton) and balanced cluster assignments (min-cost
+loss, damped proximal Newton) and balanced cluster assignments (min-cost
 flow), with taxonomy evaluation metrics and k-means baselines.
 """
 

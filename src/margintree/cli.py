@@ -249,8 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--restarts", type=int, default=1)
     run.add_argument("--max-outer-iters", type=int, default=100)
-    run.add_argument("--lbfgs-memory", type=int, default=10)
-    run.add_argument("--inner-prox-iters", type=int, default=25)
     run.add_argument("--rel-obj-tol", type=float, default=1e-8)
     run.add_argument("--max-alternations", type=int, default=50)
     run.add_argument("--pca-dim", type=int)
@@ -334,8 +332,6 @@ def _cmd_generate(args) -> int:
 def _cmd_cluster(args) -> int:
     solver = SolverConfig(
         max_outer_iters=args.max_outer_iters,
-        lbfgs_memory=args.lbfgs_memory,
-        inner_prox_iters=args.inner_prox_iters,
         rel_obj_tol=args.rel_obj_tol,
     )
     spec = ExperimentSpec(

@@ -151,10 +151,68 @@ def hinge_loss(models, data, labels) -> float:
 def hinge_grad(models, data, labels) -> np.ndarray:
     """Exact gradient of hinge_loss with respect to the K x P weights."""
     w, x = _weights(models), features_of(data)
-    margins, rows, y0 = _label_margins(w, x, labels)
-    active = 2.0 * np.maximum(margins, 0.0)
-    active[rows, y0] = -active.sum(axis=1)
-    return (active.T @ x) / (x.shape[0] * w.shape[0])
+    margins, _, y0 = _label_margins(w, x, labels)
+    return margin_adjoint(2.0 * np.maximum(margins, 0.0), x, y0) / (x.shape[0] * w.shape[0])
+
+
+def active_margins(models, data, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The n x K mask of the positive margins at the weights (the hinge
+    terms with curvature; never an instance's own label) and the 0-based
+    labels."""
+    w, x = _weights(models), features_of(data)
+    margins, _, y0 = _label_margins(w, x, labels)
+    return margins > 0.0, y0
+
+
+def margin_map(z: np.ndarray, x: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """n x K linear part of the margins at K x P weights z:
+    z_y.x_i - z_{y_i}.x_i (zero at y = y_i); y0 holds 0-based labels."""
+    scores = x @ z.T
+    return scores - scores[np.arange(x.shape[0]), y0][:, None]
+
+
+def margin_adjoint(lam: np.ndarray, x: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """K x P adjoint of margin_map: sum_i sum_{y != y_i} lam[i, y] (e_y -
+    e_{y_i}) x_i^T for an n x K array lam (its own-label entries are
+    ignored)."""
+    rows = np.arange(x.shape[0])
+    coef = lam.copy()
+    coef[rows, y0] = 0.0
+    coef[rows, y0] = -coef.sum(axis=1)
+    return coef.T @ x
+
+
+def hinge_hessian(models, data, labels) -> np.ndarray:
+    """Generalized Hessian of hinge_loss over the row-major flattened K x P
+    weights: (2/(n K)) sum over positive margins (i, y != y_i) of
+    (e_y - e_{y_i})(e_y - e_{y_i})^T kron x_i x_i^T, built block by block as
+    the weighted Gram products x^T diag(c) x over the instances with a
+    positive margin, c the per-instance coefficient of the (y, y') block."""
+    w, x = _weights(models), features_of(data)
+    k, p = w.shape
+    active, y0 = active_margins(w, x, labels)
+    scale = 2.0 / (x.shape[0] * k)
+    rows = active.any(axis=1)
+    if not rows.all():
+        active, y0, x = active[rows], y0[rows], x[rows]
+    active = active.astype(float)
+    own = active.sum(axis=1)
+    hess = np.zeros((k, p, k, p))
+    for a in range(k):
+        for b in range(a, k):
+            # coefficient of x_i x_i^T in block (a, b): on the diagonal, the
+            # count of positive margins if a is the own label, else whether the
+            # margin against a is positive; off it, -1 if one of a, b is the own
+            # label and the margin against the other is positive
+            if a == b:
+                coef = np.where(y0 == a, own, active[:, a])
+            else:
+                coef = np.where(y0 == a, -active[:, b], 0.0) + np.where(y0 == b, -active[:, a], 0.0)
+            block = (x * coef[:, None]).T @ x
+            hess[a, :, b, :] = block
+            if a != b:
+                hess[b, :, a, :] = block.T
+    return hess.reshape(k * p, k * p) * scale
 
 
 def column_norms(w: np.ndarray) -> np.ndarray:

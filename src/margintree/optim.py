@@ -1,19 +1,21 @@
-"""Weight update for one node split: proximal quasi-Newton minimization of
+"""Weight update for one node split: damped proximal Newton minimization of
 the smooth squared-hinge loss plus the nonsmooth weighted sparse-group
 regularizer.
 
-Each outer iteration linearizes the hinge loss at the current point, adds a
-quadratic (1/2s)||w - w_old||_B^2 with B a limited-memory quasi-Newton
-metric, and approximately minimizes the resulting model with a spectral
-(Barzilai-Borwein stepped) proximal-gradient inner loop. The step size s is
-backtracked until an Armijo-style sufficient decrease of the true objective
-holds. The prox of the regularizer is the two-step composition: entrywise
+Each outer iteration builds the exact generalized Hessian H of the squared
+hinge (piecewise quadratic) at the current point w, damps it by mu = |r|, r
+the prox-gradient residual at the step 1/L (L = 2 lambda_max(X^T X)/n, the
+Lipschitz bound of the hinge gradient), and minimizes the model
+grad.d + d.(H + mu I)d/2 + R(w + d) to a residual of a tenth of |r| by
+semismooth Newton on its dual. An Armijo backtracking on the true objective
+takes the step; if the model step is no descent direction, the
+prox-gradient step at 1/L, which always decreases the objective, is taken
+instead. The run stops once the largest entry of r falls below
+rel_obj_tol times the largest entry of the hinge gradient at w = 0.
+
+The prox of the regularizer is the two-step composition: entrywise
 soft-threshold with the ancestor-induced per-feature weights, then
 column-wise group shrinkage.
-
-B is applied through the compact diagonal-plus-low-rank representation
-(sigma*I minus a rank-2m correction built from the stored curvature pairs);
-with memory 0 this degrades to plain spectral proximal gradient.
 """
 
 from __future__ import annotations
@@ -31,32 +33,39 @@ from .objective import (
     Regularizer,
     RegularizerConfig,
     column_norms,
+    active_margins,
     hinge_grad,
+    hinge_hessian,
+    margin_adjoint,
+    margin_map,
     hinge_loss,
     regularizer_value,  # noqa: F401  perfbench/layers.py traces calls through optim.regularizer_value
 )
 
 logger = logging.getLogger(__name__)
 
+# the model is damped by DAMPING |r| and solved to a residual of INEXACTNESS |r|
+DAMPING = 1.0
+INEXACTNESS = 0.1
+DUAL_NEWTON_STEPS = 50
+DUAL_ASCENT = 1e-4  # Armijo fraction of the dual line search
+MAX_BACKTRACKS = 40
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_outer_iters: int = 100
-    lbfgs_memory: int = 10
     line_search_shrink: float = 0.5
     sufficient_decrease: float = 1e-4
     rel_obj_tol: float = 1e-8
-    inner_prox_iters: int = 25
 
     def __post_init__(self):
-        if self.max_outer_iters < 1 or self.inner_prox_iters < 1:
+        if self.max_outer_iters < 1:
             raise ValidationError("iteration budgets must be positive")
         if not (0 < self.line_search_shrink < 1):
             raise ValidationError("line_search_shrink must lie in (0, 1)")
         if self.sufficient_decrease <= 0 or self.rel_obj_tol <= 0:
             raise ValidationError("tolerances must be positive")
-        if self.lbfgs_memory < 0:
-            raise ValidationError("lbfgs_memory must be >= 0")
 
 
 def make_prox_spec(reg: RegularizerConfig, chain: AncestorChain, k: int, p: int) -> ProxSpec:
@@ -88,82 +97,103 @@ def prox_sparse_group(w: np.ndarray, spec: ProxSpec, s: float) -> np.ndarray:
     return prox_group(prox_weighted_l1(w, s * spec.l1_thresholds), s * spec.group_threshold)
 
 
-class _LbfgsMetric:
-    """Compact representation of the L-BFGS Hessian approximation
-    B = sigma*I - W M^-1 W^T over flattened weight vectors; w_mat (W) is
-    None for B = sigma*I."""
+def prox_jacobian(w: np.ndarray, spec: ProxSpec, s: float) -> np.ndarray:
+    """A generalized Jacobian of prox_sparse_group(., spec, s) at the K x P
+    point w, one K x K block per feature column (P x K x K); the prox acts
+    on each column separately.
 
-    def __init__(self, pairs: list[tuple[np.ndarray, np.ndarray]]):
-        self.w_mat = self.m_inv = None
-        if not pairs:
-            self.sigma = 1.0
-            return
-        s_last, y_last = pairs[-1]
-        self.sigma = min(max(float(y_last @ y_last) / float(s_last @ y_last), 1e-8), 1e12)
-        s_mat = np.stack([s for s, _ in pairs], axis=1)
-        y_mat = np.stack([y for _, y in pairs], axis=1)
-        sty = s_mat.T @ y_mat
-        lower = np.tril(sty, k=-1)
-        diag = np.diag(np.diag(sty))
-        m = np.block([[self.sigma * (s_mat.T @ s_mat), lower], [lower.T, -diag]])
-        try:
-            self.m_inv = np.linalg.inv(m)
-        except np.linalg.LinAlgError:
-            return
-        self.w_mat = np.concatenate([self.sigma * s_mat, y_mat], axis=1)
-
-
-def _solve_model(w0, grad, metric, step, spec, regularizer, max_iters):
-    """Approximately minimize the quadratic model + regularizer by monotone
-    spectral proximal gradient over K x P iterates; returns the iterate and
-    its regularizer value.
-
-    The model at u is grad.d + d.Bd / (2 step) with d the flat view of
-    u - w0; Bd also gives the model gradient grad + Bd/step at the accepted
-    iterate, so each candidate costs one metric product. Products use
-    ndarray.dot: on these 1-d and 2-d operands it makes the BLAS call that @
-    makes, without the ufunc dispatch.
+    With D the 0/1 diagonal of the entries above their l1 threshold, u the
+    soft-thresholded column and b the group threshold, the block is
+    (1 - b/|u|) D + b u u^T / |u|^3 when |u| > b and 0 otherwise.
     """
-    sigma, w_mat, m_inv = metric.sigma, metric.w_mat, metric.m_inv
-    w_mat_t = None if w_mat is None else w_mat.T
-    grad_flat = grad.ravel()
-    t = step / sigma
-    u = prox_sparse_group(w0 - t * grad, spec, t)
-    reg_u = regularizer.value(u)
-    d = (u - w0).ravel()
-    bd = sigma * d if w_mat is None else sigma * d - w_mat.dot(m_inv.dot(w_mat_t.dot(d)))
-    psi = float(grad_flat.dot(d) + 0.5 * d.dot(bd) / step) + reg_u
-    # the last move of the iterate (the first from w0) and its squared length
-    du, du_sq = d, d.dot(d)
-    prev_g = grad_flat
-    for _ in range(max_iters - 1):
-        g = grad_flat + bd / step
-        curv = float(du.dot(g - prev_g))
-        if curv > 1e-16:
-            t = min(max(float(du_sq) / curv, 1e-12), 1e12)
-        prev_g = g
-        g = g.reshape(u.shape)
-        accepted = False
-        for _ in range(30):
-            cand = prox_sparse_group(u - t * g, spec, t)
-            reg_cand = regularizer.value(cand)
-            d = (cand - w0).ravel()
-            bd_cand = sigma * d if w_mat is None else sigma * d - w_mat.dot(m_inv.dot(w_mat_t.dot(d)))
-            psi_cand = float(grad_flat.dot(d) + 0.5 * d.dot(bd_cand) / step) + reg_cand
-            if psi_cand <= psi + 1e-14 * max(1.0, abs(psi)):
-                accepted = True
+    k, p = w.shape
+    if spec.variant == "squared_l2":
+        return np.broadcast_to(np.eye(k) / (1.0 + 2.0 * s * spec.group_threshold), (p, k, k)).copy()
+    b = s * spec.group_threshold
+    kept = np.abs(w) > s * spec.l1_thresholds
+    u = prox_weighted_l1(w, s * spec.l1_thresholds)
+    norms = column_norms(u)
+    live = norms > b
+    safe = np.where(live, norms, 1.0)
+    shrink = np.where(live, 1.0 - b / safe, 0.0)
+    jac = (u.T[:, :, None] * u.T[:, None, :]) * np.where(live, b / safe**3, 0.0)[:, None, None]
+    diag = np.arange(k)
+    jac[:, diag, diag] += kept.T * shrink[:, None]
+    return jac
+
+
+def _jacobian_product(blocks: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """J m for J the block-diagonal matrix over row-major K x P weights of
+    the P per-column K x K blocks, and m with K P rows (a K x P array or a
+    K P x K P matrix), without forming J."""
+    p, k, _ = blocks.shape
+    by_column = m.reshape(k, p, -1).transpose(1, 0, 2)
+    return np.matmul(blocks, by_column).transpose(1, 0, 2).reshape(m.shape)
+
+
+def _solve_dual_model(w, grad, hess, mu, margins, c, regularizer, tol):
+    """Minimize the model q(z) + R(z), q(z) = grad.(z - w) + c |A(z - w)|^2/2
+    + mu |z - w|^2/2 with hess = c A^T A, over K x P points z, to a
+    subgradient residual of tol; returns the last primal point.
+
+    A maps weights to the positive margins: margins = (x, y0, mask) over
+    the instances with one. Semismooth Newton runs on the dual, maximizing
+    D(lam) = -|lam|^2/(2c) + lam.A(z - w) + psi(z), z = prox_{R/mu}(w - (grad
+    + A^T lam)/mu), psi the rest of the model: it is smooth and concave, its
+    generalized Hessian -(I/c + A J A^T/mu) is negative definite whatever the
+    conditioning of hess (J the per-column Jacobian of the prox), and
+    A^T(c grad D) is the model's subgradient residual at z. Newton systems
+    are solved in weight space through the Woodbury identity.
+    """
+    x, y0, mask = margins
+    spec = regularizer.prox_spec
+    shape, s = w.shape, 1.0 / mu
+    base = w - s * grad
+
+    def primal(at_lam):
+        v = base - s * at_lam
+        z = prox_sparse_group(v, spec, s)
+        d = z - w
+        psi = 0.5 * mu * float((d * d).sum()) + float((grad * d).sum()) + regularizer.value(z)
+        return v, z, d, psi
+
+    lam = np.zeros(mask.shape)
+    at_lam = np.zeros(shape)  # A^T lam
+    v, z, d, dual = primal(at_lam)
+    for _ in range(DUAL_NEWTON_STEPS):
+        grad_dual = np.where(mask, margin_map(d, x, y0), 0.0) - lam / c
+        at_grad = margin_adjoint(grad_dual, x, y0)
+        if c * math.sqrt(float((at_grad * at_grad).sum())) <= tol:
+            break
+        # (mu I + J hess) step = c J A^T grad_dual; a row where J vanishes
+        # gives step 0 there, so the system is solved on the other rows only
+        blocks = prox_jacobian(v, spec, s)
+        free = np.flatnonzero(blocks.any(axis=2).T)
+        system = _jacobian_product(blocks, hess)[np.ix_(free, free)]
+        system[np.diag_indices(free.size)] += mu
+        step = np.zeros(w.size)
+        try:
+            step[free] = np.linalg.solve(system, c * _jacobian_product(blocks, at_grad).ravel()[free])
+        except np.linalg.LinAlgError:
+            break
+        delta = c * (grad_dual - np.where(mask, margin_map(step.reshape(shape), x, y0), 0.0))
+        at_delta = c * at_grad - hess.dot(step).reshape(shape)
+        slope = float((grad_dual * delta).sum())
+        if not slope > 0.0:
+            break
+        t = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            at_new = at_lam + t * at_delta
+            lam_new = lam + t * delta
+            v_new, z_new, d_new, psi_new = primal(at_new)
+            dual_new = float((at_new * d_new).sum()) + psi_new - float((lam_new * lam_new).sum()) / (2.0 * c)
+            if dual_new >= dual + DUAL_ASCENT * t * slope:
                 break
             t *= 0.5
-        if not accepted:
-            break
-        du = (cand - u).ravel()
-        du_sq = du.dot(du)
-        u_flat = u.ravel()
-        converged = math.sqrt(du_sq) <= 1e-12 * (1.0 + math.sqrt(u_flat.dot(u_flat)))
-        u, psi, bd, reg_u = cand, psi_cand, bd_cand, reg_cand
-        if converged:
-            break
-    return u, reg_u
+        if not dual_new > dual:
+            break  # no ascent left above the rounding of D: z is as good as it gets
+        lam, at_lam, v, z, d, dual = lam_new, at_new, v_new, z_new, d_new, dual_new
+    return z
 
 
 def solve_w(
@@ -177,10 +207,11 @@ def solve_w(
     """Minimize the split objective in the weights for fixed labels.
 
     data is the node (its features are copied once per call) or its n x P
-    feature matrix. Stops when the relative objective change drops below
-    cfg.rel_obj_tol or the outer budget is exhausted; the objective is
-    non-increasing across accepted iterations. Raises SolverError if the
-    objective turns non-finite.
+    feature matrix. Stops when the largest entry of the prox-gradient
+    residual drops below cfg.rel_obj_tol times the largest entry of the
+    hinge gradient at w = 0, when no step decreases the objective, or when
+    the outer budget is exhausted; the objective is non-increasing across
+    iterations. Raises SolverError if the objective turns non-finite.
     """
     w = np.array(w0.weights, dtype=float)
     k, p = w.shape
@@ -189,51 +220,61 @@ def solve_w(
     regularizer = Regularizer(reg, chain, k, p)
     spec = regularizer.prox_spec
 
+    scale = float(np.abs(hinge_grad(np.zeros_like(w), x, labels)).max())
+    if scale == 0.0:
+        # w = 0 minimizes the hinge and the regularizer at once
+        return ClusterModels(weights=np.zeros_like(w))
+    gram = x.T @ x
+    # the Frobenius norm of X^T X bounds its largest eigenvalue
+    t = x.shape[0] / (2.0 * math.sqrt(float((gram * gram).sum())))
+    if not 0.0 < t < math.inf:
+        raise SolverError(f"no finite Lipschitz bound for the hinge gradient (step {t})")
+    c = 2.0 / (x.shape[0] * k)
+
     reg_w = regularizer.value(w)
     fw = hinge_loss(w, x, labels) + reg_w
     if not np.isfinite(fw):
         raise SolverError(f"objective not finite at the initial point (value {fw})")
-    grad = hinge_grad(w, x, labels)
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    step = 1.0
 
     for outer in range(cfg.max_outer_iters):
-        metric = _LbfgsMetric(pairs)
-        step = min(step * 2.0, 1e8)
+        grad = hinge_grad(w, x, labels)
+        pg = prox_sparse_group(w - t * grad, spec, t)
+        r = (w - pg) / t
+        if float(np.abs(r).max()) <= cfg.rel_obj_tol * scale:
+            break
+        r_norm = math.sqrt(float((r * r).sum()))
+        active, y0 = active_margins(w, x, labels)
+        rows = active.any(axis=1)
+        margins = (x, y0, active) if rows.all() else (x[rows], y0[rows], active[rows])
+        hess = hinge_hessian(w, x, labels)
+        z = _solve_dual_model(w, grad, hess, DAMPING * r_norm, margins, c, regularizer, INEXACTNESS * r_norm)
+        if not np.all(np.isfinite(z)):
+            raise SolverError(f"iterate diverged at outer iteration {outer}")
+        d = z - w
+        reg_z = regularizer.value(z)
+        model_dec = float((grad * d).sum()) + reg_z - reg_w
         accepted = False
-        for _ in range(40):
-            u, reg_u = _solve_model(w, grad, metric, step, spec, regularizer, cfg.inner_prox_iters)
-            d = (u - w).ravel()
-            if not np.all(np.isfinite(u)):
-                raise SolverError(f"iterate diverged at outer iteration {outer} (step {step:.3e})")
-            model_dec = float(grad.ravel() @ d) + reg_u - reg_w
-            fu = hinge_loss(u, x, labels) + reg_u
-            if not np.isfinite(fu):
-                raise SolverError(f"objective not finite at outer iteration {outer} (step {step:.3e})")
-            if model_dec <= 0 and fu <= fw + cfg.sufficient_decrease * model_dec:
-                accepted = True
+        if model_dec < 0.0:
+            step = 1.0
+            for _ in range(MAX_BACKTRACKS):
+                cand = z if step == 1.0 else w + step * d
+                reg_c = reg_z if step == 1.0 else regularizer.value(cand)
+                fc = hinge_loss(cand, x, labels) + reg_c
+                if not np.isfinite(fc):
+                    raise SolverError(f"objective not finite at outer iteration {outer} (step {step:.3e})")
+                if fc <= fw + cfg.sufficient_decrease * step * model_dec:
+                    accepted = True
+                    break
+                step *= cfg.line_search_shrink
+        if not accepted:
+            cand = pg
+            reg_c = regularizer.value(cand)
+            fc = hinge_loss(cand, x, labels) + reg_c
+            if not np.isfinite(fc):
+                raise SolverError(f"objective not finite at outer iteration {outer} (prox-gradient step)")
+            if not fc < fw:
                 break
-            step *= cfg.line_search_shrink
-        d_sq = float(d @ d)
-        if not accepted or d_sq == 0.0:
-            break
-        new_grad = hinge_grad(u, x, labels)
-        if cfg.lbfgs_memory > 0:
-            y_vec = (new_grad - grad).ravel()
-            if float(d @ y_vec) > 1e-12 * math.sqrt(d_sq) * max(math.sqrt(y_vec @ y_vec), 1e-30):
-                pairs.append((d, y_vec))
-                if len(pairs) > cfg.lbfgs_memory:
-                    pairs.pop(0)
-        decrease = fw - fu
-        w, grad, fw, reg_w = u, new_grad, fu, reg_u
-        logger.debug(
-            "w-update iter=%d obj=%.10e step=%.3e",
-            outer,
-            fw,
-            step,
-            extra={"iteration": outer, "objective": fw, "step_size": step},
-        )
-        if decrease <= cfg.rel_obj_tol * max(1.0, abs(fw)):
-            break
+        w, fw, reg_w = cand, fc, reg_c
+        logger.debug("w-update iter=%d obj=%.10e residual=%.3e", outer, fw, r_norm)
 
     return ClusterModels(weights=w)

@@ -25,6 +25,15 @@ from .optim import SolverConfig, solve_w
 logger = logging.getLogger(__name__)
 
 REL_OBJ_TOL = 1e-6
+DESCENT_TOL = 1e-9
+# Objective checks are relative to |f|, floored at the rounding error of an
+# objective near 0: a few ulps of 1/2, the least split objective at w = 0
+# ((K - 1)/K).
+OBJECTIVE_FLOOR = 4.0 * np.finfo(float).eps * 0.5
+
+
+def _slack(rel: float, objective: float) -> float:
+    return max(rel * abs(objective), OBJECTIVE_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -100,8 +109,8 @@ def split_node(
     max_alternations: int = 50,
 ) -> SplitResult:
     """Alternate weight fitting and balanced assignment until the labels
-    reach a fixed point, the relative objective change drops below 1e-6, or
-    the alternation budget runs out."""
+    reach a fixed point, the relative objective change drops below
+    REL_OBJ_TOL, or the alternation budget runs out."""
     x = data.features  # one copy of the node's rows for the whole split
     bounds = balance_bounds(data.size, k)
     labels = init_assignment(x, k, bounds, seed)
@@ -115,7 +124,7 @@ def split_node(
         costs = cost_matrix(models, x)
         new_labels = solve_balanced_assignment(costs, bounds.lower, bounds.upper)
         after_assign = node_objective(models, new_labels, chain, x, reg)
-        if after_assign > trace[-1] + 1e-9 * max(1.0, abs(trace[-1])):
+        if after_assign > trace[-1] + _slack(DESCENT_TOL, trace[-1]):
             raise SolverError(
                 f"objective rose after assignment half-step: {trace[-1]:.12e} -> {after_assign:.12e}"
             )
@@ -127,13 +136,12 @@ def split_node(
 
         models = solve_w(x, labels, chain, reg, cfg, models)
         objective = node_objective(models, labels, chain, x, reg)
-        if objective > after_assign + 1e-9 * max(1.0, abs(after_assign)):
+        if objective > after_assign + _slack(DESCENT_TOL, after_assign):
             raise SolverError(
                 f"objective rose after weight half-step: {after_assign:.12e} -> {objective:.12e}"
             )
         trace.append(objective)
-        rel_change = (trace[-3] - objective) / max(1.0, abs(trace[-3]))
-        if rel_change < REL_OBJ_TOL:
+        if trace[-3] - objective < _slack(REL_OBJ_TOL, trace[-3]):
             break
 
     score = _score(models.weights, labels, x, Regularizer(reg, chain, k, x.shape[1]))

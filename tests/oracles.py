@@ -2,9 +2,9 @@
 
 Everything here is deliberately written from scratch (loops, enumeration,
 first principles) so that a bug in the fast paths cannot hide in its own
-oracle. The one exception is reference_solve_w, a frozen copy of an earlier
-weight solver: it checks that a faster solver keeps the same iterates bit
-for bit, not that they are optimal.
+oracle. The one exception is reference_solve_w, a frozen copy of the earlier
+proximal L-BFGS weight solver: the weight update must end no higher than it,
+which does not make it optimal.
 """
 
 from __future__ import annotations
@@ -65,6 +65,25 @@ def hinge_grad_loops(w: np.ndarray, x: np.ndarray, labels: np.ndarray) -> np.nda
     return grad / (n * k)
 
 
+def hinge_hessian_loops(w: np.ndarray, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Generalized Hessian of the squared hinge over the row-major flattened
+    K x P weights, one rank-one term per positive margin (labels 1-based)."""
+    n, k = x.shape[0], w.shape[0]
+    p = x.shape[1]
+    hess = np.zeros((k * p, k * p))
+    for i in range(n):
+        yi = labels[i] - 1
+        si = [float(w[c] @ x[i]) for c in range(k)]
+        for y in range(k):
+            if y == yi or 1.0 - si[yi] + si[y] <= 0:
+                continue
+            a = np.zeros((k, p))
+            a[y] += x[i]
+            a[yi] -= x[i]
+            hess += 2.0 * np.outer(a.ravel(), a.ravel())
+    return hess / (n * k)
+
+
 def prox_objective(u: np.ndarray, w: np.ndarray, s: float, alpha: float, beta: float, lam_e: np.ndarray) -> float:
     """0.5||u - w||^2 + s * (alpha * G(u) + beta * sum lam_e |u|)."""
     k, p = u.shape
@@ -95,30 +114,61 @@ def subgradient_prox_oracle(
     return best, best_val
 
 
+def _subgradient_distance(u: np.ndarray, v: np.ndarray, l1: np.ndarray, group: float, quad: float) -> float:
+    """Largest distance, over entries and columns, of v from the
+    subdifferential at u of group * sum_p ||u_p|| + sum_p l1_p sum_k |u_kp|
+    + quad * sum u^2 (written out entry by entry)."""
+    k, p = u.shape
+    worst = 0.0
+    for col in range(p):
+        uc, vc = u[:, col], v[:, col]
+        norm = math.sqrt(sum(float(a) * float(a) for a in uc))
+        if norm > 0:
+            for row in range(k):
+                target = 2.0 * quad * uc[row] + group * uc[row] / norm
+                if uc[row] != 0:
+                    worst = max(worst, abs(vc[row] - target - l1[col] * np.sign(uc[row])))
+                else:
+                    worst = max(worst, max(0.0, abs(vc[row] - target) - l1[col]))
+        else:
+            shrunk = [math.copysign(max(abs(float(a)) - l1[col], 0.0), a) for a in vc]
+            worst = max(worst, max(0.0, math.sqrt(sum(a * a for a in shrunk)) - group))
+    return worst
+
+
 def prox_optimality_residual(
     u: np.ndarray, w: np.ndarray, s: float, alpha: float, beta: float, lam_e: np.ndarray
 ) -> float:
     """Distance of (w - u)/s from the subdifferential of the regularizer at
     u, maximized over entries/columns (0 at the exact prox)."""
     k, p = u.shape
+    return _subgradient_distance(u, (w - u) / s, beta * np.asarray(lam_e, dtype=float), alpha / (p * k), 0.0)
+
+
+def weight_update_residual(w: np.ndarray, x: np.ndarray, labels, chain, reg) -> float:
+    """Relative optimality residual of K x P weights for the split objective:
+    the largest distance of minus the hinge gradient from the subdifferential
+    of the variant's regularizer, over the largest hinge gradient entry at
+    w = 0. Written from the definitions with loops (0 at the minimizer)."""
+    w = np.asarray(w, dtype=float)
+    k, p = w.shape
+    labels = np.asarray(labels)
     lam_g = 1.0 / (p * k)
-    v = (w - u) / s
-    worst = 0.0
-    for col in range(p):
-        uc, vc = u[:, col], v[:, col]
-        t_l1 = beta * lam_e[col]
-        norm = np.linalg.norm(uc)
-        if norm > 0:
-            for row in range(k):
-                if uc[row] != 0:
-                    target = alpha * lam_g * uc[row] / norm + t_l1 * np.sign(uc[row])
-                    worst = max(worst, abs(vc[row] - target))
-                else:
-                    worst = max(worst, max(0.0, abs(vc[row]) - t_l1))
-        else:
-            shrunk = np.sign(vc) * np.maximum(np.abs(vc) - t_l1, 0.0)
-            worst = max(worst, max(0.0, float(np.linalg.norm(shrunk)) - alpha * lam_g))
-    return worst
+    lam_e = np.zeros(p)
+    for models, child in chain.entries:
+        lam_e += np.abs(models.weights[child - 1])
+    if len(chain):
+        lam_e /= k * len(chain) * p
+    a, b = reg.alpha, reg.beta
+    l1, group, quad = {
+        "sparse_group": (b * lam_e, a * lam_g, 0.0),
+        "group_only": (np.zeros(p), a * lam_g, 0.0),
+        "exclusive_only": (b * lam_e, 0.0, 0.0),
+        "l1": (np.full(p, a * lam_g), 0.0, 0.0),
+        "squared_l2": (np.zeros(p), 0.0, a * lam_g),
+    }[reg.variant]
+    scale = float(np.abs(hinge_grad_loops(np.zeros((k, p)), x, labels)).max())
+    return _subgradient_distance(w, -hinge_grad_loops(w, x, labels), l1, group, quad) / scale
 
 
 def gradient_descent_smooth_oracle(
@@ -156,10 +206,11 @@ def gradient_descent_smooth_oracle(
     return fw
 
 
-# -- the weight update as it was before its inner loop was made lean ----------
-# A frozen copy of optim.solve_w/_solve_model, with the np.linalg.norm-based
-# prox and regularizer value they called. The lean solver must reproduce its
-# iterates bit for bit: same float operations, in the same order.
+# -- the earlier weight update: proximal L-BFGS -------------------------------
+# A frozen copy of that solve_w and its inner spectral proximal-gradient loop,
+# with the np.linalg.norm-based prox and regularizer value they called. The
+# prox formula also pins the float operations (and signed zeros) of
+# optim.prox_group and optim.prox_sparse_group.
 
 
 def reference_prox_weighted_l1(w: np.ndarray, thresholds) -> np.ndarray:
@@ -262,9 +313,12 @@ def _reference_solve_model(w0_flat, grad_flat, metric, step, prox, reg_val_flat,
     return u, reg_u
 
 
-def reference_solve_w(data, labels, chain, reg, cfg, w0) -> np.ndarray:
-    """The K x P weights the pre-optimisation solve_w returned for these
-    arguments (same signature as margintree.solve_w)."""
+def reference_solve_w(
+    data, labels, chain, reg, w0, *, memory=10, inner_iters=25, shrink=0.5, max_outer_iters=100,
+    sufficient_decrease=1e-4, rel_obj_tol=1e-8,
+) -> np.ndarray:
+    """The K x P weights the earlier proximal L-BFGS weight update returned
+    (defaults: its default settings)."""
     w = np.array(w0.weights, dtype=float)
     k, p = w.shape
     labels = np.asarray(labels, dtype=np.int64)
@@ -288,12 +342,12 @@ def reference_solve_w(data, labels, chain, reg, cfg, w0) -> np.ndarray:
     pairs = []
     step = 1.0
 
-    for outer in range(cfg.max_outer_iters):
+    for outer in range(max_outer_iters):
         metric = _ReferenceLbfgsMetric(pairs)
         step = min(step * 2.0, 1e8)
         accepted = False
         for _ in range(40):
-            u, reg_u = _reference_solve_model(w_flat, grad, metric, step, prox_flat, reg_val_flat, cfg.inner_prox_iters)
+            u, reg_u = _reference_solve_model(w_flat, grad, metric, step, prox_flat, reg_val_flat, inner_iters)
             d = u - w_flat
             if not np.all(np.isfinite(u)):
                 raise SolverError(f"iterate diverged at outer iteration {outer} (step {step:.3e})")
@@ -301,23 +355,23 @@ def reference_solve_w(data, labels, chain, reg, cfg, w0) -> np.ndarray:
             fu = hinge_loss(u.reshape(k, p), x, labels) + reg_u
             if not np.isfinite(fu):
                 raise SolverError(f"objective not finite at outer iteration {outer} (step {step:.3e})")
-            if model_dec <= 0 and fu <= fw + cfg.sufficient_decrease * model_dec:
+            if model_dec <= 0 and fu <= fw + sufficient_decrease * model_dec:
                 accepted = True
                 break
-            step *= cfg.line_search_shrink
+            step *= shrink
         d_sq = float(d @ d)
         if not accepted or d_sq == 0.0:
             break
         new_grad = hinge_grad(u.reshape(k, p), x, labels).ravel()
-        if cfg.lbfgs_memory > 0:
+        if memory > 0:
             y_vec = new_grad - grad
             if float(d @ y_vec) > 1e-12 * math.sqrt(d_sq) * max(math.sqrt(y_vec @ y_vec), 1e-30):
                 pairs.append((d, y_vec))
-                if len(pairs) > cfg.lbfgs_memory:
+                if len(pairs) > memory:
                     pairs.pop(0)
         decrease = fw - fu
         w_flat, grad, fw, reg_w = u, new_grad, fu, reg_u
-        if decrease <= cfg.rel_obj_tol * max(1.0, abs(fw)):
+        if decrease <= rel_obj_tol * max(1.0, abs(fw)):
             break
 
     return w_flat.reshape(k, p)

@@ -179,13 +179,29 @@ class TestClusterCommand:
             texts.append(json.dumps(payload, sort_keys=True))
         assert texts[0] == texts[1]
 
-    def test_large_feature_magnitudes(self, tmp_path):
-        # assignment costs of this data overflow int64 once scaled to fixed point
+    @staticmethod
+    def blob_leaves(tmp_path, magnitude):
+        """Leaf count, incomplete flag and leaf member sets of a K=2 run on
+        two Gaussian blobs scaled by magnitude."""
         rng = np.random.default_rng(0)
-        rows = np.vstack([rng.normal(0.0, 1.0, (30, 3)), rng.normal(5.0, 1.0, (30, 3))]) * 1e7
-        data = tmp_path / "big.csv"
+        rows = np.vstack([rng.normal(0.0, 1.0, (30, 3)), rng.normal(5.0, 1.0, (30, 3))]) * magnitude
+        data = tmp_path / f"blobs_{magnitude:g}.csv"
         np.savetxt(data, rows, delimiter=",")
-        assert main(["cluster", "--input", str(data), "--k", "2"]) == 0
+        report_path, hier_path = tmp_path / "blobs_report.json", tmp_path / "blobs_hier.json"
+        argv = ["cluster", "--input", str(data), "--k", "2", "--report-out", str(report_path)]
+        assert main(argv + ["--hierarchy-out", str(hier_path)]) == 0
+        report = json.loads(report_path.read_text())
+        nodes = json.loads(hier_path.read_text())["nodes"]
+        leaves = {frozenset(node["members"]) for node in nodes if "members" in node}
+        return report["leaf_count"], report["incomplete"], leaves
+
+    @pytest.mark.parametrize("magnitude", [1e3, 1e7])
+    def test_large_feature_magnitudes(self, tmp_path, magnitude):
+        # the weight update's step comes from the data, so scaled features split
+        # into the same two clusters as the unscaled ones
+        count, incomplete, leaves = self.blob_leaves(tmp_path, magnitude)
+        assert (count, incomplete) == (2, False)
+        assert leaves == self.blob_leaves(tmp_path, 1.0)[2]
 
     def test_validation_exit_code(self, tmp_path):
         missing = str(tmp_path / "missing.csv")

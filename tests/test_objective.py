@@ -18,9 +18,16 @@ from margintree import (
     node_objective,
 )
 from margintree.core import EMPTY_CHAIN
-from margintree.objective import VARIANTS, regularizer_value
+from margintree.objective import (
+    VARIANTS,
+    active_margins,
+    hinge_hessian,
+    margin_adjoint,
+    margin_map,
+    regularizer_value,
+)
 from helpers import random_problem
-from oracles import finite_difference_grad, hinge_grad_loops, hinge_loss_loops
+from oracles import finite_difference_grad, hinge_grad_loops, hinge_hessian_loops, hinge_loss_loops
 
 
 def chain_of(*ancestor_rows):
@@ -132,6 +139,90 @@ class TestHingeGrad:
         w, x, labels = random_problem(rng)
         for c in (0.5, 2.0, 5.0):
             assert np.allclose(hinge_grad(w, c * x, labels), hinge_grad_loops(w, c * x, labels))
+
+
+def problem_away_from_kinks(rng, k, gap=1e-4):
+    """Random weights, features and labels with no margin within gap of 0."""
+    while True:
+        w, x, labels = random_problem(rng, k_max=k)
+        if w.shape[0] != k:
+            continue
+        scores = x @ w.T
+        margins = 1.0 - scores[np.arange(len(labels)), labels - 1][:, None] + scores
+        margins[np.arange(len(labels)), labels - 1] = np.inf
+        if np.abs(margins).min() > gap:
+            return w, x, labels
+
+
+class TestHingeHessian:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_loop_oracle(self, k):
+        rng = np.random.default_rng(30 + k)
+        for _ in range(10):
+            w, x, labels = problem_away_from_kinks(rng, k)
+            assert np.abs(hinge_hessian(w, x, labels) - hinge_hessian_loops(w, x, labels)).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_finite_differences_of_gradient(self, k):
+        rng = np.random.default_rng(40 + k)
+        for _ in range(5):
+            w, x, labels = problem_away_from_kinks(rng, k)
+            hess = hinge_hessian(w, x, labels)
+            rows = []
+            for entry in np.ndindex(w.shape):
+                rows.append(finite_difference_grad(lambda m: hinge_grad(m, x, labels)[entry], w).ravel())
+            assert np.abs(hess - np.array(rows)).max() <= 1e-6
+
+    def test_zero_when_no_margin_is_positive(self):
+        w = np.array([[1.0, 0.0], [0.0, 1.0]])
+        x = np.array([[2.0, 0.0], [0.0, 2.0]])
+        assert np.array_equal(hinge_hessian(w, x, [1, 2]), np.zeros((4, 4)))
+
+    def test_symmetric_and_equals_scaled_margin_operator(self):
+        rng = np.random.default_rng(50)
+        w, x, labels = problem_away_from_kinks(rng, 3)
+        hess = hinge_hessian(w, x, labels)
+        assert np.array_equal(hess, hess.T)
+        mask, y0 = active_margins(w, x, labels)
+        cols = []
+        for entry in np.ndindex(w.shape):
+            e = np.zeros(w.shape)
+            e[entry] = 1.0
+            cols.append(np.where(mask, margin_map(e, x, y0), 0.0).ravel())
+        a = np.array(cols).T  # positive margins x flattened weights
+        assert np.allclose(hess, 2.0 / (x.shape[0] * 3) * a.T @ a, rtol=0, atol=1e-12)
+
+
+class TestMarginMaps:
+    def test_map_is_margin_minus_one(self):
+        rng = np.random.default_rng(51)
+        w, x, labels = random_problem(rng)
+        y0 = labels - 1
+        scores = x @ w.T
+        expected = 1.0 - scores[np.arange(len(labels)), y0][:, None] + scores - 1.0
+        assert np.allclose(margin_map(w, x, y0), expected)
+        assert np.array_equal(margin_map(w, x, y0)[np.arange(len(labels)), y0], np.zeros(len(labels)))
+
+    def test_adjoint(self):
+        rng = np.random.default_rng(52)
+        for _ in range(10):
+            w, x, labels = random_problem(rng)
+            y0 = labels - 1
+            lam = rng.normal(size=(x.shape[0], w.shape[0]))
+            own_zeroed = lam.copy()
+            own_zeroed[np.arange(len(labels)), y0] = 0.0
+            lhs = float((margin_map(w, x, y0) * lam).sum())
+            rhs = float((w * margin_adjoint(lam, x, y0)).sum())
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+            assert np.array_equal(margin_adjoint(lam, x, y0), margin_adjoint(own_zeroed, x, y0))
+
+    def test_gradient_is_scaled_adjoint_of_positive_margins(self):
+        rng = np.random.default_rng(53)
+        w, x, labels = random_problem(rng)
+        y0 = labels - 1
+        margins = np.maximum(1.0 + margin_map(w, x, y0), 0.0)
+        expected = margin_adjoint(2.0 * margins, x, y0) / (x.shape[0] * w.shape[0])
+        assert np.allclose(hinge_grad(w, x, labels), expected)
 
 
 class TestGroupReg:

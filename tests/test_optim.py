@@ -18,13 +18,14 @@ from margintree import (
     solve_w,
     subset,
 )
+from margintree.optim import make_prox_spec, prox_jacobian
 from margintree.core import EMPTY_CHAIN
 from margintree.objective import VARIANTS
 import margintree.objective
-from margintree.optim import make_prox_spec
 from helpers import blob_dataset
 from test_objective import chain_of
 from oracles import (
+    finite_difference_grad,
     gradient_descent_smooth_oracle,
     prox_objective,
     prox_optimality_residual,
@@ -32,6 +33,7 @@ from oracles import (
     reference_prox_sparse_group,
     reference_solve_w,
     subgradient_prox_oracle,
+    weight_update_residual,
 )
 
 
@@ -161,6 +163,40 @@ class TestProxSparseGroup:
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
 
+class TestProxJacobian:
+    @staticmethod
+    def away_from_thresholds(rng, spec, s, k, p, gap=1e-3):
+        """K x P point whose entries and soft-thresholded column norms are
+        at least gap from the l1 and group thresholds."""
+        while True:
+            w = rng.normal(size=(k, p)) * 0.5
+            soft = np.abs(w) - s * spec.l1_thresholds
+            norms = np.sqrt((np.maximum(soft, 0.0) ** 2).sum(axis=0))
+            if np.abs(soft).min() > gap and np.abs(norms - s * spec.group_threshold).min() > gap:
+                return w
+
+    @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_central_differences(self, variant, chain_name):
+        rng = np.random.default_rng(23)
+        k, p = 3, 5
+        chain = EMPTY_CHAIN if chain_name == "root" else chain_of(rng.uniform(0, 2, p), rng.uniform(0, 2, p))
+        spec = Regularizer(RegularizerConfig(alpha=2.0, beta=3.0, variant=variant), chain, k, p).prox_spec
+        for s in (0.5, 2.0):
+            w = self.away_from_thresholds(rng, spec, s, k, p)
+            blocks = prox_jacobian(w, spec, s)
+            for entry in np.ndindex(w.shape):
+                numeric = finite_difference_grad(lambda m: prox_sparse_group(m, spec, s)[entry], w, h=1e-6)
+                expected = np.zeros((k, p))
+                expected[:, entry[1]] = blocks[entry[1], entry[0]]
+                assert np.abs(numeric - expected).max() <= 1e-6
+
+    def test_zero_block_inside_group_threshold(self):
+        spec = spec_for(60.0, 0.0, np.zeros(2), 2, 2)  # group threshold 15
+        w = np.array([[10.0, 0.1], [10.0, 0.1]])
+        assert np.array_equal(prox_jacobian(w, spec, 1.0), np.zeros((2, 2, 2)))
+
+
 class TestSolveW:
     def separable_node(self):
         ds = blob_dataset(0, [[5.0, 0.0], [-5.0, 0.0]], per_blob=10, spread=0.3)
@@ -237,12 +273,22 @@ class TestSolveW:
         from_array = solve_w(nd.features, labels, chain, reg, SolverConfig(), w0)
         assert np.array_equal(from_node.weights, from_array.weights)
 
-    def test_memory_zero_still_works(self):
+    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3, 1e7])
+    def test_converges_at_any_feature_magnitude(self, magnitude):
         nd, labels = self.separable_node()
+        x = nd.features * magnitude
         reg = RegularizerConfig(alpha=0.01, beta=0.0)
-        cfg = SolverConfig(lbfgs_memory=0, max_outer_iters=300)
-        w = solve_w(nd, labels, EMPTY_CHAIN, reg, cfg, ClusterModels(np.zeros((2, 2))))
-        assert hinge_loss(w, nd, labels) <= 0.05
+        w = solve_w(x, labels, EMPTY_CHAIN, reg, SolverConfig(), ClusterModels(np.zeros((2, 2))))
+        assert np.any(w.weights != 0.0)
+        assert weight_update_residual(w.weights, x, labels, EMPTY_CHAIN, reg) <= 1e-5
+
+    def test_zero_gradient_at_zero_returns_zero(self):
+        # identical rows, balanced labels: the hinge gradient at w = 0 vanishes, so w = 0 is optimal
+        x = np.ones((4, 3))
+        labels = np.array([1, 2, 1, 2])
+        w0 = ClusterModels(np.arange(6.0).reshape(2, 3))
+        w = solve_w(x, labels, EMPTY_CHAIN, RegularizerConfig(), SolverConfig(), w0)
+        assert np.array_equal(w.weights, np.zeros((2, 3)))
 
 
 def signed_zero_weights():
@@ -296,8 +342,10 @@ def planted_node(k):
     return subset(ds, np.arange(ds.n)), labels, ds.p
 
 
-class TestLeanSolverBitIdentity:
-    """solve_w returns exactly the weights of the frozen reference solver."""
+class TestWeightUpdateOptimality:
+    """solve_w reaches the minimizer of the split objective: its objective is
+    no higher than the earlier proximal L-BFGS solver's under each of that
+    solver's settings, and its optimality residual is at rounding level."""
 
     @staticmethod
     def chain(name, p):
@@ -306,27 +354,33 @@ class TestLeanSolverBitIdentity:
         rng = np.random.default_rng(21)
         return chain_of(rng.normal(size=p), rng.normal(size=p))
 
-    # the default shrink 0.5 keeps every step a power of two, so s * (1/step)
-    # would equal s / step there; shrink 0.3 makes steps that are not
+    @staticmethod
+    def check(nd, labels, chain, reg, w0, ours, reference):
+        def objective(w):
+            return node_objective(w, labels, chain, nd, reg)
+
+        assert objective(ours) <= objective(reference) + 1e-9 * objective(w0)
+        assert weight_update_residual(ours.weights, nd.features, labels, chain, reg) <= 1e-5
+
     @pytest.mark.parametrize("shrink", [0.5, 0.3])
     @pytest.mark.parametrize("memory", [0, 10])
     @pytest.mark.parametrize("k", [2, 4])
     @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_equals_reference(self, variant, chain_name, k, memory, shrink):
+    def test_optimal(self, variant, chain_name, k, memory, shrink):
         nd, labels, p = planted_node(k)
         chain = self.chain(chain_name, p)
         reg = RegularizerConfig(alpha=0.01, beta=0.01, variant=variant)
-        cfg = SolverConfig(lbfgs_memory=memory, max_outer_iters=30, line_search_shrink=shrink)
         w0 = ClusterModels(np.zeros((k, p)))
-        ours = solve_w(nd, labels, chain, reg, cfg, w0)
-        assert np.array_equal(ours.weights, reference_solve_w(nd, labels, chain, reg, cfg, w0))
+        ours = solve_w(nd, labels, chain, reg, SolverConfig(line_search_shrink=shrink), w0)
+        reference = reference_solve_w(nd, labels, chain, reg, w0, memory=memory, shrink=shrink, max_outer_iters=30)
+        self.check(nd, labels, chain, reg, w0, ours, reference)
 
-    def test_equals_reference_from_warm_start(self):
+    def test_optimal_from_warm_start(self):
         rng = np.random.default_rng(22)
         nd, labels, p = planted_node(2)
         chain = self.chain("two_ancestors", p)
         reg = RegularizerConfig(alpha=0.05, beta=0.02)
         w0 = ClusterModels(rng.normal(size=(2, p)))
         ours = solve_w(nd, labels, chain, reg, SolverConfig(), w0)
-        assert np.array_equal(ours.weights, reference_solve_w(nd, labels, chain, reg, SolverConfig(), w0))
+        self.check(nd, labels, chain, reg, w0, ours, reference_solve_w(nd, labels, chain, reg, w0))

@@ -127,6 +127,17 @@ class TestSplitNode:
         assert np.array_equal(a.models.weights, b.models.weights)
         assert a.objective == b.objective
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_objective_at_rounding_level_does_not_raise(self, seed):
+        # the exclusive term is zero at the root, so separable data leave an
+        # objective of about 0; the relative checks must not raise on it
+        ds = blob_dataset(seed, [[5.0, 0.0, 0.0], [-5.0, 0.0, 0.0]], per_blob=15, spread=0.5)
+        nd = subset(ds, np.arange(30))
+        reg = RegularizerConfig(0.01, 0.01, variant="exclusive_only")
+        res = split_node(nd, EMPTY_CHAIN, 2, reg, SolverConfig(), seed=seed)
+        assert 0.0 <= res.objective <= 1e-12
+        assert rand_index(res.labels, ds.labels) == 1.0
+
     def test_reads_node_features_once(self, monkeypatch):
         from margintree import Dataset
 
