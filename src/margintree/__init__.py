@@ -24,7 +24,6 @@ from .data import SyntheticSpec, generate_synthetic, load_dataset, pca_reduce
 from .errors import (
     ConfigError,
     GuardError,
-    InfeasibleFlowError,
     ParseError,
     SolverError,
     StructureError,
@@ -44,7 +43,6 @@ from .metrics import (
     shortest_path_similarity,
 )
 from .objective import (
-    ExclusiveWeights,
     ProxSpec,
     Regularizer,
     RegularizerConfig,

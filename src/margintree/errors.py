@@ -23,10 +23,6 @@ class StructureError(ValidationError):
     """Malformed hierarchy: unknown node, missing models, broken links."""
 
 
-class InfeasibleFlowError(RuntimeError):
-    """The flow network admits no feasible flow (not a solver failure)."""
-
-
 class SolverError(RuntimeError):
     """Numerical optimization failed; message carries diagnostics."""
 

@@ -57,21 +57,6 @@ class RegularizerConfig:
 
 
 @dataclass(frozen=True)
-class ExclusiveWeights:
-    """Per-feature l1 weights lambda_E induced by the ancestor models."""
-
-    lambda_e: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambda_e, dtype=float)
-        if lam.ndim != 1 or not np.all(np.isfinite(lam)) or np.any(lam < 0):
-            raise ValidationError("lambda_e must be a finite non-negative vector")
-        lam = lam.copy()
-        lam.setflags(write=False)
-        object.__setattr__(self, "lambda_e", lam)
-
-
-@dataclass(frozen=True)
 class ProxSpec:
     """Thresholds of the regularizer prox, per unit step: the prox applied
     with step s uses s * l1_thresholds entrywise and s * group_threshold
@@ -228,14 +213,16 @@ def group_reg(models) -> float:
     return float(column_norms(w).sum() / (w.shape[1] * w.shape[0]))
 
 
-def exclusive_weights(chain: AncestorChain, k: int, p: int) -> ExclusiveWeights:
-    """Per-feature l1 weights from the ancestor-path models; zero at the root."""
-    if len(chain) == 0:
-        return ExclusiveWeights(lambda_e=np.zeros(p))
+def exclusive_weights(chain: AncestorChain, k: int, p: int) -> np.ndarray:
+    """Read-only per-feature l1 weights lambda_E from the ancestor-path
+    models; zero at the root."""
     lam = np.zeros(p)
     for models, chosen_child in chain.entries:
         lam += np.abs(models.weights[chosen_child - 1])
-    return ExclusiveWeights(lambda_e=lam / (k * len(chain) * p))
+    if len(chain):
+        lam /= k * len(chain) * p
+    lam.setflags(write=False)
+    return lam
 
 
 def exclusive_reg(models, chain: AncestorChain) -> float:
@@ -243,7 +230,7 @@ def exclusive_reg(models, chain: AncestorChain) -> float:
     w = _weights(models)
     if len(chain) == 0:
         return 0.0
-    lam = exclusive_weights(chain, w.shape[0], w.shape[1]).lambda_e
+    lam = exclusive_weights(chain, w.shape[0], w.shape[1])
     return float((np.abs(w) * lam).sum())
 
 
@@ -259,7 +246,7 @@ class Regularizer:
     def __init__(self, config: RegularizerConfig, chain: AncestorChain, k: int, p: int):
         self.config = config
         self.lambda_g = 1.0 / (p * k)
-        self.lambda_e = exclusive_weights(chain, k, p).lambda_e
+        self.lambda_e = exclusive_weights(chain, k, p)
         self._has_ancestors = len(chain) > 0
         alpha, beta, variant = config.alpha, config.beta, config.variant
         if variant == "sparse_group":

@@ -2,16 +2,20 @@
 the smooth squared-hinge loss plus the nonsmooth weighted sparse-group
 regularizer.
 
-Each outer iteration builds the exact generalized Hessian H of the squared
-hinge (piecewise quadratic) at the current point w, damps it by mu = |r|, r
-the prox-gradient residual at the step 1/L (L = 2 lambda_max(X^T X)/n, the
+Each outer iteration damps the exact generalized Hessian H of the squared
+hinge (piecewise quadratic) at the current point w by mu = |r|, r the
+prox-gradient residual at the step 1/L (L = 2 lambda_max(X^T X)/n, the
 Lipschitz bound of the hinge gradient), and minimizes the model
 grad.d + d.(H + mu I)d/2 + R(w + d) to a residual of a tenth of |r| by
-semismooth Newton on its dual. An Armijo backtracking on the true objective
-takes the step; if the model step is no descent direction, the
-prox-gradient step at 1/L, which always decreases the objective, is taken
-instead. The run stops once the largest entry of r falls below
-rel_obj_tol times the largest entry of the hinge gradient at w = 0.
+semismooth Newton on its dual. Each dual Newton system is solved in the
+smaller space: over the m positive hinge margins when m is at most the
+number of free weights (those the prox Jacobian does not zero), else over
+the free weights through the Woodbury identity; H is built only when the
+weight space is used. An Armijo backtracking on the true objective takes
+the step; if the model step is no descent direction, the prox-gradient step
+at 1/L, which always decreases the objective, is taken instead. The run
+stops once the largest entry of r falls below rel_obj_tol times the largest
+entry of the hinge gradient at w = 0.
 
 The prox of the regularizer is the two-step composition: entrywise
 soft-threshold with the ancestor-induced per-feature weights, then
@@ -20,6 +24,7 @@ column-wise group shrinkage.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -36,9 +41,9 @@ from .objective import (
     active_margins,
     hinge_grad,
     hinge_hessian,
+    hinge_loss,
     margin_adjoint,
     margin_map,
-    hinge_loss,
     regularizer_value,  # noqa: F401  perfbench/layers.py traces calls through optim.regularizer_value
 )
 
@@ -66,11 +71,6 @@ class SolverConfig:
             raise ValidationError("line_search_shrink must lie in (0, 1)")
         if self.sufficient_decrease <= 0 or self.rel_obj_tol <= 0:
             raise ValidationError("tolerances must be positive")
-
-
-def make_prox_spec(reg: RegularizerConfig, chain: AncestorChain, k: int, p: int) -> ProxSpec:
-    """Per-variant prox thresholds of the split's Regularizer."""
-    return Regularizer(reg, chain, k, p).prox_spec
 
 
 def prox_weighted_l1(w: np.ndarray, thresholds) -> np.ndarray:
@@ -131,24 +131,91 @@ def _jacobian_product(blocks: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.matmul(blocks, by_column).transpose(1, 0, 2).reshape(m.shape)
 
 
-def _solve_dual_model(w, grad, hess, mu, margins, c, regularizer, tol):
+def _margin_matrix(x: np.ndarray, y0: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The map A from row-major K x P weights to the positive margins, as an
+    m x K P matrix: one row (e_y - e_{y_i}) kron x_i per entry (i, y) of the
+    n x K mask, in row-major order; y0 holds 0-based labels."""
+    inst, cls = np.nonzero(mask)
+    rows = np.arange(inst.size)
+    a = np.zeros((inst.size, mask.shape[1], x.shape[1]))
+    a[rows, cls] = x[inst]
+    a[rows, y0[inst]] = -x[inst]
+    return a.reshape(inst.size, a.shape[1] * a.shape[2])
+
+
+def _margin_space_step(blocks, grad_dual, c, mu, a):
+    """Dual Newton step (I/c + A J A^T/mu)^-1 grad_dual, solved as an m x m
+    system over the positive margins; a is A (m x K P). Returns the step and
+    A^T of it as a K x P array."""
+    p, k, _ = blocks.shape
+    live = blocks.any(axis=(1, 2))  # A J A^T sums over the columns where J is nonzero
+    a_live = a.reshape(a.shape[0], k, p)[:, :, live].reshape(a.shape[0], -1)
+    system = a_live @ _jacobian_product(blocks[live], a_live.T)
+    system /= mu
+    system[np.diag_indices(a.shape[0])] += 1.0 / c
+    delta = np.linalg.solve(system, grad_dual)
+    return delta, (delta @ a).reshape(blocks.shape[1], -1)
+
+
+def _weight_space_step(blocks, free, grad_dual, at_grad, c, mu, forward, hess):
+    """The same step through the Woodbury identity: (mu I + J hess) step =
+    c J A^T grad_dual, solved on the free rows only (a row where J vanishes
+    gives step 0 there), then delta = c (grad_dual - A step); at_grad is
+    A^T grad_dual (K x P), forward maps K x P weights z to A z and hess =
+    c A^T A. Returns delta and A^T delta."""
+    system = _jacobian_product(blocks, hess)[np.ix_(free, free)]
+    system[np.diag_indices(free.size)] += mu
+    step = np.zeros(hess.shape[0])
+    step[free] = np.linalg.solve(system, c * _jacobian_product(blocks, at_grad).ravel()[free])
+    delta = c * (grad_dual - forward(step.reshape(at_grad.shape)))
+    return delta, c * at_grad - hess.dot(step).reshape(at_grad.shape)
+
+
+def _solve_dual_model(w, grad, hessian, mu, margins, c, regularizer, tol, *, space=None):
     """Minimize the model q(z) + R(z), q(z) = grad.(z - w) + c |A(z - w)|^2/2
-    + mu |z - w|^2/2 with hess = c A^T A, over K x P points z, to a
+    + mu |z - w|^2/2 with hessian() = c A^T A, over K x P points z, to a
     subgradient residual of tol; returns the last primal point.
 
-    A maps weights to the positive margins: margins = (x, y0, mask) over
+    A maps weights to the m positive margins: margins = (x, y0, mask) over
     the instances with one. Semismooth Newton runs on the dual, maximizing
     D(lam) = -|lam|^2/(2c) + lam.A(z - w) + psi(z), z = prox_{R/mu}(w - (grad
     + A^T lam)/mu), psi the rest of the model: it is smooth and concave, its
     generalized Hessian -(I/c + A J A^T/mu) is negative definite whatever the
-    conditioning of hess (J the per-column Jacobian of the prox), and
-    A^T(c grad D) is the model's subgradient residual at z. Newton systems
-    are solved in weight space through the Woodbury identity.
+    conditioning of c A^T A (J the per-column Jacobian of the prox), and
+    A^T(c grad D) is the model's subgradient residual at z.
+
+    Each Newton system is solved in the smaller of two spaces: over the m
+    margins when m is at most the number of free weights (the rows where J
+    is nonzero), else over the free weights through the Woodbury identity.
+    hessian is a callable so that the K P x K P matrix is built only when
+    the weight space is used. space ('margin' or 'weight') pins the choice;
+    it exists for tests.
     """
     x, y0, mask = margins
     spec = regularizer.prox_spec
     shape, s = w.shape, 1.0 / mu
     base = w - s * grad
+    m = int(np.count_nonzero(mask))
+    if m <= w.size or space == "margin":
+        # the margin space can be chosen (it needs m <= |free| <= K P), and A
+        # has at most (K P)^2 entries: build it once and map through it
+        a = _margin_matrix(x, y0, mask)
+
+        def forward(z):
+            return a @ z.ravel()
+
+        def adjoint(lam):
+            return (lam @ a).reshape(shape)
+
+    else:
+
+        def forward(z):
+            return margin_map(z, x, y0)[mask]
+
+        def adjoint(lam):
+            full = np.zeros(mask.shape)
+            full[mask] = lam
+            return margin_adjoint(full, x, y0)
 
     def primal(at_lam):
         v = base - s * at_lam
@@ -157,28 +224,24 @@ def _solve_dual_model(w, grad, hess, mu, margins, c, regularizer, tol):
         psi = 0.5 * mu * float((d * d).sum()) + float((grad * d).sum()) + regularizer.value(z)
         return v, z, d, psi
 
-    lam = np.zeros(mask.shape)
+    lam = np.zeros(m)
     at_lam = np.zeros(shape)  # A^T lam
     v, z, d, dual = primal(at_lam)
     for _ in range(DUAL_NEWTON_STEPS):
-        grad_dual = np.where(mask, margin_map(d, x, y0), 0.0) - lam / c
-        at_grad = margin_adjoint(grad_dual, x, y0)
+        grad_dual = forward(d) - lam / c
+        at_grad = adjoint(grad_dual)
         if c * math.sqrt(float((at_grad * at_grad).sum())) <= tol:
             break
-        # (mu I + J hess) step = c J A^T grad_dual; a row where J vanishes
-        # gives step 0 there, so the system is solved on the other rows only
         blocks = prox_jacobian(v, spec, s)
         free = np.flatnonzero(blocks.any(axis=2).T)
-        system = _jacobian_product(blocks, hess)[np.ix_(free, free)]
-        system[np.diag_indices(free.size)] += mu
-        step = np.zeros(w.size)
         try:
-            step[free] = np.linalg.solve(system, c * _jacobian_product(blocks, at_grad).ravel()[free])
+            if (space or ("margin" if m <= free.size else "weight")) == "margin":
+                delta, at_delta = _margin_space_step(blocks, grad_dual, c, mu, a)
+            else:
+                delta, at_delta = _weight_space_step(blocks, free, grad_dual, at_grad, c, mu, forward, hessian())
         except np.linalg.LinAlgError:
             break
-        delta = c * (grad_dual - np.where(mask, margin_map(step.reshape(shape), x, y0), 0.0))
-        at_delta = c * at_grad - hess.dot(step).reshape(shape)
-        slope = float((grad_dual * delta).sum())
+        slope = float(grad_dual.dot(delta))
         if not slope > 0.0:
             break
         t = 1.0
@@ -186,7 +249,7 @@ def _solve_dual_model(w, grad, hess, mu, margins, c, regularizer, tol):
             at_new = at_lam + t * at_delta
             lam_new = lam + t * delta
             v_new, z_new, d_new, psi_new = primal(at_new)
-            dual_new = float((at_new * d_new).sum()) + psi_new - float((lam_new * lam_new).sum()) / (2.0 * c)
+            dual_new = float((at_new * d_new).sum()) + psi_new - float(lam_new.dot(lam_new)) / (2.0 * c)
             if dual_new >= dual + DUAL_ASCENT * t * slope:
                 break
             t *= 0.5
@@ -246,8 +309,9 @@ def solve_w(
         active, y0 = active_margins(w, x, labels)
         rows = active.any(axis=1)
         margins = (x, y0, active) if rows.all() else (x[rows], y0[rows], active[rows])
-        hess = hinge_hessian(w, x, labels)
-        z = _solve_dual_model(w, grad, hess, DAMPING * r_norm, margins, c, regularizer, INEXACTNESS * r_norm)
+        # built on the first weight-space Newton step of this model, if any
+        hessian = functools.cache(functools.partial(hinge_hessian, w, x, labels))
+        z = _solve_dual_model(w, grad, hessian, DAMPING * r_norm, margins, c, regularizer, INEXACTNESS * r_norm)
         if not np.all(np.isfinite(z)):
             raise SolverError(f"iterate diverged at outer iteration {outer}")
         d = z - w

@@ -17,8 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from margintree.core import features_of
-from margintree.errors import ConfigError, GuardError, InfeasibleFlowError, SolverError, ValidationError
+from margintree.errors import ConfigError, GuardError, SolverError, ValidationError
 from margintree.objective import Regularizer, exclusive_weights, hinge_grad, hinge_loss
+
+
+class InfeasibleFlowError(RuntimeError):
+    """The flow network admits no feasible flow (not a solver failure)."""
 
 
 def finite_difference_grad(fn, w: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -145,6 +149,25 @@ def prox_optimality_residual(
     return _subgradient_distance(u, (w - u) / s, beta * np.asarray(lam_e, dtype=float), alpha / (p * k), 0.0)
 
 
+def _regularizer_terms(chain, reg, k: int, p: int) -> tuple[np.ndarray, float, float]:
+    """The (l1, group, quad) weights of _subgradient_distance for the
+    variant's regularizer, from the definitions."""
+    lam_g = 1.0 / (p * k)
+    lam_e = np.zeros(p)
+    for models, child in chain.entries:
+        lam_e += np.abs(models.weights[child - 1])
+    if len(chain):
+        lam_e /= k * len(chain) * p
+    a, b = reg.alpha, reg.beta
+    return {
+        "sparse_group": (b * lam_e, a * lam_g, 0.0),
+        "group_only": (np.zeros(p), a * lam_g, 0.0),
+        "exclusive_only": (b * lam_e, 0.0, 0.0),
+        "l1": (np.full(p, a * lam_g), 0.0, 0.0),
+        "squared_l2": (np.zeros(p), 0.0, a * lam_g),
+    }[reg.variant]
+
+
 def weight_update_residual(w: np.ndarray, x: np.ndarray, labels, chain, reg) -> float:
     """Relative optimality residual of K x P weights for the split objective:
     the largest distance of minus the hinge gradient from the subdifferential
@@ -153,22 +176,21 @@ def weight_update_residual(w: np.ndarray, x: np.ndarray, labels, chain, reg) -> 
     w = np.asarray(w, dtype=float)
     k, p = w.shape
     labels = np.asarray(labels)
-    lam_g = 1.0 / (p * k)
-    lam_e = np.zeros(p)
-    for models, child in chain.entries:
-        lam_e += np.abs(models.weights[child - 1])
-    if len(chain):
-        lam_e /= k * len(chain) * p
-    a, b = reg.alpha, reg.beta
-    l1, group, quad = {
-        "sparse_group": (b * lam_e, a * lam_g, 0.0),
-        "group_only": (np.zeros(p), a * lam_g, 0.0),
-        "exclusive_only": (b * lam_e, 0.0, 0.0),
-        "l1": (np.full(p, a * lam_g), 0.0, 0.0),
-        "squared_l2": (np.zeros(p), 0.0, a * lam_g),
-    }[reg.variant]
     scale = float(np.abs(hinge_grad_loops(np.zeros((k, p)), x, labels)).max())
-    return _subgradient_distance(w, -hinge_grad_loops(w, x, labels), l1, group, quad) / scale
+    terms = _regularizer_terms(chain, reg, k, p)
+    return _subgradient_distance(w, -hinge_grad_loops(w, x, labels), *terms) / scale
+
+
+def model_residual(z: np.ndarray, w: np.ndarray, grad: np.ndarray, hess: np.ndarray, mu: float, chain, reg) -> float:
+    """Optimality residual at z of the weight update's Newton model
+    grad.(z - w) + (z - w).(hess + mu I)(z - w)/2 + R(z): the largest distance
+    of minus the model gradient from the subdifferential of the regularizer
+    (0 at the model minimizer). The model is mu-strongly convex, so z lies
+    within sqrt(K P) times this, over mu, of its minimizer."""
+    k, p = z.shape
+    d = (z - w).ravel()
+    model_grad = grad + (hess.dot(d) + mu * d).reshape(k, p)
+    return _subgradient_distance(z, -model_grad, *_regularizer_terms(chain, reg, k, p))
 
 
 def gradient_descent_smooth_oracle(
@@ -323,7 +345,7 @@ def reference_solve_w(
     k, p = w.shape
     labels = np.asarray(labels, dtype=np.int64)
     x = features_of(data)
-    lambda_e = exclusive_weights(chain, k, p).lambda_e
+    lambda_e = exclusive_weights(chain, k, p)
     has_ancestors = len(chain) > 0
     spec = Regularizer(reg, chain, k, p).prox_spec
 

@@ -240,19 +240,19 @@ class TestGroupReg:
 
 class TestExclusive:
     def test_empty_chain_zero_vector(self):
-        lam = exclusive_weights(EMPTY_CHAIN, 2, 5).lambda_e
+        lam = exclusive_weights(EMPTY_CHAIN, 2, 5)
         assert np.array_equal(lam, np.zeros(5))
 
     def test_hand_lambda(self):
         chain = chain_of([3.0, 0.0])
-        lam = exclusive_weights(chain, 1, 2).lambda_e
+        lam = exclusive_weights(chain, 1, 2)
         assert np.allclose(lam, [1.5, 0.0])
 
     def test_homogeneous_in_ancestors(self):
         chain1 = chain_of([1.0, -2.0, 0.5])
         chain2 = chain_of([2.0, -4.0, 1.0])
-        lam1 = exclusive_weights(chain1, 3, 3).lambda_e
-        lam2 = exclusive_weights(chain2, 3, 3).lambda_e
+        lam1 = exclusive_weights(chain1, 3, 3)
+        lam2 = exclusive_weights(chain2, 3, 3)
         assert np.allclose(lam2, 2 * lam1)
 
     def test_empty_chain_reg_zero(self):
@@ -316,7 +316,7 @@ class TestRegularizer:
     def test_lambdas_match_chain(self):
         chain = self.CHAINS["two_ancestors"]
         regularizer = Regularizer(RegularizerConfig(), chain, 3, 4)
-        assert np.array_equal(regularizer.lambda_e, exclusive_weights(chain, 3, 4).lambda_e)
+        assert np.array_equal(regularizer.lambda_e, exclusive_weights(chain, 3, 4))
         assert regularizer.lambda_g == 1.0 / 12
         assert not regularizer.lambda_e.flags.writeable
 

@@ -18,15 +18,23 @@ from margintree import (
     solve_w,
     subset,
 )
-from margintree.optim import make_prox_spec, prox_jacobian
+from margintree.optim import (
+    _margin_matrix,
+    _margin_space_step,
+    _solve_dual_model,
+    _weight_space_step,
+    prox_jacobian,
+)
 from margintree.core import EMPTY_CHAIN
-from margintree.objective import VARIANTS
+from margintree.objective import VARIANTS, active_margins, hinge_grad, hinge_hessian, margin_adjoint, margin_map
 import margintree.objective
+import margintree.optim
 from helpers import blob_dataset
 from test_objective import chain_of
 from oracles import (
     finite_difference_grad,
     gradient_descent_smooth_oracle,
+    model_residual,
     prox_objective,
     prox_optimality_residual,
     reference_prox_group,
@@ -98,7 +106,7 @@ def random_prox_instance(rng):
 def spec_for(alpha, beta, lam_e, k, p):
     chain = chain_of(lam_e * (k * 1 * p))  # ancestor row chosen so lambda_e reproduces exactly
     reg = RegularizerConfig(alpha=alpha, beta=beta, variant="sparse_group")
-    return make_prox_spec(reg, chain, k, p)
+    return Regularizer(reg, chain, k, p).prox_spec
 
 
 class TestProxSparseGroup:
@@ -145,7 +153,7 @@ class TestProxSparseGroup:
         rng = np.random.default_rng(6)
         w = rng.normal(size=(2, 3))
         reg = RegularizerConfig(alpha=1.5, beta=0.0, variant="squared_l2")
-        spec = make_prox_spec(reg, EMPTY_CHAIN, 2, 3)
+        spec = Regularizer(reg, EMPTY_CHAIN, 2, 3).prox_spec
         out = prox_sparse_group(w, spec, 2.0)
         assert np.allclose(out, w / (1.0 + 2.0 * 2.0 * 1.5 / 6.0))
 
@@ -384,3 +392,103 @@ class TestWeightUpdateOptimality:
         w0 = ClusterModels(rng.normal(size=(2, p)))
         ours = solve_w(nd, labels, chain, reg, SolverConfig(), w0)
         self.check(nd, labels, chain, reg, w0, ours, reference_solve_w(nd, labels, chain, reg, w0))
+
+
+def relative_gap(ours, reference):
+    return float(np.linalg.norm(ours - reference)) / max(float(np.linalg.norm(reference)), 1e-300)
+
+
+class TestDualNewtonSpaces:
+    """The dual Newton step (I/c + A J A^T/mu)^-1 g is the same whether it is
+    solved over the m positive margins or over the free weights through the
+    Woodbury identity, and so is the model minimizer."""
+
+    MU = 0.37  # neither 1 nor c, so that a dropped 1/mu or 1/c term shows
+
+    # (n, p): few margins and many free weights, or the other way round
+    SIZES = {"m < free": (3, 10), "m > free": (60, 3)}
+
+    @classmethod
+    def problem(cls, k, variant, chain_name, sizes, seed):
+        rng = np.random.default_rng(seed)
+        n, p = cls.SIZES[sizes]
+        x = rng.normal(size=(n, p))
+        labels = rng.integers(1, k + 1, size=n)
+        w = rng.normal(size=(k, p)) * 0.3
+        chain = EMPTY_CHAIN if chain_name == "root" else chain_of(rng.normal(size=p), rng.normal(size=p))
+        regularizer = Regularizer(RegularizerConfig(alpha=0.3, beta=0.3, variant=variant), chain, k, p)
+        mask, y0 = active_margins(w, x, labels)
+        return rng, x, labels, w, chain, regularizer, (x, y0, mask), 2.0 / (n * k)
+
+    def test_margin_matrix_is_the_margin_map(self):
+        rng = np.random.default_rng(60)
+        x, y0 = rng.normal(size=(7, 4)), rng.integers(0, 3, size=7)
+        mask = rng.random((7, 3)) < 0.5
+        mask[np.arange(7), y0] = False
+        a = _margin_matrix(x, y0, mask)
+        z, lam = rng.normal(size=(3, 4)), np.zeros((7, 3))
+        lam[mask] = rng.normal(size=int(mask.sum()))
+        assert np.allclose(a @ z.ravel(), margin_map(z, x, y0)[mask], rtol=0, atol=1e-12)
+        assert np.allclose(lam[mask] @ a, margin_adjoint(lam, x, y0).ravel(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sizes", sorted(SIZES))
+    @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_steps_agree(self, k, variant, chain_name, sizes):
+        rng, x, labels, w, _, regularizer, margins, c = self.problem(k, variant, chain_name, sizes, seed=61 + k)
+        a = _margin_matrix(*margins)
+        spec, s = regularizer.prox_spec, 1.0 / self.MU
+        lam = rng.uniform(0.0, 1.0, size=a.shape[0])
+        blocks = prox_jacobian(w - s * (hinge_grad(w, x, labels) + (lam @ a).reshape(w.shape)), spec, s)
+        free = np.flatnonzero(blocks.any(axis=2).T)
+        assert (a.shape[0] < free.size) == (sizes == "m < free")
+        grad_dual = rng.normal(size=a.shape[0])
+        at_grad = (grad_dual @ a).reshape(w.shape)
+        delta, at_delta = _margin_space_step(blocks, grad_dual, c, self.MU, a)
+        woodbury, at_woodbury = _weight_space_step(
+            blocks, free, grad_dual, at_grad, c, self.MU, lambda z: a @ z.ravel(), hinge_hessian(w, x, labels)
+        )
+        assert relative_gap(delta, woodbury) <= 1e-9
+        assert relative_gap(at_delta, at_woodbury) <= 1e-9
+
+    @pytest.mark.parametrize("sizes", sorted(SIZES))
+    @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_model_minimizer_agrees(self, k, variant, chain_name, sizes):
+        _, x, labels, w, chain, regularizer, margins, c = self.problem(k, variant, chain_name, sizes, seed=71 + k)
+        grad, hess = hinge_grad(w, x, labels), hinge_hessian(w, x, labels)
+        # with tol 0 each solve runs until the dual stops rising above its
+        # rounding, which leaves model residuals of up to a few 1e-8 here
+        ours, woodbury = (
+            _solve_dual_model(w, grad, lambda: hess, self.MU, margins, c, regularizer, 0.0, space=space)
+            for space in ("margin", "weight")
+        )
+        residuals = [model_residual(z, w, grad, hess, self.MU, chain, regularizer.config) for z in (ours, woodbury)]
+        assert max(residuals) <= 1e-7 * np.abs(grad).max()
+        # the model is MU-strongly convex, so each point lies within
+        # sqrt(K P) residual / MU of the minimizer: that bounds the gap where
+        # the rounding floor is above 1e-9
+        certified = np.sqrt(w.size) * sum(residuals) / self.MU
+        assert np.linalg.norm(ours - woodbury) <= max(1e-9 * np.linalg.norm(woodbury), certified)
+
+    def test_space_follows_sizes_and_hessian_is_lazy(self, monkeypatch):
+        nd, labels, p = planted_node(4)
+        spaces, hessians = [], []
+        for name in ("margin", "weight"):
+            step = getattr(margintree.optim, f"_{name}_space_step")
+
+            def spy(blocks, *args, _name=name, _step=step):
+                grad_dual = args[0] if _name == "margin" else args[1]
+                spaces.append((_name, grad_dual.size <= int(blocks.any(axis=2).sum())))
+                return _step(blocks, *args)
+
+            monkeypatch.setattr(margintree.optim, f"_{name}_space_step", spy)
+        hessian = margintree.optim.hinge_hessian
+        monkeypatch.setattr(margintree.optim, "hinge_hessian", lambda *args: hessians.append(1) or hessian(*args))
+        reg = RegularizerConfig(alpha=0.01, beta=0.01)
+        solve_w(nd, labels, EMPTY_CHAIN, reg, SolverConfig(), ClusterModels(np.zeros((4, p))))
+        assert {name for name, _ in spaces} == {"margin", "weight"}
+        assert all(smaller == (name == "margin") for name, smaller in spaces)
+        assert len(hessians) <= sum(name == "weight" for name, _ in spaces)
