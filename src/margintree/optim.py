@@ -171,7 +171,7 @@ def _weight_space_step(blocks, free, grad_dual, at_grad, c, mu, forward, hess):
     return delta, c * at_grad - hess.dot(step).reshape(at_grad.shape)
 
 
-def _solve_dual_model(w, grad, hessian, mu, margins, c, regularizer, tol, *, space=None):
+def _solve_dual_model(w, grad, hessian, mu, margins, c, regularizer, tol):
     """Minimize the model q(z) + R(z), q(z) = grad.(z - w) + c |A(z - w)|^2/2
     + mu |z - w|^2/2 with hessian() = c A^T A, over K x P points z, to a
     subgradient residual of tol; returns the last primal point.
@@ -187,35 +187,26 @@ def _solve_dual_model(w, grad, hessian, mu, margins, c, regularizer, tol, *, spa
     Each Newton system is solved in the smaller of two spaces: over the m
     margins when m is at most the number of free weights (the rows where J
     is nonzero), else over the free weights through the Woodbury identity.
-    hessian is a callable so that the K P x K P matrix is built only when
-    the weight space is used. space ('margin' or 'weight') pins the choice;
-    it exists for tests.
+    The m x K P matrix of A is built on the first margin-space step and
+    hessian is a callable, so that the K P x K P matrix is built only when
+    the weight space is used.
     """
     x, y0, mask = margins
     spec = regularizer.prox_spec
     shape, s = w.shape, 1.0 / mu
     base = w - s * grad
     m = int(np.count_nonzero(mask))
-    if m <= w.size or space == "margin":
-        # the margin space can be chosen (it needs m <= |free| <= K P), and A
-        # has at most (K P)^2 entries: build it once and map through it
-        a = _margin_matrix(x, y0, mask)
+    # built for margin-space steps only, which need m <= |free| <= K P: A has at
+    # most (K P)^2 entries
+    a = functools.cache(functools.partial(_margin_matrix, x, y0, mask))
 
-        def forward(z):
-            return a @ z.ravel()
+    def forward(z):
+        return margin_map(z, x, y0)[mask]
 
-        def adjoint(lam):
-            return (lam @ a).reshape(shape)
-
-    else:
-
-        def forward(z):
-            return margin_map(z, x, y0)[mask]
-
-        def adjoint(lam):
-            full = np.zeros(mask.shape)
-            full[mask] = lam
-            return margin_adjoint(full, x, y0)
+    def adjoint(lam):
+        full = np.zeros(mask.shape)
+        full[mask] = lam
+        return margin_adjoint(full, x, y0)
 
     def primal(at_lam):
         v = base - s * at_lam
@@ -235,8 +226,8 @@ def _solve_dual_model(w, grad, hessian, mu, margins, c, regularizer, tol, *, spa
         blocks = prox_jacobian(v, spec, s)
         free = np.flatnonzero(blocks.any(axis=2).T)
         try:
-            if (space or ("margin" if m <= free.size else "weight")) == "margin":
-                delta, at_delta = _margin_space_step(blocks, grad_dual, c, mu, a)
+            if m <= free.size:
+                delta, at_delta = _margin_space_step(blocks, grad_dual, c, mu, a())
             else:
                 delta, at_delta = _weight_space_step(blocks, free, grad_dual, at_grad, c, mu, forward, hessian())
         except np.linalg.LinAlgError:

@@ -394,14 +394,20 @@ class TestWeightUpdateOptimality:
         self.check(nd, labels, chain, reg, w0, ours, reference_solve_w(nd, labels, chain, reg, w0))
 
 
+# a dual that stops once it no longer rises above its rounding leaves its
+# primal point about sqrt(eps) from the model minimizer
+GAP = 4.0 * float(np.sqrt(np.finfo(float).eps))
+
+
 def relative_gap(ours, reference):
     return float(np.linalg.norm(ours - reference)) / max(float(np.linalg.norm(reference)), 1e-300)
 
 
 class TestDualNewtonSpaces:
-    """The dual Newton step (I/c + A J A^T/mu)^-1 g is the same whether it is
-    solved over the m positive margins or over the free weights through the
-    Woodbury identity, and so is the model minimizer."""
+    """The dual Newton step (I/c + A J A^T/mu)^-1 g is the same, to 1e-9,
+    whether it is solved over the m positive margins or over the free weights
+    through the Woodbury identity; the model minimizer reached in either
+    space is the same to the rounding level at which the dual stops."""
 
     MU = 0.37  # neither 1 nor c, so that a dropped 1/mu or 1/c term shows
 
@@ -452,26 +458,44 @@ class TestDualNewtonSpaces:
         assert relative_gap(delta, woodbury) <= 1e-9
         assert relative_gap(at_delta, at_woodbury) <= 1e-9
 
+    @staticmethod
+    def pin_space(monkeypatch, space, margins, hess):
+        """Make _solve_dual_model take every Newton step in one space, whatever
+        the sizes, by routing the other step helper to it."""
+        a = _margin_matrix(*margins)
+        if space == "margin":
+
+            def step(blocks, free, grad_dual, at_grad, c, mu, forward, hessian):
+                return _margin_space_step(blocks, grad_dual, c, mu, a)
+
+            monkeypatch.setattr(margintree.optim, "_weight_space_step", step)
+        else:
+
+            def step(blocks, grad_dual, c, mu, _a):
+                free = np.flatnonzero(blocks.any(axis=2).T)
+                at_grad = (grad_dual @ a).reshape(blocks.shape[1], -1)
+                return _weight_space_step(blocks, free, grad_dual, at_grad, c, mu, lambda z: a @ z.ravel(), hess)
+
+            monkeypatch.setattr(margintree.optim, "_margin_space_step", step)
+
     @pytest.mark.parametrize("sizes", sorted(SIZES))
     @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_model_minimizer_agrees(self, k, variant, chain_name, sizes):
+    def test_model_minimizer_agrees(self, k, variant, chain_name, sizes, monkeypatch):
         _, x, labels, w, chain, regularizer, margins, c = self.problem(k, variant, chain_name, sizes, seed=71 + k)
         grad, hess = hinge_grad(w, x, labels), hinge_hessian(w, x, labels)
+        minimizers = []
+        for space in ("margin", "weight"):
+            with monkeypatch.context() as patch:
+                self.pin_space(patch, space, margins, hess)
+                minimizers.append(_solve_dual_model(w, grad, lambda: hess, self.MU, margins, c, regularizer, 0.0))
+        ours, woodbury = minimizers
         # with tol 0 each solve runs until the dual stops rising above its
         # rounding, which leaves model residuals of up to a few 1e-8 here
-        ours, woodbury = (
-            _solve_dual_model(w, grad, lambda: hess, self.MU, margins, c, regularizer, 0.0, space=space)
-            for space in ("margin", "weight")
-        )
-        residuals = [model_residual(z, w, grad, hess, self.MU, chain, regularizer.config) for z in (ours, woodbury)]
-        assert max(residuals) <= 1e-7 * np.abs(grad).max()
-        # the model is MU-strongly convex, so each point lies within
-        # sqrt(K P) residual / MU of the minimizer: that bounds the gap where
-        # the rounding floor is above 1e-9
-        certified = np.sqrt(w.size) * sum(residuals) / self.MU
-        assert np.linalg.norm(ours - woodbury) <= max(1e-9 * np.linalg.norm(woodbury), certified)
+        for z in minimizers:
+            assert model_residual(z, w, grad, hess, self.MU, chain, regularizer.config) <= 1e-7 * np.abs(grad).max()
+        assert relative_gap(ours, woodbury) <= GAP
 
     def test_space_follows_sizes_and_hessian_is_lazy(self, monkeypatch):
         nd, labels, p = planted_node(4)
