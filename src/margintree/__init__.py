@@ -23,7 +23,6 @@ from .core import (
 from .data import SyntheticSpec, generate_synthetic, load_dataset, pca_reduce
 from .errors import (
     ConfigError,
-    GuardError,
     ParseError,
     SolverError,
     StructureError,
@@ -43,7 +42,6 @@ from .metrics import (
     shortest_path_similarity,
 )
 from .objective import (
-    ProxSpec,
     Regularizer,
     RegularizerConfig,
     cost_matrix,

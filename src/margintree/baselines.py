@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ClusterModels, Dataset, Hierarchy, NodeData, TreeNode
-from .hier import BuildConfig, _Candidate, grow_tree, node_seed
+from .hier import BuildConfig, Candidate, grow_tree, node_seed
 from .kmeans import KMeansResult, kmeans
 
 
@@ -31,18 +31,16 @@ def hkm_d_split_score(data: NodeData) -> float:
     return float(np.linalg.norm(x - center, axis=1).sum())
 
 
-def _kmeans_candidate(leaf: TreeNode, k: int, seed: int) -> tuple[KMeansResult, _Candidate]:
-    result = kmeans(leaf.data, k, seed)
-    models = ClusterModels(weights=result.centroids) if k >= 2 else None
-    return result, _Candidate(labels=result.labels, models=models, score=0.0)
+def _candidate(result: KMeansResult, score: float) -> Candidate:
+    return Candidate(labels=result.labels, models=ClusterModels(weights=result.centroids), score=score)
 
 
 def build_hkm(dataset: Dataset, config: BuildConfig) -> Hierarchy:
     """Top-down k-means, growing the leaf whose split is most compact."""
 
-    def evaluate(hierarchy: Hierarchy, leaf: TreeNode, node_id: int) -> _Candidate:
-        result, cand = _kmeans_candidate(leaf, config.k, node_seed(config.seed, node_id))
-        return _Candidate(labels=cand.labels, models=cand.models, score=hkm_split_score(result, leaf.data))
+    def evaluate(hierarchy: Hierarchy, leaf: TreeNode, node_id: int) -> Candidate:
+        result = kmeans(leaf.data, config.k, node_seed(config.seed, node_id))
+        return _candidate(result, hkm_split_score(result, leaf.data))
 
     return grow_tree(dataset, config.k, config.stop, evaluate)
 
@@ -50,8 +48,8 @@ def build_hkm(dataset: Dataset, config: BuildConfig) -> Hierarchy:
 def build_hkm_d(dataset: Dataset, config: BuildConfig) -> Hierarchy:
     """Top-down k-means, growing the leaf with the most scattered data."""
 
-    def evaluate(hierarchy: Hierarchy, leaf: TreeNode, node_id: int) -> _Candidate:
-        _, cand = _kmeans_candidate(leaf, config.k, node_seed(config.seed, node_id))
-        return _Candidate(labels=cand.labels, models=cand.models, score=hkm_d_split_score(leaf.data))
+    def evaluate(hierarchy: Hierarchy, leaf: TreeNode, node_id: int) -> Candidate:
+        result = kmeans(leaf.data, config.k, node_seed(config.seed, node_id))
+        return _candidate(result, hkm_d_split_score(leaf.data))
 
     return grow_tree(dataset, config.k, config.stop, evaluate)

@@ -20,11 +20,11 @@ from .baselines import build_hkm, build_hkm_d
 from .core import Dataset, Hierarchy, flat_hierarchy, leaf_partition, subset
 from .data import SyntheticSpec, generate_synthetic, load_dataset, pca_reduce, standardize
 from .errors import SolverError, ValidationError
-from .export import export_hierarchy, load_hierarchy_json, render_json, summary_to_dot
+from .export import SCHEMA_NAME, SCHEMA_VERSION, export_hierarchy, load_hierarchy_json, render_json, summary_to_dot
 from .hier import BuildConfig, StoppingCriterion, build_hierarchy, global_objective
 from .kmeans import kmeans
 from .metrics import ClassTree, score_leaves
-from .objective import RegularizerConfig
+from .objective import VARIANTS, RegularizerConfig
 from .optim import SolverConfig
 
 logger = logging.getLogger(__name__)
@@ -44,7 +44,7 @@ class ExperimentSpec:
     max_height: int | None = None
     alpha: float = 0.01
     beta: float = 0.01
-    variant: str = "sparse_group"
+    variant: str = RegularizerConfig.variant
     solver: SolverConfig = field(default_factory=SolverConfig)
     max_alternations: int = 50
     seed: int = 0
@@ -62,6 +62,8 @@ class ExperimentSpec:
             raise ValidationError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
+        if self.top_features < 0:
+            raise ValidationError(f"top_features must be >= 0, got {self.top_features}")
 
     def stopping(self) -> StoppingCriterion:
         chosen = {
@@ -244,8 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-height", type=int)
     run.add_argument("--alpha", type=float, default=0.01)
     run.add_argument("--beta", type=float, default=0.01)
-    run.add_argument("--variant", choices=("sparse_group", "group_only", "exclusive_only", "l1", "squared_l2"),
-                     default="sparse_group")
+    run.add_argument("--variant", choices=VARIANTS, default=RegularizerConfig.variant)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--restarts", type=int, default=1)
     run.add_argument("--max-outer-iters", type=int, default=100)
@@ -389,8 +390,8 @@ def _cmd_export(args) -> int:
         text = summary_to_dot(summary)
     else:
         payload = {
-            "format": "margintree-hierarchy",
-            "version": 1,
+            "format": SCHEMA_NAME,
+            "version": SCHEMA_VERSION,
             "root": summary.root,
             "incomplete": summary.incomplete,
             "nodes": list(summary.nodes),

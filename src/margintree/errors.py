@@ -27,9 +27,5 @@ class SolverError(RuntimeError):
     """Numerical optimization failed; message carries diagnostics."""
 
 
-class GuardError(RuntimeError):
-    """A brute-force oracle was asked to enumerate too large a space."""
-
-
 class UnsplittableNodeError(Exception):
     """Signal: node has too few instances to split; caller keeps it a leaf."""

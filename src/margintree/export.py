@@ -23,6 +23,8 @@ def hierarchy_to_dict(hierarchy: Hierarchy, top_features: int = 3) -> dict:
     """JSON-ready representation: per node id, parent, depth, member count,
     children, split score, the top-m features of split nodes ranked by the
     column norm of the models, and leaf member ids."""
+    if top_features < 0:
+        raise ValidationError(f"top_features must be >= 0, got {top_features}")
     nodes = []
     for node_id in sorted(hierarchy.nodes):
         node = hierarchy.nodes[node_id]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import ClusterModels, Dataset, Hierarchy, TreeNode, ancestor_chain, subset
 from .errors import UnsplittableNodeError, ValidationError
-from .objective import RegularizerConfig, node_objective
+from .objective import Regularizer, RegularizerConfig, node_objective
 from .optim import SolverConfig
 from .split import SplitResult, split_node
 
@@ -71,9 +71,12 @@ def should_stop(hierarchy: Hierarchy, stop: StoppingCriterion) -> bool:
 
 
 @dataclass(frozen=True)
-class _Candidate:
+class Candidate:
+    """A leaf's candidate split: its labels, the fitted models and the score
+    the builder ranks leaves by."""
+
     labels: np.ndarray
-    models: ClusterModels | None
+    models: ClusterModels
     score: float
 
 
@@ -81,7 +84,7 @@ def grow_tree(
     dataset: Dataset,
     k: int,
     stop: StoppingCriterion,
-    evaluate: Callable[[Hierarchy, TreeNode, int], _Candidate],
+    evaluate: Callable[[Hierarchy, TreeNode, int], Candidate],
 ) -> Hierarchy:
     """Shared greedy builder used by the max-margin method and the k-means
     baselines; `evaluate` returns a leaf's candidate split (labels, models,
@@ -89,7 +92,7 @@ def grow_tree(
     if dataset.n < k:
         raise ValidationError(f"dataset of {dataset.n} instances cannot be split into {k} clusters")
     hierarchy = Hierarchy.with_root(dataset)
-    cache: dict[int, _Candidate | None] = {}
+    cache: dict[int, Candidate | None] = {}
     next_id = 2
     round_no = 0
 
@@ -146,7 +149,7 @@ def grow_tree(
 def build_hierarchy(dataset: Dataset, config: BuildConfig) -> Hierarchy:
     """Greedy max-margin hierarchy over the dataset."""
 
-    def evaluate(hierarchy: Hierarchy, leaf: TreeNode, node_id: int) -> _Candidate:
+    def evaluate(hierarchy: Hierarchy, leaf: TreeNode, node_id: int) -> Candidate:
         result: SplitResult = split_node(
             leaf.data,
             ancestor_chain(hierarchy, leaf.id),
@@ -156,7 +159,7 @@ def build_hierarchy(dataset: Dataset, config: BuildConfig) -> Hierarchy:
             node_seed(config.seed, leaf.id),
             config.max_alternations,
         )
-        return _Candidate(labels=result.labels, models=result.models, score=result.score)
+        return Candidate(labels=result.labels, models=result.models, score=result.score)
 
     return grow_tree(dataset, config.k, config.stop, evaluate)
 
@@ -168,6 +171,6 @@ def global_objective(hierarchy: Hierarchy, dataset: Dataset, reg: RegularizerCon
     for node in hierarchy.non_leaves():
         if node.models is None or node.labels is None:
             raise ValidationError(f"non-leaf node {node.id} has no fitted split")
-        chain = ancestor_chain(hierarchy, node.id)
-        total += node_objective(node.models, node.labels, chain, node.data, reg)
+        regularizer = Regularizer(reg, ancestor_chain(hierarchy, node.id), *node.models.weights.shape)
+        total += node_objective(node.models, node.labels, regularizer, node.data)
     return total

@@ -16,9 +16,9 @@ and the exclusive overlap with the frozen ancestor-path models
 which for fixed ancestors is a weighted l1 norm with per-feature weights
 lambda_E. At the root (no ancestors) E and lambda_E are identically zero.
 
-A Regularizer is built once per weight update: it computes lambda_E and the
-group normalization lambda_G = 1/(P K) from the ancestor chain, and owns the
-variant table for both the regularizer value and its prox thresholds.
+A Regularizer is built once per split: it computes lambda_E and the group
+normalization lambda_G = 1/(P K) from the ancestor chain, and holds the one
+table of variants, each with its value and the coefficients of its prox.
 """
 
 from __future__ import annotations
@@ -54,26 +54,6 @@ class RegularizerConfig:
             raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-
-
-@dataclass(frozen=True)
-class ProxSpec:
-    """Thresholds of the regularizer prox, per unit step: the prox applied
-    with step s uses s * l1_thresholds entrywise and s * group_threshold
-    column-wise. For squared_l2, group_threshold holds the quadratic
-    coefficient alpha/(K P) instead."""
-
-    l1_thresholds: np.ndarray
-    group_threshold: float
-    variant: str
-
-    def __post_init__(self):
-        t = np.asarray(self.l1_thresholds, dtype=float)
-        if np.any(t < 0) or not np.all(np.isfinite(t)) or self.group_threshold < 0:
-            raise ValidationError("prox thresholds must be finite and >= 0")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "l1_thresholds", t)
 
 
 def _weights(models) -> np.ndarray:
@@ -236,11 +216,16 @@ def exclusive_reg(models, chain: AncestorChain) -> float:
 
 class Regularizer:
     """The variant-selected regularization term of one split (everything
-    except the hinge), for K x P weights under a fixed ancestor chain.
+    except the hinge), for K x P weights under a fixed ancestor chain; built
+    once per split.
 
-    lambda_E and lambda_G are computed and validated once, here; value(w)
+    lambda_E and lambda_G are computed once, here, and the variant picks one
+    row of the table below: its value expression and the coefficients of its
+    prox per unit step. The prox with step s soft-thresholds each entry by
+    s * l1 (a read-only P-vector), shrinks each column by s * group, and
+    rescales by 1/(1 + 2 s quad), the prox of quad * sum w^2. value(w)
     evaluates the term, complexity(w) the G + E denominator of the splitting
-    score, and prox_spec holds the thresholds of its prox.
+    score.
     """
 
     def __init__(self, config: RegularizerConfig, chain: AncestorChain, k: int, p: int):
@@ -248,17 +233,25 @@ class Regularizer:
         self.lambda_g = 1.0 / (p * k)
         self.lambda_e = exclusive_weights(chain, k, p)
         self._has_ancestors = len(chain) > 0
-        alpha, beta, variant = config.alpha, config.beta, config.variant
-        if variant == "sparse_group":
-            self.prox_spec = ProxSpec(beta * self.lambda_e, alpha * self.lambda_g, variant)
-        elif variant == "group_only":
-            self.prox_spec = ProxSpec(np.zeros(p), alpha * self.lambda_g, variant)
-        elif variant == "exclusive_only":
-            self.prox_spec = ProxSpec(beta * self.lambda_e, 0.0, variant)
-        elif variant == "l1":
-            self.prox_spec = ProxSpec(np.full(p, alpha * self.lambda_g), 0.0, variant)
-        else:  # squared_l2
-            self.prox_spec = ProxSpec(np.zeros(p), alpha * self.lambda_g, variant)
+        alpha, beta = config.alpha, config.beta
+        g, e, none = alpha * self.lambda_g, beta * self.lambda_e, np.zeros(p)
+        # variant: (value of the K x P weights, l1, group, quad)
+        table = {
+            "sparse_group": (
+                lambda w: alpha * float(column_norms(w).sum() / (p * k)) + beta * self._exclusive(w), e, g, 0.0,
+            ),
+            "group_only": (lambda w: alpha * float(column_norms(w).sum() / (p * k)), none, g, 0.0),
+            "exclusive_only": (lambda w: beta * self._exclusive(w), e, 0.0, 0.0),
+            "l1": (lambda w: alpha * float(np.abs(w).sum()) / (k * p), np.full(p, g), 0.0, 0.0),
+            "squared_l2": (lambda w: alpha * float((w**2).sum()) / (k * p), none, 0.0, g),
+        }
+        self._value, l1, self.group, self.quad = table[config.variant]
+        # alpha and beta are finite, but beta * lambda_E can overflow
+        coefficients = np.append(l1, (self.group, self.quad))
+        if not (np.all(np.isfinite(coefficients)) and np.all(coefficients >= 0)):
+            raise ValidationError("prox coefficients must be finite and >= 0")
+        l1.setflags(write=False)
+        self.l1 = l1
 
     def _exclusive(self, w: np.ndarray) -> float:
         return float((np.abs(w) * self.lambda_e).sum()) if self._has_ancestors else 0.0
@@ -270,18 +263,7 @@ class Regularizer:
 
     def value(self, models) -> float:
         # an ndarray (the weight update's K x P iterate) is used as it is
-        w = models if type(models) is np.ndarray else _weights(models)
-        k, p = w.shape
-        alpha, beta, variant = self.config.alpha, self.config.beta, self.config.variant
-        if variant == "sparse_group":
-            return alpha * float(column_norms(w).sum() / (p * k)) + beta * self._exclusive(w)
-        if variant == "group_only":
-            return alpha * float(column_norms(w).sum() / (p * k))
-        if variant == "exclusive_only":
-            return beta * self._exclusive(w)
-        if variant == "l1":
-            return alpha * float(np.abs(w).sum()) / (k * p)
-        return alpha * float((w**2).sum()) / (k * p)
+        return self._value(models if type(models) is np.ndarray else _weights(models))
 
 
 def regularizer_value(models, chain: AncestorChain, config: RegularizerConfig) -> float:
@@ -290,6 +272,7 @@ def regularizer_value(models, chain: AncestorChain, config: RegularizerConfig) -
     return Regularizer(config, chain, *w.shape).value(w)
 
 
-def node_objective(models, labels, chain: AncestorChain, data, config: RegularizerConfig) -> float:
-    """Full split objective: regularizer(s) plus the averaged squared hinge."""
-    return regularizer_value(models, chain, config) + hinge_loss(models, data, labels)
+def node_objective(models, labels, regularizer: Regularizer, data) -> float:
+    """Full split objective: the split's regularizer plus the averaged
+    squared hinge."""
+    return regularizer.value(models) + hinge_loss(models, data, labels)

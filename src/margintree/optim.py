@@ -19,7 +19,8 @@ entry of the hinge gradient at w = 0.
 
 The prox of the regularizer is the two-step composition: entrywise
 soft-threshold with the ancestor-induced per-feature weights, then
-column-wise group shrinkage.
+column-wise group shrinkage; a quadratic regularizer has a closed-form
+rescale instead. Its coefficients come from the split's Regularizer.
 """
 
 from __future__ import annotations
@@ -31,12 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AncestorChain, ClusterModels, NodeData, features_of
+from .core import ClusterModels, NodeData, features_of
 from .errors import SolverError, ValidationError
 from .objective import (
-    ProxSpec,
     Regularizer,
-    RegularizerConfig,
     column_norms,
     active_margins,
     hinge_grad,
@@ -55,21 +54,20 @@ INEXACTNESS = 0.1
 DUAL_NEWTON_STEPS = 50
 DUAL_ASCENT = 1e-4  # Armijo fraction of the dual line search
 MAX_BACKTRACKS = 40
+# the Armijo backtracking of the outer step: shrink factor and fraction of the model decrease
+LINE_SEARCH_SHRINK = 0.5
+SUFFICIENT_DECREASE = 1e-4
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_outer_iters: int = 100
-    line_search_shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
     rel_obj_tol: float = 1e-8
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise ValidationError("iteration budgets must be positive")
-        if not (0 < self.line_search_shrink < 1):
-            raise ValidationError("line_search_shrink must lie in (0, 1)")
-        if self.sufficient_decrease <= 0 or self.rel_obj_tol <= 0:
+        if self.rel_obj_tol <= 0:
             raise ValidationError("tolerances must be positive")
 
 
@@ -86,32 +84,32 @@ def prox_group(w: np.ndarray, t: float) -> np.ndarray:
     return w * (np.maximum(norms - t, 0.0) / np.where(norms > 0.0, norms, 1.0))
 
 
-def prox_sparse_group(w: np.ndarray, spec: ProxSpec, s: float) -> np.ndarray:
+def prox_sparse_group(w: np.ndarray, regularizer: Regularizer, s: float) -> np.ndarray:
     """Prox of s * regularizer at w: soft-threshold then group-shrink (exact
     for the weighted sparse-group penalty since the l1 weight is uniform
-    within each column); closed-form rescale for squared_l2."""
+    within each column); closed-form rescale for a quadratic term."""
     if s <= 0:
         raise ValidationError("prox step must be positive")
-    if spec.variant == "squared_l2":
-        return w / (1.0 + 2.0 * s * spec.group_threshold)
-    return prox_group(prox_weighted_l1(w, s * spec.l1_thresholds), s * spec.group_threshold)
+    if regularizer.quad:
+        return w / (1.0 + 2.0 * s * regularizer.quad)
+    return prox_group(prox_weighted_l1(w, s * regularizer.l1), s * regularizer.group)
 
 
-def prox_jacobian(w: np.ndarray, spec: ProxSpec, s: float) -> np.ndarray:
-    """A generalized Jacobian of prox_sparse_group(., spec, s) at the K x P
-    point w, one K x K block per feature column (P x K x K); the prox acts
-    on each column separately.
+def prox_jacobian(w: np.ndarray, regularizer: Regularizer, s: float) -> np.ndarray:
+    """A generalized Jacobian of prox_sparse_group(., regularizer, s) at the
+    K x P point w, one K x K block per feature column (P x K x K); the prox
+    acts on each column separately.
 
     With D the 0/1 diagonal of the entries above their l1 threshold, u the
     soft-thresholded column and b the group threshold, the block is
     (1 - b/|u|) D + b u u^T / |u|^3 when |u| > b and 0 otherwise.
     """
     k, p = w.shape
-    if spec.variant == "squared_l2":
-        return np.broadcast_to(np.eye(k) / (1.0 + 2.0 * s * spec.group_threshold), (p, k, k)).copy()
-    b = s * spec.group_threshold
-    kept = np.abs(w) > s * spec.l1_thresholds
-    u = prox_weighted_l1(w, s * spec.l1_thresholds)
+    if regularizer.quad:
+        return np.broadcast_to(np.eye(k) / (1.0 + 2.0 * s * regularizer.quad), (p, k, k)).copy()
+    b = s * regularizer.group
+    kept = np.abs(w) > s * regularizer.l1
+    u = prox_weighted_l1(w, s * regularizer.l1)
     norms = column_norms(u)
     live = norms > b
     safe = np.where(live, norms, 1.0)
@@ -192,7 +190,6 @@ def _solve_dual_model(w, grad, hessian, mu, margins, c, regularizer, tol):
     the weight space is used.
     """
     x, y0, mask = margins
-    spec = regularizer.prox_spec
     shape, s = w.shape, 1.0 / mu
     base = w - s * grad
     m = int(np.count_nonzero(mask))
@@ -210,7 +207,7 @@ def _solve_dual_model(w, grad, hessian, mu, margins, c, regularizer, tol):
 
     def primal(at_lam):
         v = base - s * at_lam
-        z = prox_sparse_group(v, spec, s)
+        z = prox_sparse_group(v, regularizer, s)
         d = z - w
         psi = 0.5 * mu * float((d * d).sum()) + float((grad * d).sum()) + regularizer.value(z)
         return v, z, d, psi
@@ -223,7 +220,7 @@ def _solve_dual_model(w, grad, hessian, mu, margins, c, regularizer, tol):
         at_grad = adjoint(grad_dual)
         if c * math.sqrt(float((at_grad * at_grad).sum())) <= tol:
             break
-        blocks = prox_jacobian(v, spec, s)
+        blocks = prox_jacobian(v, regularizer, s)
         free = np.flatnonzero(blocks.any(axis=2).T)
         try:
             if m <= free.size:
@@ -253,26 +250,23 @@ def _solve_dual_model(w, grad, hessian, mu, margins, c, regularizer, tol):
 def solve_w(
     data: NodeData | np.ndarray,
     labels,
-    chain: AncestorChain,
-    reg: RegularizerConfig,
+    regularizer: Regularizer,
     cfg: SolverConfig,
     w0: ClusterModels,
 ) -> ClusterModels:
     """Minimize the split objective in the weights for fixed labels.
 
     data is the node (its features are copied once per call) or its n x P
-    feature matrix. Stops when the largest entry of the prox-gradient
+    feature matrix; regularizer is the split's. Stops when the largest entry of the prox-gradient
     residual drops below cfg.rel_obj_tol times the largest entry of the
     hinge gradient at w = 0, when no step decreases the objective, or when
     the outer budget is exhausted; the objective is non-increasing across
     iterations. Raises SolverError if the objective turns non-finite.
     """
     w = np.array(w0.weights, dtype=float)
-    k, p = w.shape
+    k = w.shape[0]
     labels = np.asarray(labels, dtype=np.int64)
     x = features_of(data)
-    regularizer = Regularizer(reg, chain, k, p)
-    spec = regularizer.prox_spec
 
     scale = float(np.abs(hinge_grad(np.zeros_like(w), x, labels)).max())
     if scale == 0.0:
@@ -292,7 +286,7 @@ def solve_w(
 
     for outer in range(cfg.max_outer_iters):
         grad = hinge_grad(w, x, labels)
-        pg = prox_sparse_group(w - t * grad, spec, t)
+        pg = prox_sparse_group(w - t * grad, regularizer, t)
         r = (w - pg) / t
         if float(np.abs(r).max()) <= cfg.rel_obj_tol * scale:
             break
@@ -317,10 +311,10 @@ def solve_w(
                 fc = hinge_loss(cand, x, labels) + reg_c
                 if not np.isfinite(fc):
                     raise SolverError(f"objective not finite at outer iteration {outer} (step {step:.3e})")
-                if fc <= fw + cfg.sufficient_decrease * step * model_dec:
+                if fc <= fw + SUFFICIENT_DECREASE * step * model_dec:
                     accepted = True
                     break
-                step *= cfg.line_search_shrink
+                step *= LINE_SEARCH_SHRINK
         if not accepted:
             cand = pg
             reg_c = regularizer.value(cand)

@@ -91,12 +91,11 @@ def _score(w: np.ndarray, labels: np.ndarray, x: np.ndarray, regularizer: Regula
     return numer / denom
 
 
-def splitting_score(result: SplitResult, data: NodeData, chain: AncestorChain, reg: RegularizerConfig) -> float:
+def splitting_score(result: SplitResult, data: NodeData, regularizer: Regularizer) -> float:
     """Fit-to-assignment score sum over instances divided by the model
-    complexity G + E; -inf sentinel when the models are all zero (such a
-    candidate is never selected)."""
-    w = result.models.weights
-    return _score(w, result.labels, features_of(data), Regularizer(reg, chain, *w.shape))
+    complexity G + E under the split's regularizer; -inf sentinel when the
+    models are all zero (such a candidate is never selected)."""
+    return _score(result.models.weights, result.labels, features_of(data), regularizer)
 
 
 def split_node(
@@ -110,20 +109,22 @@ def split_node(
 ) -> SplitResult:
     """Alternate weight fitting and balanced assignment until the labels
     reach a fixed point, the relative objective change drops below
-    REL_OBJ_TOL, or the alternation budget runs out."""
+    REL_OBJ_TOL, or the alternation budget runs out. The split's Regularizer
+    (lambda_E from the ancestor chain) is built once, here."""
     x = data.features  # one copy of the node's rows for the whole split
+    regularizer = Regularizer(reg, chain, k, x.shape[1])
     bounds = balance_bounds(data.size, k)
     labels = init_assignment(x, k, bounds, seed)
     w0 = ClusterModels(weights=np.zeros((k, x.shape[1])))
-    models = solve_w(x, labels, chain, reg, cfg, w0)
-    objective = node_objective(models, labels, chain, x, reg)
+    models = solve_w(x, labels, regularizer, cfg, w0)
+    objective = node_objective(models, labels, regularizer, x)
     trace = [objective]
 
     iterations = 0
     for iterations in range(1, max_alternations + 1):
         costs = cost_matrix(models, x)
         new_labels = solve_balanced_assignment(costs, bounds.lower, bounds.upper)
-        after_assign = node_objective(models, new_labels, chain, x, reg)
+        after_assign = node_objective(models, new_labels, regularizer, x)
         if after_assign > trace[-1] + _slack(DESCENT_TOL, trace[-1]):
             raise SolverError(
                 f"objective rose after assignment half-step: {trace[-1]:.12e} -> {after_assign:.12e}"
@@ -134,8 +135,8 @@ def split_node(
         labels = new_labels
         trace.append(after_assign)
 
-        models = solve_w(x, labels, chain, reg, cfg, models)
-        objective = node_objective(models, labels, chain, x, reg)
+        models = solve_w(x, labels, regularizer, cfg, models)
+        objective = node_objective(models, labels, regularizer, x)
         if objective > after_assign + _slack(DESCENT_TOL, after_assign):
             raise SolverError(
                 f"objective rose after weight half-step: {after_assign:.12e} -> {objective:.12e}"
@@ -144,7 +145,7 @@ def split_node(
         if trace[-3] - objective < _slack(REL_OBJ_TOL, trace[-3]):
             break
 
-    score = _score(models.weights, labels, x, Regularizer(reg, chain, k, x.shape[1]))
+    score = _score(models.weights, labels, x, regularizer)
     logger.debug("split converged: n=%d iterations=%d objective=%.6e score=%.6e", data.size, iterations, trace[-1], score)
     return SplitResult(
         models=models,

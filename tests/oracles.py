@@ -17,12 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from margintree.core import features_of
-from margintree.errors import ConfigError, GuardError, SolverError, ValidationError
+from margintree.errors import ConfigError, SolverError, ValidationError
 from margintree.objective import Regularizer, exclusive_weights, hinge_grad, hinge_loss
 
 
 class InfeasibleFlowError(RuntimeError):
     """The flow network admits no feasible flow (not a solver failure)."""
+
+
+class GuardError(RuntimeError):
+    """A brute-force oracle was asked to enumerate too large a space."""
 
 
 def finite_difference_grad(fn, w: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -244,12 +248,12 @@ def reference_prox_group(w: np.ndarray, t: float) -> np.ndarray:
     return w * (np.maximum(norms - t, 0.0) / np.where(norms > 0.0, norms, 1.0))
 
 
-def reference_prox_sparse_group(w: np.ndarray, spec, s: float) -> np.ndarray:
+def reference_prox_sparse_group(w: np.ndarray, regularizer, s: float) -> np.ndarray:
     if s <= 0:
         raise ValidationError("prox step must be positive")
-    if spec.variant == "squared_l2":
-        return w / (1.0 + 2.0 * s * spec.group_threshold)
-    return reference_prox_group(reference_prox_weighted_l1(w, s * spec.l1_thresholds), s * spec.group_threshold)
+    if regularizer.quad:
+        return w / (1.0 + 2.0 * s * regularizer.quad)
+    return reference_prox_group(reference_prox_weighted_l1(w, s * regularizer.l1), s * regularizer.group)
 
 
 def reference_regularizer_value(w: np.ndarray, config, lambda_e: np.ndarray, has_ancestors: bool) -> float:
@@ -347,13 +351,13 @@ def reference_solve_w(
     x = features_of(data)
     lambda_e = exclusive_weights(chain, k, p)
     has_ancestors = len(chain) > 0
-    spec = Regularizer(reg, chain, k, p).prox_spec
+    regularizer = Regularizer(reg, chain, k, p)
 
     def reg_val_flat(vec):
         return reference_regularizer_value(vec.reshape(k, p), reg, lambda_e, has_ancestors)
 
     def prox_flat(vec, t):
-        return reference_prox_sparse_group(vec.reshape(k, p), spec, t).ravel()
+        return reference_prox_sparse_group(vec.reshape(k, p), regularizer, t).ravel()
 
     reg_w = reference_regularizer_value(w, reg, lambda_e, has_ancestors)
     fw = hinge_loss(w, x, labels) + reg_w

@@ -79,6 +79,10 @@ class TestExport:
         root_record = next(r for r in payload["nodes"] if r["id"] == 1)
         assert root_record["top_features"][0] == 2
 
+    def test_negative_top_features_rejected(self):
+        with pytest.raises(margintree.ValidationError):
+            hierarchy_to_dict(self.small_hierarchy(), top_features=-1)
+
     def test_round_trip(self, tmp_path):
         h = self.small_hierarchy()
         path = tmp_path / "h.json"
@@ -206,6 +210,14 @@ class TestClusterCommand:
     def test_validation_exit_code(self, tmp_path):
         missing = str(tmp_path / "missing.csv")
         assert main(["cluster", "--input", missing, "--method", "hmmc"]) == 1
+
+    def test_negative_top_features_exit_code(self, planted_files, tmp_path, capsys):
+        data, _ = planted_files
+        hier_path = tmp_path / "h.json"
+        argv = ["cluster", "--input", data, "--label-column", "--top-features", "-1", "--hierarchy-out", str(hier_path)]
+        assert main(argv) == 1
+        assert "top_features must be >= 0" in capsys.readouterr().err
+        assert not hier_path.exists()
 
     def test_config_file(self, planted_files, tmp_path):
         data, truth = planted_files

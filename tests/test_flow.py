@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from margintree import ConfigError, GuardError, ValidationError, solve_balanced_assignment
+from margintree import ConfigError, ValidationError, solve_balanced_assignment
 from margintree.split import balance_bounds
 from oracles import (
+    GuardError,
     InfeasibleFlowError,
     Arc,
     FlowNetwork,

@@ -137,14 +137,15 @@ class TestGlobalObjective:
         assert global_objective(h, ds, RegularizerConfig()) == 0.0
 
     def test_single_split_equals_node_objective(self):
-        from margintree import node_objective
+        from margintree import Regularizer, node_objective
         from margintree.core import EMPTY_CHAIN
 
         ds, _ = planted()
         cfg = quick_config(StoppingCriterion(max_leaves=2))
         h = build_hierarchy(ds, cfg)
         root = h.root
-        expected = node_objective(root.models, root.labels, EMPTY_CHAIN, root.data, cfg.reg)
+        regularizer = Regularizer(cfg.reg, EMPTY_CHAIN, *root.models.weights.shape)
+        expected = node_objective(root.models, root.labels, regularizer, root.data)
         assert global_objective(h, ds, cfg.reg) == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative_finite(self):

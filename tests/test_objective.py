@@ -27,7 +27,7 @@ from margintree.objective import (
     regularizer_value,
 )
 from helpers import random_problem
-from oracles import finite_difference_grad, hinge_grad_loops, hinge_hessian_loops, hinge_loss_loops
+from oracles import _regularizer_terms, finite_difference_grad, hinge_grad_loops, hinge_hessian_loops, hinge_loss_loops
 
 
 def chain_of(*ancestor_rows):
@@ -320,38 +320,55 @@ class TestRegularizer:
         assert regularizer.lambda_g == 1.0 / 12
         assert not regularizer.lambda_e.flags.writeable
 
+    @pytest.mark.parametrize("chain_name", sorted(CHAINS))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_prox_coefficients_equal_the_definitions_exactly(self, variant, chain_name):
+        chain = self.CHAINS[chain_name]
+        cfg = RegularizerConfig(alpha=0.3, beta=0.7, variant=variant)
+        regularizer = Regularizer(cfg, chain, 3, 4)
+        l1, group, quad = _regularizer_terms(chain, cfg, 3, 4)
+        assert np.array_equal(regularizer.l1, l1)
+        assert (regularizer.group, regularizer.quad) == (group, quad)
+        assert not regularizer.l1.flags.writeable
+
+    def test_overflowing_coefficients_rejected(self):
+        chain = chain_of([1e300, 0.0, 0.0, 0.0])
+        with np.errstate(over="ignore"), pytest.raises(ValidationError):
+            Regularizer(RegularizerConfig(alpha=0.0, beta=1e300, variant="exclusive_only"), chain, 2, 4)
+
 
 class TestNodeObjective:
     def test_zero_composition(self):
         x = np.random.default_rng(10).normal(size=(8, 3))
-        val = node_objective(np.zeros((2, 3)), np.ones(8, dtype=int), EMPTY_CHAIN, x, RegularizerConfig(1.0, 1.0))
+        regularizer = Regularizer(RegularizerConfig(1.0, 1.0), EMPTY_CHAIN, 2, 3)
+        val = node_objective(np.zeros((2, 3)), np.ones(8, dtype=int), regularizer, x)
         assert val == pytest.approx(0.5)
 
     def test_dominates_hinge(self):
         rng = np.random.default_rng(11)
         w, x, labels = random_problem(rng)
-        cfg = RegularizerConfig(alpha=0.3, beta=0.7)
-        assert node_objective(w, labels, EMPTY_CHAIN, x, cfg) >= hinge_loss(w, x, labels)
+        regularizer = Regularizer(RegularizerConfig(alpha=0.3, beta=0.7), EMPTY_CHAIN, *w.shape)
+        assert node_objective(w, labels, regularizer, x) >= hinge_loss(w, x, labels)
 
     def test_separable_equals_group(self):
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
         x = np.array([[2.0, 0.0], [0.0, 2.0]])
-        cfg = RegularizerConfig(alpha=1.0, beta=0.0)
-        assert node_objective(w, [1, 2], EMPTY_CHAIN, x, cfg) == pytest.approx(group_reg(w))
+        regularizer = Regularizer(RegularizerConfig(alpha=1.0, beta=0.0), EMPTY_CHAIN, 2, 2)
+        assert node_objective(w, [1, 2], regularizer, x) == pytest.approx(group_reg(w))
 
     @pytest.mark.parametrize("variant", ["group_only", "l1", "squared_l2", "sparse_group"])
     def test_midpoint_convexity(self, variant):
         rng = np.random.default_rng(12)
         chain = chain_of(rng.normal(size=4))
-        cfg = RegularizerConfig(alpha=0.5, beta=0.5, variant=variant)
+        regularizer = Regularizer(RegularizerConfig(alpha=0.5, beta=0.5, variant=variant), chain, 2, 4)
         x = rng.normal(size=(10, 4))
         labels = rng.integers(1, 3, size=10)
         for _ in range(20):
             a = rng.normal(size=(2, 4))
             b = rng.normal(size=(2, 4))
-            fa = node_objective(a, labels, chain, x, cfg)
-            fb = node_objective(b, labels, chain, x, cfg)
-            fm = node_objective((a + b) / 2, labels, chain, x, cfg)
+            fa = node_objective(a, labels, regularizer, x)
+            fb = node_objective(b, labels, regularizer, x)
+            fm = node_objective((a + b) / 2, labels, regularizer, x)
             assert fm <= (fa + fb) / 2 + 1e-10
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from margintree import (
     ClusterModels,
+    Dataset,
     Regularizer,
     RegularizerConfig,
     SolverConfig,
@@ -16,6 +17,7 @@ from margintree import (
     prox_sparse_group,
     prox_weighted_l1,
     solve_w,
+    split_node,
     subset,
 )
 from margintree.optim import (
@@ -29,6 +31,7 @@ from margintree.core import EMPTY_CHAIN
 from margintree.objective import VARIANTS, active_margins, hinge_grad, hinge_hessian, margin_adjoint, margin_map
 import margintree.objective
 import margintree.optim
+import margintree.split
 from helpers import blob_dataset
 from test_objective import chain_of
 from oracles import (
@@ -106,7 +109,7 @@ def random_prox_instance(rng):
 def spec_for(alpha, beta, lam_e, k, p):
     chain = chain_of(lam_e * (k * 1 * p))  # ancestor row chosen so lambda_e reproduces exactly
     reg = RegularizerConfig(alpha=alpha, beta=beta, variant="sparse_group")
-    return Regularizer(reg, chain, k, p).prox_spec
+    return Regularizer(reg, chain, k, p)
 
 
 class TestProxSparseGroup:
@@ -121,7 +124,7 @@ class TestProxSparseGroup:
         rng = np.random.default_rng(3)
         lam_e = rng.uniform(0, 1, size=6)
         spec = spec_for(1.0, 1.0, lam_e, 2, 6)
-        assert np.allclose(spec.l1_thresholds, lam_e)
+        assert np.allclose(spec.l1, lam_e)
 
     def test_two_step_composition_on_2x2(self):
         w = np.array([[10.0, 0.1], [10.0, 0.1]])
@@ -153,7 +156,7 @@ class TestProxSparseGroup:
         rng = np.random.default_rng(6)
         w = rng.normal(size=(2, 3))
         reg = RegularizerConfig(alpha=1.5, beta=0.0, variant="squared_l2")
-        spec = Regularizer(reg, EMPTY_CHAIN, 2, 3).prox_spec
+        spec = Regularizer(reg, EMPTY_CHAIN, 2, 3)
         out = prox_sparse_group(w, spec, 2.0)
         assert np.allclose(out, w / (1.0 + 2.0 * 2.0 * 1.5 / 6.0))
 
@@ -178,9 +181,9 @@ class TestProxJacobian:
         at least gap from the l1 and group thresholds."""
         while True:
             w = rng.normal(size=(k, p)) * 0.5
-            soft = np.abs(w) - s * spec.l1_thresholds
+            soft = np.abs(w) - s * spec.l1
             norms = np.sqrt((np.maximum(soft, 0.0) ** 2).sum(axis=0))
-            if np.abs(soft).min() > gap and np.abs(norms - s * spec.group_threshold).min() > gap:
+            if np.abs(soft).min() > gap and np.abs(norms - s * spec.group).min() > gap:
                 return w
 
     @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
@@ -189,7 +192,7 @@ class TestProxJacobian:
         rng = np.random.default_rng(23)
         k, p = 3, 5
         chain = EMPTY_CHAIN if chain_name == "root" else chain_of(rng.uniform(0, 2, p), rng.uniform(0, 2, p))
-        spec = Regularizer(RegularizerConfig(alpha=2.0, beta=3.0, variant=variant), chain, k, p).prox_spec
+        spec = Regularizer(RegularizerConfig(alpha=2.0, beta=3.0, variant=variant), chain, k, p)
         for s in (0.5, 2.0):
             w = self.away_from_thresholds(rng, spec, s, k, p)
             blocks = prox_jacobian(w, spec, s)
@@ -215,13 +218,13 @@ class TestSolveW:
     def test_separable_drives_loss_to_zero(self):
         nd, labels = self.separable_node()
         reg = RegularizerConfig(alpha=0.0, beta=0.0)
-        w = solve_w(nd, labels, EMPTY_CHAIN, reg, SolverConfig(), ClusterModels(np.zeros((2, 2))))
+        w = solve_w(nd, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), SolverConfig(), ClusterModels(np.zeros((2, 2))))
         assert hinge_loss(w, nd, labels) <= 1e-6
 
     def test_huge_alpha_returns_zero(self):
         nd, labels = self.separable_node()
         reg = RegularizerConfig(alpha=1e6, beta=0.0)
-        w = solve_w(nd, labels, EMPTY_CHAIN, reg, SolverConfig(), ClusterModels(np.zeros((2, 2))))
+        w = solve_w(nd, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), SolverConfig(), ClusterModels(np.zeros((2, 2))))
         assert np.array_equal(w.weights, np.zeros((2, 2)))
 
     def test_final_objective_not_above_start(self):
@@ -231,11 +234,11 @@ class TestSolveW:
             ds = blob_dataset(int(rng.integers(1e6)), [[1.0] * p, [-1.0] * p], per_blob=n // 2 + 1, spread=1.0)
             nd = subset(ds, np.arange(ds.n))
             labels = rng.integers(1, 3, size=ds.n)
-            reg = RegularizerConfig(alpha=0.1, beta=0.1)
+            regularizer = Regularizer(RegularizerConfig(alpha=0.1, beta=0.1), EMPTY_CHAIN, 2, p)
             w0 = ClusterModels(rng.normal(size=(2, p)))
-            w = solve_w(nd, labels, EMPTY_CHAIN, reg, SolverConfig(), w0)
-            before = node_objective(w0, labels, EMPTY_CHAIN, nd, reg)
-            after = node_objective(w, labels, EMPTY_CHAIN, nd, reg)
+            w = solve_w(nd, labels, regularizer, SolverConfig(), w0)
+            before = node_objective(w0, labels, regularizer, nd)
+            after = node_objective(w, labels, regularizer, nd)
             assert after <= before + 1e-12
 
     def test_squared_l2_matches_gd_oracle(self):
@@ -246,28 +249,34 @@ class TestSolveW:
             x = rng.normal(size=(n, p))
             labels = rng.integers(1, 3, size=n)
             alpha = float(rng.uniform(0.05, 0.5))
-            from margintree import Dataset
-
             nd = subset(Dataset(features=x, ids=np.arange(n)), np.arange(n))
-            reg = RegularizerConfig(alpha=alpha, beta=0.0, variant="squared_l2")
-            w = solve_w(nd, labels, EMPTY_CHAIN, reg, SolverConfig(), ClusterModels(np.zeros((2, p))))
-            ours = node_objective(w, labels, EMPTY_CHAIN, nd, reg)
+            regularizer = Regularizer(RegularizerConfig(alpha=alpha, beta=0.0, variant="squared_l2"), EMPTY_CHAIN, 2, p)
+            w = solve_w(nd, labels, regularizer, SolverConfig(), ClusterModels(np.zeros((2, p))))
+            ours = node_objective(w, labels, regularizer, nd)
             oracle = gradient_descent_smooth_oracle(x, labels, alpha, 2)
             assert ours <= oracle * (1 + 1e-4) + 1e-10
 
     def test_lambda_e_computed_once_per_call(self, monkeypatch):
-        nd, labels = self.separable_node()
-        calls = []
+        # once per split_node call, however many weight updates and objective
+        # evaluations the split makes
+        x = np.random.default_rng(1).normal(size=(30, 3))
+        nd = subset(Dataset(features=x, ids=np.arange(30)), np.arange(30))
+        calls, updates = [], []
         original = margintree.objective.exclusive_weights
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
+        def counting_solve_w(*args):
+            updates.append(args)
+            return solve_w(*args)
+
         monkeypatch.setattr(margintree.objective, "exclusive_weights", counting)
-        chain = chain_of([1.0, 0.5], [0.2, 2.0])
-        reg = RegularizerConfig(alpha=0.05, beta=0.05)
-        solve_w(nd, labels, chain, reg, SolverConfig(), ClusterModels(np.zeros((2, 2))))
+        monkeypatch.setattr(margintree.split, "solve_w", counting_solve_w)
+        chain = chain_of([1.0, 0.5, 0.1], [0.2, 2.0, 1.0])
+        split_node(nd, chain, 2, RegularizerConfig(alpha=0.05, beta=0.05), SolverConfig(), seed=0)
+        assert len(updates) >= 2
         assert len(calls) == 1
 
     def test_features_array_same_iterates_as_node(self):
@@ -275,10 +284,10 @@ class TestSolveW:
         nd, _ = self.separable_node()
         labels = rng.integers(1, 3, size=nd.size)
         chain = chain_of([1.0, 0.5])
-        reg = RegularizerConfig(alpha=0.05, beta=0.05)
+        regularizer = Regularizer(RegularizerConfig(alpha=0.05, beta=0.05), chain, 2, 2)
         w0 = ClusterModels(rng.normal(size=(2, 2)))
-        from_node = solve_w(nd, labels, chain, reg, SolverConfig(), w0)
-        from_array = solve_w(nd.features, labels, chain, reg, SolverConfig(), w0)
+        from_node = solve_w(nd, labels, regularizer, SolverConfig(), w0)
+        from_array = solve_w(nd.features, labels, regularizer, SolverConfig(), w0)
         assert np.array_equal(from_node.weights, from_array.weights)
 
     @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3, 1e7])
@@ -286,7 +295,7 @@ class TestSolveW:
         nd, labels = self.separable_node()
         x = nd.features * magnitude
         reg = RegularizerConfig(alpha=0.01, beta=0.0)
-        w = solve_w(x, labels, EMPTY_CHAIN, reg, SolverConfig(), ClusterModels(np.zeros((2, 2))))
+        w = solve_w(x, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), SolverConfig(), ClusterModels(np.zeros((2, 2))))
         assert np.any(w.weights != 0.0)
         assert weight_update_residual(w.weights, x, labels, EMPTY_CHAIN, reg) <= 1e-5
 
@@ -295,7 +304,7 @@ class TestSolveW:
         x = np.ones((4, 3))
         labels = np.array([1, 2, 1, 2])
         w0 = ClusterModels(np.arange(6.0).reshape(2, 3))
-        w = solve_w(x, labels, EMPTY_CHAIN, RegularizerConfig(), SolverConfig(), w0)
+        w = solve_w(x, labels, Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 3), SolverConfig(), w0)
         assert np.array_equal(w.weights, np.zeros((2, 3)))
 
 
@@ -336,7 +345,7 @@ class TestProxSignedZeros:
         k, p = w.shape
         chain = EMPTY_CHAIN if chain_name == "root" else chain_of(np.linspace(-2.0, 2.0, p), np.ones(p))
         reg = RegularizerConfig(alpha=0.5, beta=2.0, variant=variant)
-        spec = Regularizer(reg, chain, k, p).prox_spec
+        spec = Regularizer(reg, chain, k, p)
         for s in (0.01, 0.3, 1.0, 4.0):
             with np.errstate(all="raise"):
                 assert_same_bits(prox_sparse_group(w, spec, s), reference_prox_sparse_group(w, spec, s))
@@ -364,8 +373,10 @@ class TestWeightUpdateOptimality:
 
     @staticmethod
     def check(nd, labels, chain, reg, w0, ours, reference):
+        regularizer = Regularizer(reg, chain, *w0.weights.shape)
+
         def objective(w):
-            return node_objective(w, labels, chain, nd, reg)
+            return node_objective(w, labels, regularizer, nd)
 
         assert objective(ours) <= objective(reference) + 1e-9 * objective(w0)
         assert weight_update_residual(ours.weights, nd.features, labels, chain, reg) <= 1e-5
@@ -380,7 +391,7 @@ class TestWeightUpdateOptimality:
         chain = self.chain(chain_name, p)
         reg = RegularizerConfig(alpha=0.01, beta=0.01, variant=variant)
         w0 = ClusterModels(np.zeros((k, p)))
-        ours = solve_w(nd, labels, chain, reg, SolverConfig(line_search_shrink=shrink), w0)
+        ours = solve_w(nd, labels, Regularizer(reg, chain, k, p), SolverConfig(), w0)
         reference = reference_solve_w(nd, labels, chain, reg, w0, memory=memory, shrink=shrink, max_outer_iters=30)
         self.check(nd, labels, chain, reg, w0, ours, reference)
 
@@ -390,7 +401,7 @@ class TestWeightUpdateOptimality:
         chain = self.chain("two_ancestors", p)
         reg = RegularizerConfig(alpha=0.05, beta=0.02)
         w0 = ClusterModels(rng.normal(size=(2, p)))
-        ours = solve_w(nd, labels, chain, reg, SolverConfig(), w0)
+        ours = solve_w(nd, labels, Regularizer(reg, chain, 2, p), SolverConfig(), w0)
         self.check(nd, labels, chain, reg, w0, ours, reference_solve_w(nd, labels, chain, reg, w0))
 
 
@@ -444,9 +455,9 @@ class TestDualNewtonSpaces:
     def test_steps_agree(self, k, variant, chain_name, sizes):
         rng, x, labels, w, _, regularizer, margins, c = self.problem(k, variant, chain_name, sizes, seed=61 + k)
         a = _margin_matrix(*margins)
-        spec, s = regularizer.prox_spec, 1.0 / self.MU
+        s = 1.0 / self.MU
         lam = rng.uniform(0.0, 1.0, size=a.shape[0])
-        blocks = prox_jacobian(w - s * (hinge_grad(w, x, labels) + (lam @ a).reshape(w.shape)), spec, s)
+        blocks = prox_jacobian(w - s * (hinge_grad(w, x, labels) + (lam @ a).reshape(w.shape)), regularizer, s)
         free = np.flatnonzero(blocks.any(axis=2).T)
         assert (a.shape[0] < free.size) == (sizes == "m < free")
         grad_dual = rng.normal(size=a.shape[0])
@@ -511,8 +522,8 @@ class TestDualNewtonSpaces:
             monkeypatch.setattr(margintree.optim, f"_{name}_space_step", spy)
         hessian = margintree.optim.hinge_hessian
         monkeypatch.setattr(margintree.optim, "hinge_hessian", lambda *args: hessians.append(1) or hessian(*args))
-        reg = RegularizerConfig(alpha=0.01, beta=0.01)
-        solve_w(nd, labels, EMPTY_CHAIN, reg, SolverConfig(), ClusterModels(np.zeros((4, p))))
+        regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), EMPTY_CHAIN, 4, p)
+        solve_w(nd, labels, regularizer, SolverConfig(), ClusterModels(np.zeros((4, p))))
         assert {name for name, _ in spaces} == {"margin", "weight"}
         assert all(smaller == (name == "margin") for name, smaller in spaces)
         assert len(hessians) <= sum(name == "weight" for name, _ in spaces)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from margintree import (
     ClusterModels,
+    Regularizer,
     RegularizerConfig,
     SolverConfig,
     UnsplittableNodeError,
@@ -178,7 +179,7 @@ class TestSplittingScore:
         ds = Dataset(features=np.array([[2.0, 0.0], [0.0, 2.0]]), ids=np.arange(2))
         nd = subset(ds, [0, 1])
         res = self.make_result(np.array([[1.0, 0.0], [0.0, 1.0]]), [1, 2])
-        assert splitting_score(res, nd, EMPTY_CHAIN, RegularizerConfig()) == pytest.approx(8.0)
+        assert splitting_score(res, nd, Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 2)) == pytest.approx(8.0)
 
     def test_zero_models_sentinel(self):
         from margintree import Dataset
@@ -186,7 +187,7 @@ class TestSplittingScore:
         ds = Dataset(features=np.ones((3, 2)), ids=np.arange(3))
         nd = subset(ds, np.arange(3))
         res = self.make_result(np.zeros((2, 2)), [1, 2, 1])
-        assert splitting_score(res, nd, EMPTY_CHAIN, RegularizerConfig()) == float("-inf")
+        assert splitting_score(res, nd, Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 2)) == float("-inf")
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)
@@ -197,8 +198,9 @@ class TestSplittingScore:
         nd = subset(ds, np.arange(6))
         w = rng.normal(size=(2, 3))
         labels = rng.integers(1, 3, size=6)
-        s1 = splitting_score(self.make_result(w, labels), nd, EMPTY_CHAIN, RegularizerConfig())
-        s2 = splitting_score(self.make_result(3.0 * w, labels), nd, EMPTY_CHAIN, RegularizerConfig())
+        regularizer = Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 3)
+        s1 = splitting_score(self.make_result(w, labels), nd, regularizer)
+        s2 = splitting_score(self.make_result(3.0 * w, labels), nd, regularizer)
         assert s1 == pytest.approx(s2, rel=1e-9)
 
     def test_equals_split_node_score_under_a_chain(self):
@@ -209,5 +211,5 @@ class TestSplittingScore:
         result = split_node(nd, chain, 2, reg, SolverConfig(), seed=0)
         w = result.models.weights
         numer = float((nd.features @ w.T)[np.arange(nd.size), result.labels - 1].sum())
-        assert splitting_score(result, nd, chain, reg) == result.score
+        assert splitting_score(result, nd, Regularizer(reg, chain, *w.shape)) == result.score
         assert result.score == numer / (group_reg(w) + exclusive_reg(w, chain))
