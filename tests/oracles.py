@@ -650,3 +650,37 @@ def brute_force_assignment(costs, lower: int, upper: int) -> tuple[np.ndarray, f
     if best is None:
         raise InfeasibleFlowError("no balanced labeling exists")
     return np.asarray(best, dtype=np.int64) + 1, best_cost
+
+
+def optimal_labelings(costs, lower: int, upper: int, rel_tol: float = 1e-9) -> tuple[float, np.ndarray]:
+    """Optimal total cost and every balanced labeling (1-based rows) within
+    rel_tol of it, by enumerating all K^n labelings at once. Guarded to
+    K^n <= 10^5."""
+    costs = np.asarray(costs, dtype=float)
+    n, k = _check_assignment_inputs(costs, lower, upper)
+    if k**n > 10**5:
+        raise GuardError(f"{k}^{n} labelings exceed the enumeration guard")
+    labelings = np.array(list(itertools.product(range(k), repeat=n)), dtype=np.int64).reshape(k**n, n)
+    sizes = np.stack([(labelings == b).sum(axis=1) for b in range(k)], axis=1)
+    feasible = labelings[(sizes.min(axis=1) >= lower) & (sizes.max(axis=1) <= upper)]
+    totals = costs[np.arange(n), feasible].sum(axis=1)
+    best = float(totals.min())
+    return best, feasible[totals <= best + rel_tol * max(1.0, best)] + 1
+
+
+def reference_parse_csv(path: str, label_column: bool) -> np.ndarray:
+    """Dense feature matrix of a csv file, one float() call per token, blank
+    lines skipped; no error handling (for well-formed files only)."""
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            tokens = line.strip().split(",")
+            if tokens == [""]:
+                continue
+            if label_column:
+                tokens = tokens[:-1]
+            row = []
+            for token in tokens:
+                row.append(float(token))
+            rows.append(row)
+    return np.array(rows, dtype=float)

@@ -328,8 +328,10 @@ class TestEvaluateAndExport:
         assert converted == dot_path.read_text()
 
 
-def degenerate_rows(kind):
+def degenerate_rows(kind, k):
     rng = np.random.default_rng(1)
+    if kind in ("n_equals_k", "n_is_k_plus_1"):  # size bounds [0, 2] and [1, 2]
+        return rng.normal(size=(k + (kind == "n_is_k_plus_1"), 3))
     if kind == "duplicate_rows":  # 5 distinct rows, 8 copies each
         return np.repeat(rng.normal(size=(5, 3)), 8, axis=0)
     if kind == "identical_rows":
@@ -340,11 +342,13 @@ def degenerate_rows(kind):
 
 
 class TestDegenerateInputs:
-    @pytest.mark.parametrize("kind", ["duplicate_rows", "identical_rows", "constant_column"])
+    @pytest.mark.parametrize(
+        "kind", ["duplicate_rows", "identical_rows", "constant_column", "n_equals_k", "n_is_k_plus_1"]
+    )
     @pytest.mark.parametrize("k", [2, 4])
     def test_cluster_completes(self, tmp_path, kind, k):
         data = tmp_path / "data.csv"
-        np.savetxt(data, degenerate_rows(kind), delimiter=",")
+        np.savetxt(data, degenerate_rows(kind, k), delimiter=",")
         report = tmp_path / "report.json"
         src = os.path.dirname(os.path.dirname(margintree.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

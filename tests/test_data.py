@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from margintree import ParseError, SyntheticSpec, ValidationError, generate_synthetic, load_dataset, pca_reduce
+from margintree.cli import main
 from margintree.data import standardize
 from margintree.metrics import shortest_path_similarity
+from oracles import reference_parse_csv
 
 
 class TestLoadCsv:
@@ -39,6 +41,48 @@ class TestLoadCsv:
         ds = load_dataset(self.write(tmp_path, "9,9\n1,1\n5,5\n"))
         assert ds.features[0, 0] == 9.0 and ds.features[2, 0] == 5.0
 
+    def test_bad_token_after_blank_lines(self, tmp_path):
+        # row 2 of the data sits on line 5 of the file
+        with pytest.raises(ParseError, match=r"^line 5: cannot parse 'x' as a number$"):
+            load_dataset(self.write(tmp_path, "1,2\n\n\n \n3,x\n"))
+
+    @pytest.mark.parametrize("token", ["nan", "-inf", "NaN", "1e999"])
+    def test_non_finite_after_blank_lines(self, tmp_path, token):
+        with pytest.raises(ParseError, match=rf"^line 4: non-finite value '{token}'$") as err:
+            load_dataset(self.write(tmp_path, f"1,2\n\n3,4\n5,{token}\n6,7\n"))
+        assert err.value.line == 4
+
+    def test_first_non_finite_token_of_the_row(self, tmp_path):
+        with pytest.raises(ParseError, match=r"^line 2: non-finite value 'nan'$"):
+            load_dataset(self.write(tmp_path, "1,2,3\n4,nan,-inf\n"))
+
+    def test_non_finite_before_unparsable_token_in_a_row(self, tmp_path):
+        with pytest.raises(ParseError, match=r"^line 1: non-finite value 'inf'$"):
+            load_dataset(self.write(tmp_path, "inf,x\n"))
+
+    def test_non_finite_reported_before_a_later_ragged_row(self, tmp_path):
+        with pytest.raises(ParseError, match=r"^line 2: non-finite value '-inf'$"):
+            load_dataset(self.write(tmp_path, "1,2\n-inf,3\n4\n"))
+
+    def test_bad_token_with_label_column(self, tmp_path):
+        with pytest.raises(ParseError, match=r"^line 3: cannot parse 'y' as a number$"):
+            load_dataset(self.write(tmp_path, "1,2,a\n\n3,y,b\n"), label_column=True)
+
+    def test_non_finite_with_label_column(self, tmp_path):
+        # the label field is never parsed, so a label spelled nan is fine
+        ds = load_dataset(self.write(tmp_path, "1,2,nan\n"), label_column=True)
+        assert ds.labels.tolist() == ["nan"]
+        with pytest.raises(ParseError, match=r"^line 2: non-finite value 'nan'$"):
+            load_dataset(self.write(tmp_path, "1,2,a\n3,nan,b\n"), label_column=True)
+
+    def test_bit_identical_to_per_token_parser(self, tmp_path):
+        path = str(tmp_path / "planted.csv")
+        assert main(["generate", "--out", path, "--per-class", "40", "--seed", "4"]) == 0
+        ds = load_dataset(path, label_column=True)
+        reference = reference_parse_csv(path, label_column=True)
+        assert ds.features.shape == reference.shape == (160, 30)
+        assert ds.features.tobytes() == reference.tobytes()
+
 
 class TestLoadLibsvm:
     def write(self, tmp_path, text):
@@ -59,6 +103,26 @@ class TestLoadLibsvm:
     def test_zero_index_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="1-based"):
             load_dataset(self.write(tmp_path, "1 0:1.0\n"), format="libsvm")
+
+    def test_rows_blank_lines_and_comments(self, tmp_path):
+        text = "# header\n1 3:1.5 1:-2\n\n2\n1 2:0.25 # note\n"
+        ds = load_dataset(self.write(tmp_path, text), format="libsvm")
+        assert np.array_equal(ds.features, [[-2.0, 0.0, 1.5], [0.0, 0.0, 0.0], [0.0, 0.25, 0.0]])
+        assert ds.labels.tolist() == ["1", "2", "1"]
+
+    @pytest.mark.parametrize("token", ["nan", "-inf", "inf", "1e999"])
+    def test_non_finite_value_line(self, tmp_path, token):
+        text = f"1 1:0.5\n\n# comment\n2 1:1.0 2:{token} 3:2.0\n1 1:3.0\n"
+        with pytest.raises(ParseError, match=rf"^line 4: non-finite value '{token}'$"):
+            load_dataset(self.write(tmp_path, text), format="libsvm")
+
+    def test_unparsable_value_line(self, tmp_path):
+        with pytest.raises(ParseError, match=r"^line 3: cannot parse 'abc' as a number$"):
+            load_dataset(self.write(tmp_path, "1 1:0.5\n\n2 1:abc\n"), format="libsvm")
+
+    def test_non_finite_reported_before_a_later_bad_token(self, tmp_path):
+        with pytest.raises(ParseError, match=r"^line 2: non-finite value 'nan'$"):
+            load_dataset(self.write(tmp_path, "1 1:0.5\n2 1:nan 0:1\n1 x\n"), format="libsvm")
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValidationError):

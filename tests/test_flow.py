@@ -12,6 +12,7 @@ from oracles import (
     brute_force_network_optimum,
     build_assignment_network,
     min_cost_flow,
+    optimal_labelings,
 )
 
 SCALE = 10**6
@@ -163,19 +164,8 @@ class TestBalancedAssignment:
             n, k = 6, 2
             costs = rng.uniform(0, 10, (n, k))
             b = balance_bounds(n, k)
-            labels, best = brute_force_assignment(costs, b.lower, b.upper)
-            # skip instances with ties among optima
-            ties = 0
-            import itertools
-
-            for cand in itertools.product(range(k), repeat=n):
-                sizes = np.bincount(cand, minlength=k)
-                if sizes.min() < b.lower or sizes.max() > b.upper:
-                    continue
-                if abs(costs[np.arange(n), cand].sum() - best) < 1e-9:
-                    ties += 1
-            if ties != 1:
-                continue
+            if len(optimal_labelings(costs, b.lower, b.upper)[1]) != 1:
+                continue  # skip instances with ties among optima
             perm = rng.permutation(n)
             base = solve_balanced_assignment(costs, b.lower, b.upper)
             permuted = solve_balanced_assignment(costs[perm], b.lower, b.upper)
@@ -193,15 +183,22 @@ class TestBalancedAssignment:
             assert float(costs[np.arange(7), labels - 1].sum()) == pytest.approx(best, rel=1e-12)
 
 
-def fill_in_index_order(n, k, lower, upper):
-    """The documented tie-break on all-equal costs: each instance in turn goes
-    to the lowest-index cluster below lower or, once none is, below upper."""
-    sizes = [0] * k
-    labels = []
-    for _ in range(n):
-        short = [b for b in range(k) if sizes[b] < lower] or [b for b in range(k) if sizes[b] < upper]
+def leave_first_cluster_in_index_order(n, k, lower, upper):
+    """The documented tie-break on all-equal costs: every instance starts in
+    cluster 1 (np.argmin's lowest index) and instances leave it in index
+    order, to the lowest-index cluster below lower while one is, then, while
+    cluster 1 is above upper, to the lowest-index cluster below upper."""
+    sizes = [n] + [0] * (k - 1)
+    labels = [1] * n
+    for i in range(n):
+        short = [b for b in range(1, k) if sizes[b] < lower]
+        if not short and sizes[0] > upper:
+            short = [b for b in range(1, k) if sizes[b] < upper]
+        if not short:
+            break
+        sizes[0] -= 1
         sizes[short[0]] += 1
-        labels.append(short[0] + 1)
+        labels[i] = short[0] + 1
     return labels
 
 
@@ -242,7 +239,7 @@ class TestAgainstMinCostFlow:
     def test_all_equal_costs_tie_break(self, n, k, lower, upper):
         costs = np.full((n, k), 2.5)
         first = solve_balanced_assignment(costs, lower, upper)
-        assert first.tolist() == fill_in_index_order(n, k, lower, upper)
+        assert first.tolist() == leave_first_cluster_in_index_order(n, k, lower, upper)
         assert np.array_equal(solve_balanced_assignment(costs, lower, upper), first)
 
     def test_repeated_calls_identical_on_ties(self):
@@ -250,6 +247,99 @@ class TestAgainstMinCostFlow:
         costs = rng.integers(0, 3, (300, 5)).astype(float)
         first = solve_balanced_assignment(costs, 50, 70)
         assert np.array_equal(solve_balanced_assignment(costs, 50, 70), first)
+
+
+def shaped_costs(rng, case, n, k):
+    """Integer costs in [0, 2^20) shaped so that the argmin breaks the named
+    bound, and the bounds (lower, upper) for the case."""
+    costs = rng.integers(0, 2**20, (n, k))
+    lower, upper = balance_bounds(n, k).lower, balance_bounds(n, k).upper
+    if case in ("overflow_upper", "both_sides", "lower_zero"):
+        costs[:, 0] //= 8  # most rows prefer cluster 1
+    if case in ("below_lower", "both_sides", "upper_n"):
+        costs[:, k - 1] += 2**20  # no row prefers cluster K
+    if case == "equal_bounds":
+        costs[:, 0] //= 8
+        lower = upper = n // k
+    if case == "lower_zero":
+        lower = 0
+    if case == "upper_n":
+        upper = n
+    if case == "integer_ties":
+        costs = rng.integers(0, 3, (n, k))
+    if case == "repeated_rows":
+        costs = rng.integers(0, 6, (3, k))[rng.integers(0, 3, n)]
+    return costs.astype(float), lower, upper
+
+
+REPAIR_CASES = [
+    "overflow_upper", "below_lower", "both_sides", "equal_bounds", "lower_zero", "upper_n",
+    "integer_ties", "repeated_rows",
+]
+
+
+class TestRepairAgainstOracles:
+    """Size repairs from the row-wise argmin against brute force (small n:
+    cost, and labels where the optimum is unique) and against the generic
+    min-cost flow (larger n: cost), K = 2..5."""
+
+    @staticmethod
+    def check_bounds(labels, k, lower, upper):
+        sizes = np.bincount(labels - 1, minlength=k)
+        assert sizes.size == k and sizes.min() >= lower and sizes.max() <= upper
+
+    @pytest.mark.parametrize("case", REPAIR_CASES)
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_equals_brute_force(self, case, k):
+        rng = np.random.default_rng([k, REPAIR_CASES.index(case)])
+        n_max = {2: 12, 3: 8, 4: 7, 5: 6}[k]
+        repaired = unique = 0
+        for _ in range(8):
+            n = int(rng.integers(k, n_max + 1))
+            if case == "equal_bounds":
+                n -= n % k
+            costs, lower, upper = shaped_costs(rng, case, n, k)
+            argmin_sizes = np.bincount(costs.argmin(axis=1), minlength=k)
+            repaired += argmin_sizes.min() < lower or argmin_sizes.max() > upper
+            labels = solve_balanced_assignment(costs, lower, upper)
+            self.check_bounds(labels, k, lower, upper)
+            best, optima = optimal_labelings(costs, lower, upper)
+            got = float(costs[np.arange(n), labels - 1].sum())
+            assert abs(got - best) <= 1e-9 * max(1.0, best), (n, lower, upper, got, best)
+            if len(optima) == 1:
+                unique += 1
+                assert labels.tolist() == optima[0].tolist()
+        assert repaired > 0
+        if case not in ("integer_ties", "repeated_rows"):
+            assert unique > 0
+
+    @pytest.mark.parametrize("case", REPAIR_CASES)
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_equals_min_cost_flow(self, case, k):
+        rng = np.random.default_rng([k, REPAIR_CASES.index(case), 1])
+        for _ in range(3):
+            n = int(rng.integers(40, 161))
+            if case == "equal_bounds":
+                n -= n % k
+            costs, lower, upper = shaped_costs(rng, case, n, k)
+            costs /= 1024.0  # dyadic, so the oracle's fixed point at scale 1024 is exact
+            labels = solve_balanced_assignment(costs, lower, upper)
+            self.check_bounds(labels, k, lower, upper)
+            best = min_cost_flow(build_assignment_network(costs, lower, upper, scale=1024)).total_cost / 1024
+            got = float(costs[np.arange(n), labels - 1].sum())
+            assert abs(got - best) <= 1e-9 * max(1.0, best), (n, lower, upper, got, best)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_feasible_argmin_returned_as_is(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            n = int(rng.integers(k, 200))
+            costs = rng.integers(0, 4, (n, k)).astype(float)  # ties go to the lowest index
+            sizes = np.bincount(costs.argmin(axis=1), minlength=k)
+            lower = int(rng.integers(0, sizes.min() + 1))
+            upper = int(rng.integers(sizes.max(), n + 1))
+            labels = solve_balanced_assignment(costs, lower, upper)
+            assert labels.tolist() == (costs.argmin(axis=1) + 1).tolist()
 
 
 class TestBruteForce:
