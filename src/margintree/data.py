@@ -11,7 +11,7 @@ added everywhere, so the planted tree is recoverable level by level.
 from __future__ import annotations
 
 import csv
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,124 +26,84 @@ def _parse_float(token: str, line_no: int) -> float:
         value = float(token)
     except ValueError:
         raise ParseError(f"cannot parse {token!r} as a number", line=line_no) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(f"non-finite value {token!r}", line=line_no)
     return value
 
 
-def _line_at(lines, line_no: int):
-    """The line_no-th (1-based) item of an iterator over a file's lines or csv records."""
-    return next(itertools.islice(lines, line_no - 1, None))
+def _parse_row(tokens: list[str], line_no: int) -> list[float]:
+    """float() of each token; a row with a bad or non-finite token is parsed
+    again token by token for the error of its first bad token."""
+    try:
+        values = list(map(float, tokens))
+        if math.isfinite(sum(values)):  # nan or inf if any value is (or on a harmless overflow)
+            return values
+    except ValueError:
+        pass
+    return [_parse_float(tok, line_no) for tok in tokens]
 
 
 def _load_csv(path: str, label_column: bool) -> Dataset:
     rows = []
     labels = []
-    row_lines = []  # file line of each row; blank lines make it differ from the row index
     width = None
-
-    def check_finite(values: np.ndarray) -> None:
-        """Raise for the first non-finite value of the rows so far, in file
-        order, reparsing its row with _parse_float for the message."""
-        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-        if bad.size:
-            line_no = row_lines[bad[0]]
-            with open(path, newline="") as fh:
-                record = _line_at(csv.reader(fh), line_no)
-            for token in record[:-1] if label_column else record:
-                _parse_float(token, line_no)
-
-    try:
-        with open(path, newline="") as fh:
-            for line_no, record in enumerate(csv.reader(fh), start=1):
-                if not record or (len(record) == 1 and not record[0].strip()):
-                    continue
-                if width is None:
-                    width = len(record)
-                elif len(record) != width:
-                    raise ParseError(f"expected {width} columns, found {len(record)}", line=line_no)
-                if label_column:
-                    labels.append(record[-1].strip())
-                    record = record[:-1]
-                if not record:
-                    raise ParseError("no feature columns", line=line_no)
-                try:
-                    rows.append(list(map(float, record)))
-                except ValueError:
-                    rows.append([_parse_float(token, line_no) for token in record])
-                row_lines.append(line_no)
-    except ParseError:
-        if rows:  # a non-finite value on an earlier row is the first error in the file
-            check_finite(np.asarray(rows, dtype=float))
-        raise
+    with open(path, newline="") as fh:
+        for line_no, record in enumerate(csv.reader(fh), start=1):
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue
+            if width is None:
+                width = len(record)
+            elif len(record) != width:
+                raise ParseError(f"expected {width} columns, found {len(record)}", line=line_no)
+            if label_column:
+                labels.append(record[-1].strip())
+                record = record[:-1]
+            if not record:
+                raise ParseError("no feature columns", line=line_no)
+            rows.append(_parse_row(record, line_no))
     if not rows:
         raise ParseError("file contains no data rows", line=1)
     features = np.asarray(rows, dtype=float)
-    check_finite(features)
     ids = np.arange(features.shape[0])
     return Dataset(features=features, ids=ids, labels=np.asarray(labels) if label_column else None)
 
 
 def _load_libsvm(path: str) -> Dataset:
     labels = []
-    row_lines = []  # file line of each row
     entry_rows, entry_cols, entry_values = [], [], []  # one entry per index:value token
     max_index = 0
-
-    def check_finite(values: np.ndarray) -> None:
-        """Raise for the first non-finite value of the entries so far, in file
-        order, reparsing its line with _parse_float for the message."""
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            line_no = row_lines[entry_rows[bad[0]]]
-            with open(path) as fh:
-                line = _line_at(fh, line_no)
-            for tok in line.split("#", 1)[0].split()[1:]:
-                _parse_float(tok.split(":", 1)[1], line_no)
-
-    try:
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                tokens = line.split()
-                row = len(labels)
-                labels.append(tokens[0])
-                row_lines.append(line_no)
-                seen = set()
-                for tok in tokens[1:]:
-                    if ":" not in tok:
-                        raise ParseError(f"expected index:value, found {tok!r}", line=line_no)
-                    idx_str, val_str = tok.split(":", 1)
-                    try:
-                        idx = int(idx_str)
-                    except ValueError:
-                        raise ParseError(f"bad feature index {idx_str!r}", line=line_no) from None
-                    if idx < 1:
-                        raise ParseError(f"feature indices are 1-based, found {idx}", line=line_no)
-                    if idx in seen:
-                        raise ParseError(f"duplicate feature index {idx}", line=line_no)
-                    seen.add(idx)
-                    try:
-                        value = float(val_str)
-                    except ValueError:
-                        value = _parse_float(val_str, line_no)
-                    entry_rows.append(row)
-                    entry_cols.append(idx - 1)
-                    entry_values.append(value)
-                max_index = max(max_index, max(seen, default=0))
-    except ParseError:
-        check_finite(np.asarray(entry_values, dtype=float))  # an earlier non-finite value comes first
-        raise
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tokens = line.split()
+            row = len(labels)
+            labels.append(tokens[0])
+            seen = set()
+            for tok in tokens[1:]:
+                if ":" not in tok:
+                    raise ParseError(f"expected index:value, found {tok!r}", line=line_no)
+                idx_str, val_str = tok.split(":", 1)
+                try:
+                    idx = int(idx_str)
+                except ValueError:
+                    raise ParseError(f"bad feature index {idx_str!r}", line=line_no) from None
+                if idx < 1:
+                    raise ParseError(f"feature indices are 1-based, found {idx}", line=line_no)
+                if idx in seen:
+                    raise ParseError(f"duplicate feature index {idx}", line=line_no)
+                seen.add(idx)
+                entry_rows.append(row)
+                entry_cols.append(idx - 1)
+                entry_values.append(_parse_float(val_str, line_no))
+            max_index = max(max_index, max(seen, default=0))
     if not labels:
         raise ParseError("file contains no data rows", line=1)
     if max_index == 0:
         raise ParseError("no feature values found", line=1)
-    values = np.asarray(entry_values, dtype=float)
-    check_finite(values)
     features = np.zeros((len(labels), max_index))
-    features[entry_rows, entry_cols] = values
+    features[entry_rows, entry_cols] = entry_values
     return Dataset(features=features, ids=np.arange(len(labels)), labels=np.asarray(labels))
 
 

@@ -114,8 +114,6 @@ def _repair_sizes(costs: np.ndarray, argmin: np.ndarray, size: list, lower: int,
         unsettled = list(range(k + 1))
         while unsettled:
             a = min(unsettled, key=dist.__getitem__)
-            if dist[a] == float("inf"):
-                break
             unsettled.remove(a)
             for b in unsettled:
                 if a == sink:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,27 @@ from margintree.cli import main
 from margintree.data import standardize
 from margintree.metrics import shortest_path_similarity
 from oracles import reference_parse_csv
+
+
+@pytest.fixture
+def pipe_path():
+    """Path of the read end of a pipe that holds the given text; the file
+    can be read once and not reopened from the start."""
+    fds = []
+
+    def make(text):
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, text.encode())
+        os.close(write_fd)
+        fds.append(read_fd)
+        return f"/dev/fd/{read_fd}"
+
+    yield make
+    for fd in fds:
+        os.close(fd)
+
+
+needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
 
 
 class TestLoadCsv:
@@ -75,6 +98,17 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=r"^line 2: non-finite value 'nan'$"):
             load_dataset(self.write(tmp_path, "1,2,a\n3,nan,b\n"), label_column=True)
 
+    def test_finite_values_whose_row_sum_overflows(self, tmp_path):
+        ds = load_dataset(self.write(tmp_path, "1e308,1e308\n-1e308,-1e308\n"))
+        assert np.array_equal(ds.features, [[1e308, 1e308], [-1e308, -1e308]])
+
+    @needs_dev_fd
+    def test_non_finite_from_a_pipe(self, pipe_path):
+        with pytest.raises(ParseError, match=r"^line 3: non-finite value 'nan'$"):
+            load_dataset(pipe_path("1,2\n\n3,nan\n"))
+        ds = load_dataset(pipe_path("1,2\n3,4\n"))
+        assert np.array_equal(ds.features, [[1, 2], [3, 4]])
+
     def test_bit_identical_to_per_token_parser(self, tmp_path):
         path = str(tmp_path / "planted.csv")
         assert main(["generate", "--out", path, "--per-class", "40", "--seed", "4"]) == 0
@@ -123,6 +157,11 @@ class TestLoadLibsvm:
     def test_non_finite_reported_before_a_later_bad_token(self, tmp_path):
         with pytest.raises(ParseError, match=r"^line 2: non-finite value 'nan'$"):
             load_dataset(self.write(tmp_path, "1 1:0.5\n2 1:nan 0:1\n1 x\n"), format="libsvm")
+
+    @needs_dev_fd
+    def test_non_finite_from_a_pipe(self, pipe_path):
+        with pytest.raises(ParseError, match=r"^line 3: non-finite value '-inf'$"):
+            load_dataset(pipe_path("1 1:0.5\n\n2 1:-inf\n"), format="libsvm")
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValidationError):
