@@ -91,42 +91,83 @@ def cost_matrix(models, data) -> np.ndarray:
     return (_pairwise_hinge(w, x) ** 2).sum(axis=2)
 
 
-def _label_margins(w: np.ndarray, x: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # margins[i, y] = 1 - w_{y_i}.x_i + w_y.x_i with the y = y_i entry zeroed:
-    # row i of the cost tensor at the instance's own label; also the row
-    # positions and the 0-based labels
+class Margins:
+    """The label margins of K x P weights w on n x P features x under 0-based
+    labels y0, from one product x w^T: values[i, y] = 1 - w_{y_i}.x_i +
+    w_y.x_i, zero at y = y_i (row i of the cost tensor at the own label), and
+    active, the n x K mask of the positive ones (the hinge terms with
+    curvature). The loss, gradient and Hessian at w read this one record."""
+
+    def __init__(self, w: np.ndarray, x: np.ndarray, y0: np.ndarray):
+        scores = x @ w.T
+        rows = np.arange(x.shape[0])
+        values = 1.0 - scores[rows, y0][:, None] + scores
+        values[rows, y0] = 0.0
+        self.x, self.y0, self.values, self.active = x, y0, values, values > 0.0
+
+    def at(self, w: np.ndarray) -> "Margins":
+        return Margins(w, self.x, self.y0)
+
+    def loss(self) -> float:
+        return float((np.maximum(self.values, 0.0) ** 2).sum(axis=1).sum() / self.values.size)
+
+    def grad(self) -> np.ndarray:
+        return margin_adjoint(2.0 * np.maximum(self.values, 0.0), self.x, self.y0) / self.values.size
+
+    def hessian(self) -> np.ndarray:
+        """(2/(n K)) sum over positive margins (i, y) of (e_y - e_{y_i})(e_y -
+        e_{y_i})^T kron x_i x_i^T over the row-major K x P weights, block by
+        block as the Gram products x^T diag(c) x over the instances with a
+        positive margin, c the per-instance coefficient of the block."""
+        (n, k), p = self.values.shape, self.x.shape[1]
+        rows = self.active.any(axis=1)
+        active, y0, x = self.active[rows].astype(float), self.y0[rows], self.x[rows]
+        own = active.sum(axis=1)
+        hess = np.zeros((k, p, k, p))
+        for a in range(k):
+            for b in range(a, k):
+                # coefficient of x_i x_i^T in block (a, b): on the diagonal, the
+                # count of positive margins if a is the own label, else whether the
+                # margin against a is positive; off it, -1 if one of a, b is the own
+                # label and the margin against the other is positive
+                if a == b:
+                    coef = np.where(y0 == a, own, active[:, a])
+                else:
+                    coef = np.where(y0 == a, -active[:, b], 0.0) + np.where(y0 == b, -active[:, a], 0.0)
+                block = (x * coef[:, None]).T @ x
+                hess[a, :, b, :] = block
+                if a != b:
+                    hess[b, :, a, :] = block.T
+        return hess.reshape(k * p, k * p) * (2.0 / (n * k))
+
+
+def label_margins(models, data, labels) -> Margins:
+    """The checked Margins record of the models on the data (1-based labels)."""
+    w, x = _weights(models), features_of(data)
     _check_dims(w, x)
-    n, k = x.shape[0], w.shape[0]
-    y0 = _check_labels(labels, n, k) - 1
-    scores = x @ w.T
-    rows = np.arange(n)
-    margins = 1.0 - scores[rows, y0][:, None] + scores
-    margins[rows, y0] = 0.0
-    return margins, rows, y0
+    return Margins(w, x, _check_labels(labels, x.shape[0], w.shape[0]) - 1)
 
 
 def hinge_loss(models, data, labels) -> float:
     """Averaged squared hinge loss of assigning each instance to its label;
     equals cost_matrix(models, data)[i, y_i] summed over i, over n K."""
-    w, x = _weights(models), features_of(data)
-    margins, _, _ = _label_margins(w, x, labels)
-    return float((np.maximum(margins, 0.0) ** 2).sum(axis=1).sum() / (x.shape[0] * w.shape[0]))
+    return label_margins(models, data, labels).loss()
 
 
 def hinge_grad(models, data, labels) -> np.ndarray:
     """Exact gradient of hinge_loss with respect to the K x P weights."""
-    w, x = _weights(models), features_of(data)
-    margins, _, y0 = _label_margins(w, x, labels)
-    return margin_adjoint(2.0 * np.maximum(margins, 0.0), x, y0) / (x.shape[0] * w.shape[0])
+    return label_margins(models, data, labels).grad()
 
 
 def active_margins(models, data, labels) -> tuple[np.ndarray, np.ndarray]:
-    """The n x K mask of the positive margins at the weights (the hinge
-    terms with curvature; never an instance's own label) and the 0-based
-    labels."""
-    w, x = _weights(models), features_of(data)
-    margins, _, y0 = _label_margins(w, x, labels)
-    return margins > 0.0, y0
+    """The n x K mask of the positive margins and the 0-based labels."""
+    margins = label_margins(models, data, labels)
+    return margins.active, margins.y0
+
+
+def hinge_hessian(models, data, labels) -> np.ndarray:
+    """Generalized Hessian of hinge_loss (see Margins.hessian)."""
+    return label_margins(models, data, labels).hessian()
 
 
 def margin_map(z: np.ndarray, x: np.ndarray, y0: np.ndarray) -> np.ndarray:
@@ -145,39 +186,6 @@ def margin_adjoint(lam: np.ndarray, x: np.ndarray, y0: np.ndarray) -> np.ndarray
     coef[rows, y0] = 0.0
     coef[rows, y0] = -coef.sum(axis=1)
     return coef.T @ x
-
-
-def hinge_hessian(models, data, labels) -> np.ndarray:
-    """Generalized Hessian of hinge_loss over the row-major flattened K x P
-    weights: (2/(n K)) sum over positive margins (i, y != y_i) of
-    (e_y - e_{y_i})(e_y - e_{y_i})^T kron x_i x_i^T, built block by block as
-    the weighted Gram products x^T diag(c) x over the instances with a
-    positive margin, c the per-instance coefficient of the (y, y') block."""
-    w, x = _weights(models), features_of(data)
-    k, p = w.shape
-    active, y0 = active_margins(w, x, labels)
-    scale = 2.0 / (x.shape[0] * k)
-    rows = active.any(axis=1)
-    if not rows.all():
-        active, y0, x = active[rows], y0[rows], x[rows]
-    active = active.astype(float)
-    own = active.sum(axis=1)
-    hess = np.zeros((k, p, k, p))
-    for a in range(k):
-        for b in range(a, k):
-            # coefficient of x_i x_i^T in block (a, b): on the diagonal, the
-            # count of positive margins if a is the own label, else whether the
-            # margin against a is positive; off it, -1 if one of a, b is the own
-            # label and the margin against the other is positive
-            if a == b:
-                coef = np.where(y0 == a, own, active[:, a])
-            else:
-                coef = np.where(y0 == a, -active[:, b], 0.0) + np.where(y0 == b, -active[:, a], 0.0)
-            block = (x * coef[:, None]).T @ x
-            hess[a, :, b, :] = block
-            if a != b:
-                hess[b, :, a, :] = block.T
-    return hess.reshape(k * p, k * p) * scale
 
 
 def column_norms(w: np.ndarray) -> np.ndarray:
@@ -235,15 +243,17 @@ class Regularizer:
         self._has_ancestors = len(chain) > 0
         alpha, beta = config.alpha, config.beta
         g, e, none = alpha * self.lambda_g, beta * self.lambda_e, np.zeros(p)
-        # variant: (value of the K x P weights, l1, group, quad)
+
+        def group(w, norms):
+            return alpha * float((column_norms(w) if norms is None else norms).sum() / (p * k))
+
+        # variant: (value of the K x P weights given their column norms or None, l1, group, quad)
         table = {
-            "sparse_group": (
-                lambda w: alpha * float(column_norms(w).sum() / (p * k)) + beta * self._exclusive(w), e, g, 0.0,
-            ),
-            "group_only": (lambda w: alpha * float(column_norms(w).sum() / (p * k)), none, g, 0.0),
-            "exclusive_only": (lambda w: beta * self._exclusive(w), e, 0.0, 0.0),
-            "l1": (lambda w: alpha * float(np.abs(w).sum()) / (k * p), np.full(p, g), 0.0, 0.0),
-            "squared_l2": (lambda w: alpha * float((w**2).sum()) / (k * p), none, 0.0, g),
+            "sparse_group": (lambda w, norms: group(w, norms) + beta * self._exclusive(w), e, g, 0.0),
+            "group_only": (group, none, g, 0.0),
+            "exclusive_only": (lambda w, norms: beta * self._exclusive(w), e, 0.0, 0.0),
+            "l1": (lambda w, norms: alpha * float(np.abs(w).sum()) / (k * p), np.full(p, g), 0.0, 0.0),
+            "squared_l2": (lambda w, norms: alpha * float((w**2).sum()) / (k * p), none, 0.0, g),
         }
         self._value, l1, self.group, self.quad = table[config.variant]
         # alpha and beta are finite, but beta * lambda_E can overflow
@@ -261,9 +271,11 @@ class Regularizer:
         w = _weights(models)
         return group_reg(w) + self._exclusive(w)
 
-    def value(self, models) -> float:
+    def value(self, models, norms: np.ndarray | None = None) -> float:
+        """The term at the models; norms, when given, are the column norms of
+        the weights (the prox hands on those it shrank), which no variant then recomputes."""
         # an ndarray (the weight update's K x P iterate) is used as it is
-        return self._value(models if type(models) is np.ndarray else _weights(models))
+        return self._value(models if type(models) is np.ndarray else _weights(models), norms)
 
 
 def regularizer_value(models, chain: AncestorChain, config: RegularizerConfig) -> float:

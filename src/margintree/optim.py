@@ -7,20 +7,23 @@ hinge (piecewise quadratic) at the current point w by mu = |r|, r the
 prox-gradient residual at the step 1/L (L = 2 lambda_max(X^T X)/n, the
 Lipschitz bound of the hinge gradient), and minimizes the model
 grad.d + d.(H + mu I)d/2 + R(w + d) to a residual of a tenth of |r| by
-semismooth Newton on its dual. Each dual Newton system is solved in the
-smaller space: over the m positive hinge margins when m is at most the
-number of free weights (those the prox Jacobian does not zero), else over
-the free weights through the Woodbury identity; H is built only when the
-weight space is used. An Armijo backtracking on the true objective takes
-the step; if the model step is no descent direction, the prox-gradient step
-at 1/L, which always decreases the objective, is taken instead. The run
-stops once the largest entry of r falls below rel_obj_tol times the largest
-entry of the hinge gradient at w = 0.
+semismooth Newton on its dual. An Armijo backtracking on the true objective
+takes the step, or the prox-gradient step at 1/L, which always decreases the
+objective, when the model step is no descent direction. The run stops once
+the largest entry of r falls below rel_obj_tol times the largest entry of
+the hinge gradient at w = 0. One objective.Margins record per iterate gives
+the loss, the gradient, the active margins and H, and the accepted Armijo
+trial's record serves the next iteration.
 
-The prox of the regularizer is the two-step composition: entrywise
-soft-threshold with the ancestor-induced per-feature weights, then
-column-wise group shrinkage; a quadratic regularizer has a closed-form
-rescale instead. Its coefficients come from the split's Regularizer.
+The dual maps A, A^T gather and scatter only the m positive margins
+(MarginMap). Each dual Newton system is solved over the m margins when m is
+at most the number of free weights (those the prox Jacobian does not zero),
+else over the free weights through the Woodbury identity; H is built only
+then. The prox is an entrywise soft-threshold with the ancestor-induced
+per-feature weights, then a column-wise group shrinkage (a closed-form
+rescale for a quadratic term), with the coefficients of the split's
+Regularizer; it hands its soft-thresholded point and column norms on to the
+Jacobian and the regularizer value.
 """
 
 from __future__ import annotations
@@ -37,13 +40,10 @@ from .errors import SolverError, ValidationError
 from .objective import (
     Regularizer,
     column_norms,
-    active_margins,
-    hinge_grad,
-    hinge_hessian,
-    hinge_loss,
-    margin_adjoint,
-    margin_map,
-    regularizer_value,  # noqa: F401  perfbench/layers.py traces calls through optim.regularizer_value
+    hinge_grad,  # noqa: F401  perfbench/layers.py traces calls through optim.hinge_grad,
+    hinge_loss,  # noqa: F401  optim.hinge_loss
+    label_margins,
+    regularizer_value,  # noqa: F401  and optim.regularizer_value
 )
 
 logger = logging.getLogger(__name__)
@@ -76,12 +76,29 @@ def prox_weighted_l1(w: np.ndarray, thresholds) -> np.ndarray:
     return np.sign(w) * np.maximum(np.abs(w) - thresholds, 0.0)
 
 
+def _group_shrink(w: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """prox_group(w, t), the column norms of w and those of the result, [||col|| - t]_+."""
+    norms = column_norms(w)
+    shrunk = np.maximum(norms - t, 0.0)
+    # a zero column has [0 - t]_+ = 0 in the numerator: dividing by 1 keeps it zero
+    return w * (shrunk / np.where(norms > 0.0, norms, 1.0)), norms, shrunk
+
+
 def prox_group(w: np.ndarray, t: float) -> np.ndarray:
     """Column-wise shrinkage toward zero: each feature column scaled by
     [||col|| - t]_+ / ||col||, zero columns staying zero."""
-    norms = column_norms(w)
-    # a zero column has [0 - t]_+ = 0 in the numerator: dividing by 1 keeps it zero
-    return w * (np.maximum(norms - t, 0.0) / np.where(norms > 0.0, norms, 1.0))
+    return _group_shrink(w, t)[0]
+
+
+def prox_parts(v: np.ndarray, regularizer: Regularizer, s: float):
+    """z = prox_sparse_group(v, regularizer, s), the soft-thresholded point
+    u, its column norms and the shrunken norms (those of z); for a quadratic
+    term u is v and both norms are None."""
+    if regularizer.quad:
+        return v / (1.0 + 2.0 * s * regularizer.quad), v, None, None
+    u = prox_weighted_l1(v, s * regularizer.l1)
+    z, norms, shrunk = _group_shrink(u, s * regularizer.group)
+    return z, u, norms, shrunk
 
 
 def prox_sparse_group(w: np.ndarray, regularizer: Regularizer, s: float) -> np.ndarray:
@@ -90,143 +107,135 @@ def prox_sparse_group(w: np.ndarray, regularizer: Regularizer, s: float) -> np.n
     within each column); closed-form rescale for a quadratic term."""
     if s <= 0:
         raise ValidationError("prox step must be positive")
+    return prox_parts(w, regularizer, s)[0]
+
+
+def prox_jacobian(u: np.ndarray, norms, regularizer: Regularizer, s: float):
+    """A generalized Jacobian J of prox_sparse_group(., regularizer, s) at a
+    point, from the soft-thresholded K x P point u and its column norms that
+    prox_parts computed there. J is block diagonal over the feature columns
+    and zero on those the group shrinkage kills; with D the 0/1 diagonal of
+    u != 0 and b the group threshold, a live column's block (|u| > b) is
+    (1 - b/|u|) D + b u u^T / |u|^3. Returns the blocks of the live columns,
+    the P-mask of those columns and the K x P mask of the free weights (the
+    rows where J is nonzero)."""
+    k, p = u.shape
     if regularizer.quad:
-        return w / (1.0 + 2.0 * s * regularizer.quad)
-    return prox_group(prox_weighted_l1(w, s * regularizer.l1), s * regularizer.group)
-
-
-def prox_jacobian(w: np.ndarray, regularizer: Regularizer, s: float) -> np.ndarray:
-    """A generalized Jacobian of prox_sparse_group(., regularizer, s) at the
-    K x P point w, one K x K block per feature column (P x K x K); the prox
-    acts on each column separately.
-
-    With D the 0/1 diagonal of the entries above their l1 threshold, u the
-    soft-thresholded column and b the group threshold, the block is
-    (1 - b/|u|) D + b u u^T / |u|^3 when |u| > b and 0 otherwise.
-    """
-    k, p = w.shape
-    if regularizer.quad:
-        return np.broadcast_to(np.eye(k) / (1.0 + 2.0 * s * regularizer.quad), (p, k, k)).copy()
+        block = np.eye(k) / (1.0 + 2.0 * s * regularizer.quad)
+        return np.broadcast_to(block, (p, k, k)), np.ones(p, dtype=bool), np.ones((k, p), dtype=bool)
     b = s * regularizer.group
-    kept = np.abs(w) > s * regularizer.l1
-    u = prox_weighted_l1(w, s * regularizer.l1)
-    norms = column_norms(u)
     live = norms > b
-    safe = np.where(live, norms, 1.0)
-    shrink = np.where(live, 1.0 - b / safe, 0.0)
-    jac = (u.T[:, :, None] * u.T[:, None, :]) * np.where(live, b / safe**3, 0.0)[:, None, None]
-    diag = np.arange(k)
-    jac[:, diag, diag] += kept.T * shrink[:, None]
-    return jac
+    u_live, n_live = u[:, live].T, norms[live]
+    blocks = (u_live[:, :, None] * u_live[:, None, :]) * (b / n_live**3)[:, None, None]
+    blocks[:, range(k), range(k)] += (u_live != 0.0) * (1.0 - b / n_live)[:, None]
+    return blocks, live, (u != 0.0) & live
 
 
 def _jacobian_product(blocks: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """J m for J the block-diagonal matrix over row-major K x P weights of
-    the P per-column K x K blocks, and m with K P rows (a K x P array or a
-    K P x K P matrix), without forming J."""
+    """J m for a K L x F matrix m, J block diagonal over row-major K x L
+    weights with the L per-column K x K blocks, without forming J."""
     p, k, _ = blocks.shape
-    by_column = m.reshape(k, p, -1).transpose(1, 0, 2)
+    by_column = m.reshape(k, p, m.shape[1]).transpose(1, 0, 2)
     return np.matmul(blocks, by_column).transpose(1, 0, 2).reshape(m.shape)
 
 
-def _margin_matrix(x: np.ndarray, y0: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The map A from row-major K x P weights to the positive margins, as an
-    m x K P matrix: one row (e_y - e_{y_i}) kron x_i per entry (i, y) of the
-    n x K mask, in row-major order; y0 holds 0-based labels."""
-    inst, cls = np.nonzero(mask)
-    rows = np.arange(inst.size)
-    a = np.zeros((inst.size, mask.shape[1], x.shape[1]))
-    a[rows, cls] = x[inst]
-    a[rows, y0[inst]] = -x[inst]
-    return a.reshape(inst.size, a.shape[1] * a.shape[2])
+class MarginMap:
+    """A, the linear map from K x P weights z to the positive margins (i, y)
+    of an n x K mask, (A z)_(i, y) = z_y.x_i - z_{y_i}.x_i in row-major order
+    (y0 the 0-based labels), and A^T: they gather the m instance rows and
+    scatter through the m x K signs of e_y - e_{y_i}, or, once matrix() has
+    built it, go through the m x K P matrix of A."""
+
+    def __init__(self, x: np.ndarray, y0: np.ndarray, mask: np.ndarray):
+        inst, cls = np.nonzero(mask)
+        eye = np.eye(mask.shape[1])
+        self.rows, self.signs = x[inst], eye[cls] - eye[y0[inst]]
+        self.size, self.shape, self.a = inst.size, (mask.shape[1], x.shape[1]), None
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        return ((self.rows @ z.T) * self.signs).sum(axis=1) if self.a is None else self.a @ z.ravel()
+
+    def adjoint(self, lam: np.ndarray) -> np.ndarray:
+        return (self.signs.T * lam) @ self.rows if self.a is None else (lam @ self.a).reshape(self.shape)
+
+    def matrix(self) -> np.ndarray:
+        if self.a is None:
+            self.a = (self.signs[:, :, None] * self.rows[:, None, :]).reshape(self.size, -1)
+            self.rows = self.signs = None
+        return self.a
 
 
-def _margin_space_step(blocks, grad_dual, c, mu, a):
+def _margin_space_step(jac, grad_dual, c, mu, a):
     """Dual Newton step (I/c + A J A^T/mu)^-1 grad_dual, solved as an m x m
-    system over the positive margins; a is A (m x K P). Returns the step and
-    A^T of it as a K x P array."""
-    p, k, _ = blocks.shape
-    live = blocks.any(axis=(1, 2))  # A J A^T sums over the columns where J is nonzero
-    a_live = a.reshape(a.shape[0], k, p)[:, :, live].reshape(a.shape[0], -1)
-    system = a_live @ _jacobian_product(blocks[live], a_live.T)
+    system over the positive margins; jac is prox_jacobian's (blocks, live
+    columns, free weights) and a is A (m x K P). Returns the step and A^T of
+    it as a K x P array."""
+    blocks, live, _ = jac
+    m, k = a.shape[0], blocks.shape[1]
+    # A J A^T sums over the live columns only
+    a_live = a.reshape(m, k, -1)[:, :, live].reshape(m, -1)
+    system = a_live @ _jacobian_product(blocks, a_live.T)
     system /= mu
-    system[np.diag_indices(a.shape[0])] += 1.0 / c
+    system.flat[:: m + 1] += 1.0 / c
     delta = np.linalg.solve(system, grad_dual)
-    return delta, (delta @ a).reshape(blocks.shape[1], -1)
+    return delta, (delta @ a).reshape(k, -1)
 
 
-def _weight_space_step(blocks, free, grad_dual, at_grad, c, mu, forward, hess):
+def _weight_space_step(jac, grad_dual, at_grad, c, mu, forward, hess):
     """The same step through the Woodbury identity: (mu I + J hess) step =
-    c J A^T grad_dual, solved on the free rows only (a row where J vanishes
-    gives step 0 there), then delta = c (grad_dual - A step); at_grad is
-    A^T grad_dual (K x P), forward maps K x P weights z to A z and hess =
-    c A^T A. Returns delta and A^T delta."""
-    system = _jacobian_product(blocks, hess)[np.ix_(free, free)]
-    system[np.diag_indices(free.size)] += mu
-    step = np.zeros(hess.shape[0])
-    step[free] = np.linalg.solve(system, c * _jacobian_product(blocks, at_grad).ravel()[free])
-    delta = c * (grad_dual - forward(step.reshape(at_grad.shape)))
-    return delta, c * at_grad - hess.dot(step).reshape(at_grad.shape)
+    c J A^T grad_dual on the free rows (step is 0 where J vanishes), then
+    delta = c (grad_dual - A step); at_grad is A^T grad_dual (K x P), forward
+    is A and hess = c A^T A. Returns delta and A^T delta."""
+    blocks, live, free = jac
+    k, p = free.shape
+    # the row-major positions of the live columns' weights, and which of them are free
+    inner = (np.arange(k)[:, None] * p + np.flatnonzero(live)).ravel()
+    keep = free[:, live].ravel()
+    system = _jacobian_product(blocks, hess[np.ix_(inner, inner[keep])])[keep]
+    system.flat[:: system.shape[0] + 1] += mu
+    step = np.zeros((k, p))
+    step[free] = np.linalg.solve(system, c * _jacobian_product(blocks, at_grad[:, live].reshape(-1, 1))[keep, 0])
+    delta = c * (grad_dual - forward(step))
+    return delta, c * at_grad - hess.dot(step.ravel()).reshape(k, p)
 
 
-def _solve_dual_model(w, grad, hessian, mu, margins, c, regularizer, tol):
+def _solve_dual_model(w, grad, hessian, mu, a, c, regularizer, tol):
     """Minimize the model q(z) + R(z), q(z) = grad.(z - w) + c |A(z - w)|^2/2
     + mu |z - w|^2/2 with hessian() = c A^T A, over K x P points z, to a
-    subgradient residual of tol; returns the last primal point.
+    subgradient residual of tol; returns the last primal point. a is the
+    MarginMap A from the weights to the m positive margins.
 
-    A maps weights to the m positive margins: margins = (x, y0, mask) over
-    the instances with one. Semismooth Newton runs on the dual, maximizing
-    D(lam) = -|lam|^2/(2c) + lam.A(z - w) + psi(z), z = prox_{R/mu}(w - (grad
-    + A^T lam)/mu), psi the rest of the model: it is smooth and concave, its
-    generalized Hessian -(I/c + A J A^T/mu) is negative definite whatever the
-    conditioning of c A^T A (J the per-column Jacobian of the prox), and
-    A^T(c grad D) is the model's subgradient residual at z.
-
-    Each Newton system is solved in the smaller of two spaces: over the m
-    margins when m is at most the number of free weights (the rows where J
-    is nonzero), else over the free weights through the Woodbury identity.
-    The m x K P matrix of A is built on the first margin-space step and
-    hessian is a callable, so that the K P x K P matrix is built only when
-    the weight space is used.
-    """
-    x, y0, mask = margins
-    shape, s = w.shape, 1.0 / mu
+    Semismooth Newton runs on the dual, maximizing D(lam) = -|lam|^2/(2c) +
+    lam.A(z - w) + psi(z), z = prox_{R/mu}(w - (grad + A^T lam)/mu), psi the
+    rest of the model: it is smooth and concave, its generalized Hessian
+    -(I/c + A J A^T/mu) is negative definite whatever the conditioning of
+    c A^T A (J the per-column Jacobian of the prox), and A^T(c grad D) is the
+    model's subgradient residual at z. The m x K P matrix of A is built on
+    the first margin-space step (m <= K P there), hessian() on the first
+    weight-space one."""
+    s = 1.0 / mu
     base = w - s * grad
-    m = int(np.count_nonzero(mask))
-    # built for margin-space steps only, which need m <= |free| <= K P: A has at
-    # most (K P)^2 entries
-    a = functools.cache(functools.partial(_margin_matrix, x, y0, mask))
-
-    def forward(z):
-        return margin_map(z, x, y0)[mask]
-
-    def adjoint(lam):
-        full = np.zeros(mask.shape)
-        full[mask] = lam
-        return margin_adjoint(full, x, y0)
 
     def primal(at_lam):
-        v = base - s * at_lam
-        z = prox_sparse_group(v, regularizer, s)
+        z, u, norms, shrunk = prox_parts(base - s * at_lam, regularizer, s)
         d = z - w
-        psi = 0.5 * mu * float((d * d).sum()) + float((grad * d).sum()) + regularizer.value(z)
-        return v, z, d, psi
+        psi = 0.5 * mu * float((d * d).sum()) + float((grad * d).sum()) + regularizer.value(z, shrunk)
+        return (u, norms), z, d, psi
 
-    lam = np.zeros(m)
-    at_lam = np.zeros(shape)  # A^T lam
-    v, z, d, dual = primal(at_lam)
+    lam = np.zeros(a.size)
+    at_lam = np.zeros(w.shape)  # A^T lam
+    parts, z, d, dual = primal(at_lam)
     for _ in range(DUAL_NEWTON_STEPS):
-        grad_dual = forward(d) - lam / c
-        at_grad = adjoint(grad_dual)
+        grad_dual = a(d) - lam / c
+        at_grad = a.adjoint(grad_dual)
         if c * math.sqrt(float((at_grad * at_grad).sum())) <= tol:
             break
-        blocks = prox_jacobian(v, regularizer, s)
-        free = np.flatnonzero(blocks.any(axis=2).T)
+        jac = prox_jacobian(*parts, regularizer, s)
         try:
-            if m <= free.size:
-                delta, at_delta = _margin_space_step(blocks, grad_dual, c, mu, a())
+            if a.size <= np.count_nonzero(jac[2]):
+                delta, at_delta = _margin_space_step(jac, grad_dual, c, mu, a.matrix())
             else:
-                delta, at_delta = _weight_space_step(blocks, free, grad_dual, at_grad, c, mu, forward, hessian())
+                delta, at_delta = _weight_space_step(jac, grad_dual, at_grad, c, mu, a, hessian())
         except np.linalg.LinAlgError:
             break
         slope = float(grad_dual.dot(delta))
@@ -236,14 +245,14 @@ def _solve_dual_model(w, grad, hessian, mu, margins, c, regularizer, tol):
         for _ in range(MAX_BACKTRACKS):
             at_new = at_lam + t * at_delta
             lam_new = lam + t * delta
-            v_new, z_new, d_new, psi_new = primal(at_new)
+            parts_new, z_new, d_new, psi_new = primal(at_new)
             dual_new = float((at_new * d_new).sum()) + psi_new - float(lam_new.dot(lam_new)) / (2.0 * c)
             if dual_new >= dual + DUAL_ASCENT * t * slope:
                 break
             t *= 0.5
         if not dual_new > dual:
             break  # no ascent left above the rounding of D: z is as good as it gets
-        lam, at_lam, v, z, d, dual = lam_new, at_new, v_new, z_new, d_new, dual_new
+        lam, at_lam, parts, z, d, dual = lam_new, at_new, parts_new, z_new, d_new, dual_new
     return z
 
 
@@ -264,11 +273,10 @@ def solve_w(
     iterations. Raises SolverError if the objective turns non-finite.
     """
     w = np.array(w0.weights, dtype=float)
-    k = w.shape[0]
-    labels = np.asarray(labels, dtype=np.int64)
     x = features_of(data)
 
-    scale = float(np.abs(hinge_grad(np.zeros_like(w), x, labels)).max())
+    at_zero = label_margins(np.zeros_like(w), x, labels)  # checks the labels and dimensions, once per call
+    scale = float(np.abs(at_zero.grad()).max())
     if scale == 0.0:
         # w = 0 minimizes the hinge and the regularizer at once
         return ClusterModels(weights=np.zeros_like(w))
@@ -277,53 +285,46 @@ def solve_w(
     t = x.shape[0] / (2.0 * math.sqrt(float((gram * gram).sum())))
     if not 0.0 < t < math.inf:
         raise SolverError(f"no finite Lipschitz bound for the hinge gradient (step {t})")
-    c = 2.0 / (x.shape[0] * k)
+    c = 2.0 / at_zero.values.size  # 2/(n K)
 
+    margins = at_zero.at(w)
     reg_w = regularizer.value(w)
-    fw = hinge_loss(w, x, labels) + reg_w
+    fw = margins.loss() + reg_w
     if not np.isfinite(fw):
         raise SolverError(f"objective not finite at the initial point (value {fw})")
 
     for outer in range(cfg.max_outer_iters):
-        grad = hinge_grad(w, x, labels)
+        grad = margins.grad()
         pg = prox_sparse_group(w - t * grad, regularizer, t)
         r = (w - pg) / t
         if float(np.abs(r).max()) <= cfg.rel_obj_tol * scale:
             break
         r_norm = math.sqrt(float((r * r).sum()))
-        active, y0 = active_margins(w, x, labels)
-        rows = active.any(axis=1)
-        margins = (x, y0, active) if rows.all() else (x[rows], y0[rows], active[rows])
+        a = MarginMap(x, margins.y0, margins.active)
         # built on the first weight-space Newton step of this model, if any
-        hessian = functools.cache(functools.partial(hinge_hessian, w, x, labels))
-        z = _solve_dual_model(w, grad, hessian, DAMPING * r_norm, margins, c, regularizer, INEXACTNESS * r_norm)
+        hessian = functools.cache(margins.hessian)
+        z = _solve_dual_model(w, grad, hessian, DAMPING * r_norm, a, c, regularizer, INEXACTNESS * r_norm)
         if not np.all(np.isfinite(z)):
             raise SolverError(f"iterate diverged at outer iteration {outer}")
         d = z - w
         reg_z = regularizer.value(z)
         model_dec = float((grad * d).sum()) + reg_z - reg_w
-        accepted = False
-        if model_dec < 0.0:
-            step = 1.0
-            for _ in range(MAX_BACKTRACKS):
-                cand = z if step == 1.0 else w + step * d
-                reg_c = reg_z if step == 1.0 else regularizer.value(cand)
-                fc = hinge_loss(cand, x, labels) + reg_c
-                if not np.isfinite(fc):
-                    raise SolverError(f"objective not finite at outer iteration {outer} (step {step:.3e})")
-                if fc <= fw + SUFFICIENT_DECREASE * step * model_dec:
-                    accepted = True
-                    break
-                step *= LINE_SEARCH_SHRINK
-        if not accepted:
-            cand = pg
-            reg_c = regularizer.value(cand)
-            fc = hinge_loss(cand, x, labels) + reg_c
+        # Armijo steps along d while the model decreases, then (if none is accepted) the prox-gradient step
+        steps = [LINE_SEARCH_SHRINK**i for i in range(MAX_BACKTRACKS)] if model_dec < 0.0 else []
+        for step in [*steps, None]:
+            cand = pg if step is None else z if step == 1.0 else w + step * d
+            reg_c = reg_z if step == 1.0 else regularizer.value(cand)
+            trial = margins.at(cand)
+            fc = trial.loss() + reg_c
             if not np.isfinite(fc):
-                raise SolverError(f"objective not finite at outer iteration {outer} (prox-gradient step)")
-            if not fc < fw:
+                where = "prox-gradient step" if step is None else f"step {step:.3e}"
+                raise SolverError(f"objective not finite at outer iteration {outer} ({where})")
+            if step is None or fc <= fw + SUFFICIENT_DECREASE * step * model_dec:
                 break
-        w, fw, reg_w = cand, fc, reg_c
+        if step is None and not fc < fw:
+            break
+        # the accepted trial's margins serve the next iteration
+        w, fw, reg_w, margins = cand, fc, reg_c, trial
         logger.debug("w-update iter=%d obj=%.10e residual=%.3e", outer, fw, r_norm)
 
     return ClusterModels(weights=w)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,14 +24,18 @@ from margintree import (
     subset,
 )
 from margintree.optim import (
-    _margin_matrix,
+    MarginMap,
     _margin_space_step,
     _solve_dual_model,
     _weight_space_step,
     prox_jacobian,
+    prox_parts,
 )
+from margintree.cli import restart_seed
 from margintree.core import EMPTY_CHAIN
+from margintree.hier import BuildConfig, StoppingCriterion, build_hierarchy
 from margintree.objective import VARIANTS, active_margins, hinge_grad, hinge_hessian, margin_adjoint, margin_map
+import margintree.hier
 import margintree.objective
 import margintree.optim
 import margintree.split
@@ -174,6 +181,21 @@ class TestProxSparseGroup:
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
 
+def jacobian_at(w, regularizer, s):
+    """prox_jacobian at w, from the pieces prox_parts computes there."""
+    _, u, norms, _ = prox_parts(w, regularizer, s)
+    return prox_jacobian(u, norms, regularizer, s)
+
+
+def full_blocks(jac):
+    """The P x K x K blocks of all columns (zero on the dead ones) of a
+    prox_jacobian result."""
+    blocks, live, free = jac
+    full = np.zeros((free.shape[1], free.shape[0], free.shape[0]))
+    full[live] = blocks
+    return full
+
+
 class TestProxJacobian:
     @staticmethod
     def away_from_thresholds(rng, spec, s, k, p, gap=1e-3):
@@ -195,7 +217,7 @@ class TestProxJacobian:
         spec = Regularizer(RegularizerConfig(alpha=2.0, beta=3.0, variant=variant), chain, k, p)
         for s in (0.5, 2.0):
             w = self.away_from_thresholds(rng, spec, s, k, p)
-            blocks = prox_jacobian(w, spec, s)
+            blocks = full_blocks(jacobian_at(w, spec, s))
             for entry in np.ndindex(w.shape):
                 numeric = finite_difference_grad(lambda m: prox_sparse_group(m, spec, s)[entry], w, h=1e-6)
                 expected = np.zeros((k, p))
@@ -205,7 +227,50 @@ class TestProxJacobian:
     def test_zero_block_inside_group_threshold(self):
         spec = spec_for(60.0, 0.0, np.zeros(2), 2, 2)  # group threshold 15
         w = np.array([[10.0, 0.1], [10.0, 0.1]])
-        assert np.array_equal(prox_jacobian(w, spec, 1.0), np.zeros((2, 2, 2)))
+        blocks, live, free = jacobian_at(w, spec, 1.0)
+        assert blocks.shape == (0, 2, 2)
+        assert not live.any() and not free.any()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_free_weights_are_the_nonzero_rows(self, variant):
+        # free marks the rows of J that are nonzero: the entries above their l1
+        # threshold in the live columns
+        rng = np.random.default_rng(24)
+        k, p = 3, 8
+        chain = chain_of(rng.uniform(0, 2, p), rng.uniform(0, 2, p))
+        spec = Regularizer(RegularizerConfig(alpha=2.0, beta=3.0, variant=variant), chain, k, p)
+        for s in (0.3, 1.0, 3.0):
+            w = rng.normal(size=(k, p)) * 0.5
+            jac = jacobian_at(w, spec, s)
+            assert np.array_equal(jac[2], full_blocks(jac).any(axis=2).T)
+            assert np.array_equal(jac[1], full_blocks(jac).any(axis=(1, 2)))
+
+
+class TestRegularizerValueFromShrunkenNorms:
+    """The dual line search takes the regularizer value from the column norms
+    the prox shrank; it equals Regularizer.value of the prox point."""
+
+    @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_equals_value(self, variant, chain_name):
+        rng = np.random.default_rng(25)
+        k, p = 3, 12
+        chain = EMPTY_CHAIN if chain_name == "root" else chain_of(rng.uniform(0, 2, p), rng.uniform(0, 2, p))
+        spec = Regularizer(RegularizerConfig(alpha=0.5, beta=0.5, variant=variant), chain, k, p)
+        for s in (0.1, 1.0, 10.0, 1e4):
+            v = rng.normal(size=(k, p)) * rng.uniform(0.01, 2.0, size=p)  # some columns shrink to zero
+            z, _, _, shrunk = prox_parts(v, spec, s)
+            if shrunk is not None:
+                assert np.array_equal(shrunk == 0.0, ~z.any(axis=0))
+            assert abs(spec.value(z, shrunk) - spec.value(z)) <= 1e-14 * abs(spec.value(z))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_all_columns_shrunk_to_zero(self, variant):
+        spec = Regularizer(RegularizerConfig(alpha=1.0, beta=1.0, variant=variant), chain_of(np.ones(4)), 2, 4)
+        z, _, _, shrunk = prox_parts(np.full((2, 4), 1e-3), spec, 1e6)
+        if variant != "squared_l2":
+            assert not z.any()
+        assert spec.value(z, shrunk) == spec.value(z)
 
 
 class TestSolveW:
@@ -437,16 +502,36 @@ class TestDualNewtonSpaces:
         mask, y0 = active_margins(w, x, labels)
         return rng, x, labels, w, chain, regularizer, (x, y0, mask), 2.0 / (n * k)
 
-    def test_margin_matrix_is_the_margin_map(self):
-        rng = np.random.default_rng(60)
-        x, y0 = rng.normal(size=(7, 4)), rng.integers(0, 3, size=7)
-        mask = rng.random((7, 3)) < 0.5
+    @staticmethod
+    def masked_cases(rng, k):
+        """(x, y0, mask) over 7 rows: a random mask with two rows that have no
+        positive margin, and a mask with one entry."""
+        x, y0 = rng.normal(size=(7, 4)), rng.integers(0, k, size=7)
+        mask = rng.random((7, k)) < 0.6
         mask[np.arange(7), y0] = False
-        a = _margin_matrix(x, y0, mask)
-        z, lam = rng.normal(size=(3, 4)), np.zeros((7, 3))
-        lam[mask] = rng.normal(size=int(mask.sum()))
-        assert np.allclose(a @ z.ravel(), margin_map(z, x, y0)[mask], rtol=0, atol=1e-12)
-        assert np.allclose(lam[mask] @ a, margin_adjoint(lam, x, y0).ravel(), rtol=0, atol=1e-12)
+        mask[[1, 4]] = False
+        one = np.zeros((7, k), dtype=bool)
+        one[3, (y0[3] + 1) % k] = True
+        return [(x, y0, mask), (x, y0, one)]
+
+    def test_margin_matrix_is_the_margin_map(self):
+        # the masked maps gather margin_map and scatter into margin_adjoint, are
+        # adjoint to each other, and the matrix path agrees with them
+        rng = np.random.default_rng(60)
+        for k in (2, 3, 4):
+            for x, y0, mask in self.masked_cases(rng, k):
+                a = MarginMap(x, y0, mask)
+                z, lam, full = rng.normal(size=(k, 4)), rng.normal(size=int(mask.sum())), np.zeros(mask.shape)
+                full[mask] = lam
+                forward, adjoint = a(z), a.adjoint(lam)
+                assert np.allclose(forward, margin_map(z, x, y0)[mask], rtol=0, atol=1e-12)
+                assert np.allclose(adjoint, margin_adjoint(full, x, y0), rtol=0, atol=1e-12)
+                assert abs(float(forward @ lam) - float((z * adjoint).sum())) <= 1e-12
+                matrix = a.matrix()
+                assert matrix.shape == (mask.sum(), k * 4)
+                assert np.allclose(matrix @ z.ravel(), forward, rtol=0, atol=1e-12)
+                assert np.allclose(a(z), forward, rtol=0, atol=1e-12)
+                assert np.allclose(a.adjoint(lam), adjoint, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("sizes", sorted(SIZES))
     @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
@@ -454,17 +539,16 @@ class TestDualNewtonSpaces:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_steps_agree(self, k, variant, chain_name, sizes):
         rng, x, labels, w, _, regularizer, margins, c = self.problem(k, variant, chain_name, sizes, seed=61 + k)
-        a = _margin_matrix(*margins)
+        a = MarginMap(*margins).matrix()
         s = 1.0 / self.MU
         lam = rng.uniform(0.0, 1.0, size=a.shape[0])
-        blocks = prox_jacobian(w - s * (hinge_grad(w, x, labels) + (lam @ a).reshape(w.shape)), regularizer, s)
-        free = np.flatnonzero(blocks.any(axis=2).T)
-        assert (a.shape[0] < free.size) == (sizes == "m < free")
+        jac = jacobian_at(w - s * (hinge_grad(w, x, labels) + (lam @ a).reshape(w.shape)), regularizer, s)
+        assert (a.shape[0] < np.count_nonzero(jac[2])) == (sizes == "m < free")
         grad_dual = rng.normal(size=a.shape[0])
         at_grad = (grad_dual @ a).reshape(w.shape)
-        delta, at_delta = _margin_space_step(blocks, grad_dual, c, self.MU, a)
+        delta, at_delta = _margin_space_step(jac, grad_dual, c, self.MU, a)
         woodbury, at_woodbury = _weight_space_step(
-            blocks, free, grad_dual, at_grad, c, self.MU, lambda z: a @ z.ravel(), hinge_hessian(w, x, labels)
+            jac, grad_dual, at_grad, c, self.MU, lambda z: a @ z.ravel(), hinge_hessian(w, x, labels)
         )
         assert relative_gap(delta, woodbury) <= 1e-9
         assert relative_gap(at_delta, at_woodbury) <= 1e-9
@@ -473,19 +557,18 @@ class TestDualNewtonSpaces:
     def pin_space(monkeypatch, space, margins, hess):
         """Make _solve_dual_model take every Newton step in one space, whatever
         the sizes, by routing the other step helper to it."""
-        a = _margin_matrix(*margins)
+        a = MarginMap(*margins).matrix()
         if space == "margin":
 
-            def step(blocks, free, grad_dual, at_grad, c, mu, forward, hessian):
-                return _margin_space_step(blocks, grad_dual, c, mu, a)
+            def step(jac, grad_dual, at_grad, c, mu, forward, hessian):
+                return _margin_space_step(jac, grad_dual, c, mu, a)
 
             monkeypatch.setattr(margintree.optim, "_weight_space_step", step)
         else:
 
-            def step(blocks, grad_dual, c, mu, _a):
-                free = np.flatnonzero(blocks.any(axis=2).T)
-                at_grad = (grad_dual @ a).reshape(blocks.shape[1], -1)
-                return _weight_space_step(blocks, free, grad_dual, at_grad, c, mu, lambda z: a @ z.ravel(), hess)
+            def step(jac, grad_dual, c, mu, _a):
+                at_grad = (grad_dual @ a).reshape(jac[2].shape)
+                return _weight_space_step(jac, grad_dual, at_grad, c, mu, lambda z: a @ z.ravel(), hess)
 
             monkeypatch.setattr(margintree.optim, "_margin_space_step", step)
 
@@ -500,7 +583,8 @@ class TestDualNewtonSpaces:
         for space in ("margin", "weight"):
             with monkeypatch.context() as patch:
                 self.pin_space(patch, space, margins, hess)
-                minimizers.append(_solve_dual_model(w, grad, lambda: hess, self.MU, margins, c, regularizer, 0.0))
+                a = MarginMap(*margins)
+                minimizers.append(_solve_dual_model(w, grad, lambda: hess, self.MU, a, c, regularizer, 0.0))
         ours, woodbury = minimizers
         # with tol 0 each solve runs until the dual stops rising above its
         # rounding, which leaves model residuals of up to a few 1e-8 here
@@ -509,21 +593,107 @@ class TestDualNewtonSpaces:
         assert relative_gap(ours, woodbury) <= GAP
 
     def test_space_follows_sizes_and_hessian_is_lazy(self, monkeypatch):
+        # each step runs in the smaller space, and the K P x K P Hessian is built
+        # at most once per outer iteration (one model solve), and only in one
+        # that takes a weight-space step
         nd, labels, p = planted_node(4)
-        spaces, hessians = [], []
+        models, spaces = [], []
+        solve = margintree.optim._solve_dual_model
+
+        def spy_solve(*args):
+            models.append({"weight": 0, "hessians": 0})
+            return solve(*args)
+
+        monkeypatch.setattr(margintree.optim, "_solve_dual_model", spy_solve)
         for name in ("margin", "weight"):
             step = getattr(margintree.optim, f"_{name}_space_step")
 
-            def spy(blocks, *args, _name=name, _step=step):
-                grad_dual = args[0] if _name == "margin" else args[1]
-                spaces.append((_name, grad_dual.size <= int(blocks.any(axis=2).sum())))
-                return _step(blocks, *args)
+            def spy(jac, grad_dual, *args, _name=name, _step=step):
+                spaces.append((_name, grad_dual.size <= np.count_nonzero(jac[2])))
+                models[-1]["weight"] += _name == "weight"
+                return _step(jac, grad_dual, *args)
 
             monkeypatch.setattr(margintree.optim, f"_{name}_space_step", spy)
-        hessian = margintree.optim.hinge_hessian
-        monkeypatch.setattr(margintree.optim, "hinge_hessian", lambda *args: hessians.append(1) or hessian(*args))
+        hessian = margintree.objective.Margins.hessian
+
+        def spy_hessian(margins):
+            models[-1]["hessians"] += 1
+            return hessian(margins)
+
+        monkeypatch.setattr(margintree.objective.Margins, "hessian", spy_hessian)
         regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), EMPTY_CHAIN, 4, p)
         solve_w(nd, labels, regularizer, SolverConfig(), ClusterModels(np.zeros((4, p))))
         assert {name for name, _ in spaces} == {"margin", "weight"}
         assert all(smaller == (name == "margin") for name, smaller in spaces)
-        assert len(hessians) <= sum(name == "weight" for name, _ in spaces)
+        assert all(model["hessians"] == min(model["weight"], 1) for model in models)
+
+
+# Recorded from the commit before the weight update kept one margins record per
+# iterate and mapped the dual over the positive margins only: per workload
+# (branching, per_class, K, max_leaves) of the benchmark, the objective of each
+# solve_w call of the build of dataset 0, and a digest of its leaves.
+PARENT_PATH = {
+    "planted-small": (
+        (2, 50, 2, 4),
+        (2.7210124513654987e-05, 4.7481600772727825e-05, 4.7687530571584964e-05, 0.0008289952285272781,
+         0.000659595872178789),
+        "e1998729126082cf7ceda632448677dea35223df0f1670aa650c9a1d4e049152",
+    ),
+    "planted-large": (
+        (2, 400, 2, 4),
+        (2.904547472198918e-05, 5.446199505137694e-05, 5.3976814898246687e-05, 0.003322140950893699,
+         0.0042624245085419316),
+        "87b6611b89ceefa85d2311f57a6da849bcc1cea243c0cfb525ca603dd960790d",
+    ),
+    "planted-wide": (
+        (4, 50, 4, 10),
+        (4.301817675440247e-05, 0.00015600315940232542, 0.0011323786269216304, 0.00013551508046274606,
+         0.0008617611941006999, 0.0005911337292328326, 0.0005193419100656377, 0.0005492087246218463,
+         0.0005760096000536402),
+        "34e4cb263f52df4c323b34e39736e55a5b4fa166e0dbd050fb7922e6bb091e5c",
+    ),
+}
+
+
+def leaf_digest(hierarchy):
+    members = sorted(sorted(int(i) for i in leaf.data.indices) for leaf in hierarchy.leaves())
+    return hashlib.sha256(json.dumps(members).encode()).hexdigest()
+
+
+class TestIteratePath:
+    """The weight update keeps its iterate path on dataset 0 of each benchmark
+    workload: every solve_w call ends at a relative residual <= 1e-8 and at
+    the recorded objective, and the leaves are the recorded ones."""
+
+    @pytest.mark.parametrize("workload", sorted(PARENT_PATH))
+    def test_objectives_residuals_and_leaves(self, workload, monkeypatch):
+        (branching, per_class, k, max_leaves), recorded, digest = PARENT_PATH[workload]
+        ds, _ = generate_synthetic(SyntheticSpec(branching=branching, per_class=per_class, seed=0))
+        reg = RegularizerConfig(alpha=0.01, beta=0.01)
+        calls, chains = [], []
+        split_node_, solve_w_ = margintree.hier.split_node, margintree.split.solve_w
+
+        def spy_split(data, chain, *args):
+            chains.append(chain)
+            return split_node_(data, chain, *args)
+
+        def spy_solve(x, labels, regularizer, cfg, w0):
+            models = solve_w_(x, labels, regularizer, cfg, w0)
+            residual = weight_update_residual(models.weights, x, labels, chains[-1], reg)
+            calls.append((node_objective(models, labels, regularizer, x), residual))
+            return models
+
+        monkeypatch.setattr(margintree.hier, "split_node", spy_split)
+        monkeypatch.setattr(margintree.split, "solve_w", spy_solve)
+        config = BuildConfig(
+            k=k, stop=StoppingCriterion(max_leaves=max_leaves), reg=reg, solver=SolverConfig(), seed=restart_seed(0, 0)
+        )
+        hierarchy = build_hierarchy(ds, config)
+        assert len(calls) == len(recorded)
+        for (objective, residual), parent in zip(calls, recorded):
+            assert residual <= 1e-8
+            # no higher than the recorded objective by more than 1e-10 relative;
+            # a call that takes one more model solve than the recorded run may end
+            # lower, by what one model step gains near the stopping residual
+            assert -1e-8 <= (objective - parent) / parent <= 1e-10
+        assert leaf_digest(hierarchy) == digest
