@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -631,7 +634,10 @@ class TestDualNewtonSpaces:
 # Recorded from the commit before the weight update kept one margins record per
 # iterate and mapped the dual over the positive margins only: per workload
 # (branching, per_class, K, max_leaves) of the benchmark, the objective of each
-# solve_w call of the build of dataset 0, and a digest of its leaves.
+# solve_w call of the build of dataset 0, and a digest of its leaves. The
+# values were taken with one BLAS thread: with two, OpenBLAS sums some
+# products in another order, and the recorded commit itself then ends
+# planted-wide calls up to 3e-9 relative away from them.
 PARENT_PATH = {
     "planted-small": (
         (2, 50, 2, 4),
@@ -660,40 +666,64 @@ def leaf_digest(hierarchy):
     return hashlib.sha256(json.dumps(members).encode()).hexdigest()
 
 
+def iterate_path(workload):
+    """Build dataset 0 of a workload; return each solve_w call's objective and
+    relative residual, and the leaf digest."""
+    (branching, per_class, k, max_leaves), _, _ = PARENT_PATH[workload]
+    ds, _ = generate_synthetic(SyntheticSpec(branching=branching, per_class=per_class, seed=0))
+    reg = RegularizerConfig(alpha=0.01, beta=0.01)
+    calls, chains = [], []
+    split_node_, solve_w_ = margintree.hier.split_node, margintree.split.solve_w
+
+    def spy_split(data, chain, *args):
+        chains.append(chain)
+        return split_node_(data, chain, *args)
+
+    def spy_solve(x, labels, regularizer, cfg, w0):
+        models = solve_w_(x, labels, regularizer, cfg, w0)
+        residual = weight_update_residual(models.weights, x, labels, chains[-1], reg)
+        calls.append((node_objective(models, labels, regularizer, x), residual))
+        return models
+
+    margintree.hier.split_node, margintree.split.solve_w = spy_split, spy_solve
+    try:
+        config = BuildConfig(
+            k=k, stop=StoppingCriterion(max_leaves=max_leaves), reg=reg, solver=SolverConfig(), seed=restart_seed(0, 0)
+        )
+        hierarchy = build_hierarchy(ds, config)
+    finally:
+        margintree.hier.split_node, margintree.split.solve_w = split_node_, solve_w_
+    return {"calls": calls, "digest": leaf_digest(hierarchy)}
+
+
 class TestIteratePath:
     """The weight update keeps its iterate path on dataset 0 of each benchmark
     workload: every solve_w call ends at a relative residual <= 1e-8 and at
     the recorded objective, and the leaves are the recorded ones."""
 
     @pytest.mark.parametrize("workload", sorted(PARENT_PATH))
-    def test_objectives_residuals_and_leaves(self, workload, monkeypatch):
-        (branching, per_class, k, max_leaves), recorded, digest = PARENT_PATH[workload]
-        ds, _ = generate_synthetic(SyntheticSpec(branching=branching, per_class=per_class, seed=0))
-        reg = RegularizerConfig(alpha=0.01, beta=0.01)
-        calls, chains = [], []
-        split_node_, solve_w_ = margintree.hier.split_node, margintree.split.solve_w
-
-        def spy_split(data, chain, *args):
-            chains.append(chain)
-            return split_node_(data, chain, *args)
-
-        def spy_solve(x, labels, regularizer, cfg, w0):
-            models = solve_w_(x, labels, regularizer, cfg, w0)
-            residual = weight_update_residual(models.weights, x, labels, chains[-1], reg)
-            calls.append((node_objective(models, labels, regularizer, x), residual))
-            return models
-
-        monkeypatch.setattr(margintree.hier, "split_node", spy_split)
-        monkeypatch.setattr(margintree.split, "solve_w", spy_solve)
-        config = BuildConfig(
-            k=k, stop=StoppingCriterion(max_leaves=max_leaves), reg=reg, solver=SolverConfig(), seed=restart_seed(0, 0)
+    def test_objectives_residuals_and_leaves(self, workload):
+        _, recorded, digest = PARENT_PATH[workload]
+        # a process of its own, with BLAS on one thread as when the path was recorded
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(margintree.__file__))
+        path = os.pathsep.join([tests, src, os.environ.get("PYTHONPATH", "")])
+        one = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        run = subprocess.run(
+            [sys.executable, "-c", "import json, sys, test_optim; print(json.dumps(test_optim.iterate_path(sys.argv[1])))",
+             workload],
+            env=dict(os.environ, PYTHONPATH=path, **one),
+            capture_output=True,
+            text=True,
+            timeout=300,
         )
-        hierarchy = build_hierarchy(ds, config)
-        assert len(calls) == len(recorded)
-        for (objective, residual), parent in zip(calls, recorded):
+        assert run.returncode == 0, run.stderr
+        result = json.loads(run.stdout)
+        assert len(result["calls"]) == len(recorded)
+        for (objective, residual), parent in zip(result["calls"], recorded):
             assert residual <= 1e-8
             # no higher than the recorded objective by more than 1e-10 relative;
             # a call that takes one more model solve than the recorded run may end
             # lower, by what one model step gains near the stopping residual
             assert -1e-8 <= (objective - parent) / parent <= 1e-10
-        assert leaf_digest(hierarchy) == digest
+        assert result["digest"] == digest
