@@ -11,8 +11,6 @@ Usage: python scripts/run_planted_experiment.py [--seed 0] [--per-class 50]
 import argparse
 import time
 
-import numpy as np
-
 from margintree import (
     BuildConfig,
     RegularizerConfig,
@@ -27,7 +25,6 @@ from margintree import (
     kmeans,
     leaf_partition,
     score_leaves,
-    subset,
 )
 
 
@@ -61,7 +58,7 @@ def main():
         return build_hkm_d(dataset, cfg)
 
     def km_flat():
-        result = kmeans(subset(dataset, np.arange(dataset.n)), n_classes, seed=args.seed)
+        result = kmeans(dataset.features, n_classes, seed=args.seed)
         return flat_hierarchy(dataset, result.labels, result.centroids)
 
     def mmc_flat():

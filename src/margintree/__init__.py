@@ -15,7 +15,6 @@ from .core import (
     NodeData,
     TreeNode,
     ancestor_chain,
-    features_of,
     flat_hierarchy,
     leaf_partition,
     subset,
@@ -45,7 +44,6 @@ from .objective import (
     Regularizer,
     RegularizerConfig,
     cost_matrix,
-    exclusive_reg,
     exclusive_weights,
     group_reg,
     hinge_grad,
@@ -53,6 +51,6 @@ from .objective import (
     node_objective,
 )
 from .optim import SolverConfig, prox_group, prox_sparse_group, prox_weighted_l1, solve_w
-from .split import BalanceBounds, SplitResult, balance_bounds, init_assignment, split_node, splitting_score
+from .split import BalanceBounds, SplitResult, balance_bounds, init_assignment, split_node
 
 __version__ = "0.1.0"

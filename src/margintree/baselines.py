@@ -9,47 +9,45 @@ stored in the node's model slot.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from .core import ClusterModels, Dataset, Hierarchy, NodeData, TreeNode
+from .core import ClusterModels, Dataset, Hierarchy, TreeNode
 from .hier import BuildConfig, Candidate, grow_tree, node_seed
 from .kmeans import KMeansResult, kmeans
 
 
-def hkm_split_score(result: KMeansResult, data: NodeData) -> float:
-    """Negated average distance of a node's instances to their assigned
+def hkm_split_score(result: KMeansResult, x: np.ndarray) -> float:
+    """Negated average distance of a node's n x P features to their assigned
     centroid in a fitted k-means split."""
-    x = data.features
     dists = np.linalg.norm(x - result.centroids[result.labels - 1], axis=1)
     return -float(dists.mean())
 
 
-def hkm_d_split_score(data: NodeData) -> float:
-    """Total distance of a node's instances to their mean (scatter)."""
-    x = data.features
+def hkm_d_split_score(x: np.ndarray) -> float:
+    """Total distance of a node's n x P features to their mean (scatter)."""
     center = x.mean(axis=0)
     return float(np.linalg.norm(x - center, axis=1).sum())
 
 
-def _candidate(result: KMeansResult, score: float) -> Candidate:
-    return Candidate(labels=result.labels, models=ClusterModels(weights=result.centroids), score=score)
+def _build(dataset: Dataset, config: BuildConfig, score: Callable[[KMeansResult, np.ndarray], float]) -> Hierarchy:
+    """The greedy builder with a k-means split per leaf, ranked by score of
+    the split and the leaf's features (read once per leaf)."""
+
+    def evaluate(hierarchy: Hierarchy, leaf: TreeNode, node_id: int) -> Candidate:
+        x = leaf.data.features
+        result = kmeans(x, config.k, node_seed(config.seed, node_id))
+        return Candidate(labels=result.labels, models=ClusterModels(weights=result.centroids), score=score(result, x))
+
+    return grow_tree(dataset, config.k, config.stop, evaluate)
 
 
 def build_hkm(dataset: Dataset, config: BuildConfig) -> Hierarchy:
     """Top-down k-means, growing the leaf whose split is most compact."""
-
-    def evaluate(hierarchy: Hierarchy, leaf: TreeNode, node_id: int) -> Candidate:
-        result = kmeans(leaf.data, config.k, node_seed(config.seed, node_id))
-        return _candidate(result, hkm_split_score(result, leaf.data))
-
-    return grow_tree(dataset, config.k, config.stop, evaluate)
+    return _build(dataset, config, hkm_split_score)
 
 
 def build_hkm_d(dataset: Dataset, config: BuildConfig) -> Hierarchy:
     """Top-down k-means, growing the leaf with the most scattered data."""
-
-    def evaluate(hierarchy: Hierarchy, leaf: TreeNode, node_id: int) -> Candidate:
-        result = kmeans(leaf.data, config.k, node_seed(config.seed, node_id))
-        return _candidate(result, hkm_d_split_score(leaf.data))
-
-    return grow_tree(dataset, config.k, config.stop, evaluate)
+    return _build(dataset, config, lambda result, x: hkm_d_split_score(x))

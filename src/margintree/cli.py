@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import build_hkm, build_hkm_d
-from .core import Dataset, Hierarchy, flat_hierarchy, leaf_partition, subset
+from .core import Dataset, Hierarchy, flat_hierarchy, leaf_partition
 from .data import SyntheticSpec, generate_synthetic, load_dataset, pca_reduce, standardize
 from .errors import SolverError, ValidationError
 from .export import SCHEMA_NAME, SCHEMA_VERSION, export_hierarchy, load_hierarchy_json, render_json, summary_to_dot
@@ -126,7 +126,7 @@ def _build_once(dataset: Dataset, spec: ExperimentSpec, seed: int) -> tuple[Hier
         builder = build_hkm if spec.method == "hkm" else build_hkm_d
         hierarchy = builder(dataset, config)
         return hierarchy, _leaf_inertia(dataset, hierarchy)
-    result = kmeans(subset(dataset, np.arange(dataset.n)), spec.k, seed)
+    result = kmeans(dataset.features, spec.k, seed)
     hierarchy = flat_hierarchy(dataset, result.labels, result.centroids)
     return hierarchy, result.inertia
 
@@ -212,13 +212,21 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is invalid input (exit 1), not argparse's exit 2, which
+    this tool reserves for solver failures."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value file; flags override it")
     parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="margintree", description=__doc__)
+    parser = _Parser(prog="margintree", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a planted-hierarchy dataset and its truth tree")
@@ -278,34 +286,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+
+
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    if not getattr(args, "config", None):
+    """Parse the command line again with the config file's values as flags
+    placed before the explicit ones, so the parser converts and checks them
+    and an explicit flag wins."""
+    if not args.config:
         return args
-    file_values = _read_config_file(args.config)
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
-    for key, raw in file_values.items():
-        if key in explicit or not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int) and not isinstance(current, bool):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        elif current is None:
-            for convert in (int, float):
-                try:
-                    value = convert(raw)
-                    break
-                except ValueError:
-                    continue
-            else:
-                value = raw
-        else:
-            value = raw
-        setattr(args, key, value)
-    return args
+    flags = []
+    for key, raw in _read_config_file(args.config).items():
+        if key in ("command", "config") or not hasattr(args, key):
+            raise ValidationError(f"{args.config}: {key!r} is not an option of {args.command}")
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(getattr(args, key), bool):
+            flags.append(f"{flag}={raw}")
+        elif raw.lower() not in BOOLS:
+            raise ValidationError(f"{args.config}: {key} must be one of {', '.join(BOOLS)}, got {raw!r}")
+        elif BOOLS[raw.lower()]:
+            flags.append(flag)
+    try:
+        return parser.parse_args([argv[0], *flags, *argv[1:]])
+    except ValidationError as err:
+        raise ValidationError(f"{args.config}: {err}") from None
 
 
 def _cmd_generate(args) -> int:
@@ -406,11 +410,10 @@ def _cmd_export(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
-        args = _apply_config(args, parser, argv)
+        args = _apply_config(parser.parse_args(argv), parser, argv)
+        level = logging.WARNING - 10 * min(args.verbose, 2)
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
         handler = {
             "generate": _cmd_generate,
             "cluster": _cmd_cluster,
@@ -418,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
             "export": _cmd_export,
         }[args.command]
         return handler(args)
-    except (ValidationError, FileNotFoundError) as err:
+    except (ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except SolverError as err:

@@ -202,12 +202,6 @@ def flat_hierarchy(dataset: Dataset, labels: np.ndarray, centroids: np.ndarray) 
     return hierarchy
 
 
-def features_of(data) -> np.ndarray:
-    """The n x P float features of a NodeData (a fresh copy) or of an
-    array-like (no copy when it already is a float array)."""
-    return data.features if isinstance(data, NodeData) else np.asarray(data, dtype=float)
-
-
 def subset(dataset: Dataset, indices) -> NodeData:
     """Select rows of a dataset by position (unique, in-range)."""
     return NodeData(parent=dataset, indices=np.asarray(indices, dtype=np.int64))

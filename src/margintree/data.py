@@ -110,11 +110,12 @@ def _load_libsvm(path: str) -> Dataset:
 def load_dataset(path: str, format: str = "csv", label_column: bool = False) -> Dataset:
     """Load a dense dataset from csv (optional trailing label column) or
     libsvm sparse text (label field kept as ground truth)."""
-    if format == "csv":
-        return _load_csv(path, label_column)
-    if format == "libsvm":
-        return _load_libsvm(path)
-    raise ValidationError(f"unknown format {format!r}; expected csv or libsvm")
+    if format not in ("csv", "libsvm"):
+        raise ValidationError(f"unknown format {format!r}; expected csv or libsvm")
+    try:
+        return _load_csv(path, label_column) if format == "csv" else _load_libsvm(path)
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise ParseError(f"{path}: not a {format} text file ({err})") from None
 
 
 def standardize(dataset: Dataset) -> Dataset:

@@ -106,9 +106,14 @@ class HierarchySummary:
 
 def load_hierarchy_json(path: str) -> HierarchySummary:
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != SCHEMA_NAME:
+        try:
+            payload = json.load(fh)
+        except ValueError as err:  # malformed json or undecodable bytes
+            raise ValidationError(f"{path}: not a json file ({err})") from None
+    if not isinstance(payload, dict) or payload.get("format") != SCHEMA_NAME:
         raise ValidationError(f"{path}: not a {SCHEMA_NAME} file")
+    if "root" not in payload or "nodes" not in payload:
+        raise ValidationError(f"{path}: a {SCHEMA_NAME} file needs a root and its nodes")
     return HierarchySummary(
         root=payload["root"],
         incomplete=payload.get("incomplete", False),

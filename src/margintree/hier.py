@@ -141,7 +141,6 @@ def grow_tree(
             best_id,
             best.score,
             len(hierarchy.leaves()),
-            extra={"round": round_no, "node": best_id, "score": best.score, "leaves": len(hierarchy.leaves())},
         )
     return hierarchy
 
@@ -171,6 +170,7 @@ def global_objective(hierarchy: Hierarchy, dataset: Dataset, reg: RegularizerCon
     for node in hierarchy.non_leaves():
         if node.models is None or node.labels is None:
             raise ValidationError(f"non-leaf node {node.id} has no fitted split")
-        regularizer = Regularizer(reg, ancestor_chain(hierarchy, node.id), *node.models.weights.shape)
-        total += node_objective(node.models, node.labels, regularizer, node.data)
+        w = node.models.weights
+        regularizer = Regularizer(reg, ancestor_chain(hierarchy, node.id), *w.shape)
+        total += node_objective(w, node.labels, regularizer, node.data.features)
     return total

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NodeData, features_of
 from .errors import ValidationError
 
 
@@ -44,8 +43,7 @@ def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return d2.argmin(axis=1)
 
 
-def kmeans(data: NodeData | np.ndarray, k: int, seed: int, max_iters: int = 300, tol: float = 1e-6) -> KMeansResult:
-    x = features_of(data)
+def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 300, tol: float = 1e-6) -> KMeansResult:
     n = x.shape[0]
     if n < k:
         raise ValidationError(f"cannot fit {k} clusters to {n} instances")

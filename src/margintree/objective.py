@@ -19,6 +19,9 @@ lambda_E. At the root (no ancestors) E and lambda_E are identically zero.
 A Regularizer is built once per split: it computes lambda_E and the group
 normalization lambda_G = 1/(P K) from the ancestor chain, and holds the one
 table of variants, each with its value and the coefficients of its prox.
+
+Every function here takes arrays: K x P weights w and n x P features x. The
+tree's ClusterModels and NodeData stay with the callers that build the tree.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AncestorChain, ClusterModels, features_of
+from .core import AncestorChain
 from .errors import ValidationError
 
 VARIANTS = ("sparse_group", "group_only", "exclusive_only", "l1", "squared_l2")
@@ -56,10 +59,6 @@ class RegularizerConfig:
             raise ValidationError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
 
 
-def _weights(models) -> np.ndarray:
-    return models.weights if isinstance(models, ClusterModels) else np.asarray(models, dtype=float)
-
-
 def _check_labels(labels, n: int, k: int) -> np.ndarray:
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (n,):
@@ -83,10 +82,9 @@ def _pairwise_hinge(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.maximum(margins, 0.0)
 
 
-def cost_matrix(models, data) -> np.ndarray:
-    """Per-instance, per-cluster assignment costs:
-    cost[i, y] = sum_{y' != y} [1 - w_y.x_i + w_y'.x_i]_+^2."""
-    w, x = _weights(models), features_of(data)
+def cost_matrix(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-instance, per-cluster assignment costs of K x P weights on n x P
+    features: cost[i, y] = sum_{y' != y} [1 - w_y.x_i + w_y'.x_i]_+^2."""
     _check_dims(w, x)
     return (_pairwise_hinge(w, x) ** 2).sum(axis=2)
 
@@ -141,33 +139,22 @@ class Margins:
         return hess.reshape(k * p, k * p) * (2.0 / (n * k))
 
 
-def label_margins(models, data, labels) -> Margins:
-    """The checked Margins record of the models on the data (1-based labels)."""
-    w, x = _weights(models), features_of(data)
+def label_margins(w: np.ndarray, x: np.ndarray, labels) -> Margins:
+    """The checked Margins record of the K x P weights on the n x P features
+    (1-based labels)."""
     _check_dims(w, x)
     return Margins(w, x, _check_labels(labels, x.shape[0], w.shape[0]) - 1)
 
 
-def hinge_loss(models, data, labels) -> float:
+def hinge_loss(w: np.ndarray, x: np.ndarray, labels) -> float:
     """Averaged squared hinge loss of assigning each instance to its label;
-    equals cost_matrix(models, data)[i, y_i] summed over i, over n K."""
-    return label_margins(models, data, labels).loss()
+    equals cost_matrix(w, x)[i, y_i] summed over i, over n K."""
+    return label_margins(w, x, labels).loss()
 
 
-def hinge_grad(models, data, labels) -> np.ndarray:
+def hinge_grad(w: np.ndarray, x: np.ndarray, labels) -> np.ndarray:
     """Exact gradient of hinge_loss with respect to the K x P weights."""
-    return label_margins(models, data, labels).grad()
-
-
-def active_margins(models, data, labels) -> tuple[np.ndarray, np.ndarray]:
-    """The n x K mask of the positive margins and the 0-based labels."""
-    margins = label_margins(models, data, labels)
-    return margins.active, margins.y0
-
-
-def hinge_hessian(models, data, labels) -> np.ndarray:
-    """Generalized Hessian of hinge_loss (see Margins.hessian)."""
-    return label_margins(models, data, labels).hessian()
+    return label_margins(w, x, labels).grad()
 
 
 def margin_map(z: np.ndarray, x: np.ndarray, y0: np.ndarray) -> np.ndarray:
@@ -195,9 +182,8 @@ def column_norms(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(w * w, axis=0))
 
 
-def group_reg(models) -> float:
-    """Column-wise group norm G(w); zero iff w = 0."""
-    w = _weights(models)
+def group_reg(w: np.ndarray) -> float:
+    """Column-wise group norm G(w) of K x P weights; zero iff w = 0."""
     return float(column_norms(w).sum() / (w.shape[1] * w.shape[0]))
 
 
@@ -211,15 +197,6 @@ def exclusive_weights(chain: AncestorChain, k: int, p: int) -> np.ndarray:
         lam /= k * len(chain) * p
     lam.setflags(write=False)
     return lam
-
-
-def exclusive_reg(models, chain: AncestorChain) -> float:
-    """Overlap penalty E(w) against the frozen ancestor-path models."""
-    w = _weights(models)
-    if len(chain) == 0:
-        return 0.0
-    lam = exclusive_weights(chain, w.shape[0], w.shape[1])
-    return float((np.abs(w) * lam).sum())
 
 
 class Regularizer:
@@ -266,25 +243,22 @@ class Regularizer:
     def _exclusive(self, w: np.ndarray) -> float:
         return float((np.abs(w) * self.lambda_e).sum()) if self._has_ancestors else 0.0
 
-    def complexity(self, models) -> float:
+    def complexity(self, w: np.ndarray) -> float:
         """G(w) + E(w), with this split's lambda_E, whatever the variant."""
-        w = _weights(models)
         return group_reg(w) + self._exclusive(w)
 
-    def value(self, models, norms: np.ndarray | None = None) -> float:
-        """The term at the models; norms, when given, are the column norms of
-        the weights (the prox hands on those it shrank), which no variant then recomputes."""
-        # an ndarray (the weight update's K x P iterate) is used as it is
-        return self._value(models if type(models) is np.ndarray else _weights(models), norms)
+    def value(self, w: np.ndarray, norms: np.ndarray | None = None) -> float:
+        """The term at the K x P weights; norms, when given, are their column
+        norms (the prox hands on those it shrank), which no variant then recomputes."""
+        return self._value(w, norms)
 
 
-def regularizer_value(models, chain: AncestorChain, config: RegularizerConfig) -> float:
+def regularizer_value(w: np.ndarray, chain: AncestorChain, config: RegularizerConfig) -> float:
     """The variant-selected regularization term (everything except the hinge)."""
-    w = _weights(models)
     return Regularizer(config, chain, *w.shape).value(w)
 
 
-def node_objective(models, labels, regularizer: Regularizer, data) -> float:
-    """Full split objective: the split's regularizer plus the averaged
-    squared hinge."""
-    return regularizer.value(models) + hinge_loss(models, data, labels)
+def node_objective(w: np.ndarray, labels, regularizer: Regularizer, x: np.ndarray) -> float:
+    """Full split objective of K x P weights on n x P features: the split's
+    regularizer plus the averaged squared hinge."""
+    return regularizer.value(w) + hinge_loss(w, x, labels)

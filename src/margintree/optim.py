@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterModels, NodeData, features_of
 from .errors import SolverError, ValidationError
 from .objective import (
     Regularizer,
@@ -256,30 +255,24 @@ def _solve_dual_model(w, grad, hessian, mu, a, c, regularizer, tol):
     return z
 
 
-def solve_w(
-    data: NodeData | np.ndarray,
-    labels,
-    regularizer: Regularizer,
-    cfg: SolverConfig,
-    w0: ClusterModels,
-) -> ClusterModels:
-    """Minimize the split objective in the weights for fixed labels.
+def solve_w(x: np.ndarray, labels, regularizer: Regularizer, cfg: SolverConfig, w0: np.ndarray) -> np.ndarray:
+    """Minimize the split objective in the weights for fixed labels, from the
+    K x P start w0 on the node's n x P features x; regularizer is the split's.
+    Returns the K x P weights.
 
-    data is the node (its features are copied once per call) or its n x P
-    feature matrix; regularizer is the split's. Stops when the largest entry of the prox-gradient
-    residual drops below cfg.rel_obj_tol times the largest entry of the
-    hinge gradient at w = 0, when no step decreases the objective, or when
-    the outer budget is exhausted; the objective is non-increasing across
-    iterations. Raises SolverError if the objective turns non-finite.
+    Stops when the largest entry of the prox-gradient residual drops below
+    cfg.rel_obj_tol times the largest entry of the hinge gradient at w = 0,
+    when no step decreases the objective, or when the outer budget is
+    exhausted; the objective is non-increasing across iterations. Raises
+    SolverError if the objective turns non-finite.
     """
-    w = np.array(w0.weights, dtype=float)
-    x = features_of(data)
+    w = np.array(w0, dtype=float)
 
     at_zero = label_margins(np.zeros_like(w), x, labels)  # checks the labels and dimensions, once per call
     scale = float(np.abs(at_zero.grad()).max())
     if scale == 0.0:
         # w = 0 minimizes the hinge and the regularizer at once
-        return ClusterModels(weights=np.zeros_like(w))
+        return np.zeros_like(w)
     gram = x.T @ x
     # the Frobenius norm of X^T X bounds its largest eigenvalue
     t = x.shape[0] / (2.0 * math.sqrt(float((gram * gram).sum())))
@@ -327,4 +320,4 @@ def solve_w(
         w, fw, reg_w, margins = cand, fc, reg_c, trial
         logger.debug("w-update iter=%d obj=%.10e residual=%.3e", outer, fw, r_norm)
 
-    return ClusterModels(weights=w)
+    return w

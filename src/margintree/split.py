@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AncestorChain, ClusterModels, NodeData, features_of
+from .core import AncestorChain, ClusterModels, NodeData
 from .errors import SolverError, UnsplittableNodeError
 from .flow import solve_balanced_assignment
 from .kmeans import kmeans
@@ -72,30 +72,24 @@ def balance_bounds(n: int, k: int) -> BalanceBounds:
     return BalanceBounds(lower=lower, upper=upper)
 
 
-def init_assignment(data: NodeData | np.ndarray, k: int, bounds: BalanceBounds, seed: int) -> np.ndarray:
-    """Seeded k-means labels repaired to the balance bounds by solving the
-    assignment with squared-distance costs. data is the node or its n x P
-    feature matrix."""
-    x = features_of(data)
+def init_assignment(x: np.ndarray, k: int, bounds: BalanceBounds, seed: int) -> np.ndarray:
+    """Seeded k-means labels of the n x P features repaired to the balance
+    bounds by solving the assignment with squared-distance costs."""
     result = kmeans(x, k, seed)
     costs = ((x[:, None, :] - result.centroids[None, :, :]) ** 2).sum(axis=2)
     return solve_balanced_assignment(costs, bounds.lower, bounds.upper)
 
 
 def _score(w: np.ndarray, labels: np.ndarray, x: np.ndarray, regularizer: Regularizer) -> float:
+    """Fit-to-assignment score sum over instances divided by the model
+    complexity G + E under the split's regularizer; -inf sentinel when the
+    weights are all zero (such a candidate is never selected)."""
     denom = regularizer.complexity(w)
     if denom == 0.0:
         return float("-inf")
     scores = x @ w.T
     numer = float(scores[np.arange(x.shape[0]), labels - 1].sum())
     return numer / denom
-
-
-def splitting_score(result: SplitResult, data: NodeData, regularizer: Regularizer) -> float:
-    """Fit-to-assignment score sum over instances divided by the model
-    complexity G + E under the split's regularizer; -inf sentinel when the
-    models are all zero (such a candidate is never selected)."""
-    return _score(result.models.weights, result.labels, features_of(data), regularizer)
 
 
 def split_node(
@@ -110,21 +104,21 @@ def split_node(
     """Alternate weight fitting and balanced assignment until the labels
     reach a fixed point, the relative objective change drops below
     REL_OBJ_TOL, or the alternation budget runs out. The split's Regularizer
-    (lambda_E from the ancestor chain) is built once, here."""
+    (lambda_E from the ancestor chain) is built once, here; the rest runs on
+    arrays, and the fitted weights become one ClusterModels at the end."""
     x = data.features  # one copy of the node's rows for the whole split
     regularizer = Regularizer(reg, chain, k, x.shape[1])
     bounds = balance_bounds(data.size, k)
     labels = init_assignment(x, k, bounds, seed)
-    w0 = ClusterModels(weights=np.zeros((k, x.shape[1])))
-    models = solve_w(x, labels, regularizer, cfg, w0)
-    objective = node_objective(models, labels, regularizer, x)
+    w = solve_w(x, labels, regularizer, cfg, np.zeros((k, x.shape[1])))
+    objective = node_objective(w, labels, regularizer, x)
     trace = [objective]
 
     iterations = 0
     for iterations in range(1, max_alternations + 1):
-        costs = cost_matrix(models, x)
+        costs = cost_matrix(w, x)
         new_labels = solve_balanced_assignment(costs, bounds.lower, bounds.upper)
-        after_assign = node_objective(models, new_labels, regularizer, x)
+        after_assign = node_objective(w, new_labels, regularizer, x)
         if after_assign > trace[-1] + _slack(DESCENT_TOL, trace[-1]):
             raise SolverError(
                 f"objective rose after assignment half-step: {trace[-1]:.12e} -> {after_assign:.12e}"
@@ -135,8 +129,8 @@ def split_node(
         labels = new_labels
         trace.append(after_assign)
 
-        models = solve_w(x, labels, regularizer, cfg, models)
-        objective = node_objective(models, labels, regularizer, x)
+        w = solve_w(x, labels, regularizer, cfg, w)
+        objective = node_objective(w, labels, regularizer, x)
         if objective > after_assign + _slack(DESCENT_TOL, after_assign):
             raise SolverError(
                 f"objective rose after weight half-step: {after_assign:.12e} -> {objective:.12e}"
@@ -145,10 +139,10 @@ def split_node(
         if trace[-3] - objective < _slack(REL_OBJ_TOL, trace[-3]):
             break
 
-    score = _score(models.weights, labels, x, regularizer)
+    score = _score(w, labels, x, regularizer)
     logger.debug("split converged: n=%d iterations=%d objective=%.6e score=%.6e", data.size, iterations, trace[-1], score)
     return SplitResult(
-        models=models,
+        models=ClusterModels(weights=w),
         labels=labels,
         objective=trace[-1],
         score=score,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from margintree.core import features_of
 from margintree.errors import ConfigError, SolverError, ValidationError
 from margintree.objective import Regularizer, exclusive_weights, hinge_grad, hinge_loss
 
@@ -340,15 +339,15 @@ def _reference_solve_model(w0_flat, grad_flat, metric, step, prox, reg_val_flat,
 
 
 def reference_solve_w(
-    data, labels, chain, reg, w0, *, memory=10, inner_iters=25, shrink=0.5, max_outer_iters=100,
+    x, labels, chain, reg, w0, *, memory=10, inner_iters=25, shrink=0.5, max_outer_iters=100,
     sufficient_decrease=1e-4, rel_obj_tol=1e-8,
 ) -> np.ndarray:
     """The K x P weights the earlier proximal L-BFGS weight update returned
-    (defaults: its default settings)."""
-    w = np.array(w0.weights, dtype=float)
+    (defaults: its default settings), from the K x P start w0 on the n x P
+    features x."""
+    w = np.array(w0, dtype=float)
     k, p = w.shape
     labels = np.asarray(labels, dtype=np.int64)
-    x = features_of(data)
     lambda_e = exclusive_weights(chain, k, p)
     has_ancestors = len(chain) > 0
     regularizer = Regularizer(reg, chain, k, p)

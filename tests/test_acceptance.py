@@ -181,7 +181,7 @@ def test_criterion_5_planted_recovery(planted_runs):
             recovered += 1
         sp_h.append(semantic_score(hierarchy, truth, ds, "SP"))
         ps_h.append(semantic_score(hierarchy, truth, ds, "PS"))
-        km = kmeans(subset(ds, np.arange(ds.n)), 4, seed=seed)
+        km = kmeans(ds.features, 4, seed=seed)
         sp_km.append(semantic_score_partition(km.labels, None, truth, ds.labels, "SP"))
         ps_km.append(semantic_score_partition(km.labels, None, truth, ds.labels, "PS"))
     elapsed = build_time + (time.perf_counter() - started)
@@ -278,7 +278,7 @@ def test_criterion_8_determinism():
         return build_hkm_d(ds, cfg)
 
     def kmeans_flat():
-        result = kmeans(subset(ds, np.arange(ds.n)), 4, seed=7)
+        result = kmeans(ds.features, 4, seed=7)
         return flat_hierarchy(ds, result.labels, result.centroids)
 
     builders = {"hmmc": hmmc, "hkm": hkm, "hkm_d": hkm_d, "mmc_flat": mmc_flat, "kmeans_flat": kmeans_flat}

@@ -16,13 +16,8 @@ from margintree import (
     kmeans,
     leaf_partition,
     rand_index,
-    subset,
 )
 from helpers import blob_dataset
-
-
-def node_of(ds):
-    return subset(ds, np.arange(ds.n))
 
 
 def config(stop, seed=0, k=2):
@@ -32,37 +27,37 @@ def config(stop, seed=0, k=2):
 class TestKMeans:
     def test_splits_blobs(self):
         ds = blob_dataset(0, [[5.0, 0.0], [-5.0, 0.0]], per_blob=10, spread=0.4)
-        res = kmeans(node_of(ds), 2, seed=1)
+        res = kmeans(ds.features, 2, seed=1)
         assert rand_index(res.labels, ds.labels) == 1.0
         within = ((ds.features - res.centroids[res.labels - 1]) ** 2).sum()
         assert res.inertia == pytest.approx(within)
 
     def test_k_one_closed_form(self):
         ds = blob_dataset(1, [[2.0, 3.0]], per_blob=9, spread=1.0)
-        res = kmeans(node_of(ds), 1, seed=0)
+        res = kmeans(ds.features, 1, seed=0)
         assert np.allclose(res.centroids[0], ds.features.mean(axis=0))
         assert res.inertia == pytest.approx(((ds.features - ds.features.mean(axis=0)) ** 2).sum())
 
     def test_duplicate_rows_zero_inertia(self):
         ds = Dataset(features=np.tile([[1.0, 2.0]], (8, 1)), ids=np.arange(8))
-        res = kmeans(node_of(ds), 2, seed=0)
+        res = kmeans(ds.features, 2, seed=0)
         assert res.inertia == 0.0
 
     def test_deterministic(self):
         ds = blob_dataset(2, [[1.0, 0.0], [-1.0, 0.0]], per_blob=15, spread=1.2)
-        a = kmeans(node_of(ds), 3, seed=7)
-        b = kmeans(node_of(ds), 3, seed=7)
+        a = kmeans(ds.features, 3, seed=7)
+        b = kmeans(ds.features, 3, seed=7)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.centroids, b.centroids)
 
     def test_too_few_points(self):
         ds = blob_dataset(3, [[0.0, 0.0]], per_blob=2)
         with pytest.raises(ValidationError):
-            kmeans(node_of(ds), 3, seed=0)
+            kmeans(ds.features, 3, seed=0)
 
     def test_inertia_non_increasing_in_budget(self):
         ds = blob_dataset(4, [[2.0, 0.0], [-2.0, 0.0], [0.0, 3.0]], per_blob=10, spread=1.0)
-        inertias = [kmeans(node_of(ds), 3, seed=5, max_iters=m).inertia for m in (1, 2, 3, 5, 10)]
+        inertias = [kmeans(ds.features, 3, seed=5, max_iters=m).inertia for m in (1, 2, 3, 5, 10)]
         for a, b in zip(inertias, inertias[1:]):
             assert b <= a + 1e-9
 
@@ -73,17 +68,17 @@ class TestScores:
             features=np.vstack([np.tile([[3.0, 0.0]], (5, 1)), np.tile([[-3.0, 0.0]], (5, 1))]),
             ids=np.arange(10),
         )
-        res = kmeans(node_of(ds), 2, seed=0)
-        assert hkm_split_score(res, node_of(ds)) == 0.0
+        res = kmeans(ds.features, 2, seed=0)
+        assert hkm_split_score(res, ds.features) == 0.0
 
     def test_feature_scaling_doubles_distance(self):
         ds = blob_dataset(5, [[2.0, 0.0], [-2.0, 0.0]], per_blob=8, spread=0.7)
         doubled = Dataset(features=2.0 * ds.features, ids=ds.ids, labels=ds.labels)
-        r1 = kmeans(node_of(ds), 2, seed=1)
-        r2 = kmeans(node_of(doubled), 2, seed=1)
+        r1 = kmeans(ds.features, 2, seed=1)
+        r2 = kmeans(doubled.features, 2, seed=1)
         if np.array_equal(r1.labels, r2.labels):
-            assert hkm_split_score(r2, node_of(doubled)) == pytest.approx(
-                2.0 * hkm_split_score(r1, node_of(ds)), rel=1e-9
+            assert hkm_split_score(r2, doubled.features) == pytest.approx(
+                2.0 * hkm_split_score(r1, ds.features), rel=1e-9
             )
 
     def test_ordering_prefers_compact(self):
@@ -91,18 +86,18 @@ class TestScores:
 
     def test_scatter_zero_on_identical(self):
         ds = Dataset(features=np.ones((6, 2)), ids=np.arange(6))
-        assert hkm_d_split_score(node_of(ds)) == 0.0
+        assert hkm_d_split_score(ds.features) == 0.0
 
     def test_scatter_two_points(self):
         ds = Dataset(features=np.array([[0.0, 0.0], [2.0, 0.0]]), ids=np.arange(2))
-        assert hkm_d_split_score(node_of(ds)) == pytest.approx(2.0)
+        assert hkm_d_split_score(ds.features) == pytest.approx(2.0)
 
     def test_scatter_additive_in_copies(self):
         rng = np.random.default_rng(6)
         cloud = rng.normal(size=(10, 3))
         ds1 = Dataset(features=cloud, ids=np.arange(10))
         ds2 = Dataset(features=np.vstack([cloud, cloud]), ids=np.arange(20))
-        assert hkm_d_split_score(node_of(ds2)) == pytest.approx(2.0 * hkm_d_split_score(node_of(ds1)))
+        assert hkm_d_split_score(ds2.features) == pytest.approx(2.0 * hkm_d_split_score(ds1.features))
 
 
 class TestBuilders:

@@ -16,7 +16,7 @@ from margintree import (
     hierarchy_to_dict,
     load_hierarchy_json,
 )
-from margintree.cli import ExperimentSpec, main, run_experiment
+from margintree.cli import METHODS, ExperimentSpec, main, run_experiment
 from margintree.export import summary_to_dot
 from helpers import blob_dataset, manual_hierarchy
 
@@ -239,6 +239,64 @@ class TestClusterCommand:
         assert report["leaf_count"] == 4
         assert report["params"]["seed"] == 5
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("k = abc", "invalid int value: 'abc'"),
+            ("alpah = 0.5", "'alpah' is not an option of cluster"),
+            ("label_column = maybe", "label_column must be one of"),
+            ("command = export", "'command' is not an option of cluster"),
+        ],
+        ids=["bad_int", "unknown_key", "bad_bool", "command_key"],
+    )
+    def test_config_file_errors(self, planted_files, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["cluster", "--config", str(cfg), "--input", planted_files[0], "--label-column"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and message in err
+
+
+class TestInputErrors:
+    """Unreadable files and bad flags exit 1 with one error line, not a traceback."""
+
+    @staticmethod
+    def check(capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "export"])
+    @pytest.mark.parametrize("damage", ["truncated", "no_root"])
+    def test_damaged_hierarchy(self, planted_files, tmp_path, capsys, command, damage):
+        data, _ = planted_files
+        hier_path = tmp_path / "h.json"
+        argv = ["cluster", "--input", data, "--method", "kmeans_flat", "--hierarchy-out", str(hier_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        text = hier_path.read_text()
+        if damage == "truncated":
+            hier_path.write_text(text[: len(text) // 2])
+        else:
+            payload = json.loads(text)
+            del payload["root"]
+            hier_path.write_text(json.dumps(payload))
+        tail = ["--input", data, "--label-column"] if command == "evaluate" else ["--out", str(tmp_path / "h.dot")]
+        message = "not a json file" if damage == "truncated" else "needs a root"
+        self.check(capsys, [command, "--hierarchy", str(hier_path), *tail], message)
+
+    def test_input_is_a_directory(self, tmp_path, capsys):
+        self.check(capsys, ["cluster", "--input", str(tmp_path)], "Is a directory")
+
+    @pytest.mark.parametrize("fmt", ["csv", "libsvm"])
+    def test_binary_input(self, tmp_path, capsys, fmt):
+        path = tmp_path / "data.bin"
+        path.write_bytes(bytes(range(256)))
+        self.check(capsys, ["cluster", "--input", str(path), "--format", fmt], f"not a {fmt} text file")
+
+    def test_bad_flag_value(self, planted_files, capsys):
+        self.check(capsys, ["cluster", "--input", planted_files[0], "--k", "abc"], "invalid int value: 'abc'")
+
 
 class TestEvaluateAndExport:
     def test_evaluate_round_trip(self, planted_files, tmp_path):
@@ -274,13 +332,13 @@ class TestEvaluateAndExport:
         report = json.loads(eval_path.read_text())
         assert set(report["metrics"]) == {"rand_index", "sp", "ps"}
 
-    @pytest.mark.parametrize("method", ["hmmc", "kmeans_flat"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_evaluate_equals_cluster_report(self, planted_files, tmp_path, method):
         data, truth = planted_files
         hier_path, report_path, eval_path = tmp_path / "h.json", tmp_path / "r.json", tmp_path / "e.json"
         common = ["--input", data, "--label-column", "--truth-tree", truth]
         assert main(
-            ["cluster", *common, "--method", method, "--k", "2" if method == "hmmc" else "4",
+            ["cluster", *common, "--method", method, "--k", "4" if method.endswith("_flat") else "2",
              "--max-leaves", "4", "--seed", "0", "--hierarchy-out", str(hier_path), "--report-out", str(report_path)]
         ) == 0
         assert main(["evaluate", *common, "--hierarchy", str(hier_path), "--report-out", str(eval_path)]) == 0

@@ -9,7 +9,6 @@ from margintree import (
     StructureError,
     ValidationError,
     ancestor_chain,
-    features_of,
     leaf_partition,
     subset,
 )
@@ -51,14 +50,6 @@ class TestSubset:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             subset(small_dataset(), [0, 4])
-
-    def test_features_of_node_and_array(self):
-        ds = small_dataset()
-        nd = subset(ds, [3, 1])
-        assert np.array_equal(features_of(nd), ds.features[[3, 1]])
-        x = np.ones((2, 3))
-        assert features_of(x) is x
-        assert features_of([[1, 2]]).dtype == float
 
     def test_identity_subset(self):
         ds = small_dataset()

@@ -145,7 +145,7 @@ class TestGlobalObjective:
         h = build_hierarchy(ds, cfg)
         root = h.root
         regularizer = Regularizer(cfg.reg, EMPTY_CHAIN, *root.models.weights.shape)
-        expected = node_objective(root.models, root.labels, regularizer, root.data)
+        expected = node_objective(root.models.weights, root.labels, regularizer, root.data.features)
         assert global_objective(h, ds, cfg.reg) == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative_finite(self):

@@ -10,7 +10,6 @@ from margintree import (
     RegularizerConfig,
     ValidationError,
     cost_matrix,
-    exclusive_reg,
     exclusive_weights,
     group_reg,
     hinge_grad,
@@ -20,14 +19,20 @@ from margintree import (
 from margintree.core import EMPTY_CHAIN
 from margintree.objective import (
     VARIANTS,
-    active_margins,
-    hinge_hessian,
+    label_margins,
     margin_adjoint,
     margin_map,
     regularizer_value,
 )
 from helpers import random_problem
-from oracles import _regularizer_terms, finite_difference_grad, hinge_grad_loops, hinge_hessian_loops, hinge_loss_loops
+from oracles import (
+    _regularizer_terms,
+    finite_difference_grad,
+    hinge_grad_loops,
+    hinge_hessian_loops,
+    hinge_loss_loops,
+    reference_regularizer_value,
+)
 
 
 def chain_of(*ancestor_rows):
@@ -38,6 +43,19 @@ def chain_of(*ancestor_rows):
         w = np.vstack([row, np.zeros_like(row)])
         entries.append((ClusterModels(weights=w), 1))
     return AncestorChain(entries=tuple(entries))
+
+
+EXCLUSIVE = RegularizerConfig(alpha=0.0, beta=1.0, variant="exclusive_only")
+
+
+def exclusive_terms(w, chain):
+    """E(w) against the chain from the split's Regularizer (the exclusive_only
+    term at beta = 1) and from the reference regularizer value."""
+    k, p = w.shape
+    return (
+        Regularizer(EXCLUSIVE, chain, k, p).value(w),
+        reference_regularizer_value(w, EXCLUSIVE, exclusive_weights(chain, k, p), len(chain) > 0),
+    )
 
 
 class TestCostMatrix:
@@ -160,14 +178,14 @@ class TestHingeHessian:
         rng = np.random.default_rng(30 + k)
         for _ in range(10):
             w, x, labels = problem_away_from_kinks(rng, k)
-            assert np.abs(hinge_hessian(w, x, labels) - hinge_hessian_loops(w, x, labels)).max() <= 1e-12
+            assert np.abs(label_margins(w, x, labels).hessian() - hinge_hessian_loops(w, x, labels)).max() <= 1e-12
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_finite_differences_of_gradient(self, k):
         rng = np.random.default_rng(40 + k)
         for _ in range(5):
             w, x, labels = problem_away_from_kinks(rng, k)
-            hess = hinge_hessian(w, x, labels)
+            hess = label_margins(w, x, labels).hessian()
             rows = []
             for entry in np.ndindex(w.shape):
                 rows.append(finite_difference_grad(lambda m: hinge_grad(m, x, labels)[entry], w).ravel())
@@ -176,14 +194,15 @@ class TestHingeHessian:
     def test_zero_when_no_margin_is_positive(self):
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
         x = np.array([[2.0, 0.0], [0.0, 2.0]])
-        assert np.array_equal(hinge_hessian(w, x, [1, 2]), np.zeros((4, 4)))
+        assert np.array_equal(label_margins(w, x, [1, 2]).hessian(), np.zeros((4, 4)))
 
     def test_symmetric_and_equals_scaled_margin_operator(self):
         rng = np.random.default_rng(50)
         w, x, labels = problem_away_from_kinks(rng, 3)
-        hess = hinge_hessian(w, x, labels)
+        margins = label_margins(w, x, labels)
+        hess = margins.hessian()
         assert np.array_equal(hess, hess.T)
-        mask, y0 = active_margins(w, x, labels)
+        mask, y0 = margins.active, margins.y0
         cols = []
         for entry in np.ndindex(w.shape):
             e = np.zeros(w.shape)
@@ -256,22 +275,22 @@ class TestExclusive:
         assert np.allclose(lam2, 2 * lam1)
 
     def test_empty_chain_reg_zero(self):
-        assert exclusive_reg(np.ones((2, 4)), EMPTY_CHAIN) == 0.0
+        assert exclusive_terms(np.ones((2, 4)), EMPTY_CHAIN) == (0.0, 0.0)
 
     def test_hand_reg(self):
         chain = chain_of([3.0, 0.0])
         w = np.array([[1.0, -2.0], [0.0, 0.0]])
         # K=2 here: lambda = [3/(2*1*2), 0] = [0.75, 0]; E = |1|*0.75
-        assert exclusive_reg(w, chain) == pytest.approx(0.75)
+        assert exclusive_terms(w, chain) == pytest.approx((0.75, 0.75))
 
     def test_hand_reg_single_row(self):
-        # raw-array path: (|1|*3 + |-2|*0) / (1*1*2) = 1.5
-        assert exclusive_reg(np.array([[1.0, -2.0]]), chain_of([3.0, 0.0])) == pytest.approx(1.5)
+        # K=1: (|1|*3 + |-2|*0) / (1*1*2) = 1.5
+        assert exclusive_terms(np.array([[1.0, -2.0]]), chain_of([3.0, 0.0])) == pytest.approx((1.5, 1.5))
 
     def test_disjoint_support_zero(self):
         chain = chain_of([5.0, 0.0, 0.0])
         w = np.array([[0.0, 1.0, 2.0], [0.0, -3.0, 1.0]])
-        assert exclusive_reg(w, chain) == 0.0
+        assert exclusive_terms(w, chain) == (0.0, 0.0)
 
 
 class TestRegularizer:
@@ -280,10 +299,11 @@ class TestRegularizer:
     @staticmethod
     def by_formula(w, chain, cfg):
         k, p = w.shape
+        exclusive = exclusive_terms(w, chain)[1]
         return {
-            "sparse_group": cfg.alpha * group_reg(w) + cfg.beta * exclusive_reg(w, chain),
+            "sparse_group": cfg.alpha * group_reg(w) + cfg.beta * exclusive,
             "group_only": cfg.alpha * group_reg(w),
-            "exclusive_only": cfg.beta * exclusive_reg(w, chain),
+            "exclusive_only": cfg.beta * exclusive,
             "l1": cfg.alpha * float(np.abs(w).sum()) / (k * p),
             "squared_l2": cfg.alpha * float((w**2).sum()) / (k * p),
         }[cfg.variant]
@@ -299,7 +319,6 @@ class TestRegularizer:
             w = rng.normal(size=(3, 4))
             assert regularizer.value(w) == regularizer_value(w, chain, cfg)
             assert regularizer.value(w) == self.by_formula(w, chain, cfg)
-            assert regularizer.value(ClusterModels(w)) == regularizer.value(w)
 
     @pytest.mark.parametrize("chain_name", sorted(CHAINS))
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -309,8 +328,7 @@ class TestRegularizer:
         regularizer = Regularizer(RegularizerConfig(alpha=0.3, beta=0.7, variant=variant), chain, 3, 4)
         for _ in range(10):
             w = rng.normal(size=(3, 4))
-            assert regularizer.complexity(w) == group_reg(w) + exclusive_reg(w, chain)
-            assert regularizer.complexity(ClusterModels(w)) == regularizer.complexity(w)
+            assert regularizer.complexity(w) == group_reg(w) + exclusive_terms(w, chain)[1]
         assert regularizer.complexity(np.zeros((3, 4))) == 0.0
 
     def test_lambdas_match_chain(self):
@@ -382,4 +400,4 @@ def test_sign_flip_invariance(seed):
     i, j = rng.integers(0, 3), rng.integers(0, 5)
     flipped[i, j] = -flipped[i, j]
     assert group_reg(w) == pytest.approx(group_reg(flipped))
-    assert exclusive_reg(w, chain) == pytest.approx(exclusive_reg(flipped, chain))
+    assert exclusive_terms(w, chain) == pytest.approx(exclusive_terms(flipped, chain))

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from margintree import (
-    ClusterModels,
     Dataset,
     Regularizer,
     RegularizerConfig,
@@ -37,7 +36,7 @@ from margintree.optim import (
 from margintree.cli import restart_seed
 from margintree.core import EMPTY_CHAIN
 from margintree.hier import BuildConfig, StoppingCriterion, build_hierarchy
-from margintree.objective import VARIANTS, active_margins, hinge_grad, hinge_hessian, margin_adjoint, margin_map
+from margintree.objective import VARIANTS, hinge_grad, label_margins, margin_adjoint, margin_map
 import margintree.hier
 import margintree.objective
 import margintree.optim
@@ -279,34 +278,32 @@ class TestRegularizerValueFromShrunkenNorms:
 class TestSolveW:
     def separable_node(self):
         ds = blob_dataset(0, [[5.0, 0.0], [-5.0, 0.0]], per_blob=10, spread=0.3)
-        nd = subset(ds, np.arange(ds.n))
         labels = np.repeat([1, 2], 10)
-        return nd, labels
+        return ds.features, labels
 
     def test_separable_drives_loss_to_zero(self):
-        nd, labels = self.separable_node()
+        x, labels = self.separable_node()
         reg = RegularizerConfig(alpha=0.0, beta=0.0)
-        w = solve_w(nd, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), SolverConfig(), ClusterModels(np.zeros((2, 2))))
-        assert hinge_loss(w, nd, labels) <= 1e-6
+        w = solve_w(x, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), SolverConfig(), np.zeros((2, 2)))
+        assert hinge_loss(w, x, labels) <= 1e-6
 
     def test_huge_alpha_returns_zero(self):
-        nd, labels = self.separable_node()
+        x, labels = self.separable_node()
         reg = RegularizerConfig(alpha=1e6, beta=0.0)
-        w = solve_w(nd, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), SolverConfig(), ClusterModels(np.zeros((2, 2))))
-        assert np.array_equal(w.weights, np.zeros((2, 2)))
+        w = solve_w(x, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), SolverConfig(), np.zeros((2, 2)))
+        assert np.array_equal(w, np.zeros((2, 2)))
 
     def test_final_objective_not_above_start(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
             n, p = 15, 4
             ds = blob_dataset(int(rng.integers(1e6)), [[1.0] * p, [-1.0] * p], per_blob=n // 2 + 1, spread=1.0)
-            nd = subset(ds, np.arange(ds.n))
             labels = rng.integers(1, 3, size=ds.n)
             regularizer = Regularizer(RegularizerConfig(alpha=0.1, beta=0.1), EMPTY_CHAIN, 2, p)
-            w0 = ClusterModels(rng.normal(size=(2, p)))
-            w = solve_w(nd, labels, regularizer, SolverConfig(), w0)
-            before = node_objective(w0, labels, regularizer, nd)
-            after = node_objective(w, labels, regularizer, nd)
+            w0 = rng.normal(size=(2, p))
+            w = solve_w(ds.features, labels, regularizer, SolverConfig(), w0)
+            before = node_objective(w0, labels, regularizer, ds.features)
+            after = node_objective(w, labels, regularizer, ds.features)
             assert after <= before + 1e-12
 
     def test_squared_l2_matches_gd_oracle(self):
@@ -317,10 +314,9 @@ class TestSolveW:
             x = rng.normal(size=(n, p))
             labels = rng.integers(1, 3, size=n)
             alpha = float(rng.uniform(0.05, 0.5))
-            nd = subset(Dataset(features=x, ids=np.arange(n)), np.arange(n))
             regularizer = Regularizer(RegularizerConfig(alpha=alpha, beta=0.0, variant="squared_l2"), EMPTY_CHAIN, 2, p)
-            w = solve_w(nd, labels, regularizer, SolverConfig(), ClusterModels(np.zeros((2, p))))
-            ours = node_objective(w, labels, regularizer, nd)
+            w = solve_w(x, labels, regularizer, SolverConfig(), np.zeros((2, p)))
+            ours = node_objective(w, labels, regularizer, x)
             oracle = gradient_descent_smooth_oracle(x, labels, alpha, 2)
             assert ours <= oracle * (1 + 1e-4) + 1e-10
 
@@ -347,33 +343,22 @@ class TestSolveW:
         assert len(updates) >= 2
         assert len(calls) == 1
 
-    def test_features_array_same_iterates_as_node(self):
-        rng = np.random.default_rng(9)
-        nd, _ = self.separable_node()
-        labels = rng.integers(1, 3, size=nd.size)
-        chain = chain_of([1.0, 0.5])
-        regularizer = Regularizer(RegularizerConfig(alpha=0.05, beta=0.05), chain, 2, 2)
-        w0 = ClusterModels(rng.normal(size=(2, 2)))
-        from_node = solve_w(nd, labels, regularizer, SolverConfig(), w0)
-        from_array = solve_w(nd.features, labels, regularizer, SolverConfig(), w0)
-        assert np.array_equal(from_node.weights, from_array.weights)
-
     @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3, 1e7])
     def test_converges_at_any_feature_magnitude(self, magnitude):
-        nd, labels = self.separable_node()
-        x = nd.features * magnitude
+        x, labels = self.separable_node()
+        x = x * magnitude
         reg = RegularizerConfig(alpha=0.01, beta=0.0)
-        w = solve_w(x, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), SolverConfig(), ClusterModels(np.zeros((2, 2))))
-        assert np.any(w.weights != 0.0)
-        assert weight_update_residual(w.weights, x, labels, EMPTY_CHAIN, reg) <= 1e-5
+        w = solve_w(x, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), SolverConfig(), np.zeros((2, 2)))
+        assert np.any(w != 0.0)
+        assert weight_update_residual(w, x, labels, EMPTY_CHAIN, reg) <= 1e-5
 
     def test_zero_gradient_at_zero_returns_zero(self):
         # identical rows, balanced labels: the hinge gradient at w = 0 vanishes, so w = 0 is optimal
         x = np.ones((4, 3))
         labels = np.array([1, 2, 1, 2])
-        w0 = ClusterModels(np.arange(6.0).reshape(2, 3))
+        w0 = np.arange(6.0).reshape(2, 3)
         w = solve_w(x, labels, Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 3), SolverConfig(), w0)
-        assert np.array_equal(w.weights, np.zeros((2, 3)))
+        assert np.array_equal(w, np.zeros((2, 3)))
 
 
 def signed_zero_weights():
@@ -424,7 +409,7 @@ def planted_node(k):
     top-level branch for K=2 and by class for K=4."""
     ds, _ = generate_synthetic(SyntheticSpec(per_class=10, seed=3))
     labels = ds.labels // 2 + 1 if k == 2 else ds.labels + 1
-    return subset(ds, np.arange(ds.n)), labels, ds.p
+    return ds.features, labels, ds.p
 
 
 class TestWeightUpdateOptimality:
@@ -440,14 +425,14 @@ class TestWeightUpdateOptimality:
         return chain_of(rng.normal(size=p), rng.normal(size=p))
 
     @staticmethod
-    def check(nd, labels, chain, reg, w0, ours, reference):
-        regularizer = Regularizer(reg, chain, *w0.weights.shape)
+    def check(x, labels, chain, reg, w0, ours, reference):
+        regularizer = Regularizer(reg, chain, *w0.shape)
 
         def objective(w):
-            return node_objective(w, labels, regularizer, nd)
+            return node_objective(w, labels, regularizer, x)
 
         assert objective(ours) <= objective(reference) + 1e-9 * objective(w0)
-        assert weight_update_residual(ours.weights, nd.features, labels, chain, reg) <= 1e-5
+        assert weight_update_residual(ours, x, labels, chain, reg) <= 1e-5
 
     @pytest.mark.parametrize("shrink", [0.5, 0.3])
     @pytest.mark.parametrize("memory", [0, 10])
@@ -455,22 +440,22 @@ class TestWeightUpdateOptimality:
     @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_optimal(self, variant, chain_name, k, memory, shrink):
-        nd, labels, p = planted_node(k)
+        x, labels, p = planted_node(k)
         chain = self.chain(chain_name, p)
         reg = RegularizerConfig(alpha=0.01, beta=0.01, variant=variant)
-        w0 = ClusterModels(np.zeros((k, p)))
-        ours = solve_w(nd, labels, Regularizer(reg, chain, k, p), SolverConfig(), w0)
-        reference = reference_solve_w(nd, labels, chain, reg, w0, memory=memory, shrink=shrink, max_outer_iters=30)
-        self.check(nd, labels, chain, reg, w0, ours, reference)
+        w0 = np.zeros((k, p))
+        ours = solve_w(x, labels, Regularizer(reg, chain, k, p), SolverConfig(), w0)
+        reference = reference_solve_w(x, labels, chain, reg, w0, memory=memory, shrink=shrink, max_outer_iters=30)
+        self.check(x, labels, chain, reg, w0, ours, reference)
 
     def test_optimal_from_warm_start(self):
         rng = np.random.default_rng(22)
-        nd, labels, p = planted_node(2)
+        x, labels, p = planted_node(2)
         chain = self.chain("two_ancestors", p)
         reg = RegularizerConfig(alpha=0.05, beta=0.02)
-        w0 = ClusterModels(rng.normal(size=(2, p)))
-        ours = solve_w(nd, labels, Regularizer(reg, chain, 2, p), SolverConfig(), w0)
-        self.check(nd, labels, chain, reg, w0, ours, reference_solve_w(nd, labels, chain, reg, w0))
+        w0 = rng.normal(size=(2, p))
+        ours = solve_w(x, labels, Regularizer(reg, chain, 2, p), SolverConfig(), w0)
+        self.check(x, labels, chain, reg, w0, ours, reference_solve_w(x, labels, chain, reg, w0))
 
 
 # a dual that stops once it no longer rises above its rounding leaves its
@@ -502,8 +487,8 @@ class TestDualNewtonSpaces:
         w = rng.normal(size=(k, p)) * 0.3
         chain = EMPTY_CHAIN if chain_name == "root" else chain_of(rng.normal(size=p), rng.normal(size=p))
         regularizer = Regularizer(RegularizerConfig(alpha=0.3, beta=0.3, variant=variant), chain, k, p)
-        mask, y0 = active_margins(w, x, labels)
-        return rng, x, labels, w, chain, regularizer, (x, y0, mask), 2.0 / (n * k)
+        margins = label_margins(w, x, labels)
+        return rng, x, labels, w, chain, regularizer, (x, margins.y0, margins.active), 2.0 / (n * k)
 
     @staticmethod
     def masked_cases(rng, k):
@@ -551,7 +536,7 @@ class TestDualNewtonSpaces:
         at_grad = (grad_dual @ a).reshape(w.shape)
         delta, at_delta = _margin_space_step(jac, grad_dual, c, self.MU, a)
         woodbury, at_woodbury = _weight_space_step(
-            jac, grad_dual, at_grad, c, self.MU, lambda z: a @ z.ravel(), hinge_hessian(w, x, labels)
+            jac, grad_dual, at_grad, c, self.MU, lambda z: a @ z.ravel(), label_margins(w, x, labels).hessian()
         )
         assert relative_gap(delta, woodbury) <= 1e-9
         assert relative_gap(at_delta, at_woodbury) <= 1e-9
@@ -581,7 +566,7 @@ class TestDualNewtonSpaces:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_model_minimizer_agrees(self, k, variant, chain_name, sizes, monkeypatch):
         _, x, labels, w, chain, regularizer, margins, c = self.problem(k, variant, chain_name, sizes, seed=71 + k)
-        grad, hess = hinge_grad(w, x, labels), hinge_hessian(w, x, labels)
+        grad, hess = hinge_grad(w, x, labels), label_margins(w, x, labels).hessian()
         minimizers = []
         for space in ("margin", "weight"):
             with monkeypatch.context() as patch:
@@ -599,7 +584,7 @@ class TestDualNewtonSpaces:
         # each step runs in the smaller space, and the K P x K P Hessian is built
         # at most once per outer iteration (one model solve), and only in one
         # that takes a weight-space step
-        nd, labels, p = planted_node(4)
+        x, labels, p = planted_node(4)
         models, spaces = [], []
         solve = margintree.optim._solve_dual_model
 
@@ -625,7 +610,7 @@ class TestDualNewtonSpaces:
 
         monkeypatch.setattr(margintree.objective.Margins, "hessian", spy_hessian)
         regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), EMPTY_CHAIN, 4, p)
-        solve_w(nd, labels, regularizer, SolverConfig(), ClusterModels(np.zeros((4, p))))
+        solve_w(x, labels, regularizer, SolverConfig(), np.zeros((4, p)))
         assert {name for name, _ in spaces} == {"margin", "weight"}
         assert all(smaller == (name == "margin") for name, smaller in spaces)
         assert all(model["hessians"] == min(model["weight"], 1) for model in models)
@@ -680,10 +665,10 @@ def iterate_path(workload):
         return split_node_(data, chain, *args)
 
     def spy_solve(x, labels, regularizer, cfg, w0):
-        models = solve_w_(x, labels, regularizer, cfg, w0)
-        residual = weight_update_residual(models.weights, x, labels, chains[-1], reg)
-        calls.append((node_objective(models, labels, regularizer, x), residual))
-        return models
+        w = solve_w_(x, labels, regularizer, cfg, w0)
+        residual = weight_update_residual(w, x, labels, chains[-1], reg)
+        calls.append((node_objective(w, labels, regularizer, x), residual))
+        return w
 
     margintree.hier.split_node, margintree.split.solve_w = spy_split, spy_solve
     try:

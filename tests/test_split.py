@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from margintree import (
-    ClusterModels,
     Regularizer,
     RegularizerConfig,
     SolverConfig,
@@ -14,14 +13,13 @@ from margintree import (
     init_assignment,
     rand_index,
     split_node,
-    splitting_score,
     subset,
 )
 from margintree.core import EMPTY_CHAIN, NodeData
-from margintree.objective import exclusive_reg, group_reg
-from margintree.split import SplitResult
+from margintree.objective import group_reg
+from margintree.split import _score
 from helpers import blob_dataset
-from test_objective import chain_of
+from test_objective import chain_of, exclusive_terms
 
 
 class TestBalanceBounds:
@@ -56,8 +54,7 @@ class TestBalanceBounds:
 class TestInitAssignment:
     def test_separated_blobs_split_exactly(self):
         ds = blob_dataset(1, [[6.0, 0.0], [-6.0, 0.0]], per_blob=10, spread=0.4)
-        nd = subset(ds, np.arange(20))
-        labels = init_assignment(nd, 2, balance_bounds(20, 2), seed=0)
+        labels = init_assignment(ds.features, 2, balance_bounds(20, 2), seed=0)
         assert rand_index(labels, ds.labels) == 1.0
         assert np.bincount(labels - 1).tolist() == [10, 10]
 
@@ -65,17 +62,15 @@ class TestInitAssignment:
         from margintree import Dataset
 
         ds = Dataset(features=np.ones((20, 3)), ids=np.arange(20))
-        nd = subset(ds, np.arange(20))
-        labels = init_assignment(nd, 2, balance_bounds(20, 2), seed=0)
+        labels = init_assignment(ds.features, 2, balance_bounds(20, 2), seed=0)
         sizes = np.bincount(labels - 1, minlength=2)
         assert sizes.min() >= 9 and sizes.max() <= 11
 
     def test_deterministic(self):
         ds = blob_dataset(2, [[3.0, 1.0], [-3.0, -1.0]], per_blob=12, spread=1.0)
-        nd = subset(ds, np.arange(24))
         b = balance_bounds(24, 2)
-        first = init_assignment(nd, 2, b, seed=5)
-        second = init_assignment(nd, 2, b, seed=5)
+        first = init_assignment(ds.features, 2, b, seed=5)
+        second = init_assignment(ds.features, 2, b, seed=5)
         assert np.array_equal(first, second)
 
 
@@ -85,13 +80,13 @@ class TestSplitNode:
         nd = subset(ds, np.arange(30))
         res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(1e-4, 1e-4), SolverConfig(), seed=0)
         assert rand_index(res.labels, ds.labels) == 1.0
-        assert hinge_loss(res.models, nd, res.labels) <= 1e-4
+        assert hinge_loss(res.models.weights, nd.features, res.labels) <= 1e-4
 
     def test_zero_alternations(self):
         ds = blob_dataset(4, [[4.0, 0.0], [-4.0, 0.0]], per_blob=8, spread=0.5)
         nd = subset(ds, np.arange(16))
         res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), SolverConfig(), seed=0, max_alternations=0)
-        init = init_assignment(nd, 2, balance_bounds(16, 2), seed=0)
+        init = init_assignment(nd.features, 2, balance_bounds(16, 2), seed=0)
         assert np.array_equal(res.labels, init)
         assert res.iterations == 0
         assert np.isfinite(res.objective)
@@ -164,43 +159,23 @@ class TestSplitNode:
 
 
 class TestSplittingScore:
-    def make_result(self, weights, labels):
-        return SplitResult(
-            models=ClusterModels(weights=weights),
-            labels=np.asarray(labels),
-            objective=0.0,
-            score=0.0,
-            iterations=0,
-        )
-
     def test_hand_value(self):
-        from margintree import Dataset
-
-        ds = Dataset(features=np.array([[2.0, 0.0], [0.0, 2.0]]), ids=np.arange(2))
-        nd = subset(ds, [0, 1])
-        res = self.make_result(np.array([[1.0, 0.0], [0.0, 1.0]]), [1, 2])
-        assert splitting_score(res, nd, Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 2)) == pytest.approx(8.0)
+        x = np.array([[2.0, 0.0], [0.0, 2.0]])
+        w = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert _score(w, np.array([1, 2]), x, Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 2)) == pytest.approx(8.0)
 
     def test_zero_models_sentinel(self):
-        from margintree import Dataset
-
-        ds = Dataset(features=np.ones((3, 2)), ids=np.arange(3))
-        nd = subset(ds, np.arange(3))
-        res = self.make_result(np.zeros((2, 2)), [1, 2, 1])
-        assert splitting_score(res, nd, Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 2)) == float("-inf")
+        regularizer = Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 2)
+        assert _score(np.zeros((2, 2)), np.array([1, 2, 1]), np.ones((3, 2)), regularizer) == float("-inf")
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)
-        from margintree import Dataset
-
         x = rng.normal(size=(6, 3))
-        ds = Dataset(features=x, ids=np.arange(6))
-        nd = subset(ds, np.arange(6))
         w = rng.normal(size=(2, 3))
         labels = rng.integers(1, 3, size=6)
         regularizer = Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 3)
-        s1 = splitting_score(self.make_result(w, labels), nd, regularizer)
-        s2 = splitting_score(self.make_result(3.0 * w, labels), nd, regularizer)
+        s1 = _score(w, labels, x, regularizer)
+        s2 = _score(3.0 * w, labels, x, regularizer)
         assert s1 == pytest.approx(s2, rel=1e-9)
 
     def test_equals_split_node_score_under_a_chain(self):
@@ -211,5 +186,5 @@ class TestSplittingScore:
         result = split_node(nd, chain, 2, reg, SolverConfig(), seed=0)
         w = result.models.weights
         numer = float((nd.features @ w.T)[np.arange(nd.size), result.labels - 1].sum())
-        assert splitting_score(result, nd, Regularizer(reg, chain, *w.shape)) == result.score
-        assert result.score == numer / (group_reg(w) + exclusive_reg(w, chain))
+        assert _score(w, result.labels, nd.features, Regularizer(reg, chain, *w.shape)) == result.score
+        assert result.score == numer / (group_reg(w) + exclusive_terms(w, chain)[1])
