@@ -64,6 +64,10 @@ class ExperimentSpec:
             raise ValidationError("restarts must be >= 1")
         if self.top_features < 0:
             raise ValidationError(f"top_features must be >= 0, got {self.top_features}")
+        if self.max_alternations < 0:
+            raise ValidationError(f"max_alternations must be >= 0, got {self.max_alternations}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     def stopping(self) -> StoppingCriterion:
         chosen = {

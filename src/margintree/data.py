@@ -166,6 +166,8 @@ class SyntheticSpec:
             raise ValidationError("magnitudes must be positive")
         if self.noise_scale < 0:
             raise ValidationError("noise_scale must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def total_dims(self) -> int:

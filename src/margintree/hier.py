@@ -54,6 +54,8 @@ class BuildConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValidationError(f"branching factor must be >= 2, got {self.k}")
+        if self.max_alternations < 0:
+            raise ValidationError(f"max_alternations must be >= 0, got {self.max_alternations}")
 
 
 def node_seed(seed: int, node_id: int) -> int:

@@ -3,27 +3,36 @@ the smooth squared-hinge loss plus the nonsmooth weighted sparse-group
 regularizer.
 
 Each outer iteration damps the exact generalized Hessian H of the squared
-hinge (piecewise quadratic) at the current point w by mu = |r|, r the
-prox-gradient residual at the step 1/L (L = 2 lambda_max(X^T X)/n, the
-Lipschitz bound of the hinge gradient), and minimizes the model
-grad.d + d.(H + mu I)d/2 + R(w + d) to a residual of a tenth of |r| by
-semismooth Newton on its dual. An Armijo backtracking on the true objective
-takes the step, or the prox-gradient step at 1/L, which always decreases the
-objective, when the model step is no descent direction. The run stops once
-the largest entry of r falls below rel_obj_tol times the largest entry of
-the hinge gradient at w = 0. One objective.Margins record per iterate gives
-the loss, the gradient, the active margins and H, and the accepted Armijo
-trial's record serves the next iteration.
+hinge at the current point w by mu = |r|, r the prox-gradient residual at
+the step 1/L (L = 2 lambda_max(X^T X)/n bounds the Lipschitz constant of
+the hinge gradient), and minimizes the model grad.d + d.(H + mu I)d/2 +
+R(w + d) to a residual of |r|/10 by semismooth Newton on its dual. An Armijo
+backtracking on the true objective takes the step, or the prox-gradient
+step, which always decreases the objective, when the model step is no
+descent direction. The run stops once the largest entry of r falls below
+rel_obj_tol times that of the hinge gradient at w = 0. One margins record
+per iterate gives the loss, the gradient, the active margins and H; the
+accepted Armijo trial's record serves the next iteration.
 
-The dual maps A, A^T gather and scatter only the m positive margins
-(MarginMap). Each dual Newton system is solved over the m margins when m is
-at most the number of free weights (those the prox Jacobian does not zero),
-else over the free weights through the Woodbury identity; H is built only
-then. The prox is an entrywise soft-threshold with the ancestor-induced
-per-feature weights, then a column-wise group shrinkage (a closed-form
-rescale for a quadratic term), with the coefficients of the split's
-Regularizer; it hands its soft-thresholded point and column norms on to the
-Jacobian and the regularizer value.
+The dual maps A, A^T touch only the m positive margins (MarginMap). Each
+dual Newton system is solved over the m margins when m is at most the
+number of free weights (those the prox Jacobian does not zero), else over
+the free weights through the Woodbury identity, the only case that builds
+H. The prox soft-thresholds each entry by the ancestor-induced per-feature
+weights, then shrinks each column as a group (a closed-form rescale for a
+quadratic term), with the coefficients of the split's Regularizer, and
+hands its pieces on to the Jacobian and the regularizer value.
+
+At K = 2 the hinge depends on w_1 - w_2 only, and both loops run on the
+P-vector u = (w_1 - w_2)/sqrt 2 (_Pair). w = (u, -u)/sqrt 2 is an isometry
+onto the antisymmetric weights, and R is invariant under (w_1, w_2) ->
+(-w_2, -w_1), so the model minimizer from an antisymmetric point stays
+antisymmetric: the steps, tests and constants carry over, and the iterates
+are the general path's up to rounding. There R is a weighted l1 norm, its
+prox a soft-threshold and its Jacobian a 0/1 diagonal, and the Newton
+systems are m x m or f x f over the f free coordinates. A start with
+w_1 != -w_2 is projected onto w_1 = -w_2, which does not raise the
+objective, since the loss depends on w_1 - w_2 only and R is convex.
 """
 
 from __future__ import annotations
@@ -198,28 +207,133 @@ def _weight_space_step(jac, grad_dual, at_grad, c, mu, forward, hess):
     return delta, c * at_grad - hess.dot(step.ravel()).reshape(k, p)
 
 
-def _solve_dual_model(w, grad, hessian, mu, a, c, regularizer, tol):
+class _General:
+    """The K x P weights themselves, for any K: Margins records, MarginMap,
+    the sparse-group prox and the Newton step in the smaller space."""
+
+    def __init__(self, at_zero, regularizer: Regularizer):
+        self.origin, self.x, self.c, self.regularizer = at_zero, at_zero.x, 2.0 / at_zero.values.size, regularizer
+        self.value = regularizer.value
+
+    def prox(self, v, s):
+        return prox_sparse_group(v, self.regularizer, s)
+
+    def prox_parts(self, v, s):
+        z, u, norms, shrunk = prox_parts(v, self.regularizer, s)
+        return z, (u, norms), self.value(z, shrunk)
+
+    def margin_map(self, margins):
+        return MarginMap(self.x, margins.y0, margins.active)
+
+    def step(self, parts, s, grad_dual, at_grad, c, mu, a, hessian):
+        jac = prox_jacobian(*parts, self.regularizer, s)
+        if a.size <= np.count_nonzero(jac[2]):
+            return _margin_space_step(jac, grad_dual, c, mu, a.matrix())
+        return _weight_space_step(jac, grad_dual, at_grad, c, mu, a, hessian())
+
+
+SQRT2 = math.sqrt(2.0)
+
+
+class _PairMargins:
+    """The K = 2 margins 1 + xhat_i.u, one per instance, with the loss,
+    gradient and Hessian they give (c = 1/n)."""
+
+    def __init__(self, xhat: np.ndarray, u: np.ndarray):
+        self.xhat, self.values = xhat, 1.0 + xhat @ u
+        self.active = self.values > 0.0
+
+    def at(self, u: np.ndarray) -> "_PairMargins":
+        return _PairMargins(self.xhat, u)
+
+    def loss(self) -> float:
+        positive = np.maximum(self.values, 0.0)
+        return float(positive @ positive) / (2 * self.values.size)
+
+    def grad(self) -> np.ndarray:
+        return np.maximum(self.values, 0.0) @ self.xhat / self.values.size
+
+    def hessian(self) -> np.ndarray:
+        rows = self.xhat[self.active]
+        return rows.T @ rows / self.values.size
+
+
+class _Rows(MarginMap):
+    """A at K = 2, in MarginMap's matrix form: the m x P active rows of xhat."""
+
+    def __init__(self, rows: np.ndarray):
+        self.a, self.size, self.shape = rows, rows.shape[0], rows.shape[1:]
+
+
+class _Pair:
+    """The coordinates u = (w_1 - w_2)/sqrt 2 at K = 2: instance i's margin is
+    1 + xhat_i.u, xhat_i = sqrt 2 x_i if y_i = 2 else -sqrt 2 x_i, and R is
+    the l1 norm weighted by sqrt 2 l1 + group (or quad |u|^2)."""
+
+    def __init__(self, at_zero, regularizer: Regularizer):
+        x, y0 = at_zero.x, at_zero.y0
+        self.x, self.c = x, 2.0 / at_zero.values.size
+        self.origin = _PairMargins(x * np.where(y0 == 1, SQRT2, -SQRT2)[:, None], np.zeros(x.shape[1]))
+        self.l1, self.quad = SQRT2 * regularizer.l1 + regularizer.group, regularizer.quad
+
+    def value(self, u):
+        return self.quad * float(u @ u) if self.quad else float(self.l1 @ np.abs(u))
+
+    def prox(self, v, s):
+        return v / (1.0 + 2.0 * s * self.quad) if self.quad else prox_weighted_l1(v, s * self.l1)
+
+    def prox_parts(self, v, s):
+        z = self.prox(v, s)
+        return z, z, self.value(z)
+
+    def margin_map(self, margins):
+        return _Rows(margins.xhat[margins.active])
+
+    def jacobian(self, z, s):
+        """J at the prox point z: a scalar times the 0/1 diagonal of the free coordinates."""
+        return 1.0 / (1.0 + 2.0 * s * self.quad), np.ones(z.size, dtype=bool) if self.quad else z != 0.0
+
+    def step(self, z, s, grad_dual, at_grad, c, mu, a, hessian):
+        """Over the m active rows restricted to the f free columns while m <= 2 f
+        (the free weights of w), else over the f free columns."""
+        jac, free = self.jacobian(z, s)
+        f = np.count_nonzero(free)
+        if a.size <= 2 * f:
+            rows = a.a[:, free]
+            system = (jac / mu) * (rows @ rows.T)
+            system.flat[:: a.size + 1] += 1.0 / c
+            delta = np.linalg.solve(system, grad_dual)
+            return delta, delta @ a.a
+        hess = hessian()
+        system = jac * hess[np.ix_(free, free)]
+        system.flat[:: f + 1] += mu
+        step = np.zeros(z.size)
+        step[free] = np.linalg.solve(system, (c * jac) * at_grad[free])
+        return c * (grad_dual - a(step)), c * at_grad - hess @ step
+
+
+def _solve_dual_model(w, grad, hessian, mu, a, c, space, tol):
     """Minimize the model q(z) + R(z), q(z) = grad.(z - w) + c |A(z - w)|^2/2
-    + mu |z - w|^2/2 with hessian() = c A^T A, over K x P points z, to a
-    subgradient residual of tol; returns the last primal point. a is the
-    MarginMap A from the weights to the m positive margins.
+    + mu |z - w|^2/2 with hessian() = c A^T A, over z in the coordinates of
+    space (_General or _Pair), to a subgradient residual of tol; returns the
+    last primal point. a is the map A to the m positive margins.
 
     Semismooth Newton runs on the dual, maximizing D(lam) = -|lam|^2/(2c) +
     lam.A(z - w) + psi(z), z = prox_{R/mu}(w - (grad + A^T lam)/mu), psi the
     rest of the model: it is smooth and concave, its generalized Hessian
     -(I/c + A J A^T/mu) is negative definite whatever the conditioning of
-    c A^T A (J the per-column Jacobian of the prox), and A^T(c grad D) is the
-    model's subgradient residual at z. The m x K P matrix of A is built on
-    the first margin-space step (m <= K P there), hessian() on the first
-    weight-space one."""
+    c A^T A (J the Jacobian of the prox), and A^T(c grad D) is the model's
+    subgradient residual at z. In the general coordinates the m x K P matrix
+    of A is built on the first margin-space step (m <= K P there), hessian()
+    on the first weight-space one."""
     s = 1.0 / mu
     base = w - s * grad
 
     def primal(at_lam):
-        z, u, norms, shrunk = prox_parts(base - s * at_lam, regularizer, s)
+        z, parts, reg = space.prox_parts(base - s * at_lam, s)
         d = z - w
-        psi = 0.5 * mu * float((d * d).sum()) + float((grad * d).sum()) + regularizer.value(z, shrunk)
-        return (u, norms), z, d, psi
+        psi = 0.5 * mu * float((d * d).sum()) + float((grad * d).sum()) + reg
+        return parts, z, d, psi
 
     lam = np.zeros(a.size)
     at_lam = np.zeros(w.shape)  # A^T lam
@@ -229,12 +343,8 @@ def _solve_dual_model(w, grad, hessian, mu, a, c, regularizer, tol):
         at_grad = a.adjoint(grad_dual)
         if c * math.sqrt(float((at_grad * at_grad).sum())) <= tol:
             break
-        jac = prox_jacobian(*parts, regularizer, s)
         try:
-            if a.size <= np.count_nonzero(jac[2]):
-                delta, at_delta = _margin_space_step(jac, grad_dual, c, mu, a.matrix())
-            else:
-                delta, at_delta = _weight_space_step(jac, grad_dual, at_grad, c, mu, a, hessian())
+            delta, at_delta = space.step(parts, s, grad_dual, at_grad, c, mu, a, hessian)
         except np.linalg.LinAlgError:
             break
         slope = float(grad_dual.dot(delta))
@@ -255,58 +365,50 @@ def _solve_dual_model(w, grad, hessian, mu, a, c, regularizer, tol):
     return z
 
 
-def solve_w(x: np.ndarray, labels, regularizer: Regularizer, cfg: SolverConfig, w0: np.ndarray) -> np.ndarray:
-    """Minimize the split objective in the weights for fixed labels, from the
-    K x P start w0 on the node's n x P features x; regularizer is the split's.
-    Returns the K x P weights.
-
-    Stops when the largest entry of the prox-gradient residual drops below
-    cfg.rel_obj_tol times the largest entry of the hinge gradient at w = 0,
-    when no step decreases the objective, or when the outer budget is
-    exhausted; the objective is non-increasing across iterations. Raises
-    SolverError if the objective turns non-finite.
-    """
-    w = np.array(w0, dtype=float)
-
-    at_zero = label_margins(np.zeros_like(w), x, labels)  # checks the labels and dimensions, once per call
-    scale = float(np.abs(at_zero.grad()).max())
+def _descend(space, w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """solve_w's outer proximal Newton loop, from w in the coordinates of space."""
+    scale = float(np.abs(space.origin.grad()).max())
     if scale == 0.0:
         # w = 0 minimizes the hinge and the regularizer at once
         return np.zeros_like(w)
-    gram = x.T @ x
+    gram = space.x.T @ space.x
     # the Frobenius norm of X^T X bounds its largest eigenvalue
-    t = x.shape[0] / (2.0 * math.sqrt(float((gram * gram).sum())))
+    t = space.x.shape[0] / (2.0 * math.sqrt(float((gram * gram).sum())))
     if not 0.0 < t < math.inf:
         raise SolverError(f"no finite Lipschitz bound for the hinge gradient (step {t})")
-    c = 2.0 / at_zero.values.size  # 2/(n K)
 
-    margins = at_zero.at(w)
-    reg_w = regularizer.value(w)
+    margins = space.origin.at(w)
+    reg_w = space.value(w)
     fw = margins.loss() + reg_w
     if not np.isfinite(fw):
         raise SolverError(f"objective not finite at the initial point (value {fw})")
 
-    for outer in range(cfg.max_outer_iters):
+    for outer in range(cfg.max_outer_iters + 1):
         grad = margins.grad()
-        pg = prox_sparse_group(w - t * grad, regularizer, t)
+        pg = space.prox(w - t * grad, t)
         r = (w - pg) / t
-        if float(np.abs(r).max()) <= cfg.rel_obj_tol * scale:
+        residual = float(np.abs(r).max())
+        if residual <= cfg.rel_obj_tol * scale:
+            break
+        if outer == cfg.max_outer_iters:
+            logger.warning("weight update ended on its budget of %d outer iterations at relative residual %.3e",
+                           outer, residual / scale)
             break
         r_norm = math.sqrt(float((r * r).sum()))
-        a = MarginMap(x, margins.y0, margins.active)
+        a = space.margin_map(margins)
         # built on the first weight-space Newton step of this model, if any
         hessian = functools.cache(margins.hessian)
-        z = _solve_dual_model(w, grad, hessian, DAMPING * r_norm, a, c, regularizer, INEXACTNESS * r_norm)
+        z = _solve_dual_model(w, grad, hessian, DAMPING * r_norm, a, space.c, space, INEXACTNESS * r_norm)
         if not np.all(np.isfinite(z)):
             raise SolverError(f"iterate diverged at outer iteration {outer}")
         d = z - w
-        reg_z = regularizer.value(z)
+        reg_z = space.value(z)
         model_dec = float((grad * d).sum()) + reg_z - reg_w
         # Armijo steps along d while the model decreases, then (if none is accepted) the prox-gradient step
         steps = [LINE_SEARCH_SHRINK**i for i in range(MAX_BACKTRACKS)] if model_dec < 0.0 else []
         for step in [*steps, None]:
             cand = pg if step is None else z if step == 1.0 else w + step * d
-            reg_c = reg_z if step == 1.0 else regularizer.value(cand)
+            reg_c = reg_z if step == 1.0 else space.value(cand)
             trial = margins.at(cand)
             fc = trial.loss() + reg_c
             if not np.isfinite(fc):
@@ -321,3 +423,23 @@ def solve_w(x: np.ndarray, labels, regularizer: Regularizer, cfg: SolverConfig, 
         logger.debug("w-update iter=%d obj=%.10e residual=%.3e", outer, fw, r_norm)
 
     return w
+
+
+def solve_w(x: np.ndarray, labels, regularizer: Regularizer, cfg: SolverConfig, w0: np.ndarray) -> np.ndarray:
+    """Minimize the split objective in the weights for fixed labels, from the
+    K x P start w0 on the node's n x P features x; regularizer is the split's.
+    Returns the K x P weights.
+
+    Stops when the largest entry of the prox-gradient residual drops below
+    cfg.rel_obj_tol times the largest entry of the hinge gradient at w = 0,
+    when no step decreases the objective, or when the outer budget is
+    exhausted, which it logs as a warning; the objective is non-increasing
+    across iterations. Raises SolverError if the objective turns non-finite.
+    At K = 2 they run on u = (w_1 - w_2)/sqrt 2 from the start projected onto w_1 = -w_2.
+    """
+    w = np.array(w0, dtype=float)
+    at_zero = label_margins(np.zeros_like(w), x, labels)  # checks the labels and dimensions, once per call
+    if w.shape[0] != 2:
+        return _descend(_General(at_zero, regularizer), w, cfg)
+    u = _descend(_Pair(at_zero, regularizer), (w[0] - w[1]) / SQRT2, cfg)
+    return np.stack((u, -u)) / SQRT2

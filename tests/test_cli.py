@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -296,6 +297,45 @@ class TestInputErrors:
 
     def test_bad_flag_value(self, planted_files, capsys):
         self.check(capsys, ["cluster", "--input", planted_files[0], "--k", "abc"], "invalid int value: 'abc'")
+
+    @pytest.mark.parametrize("command", ["cluster", "generate"])
+    def test_negative_seed(self, planted_files, tmp_path, capsys, command):
+        tail = ["--input", planted_files[0]] if command == "cluster" else ["--out", str(tmp_path / "data.csv")]
+        self.check(capsys, [command, "--seed", "-1", *tail], "seed must be >= 0, got -1")
+        assert not (tmp_path / "data.csv").exists()
+
+    def test_negative_seed_in_config_file(self, planted_files, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -3\n")
+        argv = ["cluster", "--config", str(cfg), "--input", planted_files[0], "--label-column"]
+        self.check(capsys, argv, "seed must be >= 0, got -3")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_negative_alternation_budget(self, planted_files, capsys, method):
+        argv = ["cluster", "--input", planted_files[0], "--method", method, "--max-alternations", "-1"]
+        self.check(capsys, argv, "max_alternations must be >= 0, got -1")
+
+
+class TestWeightUpdateBudget:
+    """A weight update that ends on its outer budget logs one warning naming
+    the budget and the final relative residual; a default build logs none."""
+
+    @staticmethod
+    def budget_warnings(caplog, argv):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="margintree.optim"):
+            assert main(argv) == 0
+        return [r.getMessage() for r in caplog.records if r.name == "margintree.optim" and r.levelno >= logging.WARNING]
+
+    def test_warns_on_budget_and_not_by_default(self, tmp_path, caplog):
+        data = str(tmp_path / "data.csv")
+        assert main(["generate", "--out", data, "--per-class", "50", "--seed", "0"]) == 0  # planted-small
+        cluster = ["cluster", "--input", data, "--label-column", "--k", "2", "--max-leaves", "4"]
+        messages = self.budget_warnings(caplog, [*cluster, "--max-outer-iters", "3"])
+        assert messages
+        for message in messages:
+            assert "budget of 3 outer iterations" in message and "relative residual" in message
+        assert self.budget_warnings(caplog, cluster) == []
 
 
 class TestEvaluateAndExport:

@@ -92,6 +92,16 @@ class TestBuildHierarchy:
             assert len(h.leaves()) == leaves
             assert len(h.non_leaves()) == rounds
 
+    def test_negative_alternation_budget_rejected(self):
+        with pytest.raises(ValidationError, match="max_alternations must be >= 0"):
+            BuildConfig(
+                k=2,
+                stop=StoppingCriterion(max_leaves=2),
+                reg=RegularizerConfig(),
+                solver=SolverConfig(),
+                max_alternations=-1,
+            )
+
     def test_n_less_than_k_rejected(self):
         ds = blob_dataset(0, [[0.0, 0.0]], per_blob=2)
         with pytest.raises(ValidationError):

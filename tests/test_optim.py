@@ -26,7 +26,11 @@ from margintree import (
     subset,
 )
 from margintree.optim import (
+    SQRT2,
     MarginMap,
+    _descend,
+    _General,
+    _Pair,
     _margin_space_step,
     _solve_dual_model,
     _weight_space_step,
@@ -37,6 +41,7 @@ from margintree.cli import restart_seed
 from margintree.core import EMPTY_CHAIN
 from margintree.hier import BuildConfig, StoppingCriterion, build_hierarchy
 from margintree.objective import VARIANTS, hinge_grad, label_margins, margin_adjoint, margin_map
+from margintree.split import OBJECTIVE_FLOOR
 import margintree.hier
 import margintree.objective
 import margintree.optim
@@ -572,7 +577,8 @@ class TestDualNewtonSpaces:
             with monkeypatch.context() as patch:
                 self.pin_space(patch, space, margins, hess)
                 a = MarginMap(*margins)
-                minimizers.append(_solve_dual_model(w, grad, lambda: hess, self.MU, a, c, regularizer, 0.0))
+                general = _General(label_margins(w, x, labels), regularizer)
+                minimizers.append(_solve_dual_model(w, grad, lambda: hess, self.MU, a, c, general, 0.0))
         ours, woodbury = minimizers
         # with tol 0 each solve runs until the dual stops rising above its
         # rounding, which leaves model residuals of up to a few 1e-8 here
@@ -614,6 +620,157 @@ class TestDualNewtonSpaces:
         assert {name for name, _ in spaces} == {"margin", "weight"}
         assert all(smaller == (name == "margin") for name, smaller in spaces)
         assert all(model["hessians"] == min(model["weight"], 1) for model in models)
+
+
+def antisymmetric(u):
+    """The K = 2 weights (u, -u)/sqrt 2 of the P-vector u."""
+    return np.stack((u, -u)) / SQRT2
+
+
+def general_solve_w(x, labels, regularizer, cfg, w0):
+    """solve_w's general K x P path, run at any K (solve_w itself takes the
+    u coordinates at K = 2)."""
+    w = np.array(w0, dtype=float)
+    return _descend(_General(label_margins(np.zeros_like(w), x, labels), regularizer), w, cfg)
+
+
+class TestPairCoordinates:
+    """The K = 2 primitives on u = (w_1 - w_2)/sqrt 2 are the general ones
+    restricted to the antisymmetric weights w = (u, -u)/sqrt 2: the prox and
+    its value, its Jacobian, and the dual Newton step in either space."""
+
+    @staticmethod
+    def node_and_pair(variant, chain_name, n, p, rng, alpha=2.0, beta=3.0):
+        chain = EMPTY_CHAIN if chain_name == "root" else chain_of(rng.normal(size=p), rng.normal(size=p))
+        regularizer = Regularizer(RegularizerConfig(alpha=alpha, beta=beta, variant=variant), chain, 2, p)
+        x, labels = rng.normal(size=(n, p)), rng.integers(1, 3, size=n)
+        return x, labels, regularizer, _Pair(label_margins(np.zeros((2, p)), x, labels), regularizer)
+
+    @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_prox_and_value(self, variant, chain_name):
+        rng = np.random.default_rng(81)
+        _, _, regularizer, pair = self.node_and_pair(variant, chain_name, 5, 8, rng)
+        for s in (0.01, 0.3, 1.0, 4.0):
+            v = rng.normal(size=8)
+            z = pair.prox(v, s)
+            assert np.allclose(antisymmetric(z), prox_sparse_group(antisymmetric(v), regularizer, s), rtol=0, atol=1e-12)
+            assert pair.value(z) == pytest.approx(regularizer.value(antisymmetric(z)), rel=1e-12, abs=1e-15)
+            assert np.array_equal(pair.prox_parts(v, s)[0], z)
+
+    @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_jacobian(self, variant, chain_name):
+        # central differences of the prox, and the general per-column blocks
+        # seen along the antisymmetric direction (1, -1)/sqrt 2
+        rng = np.random.default_rng(82)
+        p, h = 6, 1e-6
+        _, _, regularizer, pair = self.node_and_pair(variant, chain_name, 5, p, rng)
+        along = np.array([1.0, -1.0]) / SQRT2
+        for s in (0.5, 2.0):
+            v = rng.normal(size=p) * 0.5
+            v = np.where(np.abs(np.abs(v) - s * pair.l1) < 1e-3, v + 1e-2, v)  # away from the thresholds
+            scalar, free = pair.jacobian(pair.prox(v, s), s)
+            numeric = np.column_stack([(pair.prox(v + h * e, s) - pair.prox(v - h * e, s)) / (2 * h) for e in np.eye(p)])
+            assert np.abs(numeric - np.diag(scalar * free)).max() <= 1e-6
+            blocks = full_blocks(jacobian_at(antisymmetric(v), regularizer, s))
+            assert np.allclose(along @ blocks @ along, scalar * free, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sizes", sorted(TestDualNewtonSpaces.SIZES))
+    @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_step_is_the_general_step(self, variant, chain_name, sizes):
+        # the K = 2 step, in the space the sizes select, equals the general step
+        # at w = (u, -u)/sqrt 2 in both of the general spaces
+        rng = np.random.default_rng(83)
+        n, p = TestDualNewtonSpaces.SIZES[sizes]
+        x, labels, regularizer, pair = self.node_and_pair(variant, chain_name, n, p, rng, alpha=0.3, beta=0.3)
+        u = rng.normal(size=p) * 0.3
+        margins, ours = label_margins(antisymmetric(u), x, labels), pair.origin.at(u)
+        a, rows = MarginMap(x, margins.y0, margins.active).matrix(), pair.margin_map(ours)
+        # A (u, -u)/sqrt 2 = xhat_active u: the general margins' rows, seen along u
+        assert np.allclose((a[:, :p] - a[:, p:]) / SQRT2, rows.a, rtol=0, atol=1e-12)
+        mu = TestDualNewtonSpaces.MU
+        s, c = 1.0 / mu, pair.c
+        v = u - s * (ours.grad() + rng.uniform(0.0, 1.0, size=rows.size) @ rows.a)
+        z = pair.prox(v, s)
+        assert (rows.size <= 2 * np.count_nonzero(pair.jacobian(z, s)[1])) == (sizes == "m < free")
+        grad_dual = rng.normal(size=rows.size)
+        delta, at_delta = pair.step(z, s, grad_dual, grad_dual @ rows.a, c, mu, rows, ours.hessian)
+        jac = jacobian_at(antisymmetric(v), regularizer, s)
+        at_grad = (grad_dual @ a).reshape(2, p)
+        for general, at_general in (
+            _margin_space_step(jac, grad_dual, c, mu, a),
+            _weight_space_step(jac, grad_dual, at_grad, c, mu, lambda d: a @ d.ravel(), margins.hessian()),
+        ):
+            assert relative_gap(delta, general) <= 1e-9
+            assert relative_gap(antisymmetric(at_delta), at_general) <= 1e-9
+
+
+def stop_residual(w, x, labels, regularizer):
+    """solve_w's stop test at the K x P weights w: the largest entry of the
+    prox-gradient residual at the step 1/L over the largest entry of the hinge
+    gradient at w = 0 (the same ratio in the u coordinates)."""
+    gram = x.T @ x
+    t = x.shape[0] / (2.0 * np.sqrt((gram * gram).sum()))
+    r = (w - prox_sparse_group(w - t * hinge_grad(w, x, labels), regularizer, t)) / t
+    return float(np.abs(r).max() / np.abs(hinge_grad(np.zeros_like(w), x, labels)).max())
+
+
+class TestPairPathMatchesGeneral:
+    """At K = 2, solve_w follows its general path: from the same node and
+    start, each call ends no higher than the general path (1e-10 relative,
+    floored at split's rounding floor of an objective near 0; it may end
+    lower), on w_1 = -w_2 exactly, and both meet the residual test. A start
+    with w_1 != -w_2 is projected onto w_1 = -w_2: the projection does not
+    raise the objective, the call then follows the general path from the
+    projected start, and ends within the residual test's resolution (1e-8
+    relative) of the general path from the start itself."""
+
+    @staticmethod
+    def node(kind):
+        """The planted node, or 60 random rows labelled by a random hyperplane
+        with one label in ten flipped."""
+        if kind == "planted":
+            x, labels, _ = planted_node(2)
+            return x, labels
+        rng = np.random.default_rng(84)
+        x = rng.normal(size=(60, 8))
+        labels = 1 + (x @ rng.normal(size=8) > 0)
+        return x, np.where(rng.random(60) < 0.1, 3 - labels, labels)
+
+    @staticmethod
+    def no_higher(ours, reference, rel):
+        assert ours <= reference + max(rel * reference, OBJECTIVE_FLOOR)
+
+    @pytest.mark.parametrize("start", ["zeros", "asymmetric"])
+    @pytest.mark.parametrize("kind", ["random", "planted"])
+    @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_objective_weights_and_residual(self, variant, chain_name, kind, start):
+        x, labels = self.node(kind)
+        p = x.shape[1]
+        chain = TestWeightUpdateOptimality.chain(chain_name, p)
+        regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01, variant=variant), chain, 2, p)
+
+        def objective(w):
+            return node_objective(w, labels, regularizer, x)
+
+        # a start the size of the fitted weights
+        w0 = np.zeros((2, p)) if start == "zeros" else 0.1 * np.random.default_rng(85).normal(size=(2, p))
+        projected = np.stack((w0[0] - w0[1], w0[1] - w0[0])) / 2.0
+        ours = solve_w(x, labels, regularizer, SolverConfig(), w0)
+        general = general_solve_w(x, labels, regularizer, SolverConfig(), w0)
+        assert np.array_equal(ours[0], -ours[1])
+        for w in (ours, general):
+            assert stop_residual(w, x, labels, regularizer) <= 1e-8
+        if start == "zeros":
+            self.no_higher(objective(ours), objective(general), 1e-10)
+        else:
+            # to rounding: the loss depends on w_1 - w_2 only, which the projection keeps
+            self.no_higher(objective(projected), objective(w0), 4.0 * np.finfo(float).eps)
+            self.no_higher(objective(ours), objective(general_solve_w(x, labels, regularizer, SolverConfig(), projected)), 1e-10)
+            self.no_higher(objective(ours), objective(general), 1e-8)
 
 
 # Recorded from the commit before the weight update kept one margins record per
