@@ -11,6 +11,7 @@ added everywhere, so the planted tree is recoverable level by level.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -43,29 +44,66 @@ def _parse_row(tokens: list[str], line_no: int) -> list[float]:
     return [_parse_float(tok, line_no) for tok in tokens]
 
 
-def _load_csv(path: str, label_column: bool) -> Dataset:
+# text with any of these goes to the row-wise reader: the csv quote, CR line
+# ends, NUL (a csv.Error before Python 3.11) and \x1c-\x1f, which loadtxt
+# strips around a number as whitespace but float() rejects
+_ROW_WISE_ONLY = '"\r\x00\x1c\x1d\x1e\x1f'
+
+
+def _read_csv_plain(text: str, label_column: bool) -> Dataset | None:
+    """One loadtxt pass over plain csv text: unquoted, LF line ends and one
+    comma count on every non-blank line. Returns None where the result could
+    differ from the row-wise reader's, which then parses the text."""
+    if any(c in text for c in _ROW_WISE_ONLY):
+        return None
+    lines = [line for line in text.split("\n") if line and not line.isspace()]
+    commas = {line.count(",") for line in lines}
+    if len(commas) != 1 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    width = commas.pop() + (0 if label_column else 1)
+    if width == 0:
+        return None
+    try:
+        features = np.loadtxt(lines, delimiter=",", usecols=range(width), comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(features).all():
+        return None
+    labels = np.asarray([line.rpartition(",")[2].strip() for line in lines]) if label_column else None
+    return Dataset(features=features, ids=np.arange(len(lines)), labels=labels)
+
+
+def _read_csv_rows(text: str, label_column: bool) -> Dataset:
+    """The row-wise reader: csv.reader over the text, one _parse_row per row,
+    and a ParseError naming the line of the first bad row."""
     rows = []
     labels = []
     width = None
-    with open(path, newline="") as fh:
-        for line_no, record in enumerate(csv.reader(fh), start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if width is None:
-                width = len(record)
-            elif len(record) != width:
-                raise ParseError(f"expected {width} columns, found {len(record)}", line=line_no)
-            if label_column:
-                labels.append(record[-1].strip())
-                record = record[:-1]
-            if not record:
-                raise ParseError("no feature columns", line=line_no)
-            rows.append(_parse_row(record, line_no))
+    for line_no, record in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not record or (len(record) == 1 and not record[0].strip()):
+            continue
+        if width is None:
+            width = len(record)
+        elif len(record) != width:
+            raise ParseError(f"expected {width} columns, found {len(record)}", line=line_no)
+        if label_column:
+            labels.append(record[-1].strip())
+            record = record[:-1]
+        if not record:
+            raise ParseError("no feature columns", line=line_no)
+        rows.append(_parse_row(record, line_no))
     if not rows:
         raise ParseError("file contains no data rows", line=1)
     features = np.asarray(rows, dtype=float)
     ids = np.arange(features.shape[0])
     return Dataset(features=features, ids=ids, labels=np.asarray(labels) if label_column else None)
+
+
+def _load_csv(path: str, label_column: bool) -> Dataset:
+    with open(path, newline="") as fh:
+        text = fh.read()
+    plain = _read_csv_plain(text, label_column)
+    return plain if plain is not None else _read_csv_rows(text, label_column)
 
 
 def _load_libsvm(path: str) -> Dataset:

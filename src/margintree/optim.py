@@ -417,6 +417,8 @@ def _descend(space, w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
             if step is None or fc <= fw + SUFFICIENT_DECREASE * step * model_dec:
                 break
         if step is None and not fc < fw:
+            logger.debug("weight update stopped: no step decreases the objective, at relative residual %.3e",
+                         residual / scale)
             break
         # the accepted trial's margins serve the next iteration
         w, fw, reg_w, margins = cand, fc, reg_c, trial
@@ -432,8 +434,9 @@ def solve_w(x: np.ndarray, labels, regularizer: Regularizer, cfg: SolverConfig, 
 
     Stops when the largest entry of the prox-gradient residual drops below
     cfg.rel_obj_tol times the largest entry of the hinge gradient at w = 0,
-    when no step decreases the objective, or when the outer budget is
-    exhausted, which it logs as a warning; the objective is non-increasing
+    when no step decreases the objective, which it logs at debug level, or
+    when the outer budget is exhausted, which it logs as a warning (both
+    with the final relative residual); the objective is non-increasing
     across iterations. Raises SolverError if the objective turns non-finite.
     At K = 2 they run on u = (w_1 - w_2)/sqrt 2 from the start projected onto w_1 = -w_2.
     """

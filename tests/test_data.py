@@ -1,11 +1,15 @@
+import csv
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import margintree.data
 from margintree import ParseError, SyntheticSpec, ValidationError, generate_synthetic, load_dataset, pca_reduce
 from margintree.cli import main
-from margintree.data import standardize
+from margintree.data import _read_csv_plain, _read_csv_rows, standardize
 from margintree.metrics import shortest_path_similarity
 from oracles import reference_parse_csv
 
@@ -116,6 +120,98 @@ class TestLoadCsv:
         reference = reference_parse_csv(path, label_column=True)
         assert ds.features.shape == reference.shape == (160, 30)
         assert ds.features.tobytes() == reference.tobytes()
+
+
+def read_outcome(read):
+    """What a read gives: the features' shape and bytes and the labels, or the
+    ParseError's text and line."""
+    try:
+        ds = read()
+    except ParseError as err:
+        return "error", str(err), err.line
+    return ds.features.shape, ds.features.tobytes(), None if ds.labels is None else ds.labels.tolist()
+
+
+# text, label column, and whether the plain path reads it (otherwise it leaves
+# it to the row-wise reader)
+PLAIN_PATH_CASES = {
+    "padded tokens": (" 1.5,\x0b1,1\xa0\n2,\t3 ,4\u3000\n", False, True),
+    "padded label": ("1,2, a \n3,4,\tb\n", True, True),
+    "underscore digits": ("1_0,2\n3,4\n", False, False),
+    "arabic-indic digit": ("\u0661,2\n3,4\n", False, False),
+    "separator char around a number": ("1,2\n\x1c3,4\n", False, False),
+    "Infinity": ("1,2\n3,Infinity\n", False, False),
+    "overflow to inf": ("1,2\n1e400,4\n", False, False),
+    "nan": ("1,nan,a\n3,4,b\n", True, False),
+    "nan label": ("1,2,nan\n", True, True),
+    "subnormal, negative zero, underflow": ("4.9e-324,-0.0\n1e-400,-4.9e-324\n", False, True),
+    "CRLF": ("1,2,a\r\n3,4,b\r\n", True, False),
+    "lone CR": ("1,2\r3,4\r", False, False),
+    "CR inside a row": ("1,2\n3\r,4\n", False, False),
+    "quoted fields": ('"1",2\n3,"4"\n', False, False),
+    "quoted label with a comma": ('1,2,"a,b"\n3,4,c\n', True, False),
+    "blank and whitespace-only lines": ("\n1,2\n\n  \n\t\n3,4\n\n", False, True),
+    "whitespace between commas": ("1,2\n , \n", False, False),
+    "no final newline": ("1,2\n3,4", False, True),
+    "one feature column": ("1\n2\n3\n", False, True),
+    "one feature column and a label": ("1,a\n2,b\n", True, True),
+    "label column only": ("a\nb\n", True, False),
+    "extra column": ("1,2\n3,4,5\n6,7\n", False, False),
+    "missing column": ("1,2\n3\n", False, False),
+    "empty field": ("1,2\n3,\n", False, False),
+    "NUL byte": ("1,2\n3,4\x00\n", False, False),
+    "NUL byte in a label": ("1,2,a\x00\n", True, False),
+    "field over the csv size limit": (f"1,{'0' * csv.field_size_limit()}2\n", False, False),
+    "no data rows": ("\n \n", False, False),
+}
+
+
+class TestPlainPath:
+    """Plain csv text is read in one loadtxt pass, with the row-wise reader's
+    features (to the byte), labels and errors (text and line)."""
+
+    @pytest.mark.parametrize("name", PLAIN_PATH_CASES)
+    def test_same_outcome_as_row_wise(self, tmp_path, monkeypatch, name):
+        text, label_column, plain = PLAIN_PATH_CASES[name]
+        path = tmp_path / "data.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert (_read_csv_plain(text, label_column) is not None) == plain
+        ours = read_outcome(lambda: load_dataset(str(path), label_column=label_column))
+        monkeypatch.setattr(margintree.data, "_read_csv_plain", lambda text, label_column: None)
+        assert ours == read_outcome(lambda: load_dataset(str(path), label_column=label_column))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3), min_size=1, max_size=6
+        ),
+        width=st.integers(1, 3),
+        fmt=st.sampled_from([repr, "%.17g".__mod__, "%.6e".__mod__]),
+        label_column=st.booleans(),
+    )
+    def test_random_doubles(self, values, width, fmt, label_column):
+        rows = [[fmt(v) for v in row[:width]] + ([f"c{i % 2}"] if label_column else []) for i, row in enumerate(values)]
+        text = "".join(",".join(row) + "\n" for row in rows)
+        plain = _read_csv_plain(text, label_column)
+        assert plain is not None
+        assert read_outcome(lambda: plain) == read_outcome(lambda: _read_csv_rows(text, label_column))
+
+    @pytest.mark.parametrize("shape", [[], ["--branching", "4", "--per-class", "10", "--noise-dims", "0"]])
+    def test_generated_files_skip_the_row_parser(self, tmp_path, monkeypatch, shape):
+        path = tmp_path / "planted.csv"
+        assert main(["generate", "--out", str(path), "--seed", "5", *shape]) == 0
+        rows = []
+        parse_row = margintree.data._parse_row
+        monkeypatch.setattr(margintree.data, "_parse_row", lambda tokens, line_no: rows.append(line_no) or parse_row(tokens, line_no))
+        plain = load_dataset(str(path), label_column=True)
+        assert rows == []
+        # the spy sees the row-wise reader: the same file with CRLF line ends
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        row_wise = load_dataset(str(crlf), label_column=True)
+        assert rows == list(range(1, plain.n + 1))
+        assert read_outcome(lambda: plain) == read_outcome(lambda: row_wise)
 
 
 class TestLoadLibsvm:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -771,6 +772,44 @@ class TestPairPathMatchesGeneral:
             self.no_higher(objective(projected), objective(w0), 4.0 * np.finfo(float).eps)
             self.no_higher(objective(ours), objective(general_solve_w(x, labels, regularizer, SolverConfig(), projected)), 1e-10)
             self.no_higher(objective(ours), objective(general), 1e-8)
+
+
+class TestNoDescentStop:
+    """A call that stops because no step decreases the objective, above its
+    residual test, says so at debug level with its relative residual, and
+    warns of nothing. On 60 random rows with uniformly random labels the
+    objective's rounding (about 6e-17 at 0.43) hides the decrease a step of
+    residual 2e-8 would give, on both paths."""
+
+    @staticmethod
+    def stops(caplog, solve, x, labels, regularizer):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="margintree.optim"):
+            w = solve(x, labels, regularizer, SolverConfig(), np.zeros((2, x.shape[1])))
+        records = [r for r in caplog.records if r.name == "margintree.optim" and "w-update iter" not in r.msg]
+        assert all(r.levelno == logging.DEBUG for r in records)
+        return w, [r.getMessage() for r in records]
+
+    @pytest.mark.parametrize("solve", [solve_w, general_solve_w])
+    def test_logged_with_its_residual(self, caplog, solve):
+        rng = np.random.default_rng(84)
+        x = rng.normal(size=(60, 8))
+        labels = rng.integers(1, 3, size=60)
+        regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), EMPTY_CHAIN, 2, 8)
+        w, messages = self.stops(caplog, solve, x, labels, regularizer)
+        residual = stop_residual(w, x, labels, regularizer)
+        assert residual > 1e-8
+        [message] = messages
+        prefix = "weight update stopped: no step decreases the objective, at relative residual "
+        assert message.startswith(prefix)
+        assert float(message[len(prefix):]) == pytest.approx(residual, rel=1e-3)
+
+    def test_not_logged_when_the_residual_test_stops(self, caplog):
+        x, labels = TestPairPathMatchesGeneral.node("random")
+        regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), EMPTY_CHAIN, 2, 8)
+        w, messages = self.stops(caplog, solve_w, x, labels, regularizer)
+        assert stop_residual(w, x, labels, regularizer) <= 1e-8
+        assert messages == []
 
 
 # Recorded from the commit before the weight update kept one margins record per
