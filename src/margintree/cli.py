@@ -8,6 +8,7 @@ input or configuration, 2 solver or infeasibility failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -229,7 +230,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it as it was, so
+    repeated main calls share it."""
     parser = _Parser(prog="margintree", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -33,6 +33,13 @@ prox a soft-threshold and its Jacobian a 0/1 diagonal, and the Newton
 systems are m x m or f x f over the f free coordinates. A start with
 w_1 != -w_2 is projected onto w_1 = -w_2, which does not raise the
 objective, since the loss depends on w_1 - w_2 only and R is convex.
+
+The loops take their inner products from the coordinates object's dot:
+one BLAS product on P-vectors at K = 2, the pairwise sum of the entrywise
+product at K >= 3, whose rounding, and so whose iterates, it keeps bit for
+bit. At K = 2 the dual line search forms the prox point and R of it from
+one array of magnitudes [|v| - s w]_+, with the thresholds s w formed once
+per model, and A, A^T are plain products with the m x P active rows.
 """
 
 from __future__ import annotations
@@ -62,9 +69,10 @@ INEXACTNESS = 0.1
 DUAL_NEWTON_STEPS = 50
 DUAL_ASCENT = 1e-4  # Armijo fraction of the dual line search
 MAX_BACKTRACKS = 40
-# the Armijo backtracking of the outer step: shrink factor and fraction of the model decrease
+# the Armijo backtracking of the outer step: shrink factor, fraction of the model decrease and the steps tried
 LINE_SEARCH_SHRINK = 0.5
 SUFFICIENT_DECREASE = 1e-4
+ARMIJO_STEPS = tuple(LINE_SEARCH_SHRINK**i for i in range(MAX_BACKTRACKS))
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,8 @@ def prox_jacobian(u: np.ndarray, norms, regularizer: Regularizer, s: float):
     live = norms > b
     u_live, n_live = u[:, live].T, norms[live]
     blocks = (u_live[:, :, None] * u_live[:, None, :]) * (b / n_live**3)[:, None, None]
-    blocks[:, range(k), range(k)] += (u_live != 0.0) * (1.0 - b / n_live)[:, None]
+    # the diagonals of the blocks, as a strided view
+    blocks.reshape(-1, k * k)[:, :: k + 1] += (u_live != 0.0) * (1.0 - b / n_live)[:, None]
     return blocks, live, (u != 0.0) & live
 
 
@@ -215,6 +224,10 @@ class _General:
         self.origin, self.x, self.c, self.regularizer = at_zero, at_zero.x, 2.0 / at_zero.values.size, regularizer
         self.value = regularizer.value
 
+    @staticmethod
+    def dot(a, b):
+        return float((a * b).sum())
+
     def prox(self, v, s):
         return prox_sparse_group(v, self.regularizer, s)
 
@@ -258,11 +271,18 @@ class _PairMargins:
         return rows.T @ rows / self.values.size
 
 
-class _Rows(MarginMap):
-    """A at K = 2, in MarginMap's matrix form: the m x P active rows of xhat."""
+class _Rows:
+    """A at K = 2, MarginMap's matrix form in the u coordinates: the m x P
+    active rows of xhat, applied as plain products."""
 
     def __init__(self, rows: np.ndarray):
-        self.a, self.size, self.shape = rows, rows.shape[0], rows.shape[1:]
+        self.a, self.size = rows, rows.shape[0]
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        return self.a @ z
+
+    def adjoint(self, lam: np.ndarray) -> np.ndarray:
+        return lam @ self.a
 
 
 class _Pair:
@@ -275,6 +295,11 @@ class _Pair:
         self.x, self.c = x, 2.0 / at_zero.values.size
         self.origin = _PairMargins(x * np.where(y0 == 1, SQRT2, -SQRT2)[:, None], np.zeros(x.shape[1]))
         self.l1, self.quad = SQRT2 * regularizer.l1 + regularizer.group, regularizer.quad
+        self.step_size, self.thresholds = None, None  # s * l1 of the last prox_parts step s
+
+    @staticmethod
+    def dot(a, b):
+        return float(a @ b)
 
     def value(self, u):
         return self.quad * float(u @ u) if self.quad else float(self.l1 @ np.abs(u))
@@ -283,8 +308,17 @@ class _Pair:
         return v / (1.0 + 2.0 * s * self.quad) if self.quad else prox_weighted_l1(v, s * self.l1)
 
     def prox_parts(self, v, s):
-        z = self.prox(v, s)
-        return z, z, self.value(z)
+        """The prox point z and R(z), both from the magnitudes [|v| - s l1]_+
+        (|z| itself); the thresholds s l1 are kept while s stays the same,
+        as it does throughout one model."""
+        if self.quad:
+            z = self.prox(v, s)
+            return z, z, self.value(z)
+        if s != self.step_size:
+            self.step_size, self.thresholds = s, s * self.l1
+        magnitudes = np.maximum(np.abs(v) - self.thresholds, 0.0)
+        z = np.copysign(magnitudes, v)
+        return z, z, float(self.l1 @ magnitudes)
 
     def margin_map(self, margins):
         return _Rows(margins.xhat[margins.active])
@@ -332,7 +366,7 @@ def _solve_dual_model(w, grad, hessian, mu, a, c, space, tol):
     def primal(at_lam):
         z, parts, reg = space.prox_parts(base - s * at_lam, s)
         d = z - w
-        psi = 0.5 * mu * float((d * d).sum()) + float((grad * d).sum()) + reg
+        psi = 0.5 * mu * space.dot(d, d) + space.dot(grad, d) + reg
         return parts, z, d, psi
 
     lam = np.zeros(a.size)
@@ -341,7 +375,7 @@ def _solve_dual_model(w, grad, hessian, mu, a, c, space, tol):
     for _ in range(DUAL_NEWTON_STEPS):
         grad_dual = a(d) - lam / c
         at_grad = a.adjoint(grad_dual)
-        if c * math.sqrt(float((at_grad * at_grad).sum())) <= tol:
+        if c * math.sqrt(space.dot(at_grad, at_grad)) <= tol:
             break
         try:
             delta, at_delta = space.step(parts, s, grad_dual, at_grad, c, mu, a, hessian)
@@ -355,7 +389,7 @@ def _solve_dual_model(w, grad, hessian, mu, a, c, space, tol):
             at_new = at_lam + t * at_delta
             lam_new = lam + t * delta
             parts_new, z_new, d_new, psi_new = primal(at_new)
-            dual_new = float((at_new * d_new).sum()) + psi_new - float(lam_new.dot(lam_new)) / (2.0 * c)
+            dual_new = space.dot(at_new, d_new) + psi_new - float(lam_new.dot(lam_new)) / (2.0 * c)
             if dual_new >= dual + DUAL_ASCENT * t * slope:
                 break
             t *= 0.5
@@ -394,7 +428,7 @@ def _descend(space, w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
             logger.warning("weight update ended on its budget of %d outer iterations at relative residual %.3e",
                            outer, residual / scale)
             break
-        r_norm = math.sqrt(float((r * r).sum()))
+        r_norm = math.sqrt(space.dot(r, r))
         a = space.margin_map(margins)
         # built on the first weight-space Newton step of this model, if any
         hessian = functools.cache(margins.hessian)
@@ -403,10 +437,10 @@ def _descend(space, w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
             raise SolverError(f"iterate diverged at outer iteration {outer}")
         d = z - w
         reg_z = space.value(z)
-        model_dec = float((grad * d).sum()) + reg_z - reg_w
+        model_dec = space.dot(grad, d) + reg_z - reg_w
         # Armijo steps along d while the model decreases, then (if none is accepted) the prox-gradient step
-        steps = [LINE_SEARCH_SHRINK**i for i in range(MAX_BACKTRACKS)] if model_dec < 0.0 else []
-        for step in [*steps, None]:
+        steps = ARMIJO_STEPS if model_dec < 0.0 else ()
+        for step in (*steps, None):
             cand = pg if step is None else z if step == 1.0 else w + step * d
             reg_c = reg_z if step == 1.0 else space.value(cand)
             trial = margins.at(cand)

@@ -258,6 +258,58 @@ class TestClusterCommand:
         assert err.startswith(f"error: {cfg}: ") and message in err
 
 
+class TestRepeatedMainCalls:
+    """main builds its parser once per process, and nothing one call parses
+    reaches the next: a plain run after a --config run or after a usage error
+    reports what the same run reports in a fresh process."""
+
+    @staticmethod
+    def plain_argv(data, report):
+        return ["cluster", "--input", data, "--max-leaves", "3", "--report-out", str(report)]
+
+    @staticmethod
+    def report(path):
+        payload = json.loads(path.read_text())
+        payload.pop("runtime_seconds")
+        return payload
+
+    def test_parser_is_built_once(self):
+        assert margintree.cli._build_parser() is margintree.cli._build_parser()
+
+    def test_no_state_between_calls(self, planted_files, tmp_path, capsys):
+        data, _ = planted_files
+        fresh = tmp_path / "fresh.json"
+        src = os.path.dirname(os.path.dirname(margintree.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from margintree.cli import main; sys.exit(main(sys.argv[1:]))",
+             *self.plain_argv(data, fresh)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        expected = self.report(fresh)
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = hkm\nk = 3\nseed = 5\nlabel_column = yes\ntop_features = 1\n")
+        configured = tmp_path / "configured.json"
+        assert main(["cluster", "--config", str(cfg), "--input", data, "--report-out", str(configured)]) == 0
+        params = self.report(configured)["params"]
+        assert (params["k"], params["seed"]) == (3, 5)
+        after_config = tmp_path / "after_config.json"
+        assert main(self.plain_argv(data, after_config)) == 0
+        assert self.report(after_config) == expected
+
+        capsys.readouterr()
+        assert main(["cluster", "--input", data, "--seed", "9", "--label-column", "--k", "abc"]) == 1
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+        after_error = tmp_path / "after_error.json"
+        assert main(self.plain_argv(data, after_error)) == 0
+        assert self.report(after_error) == expected
+
+
 class TestInputErrors:
     """Unreadable files and bad flags exit 1 with one error line, not a traceback."""
 

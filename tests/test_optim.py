@@ -253,6 +253,23 @@ class TestProxJacobian:
             assert np.array_equal(jac[2], full_blocks(jac).any(axis=2).T)
             assert np.array_equal(jac[1], full_blocks(jac).any(axis=(1, 2)))
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_blocks_are_the_closed_form_bitwise(self, k):
+        # the live columns' blocks (1 - b/|u|) D + b u u^T / |u|^3, the diagonal
+        # added through fancy indexing here
+        rng = np.random.default_rng(25)
+        p = 30
+        spec = Regularizer(RegularizerConfig(alpha=2.0, beta=3.0), chain_of(rng.uniform(0, 2, p), rng.uniform(0, 2, p)), k, p)
+        for s in (2.0, 8.0):
+            _, u, norms, _ = prox_parts(rng.normal(size=(k, p)), spec, s)
+            blocks, live, _ = prox_jacobian(u, norms, spec, s)
+            assert live.any() and (u[:, live] == 0.0).any()
+            b = s * spec.group
+            u_live, n_live = u[:, live].T, norms[live]
+            expected = (u_live[:, :, None] * u_live[:, None, :]) * (b / n_live**3)[:, None, None]
+            expected[:, range(k), range(k)] += (u_live != 0.0) * (1.0 - b / n_live)[:, None]
+            assert blocks.tobytes() == expected.tobytes()
+
 
 class TestRegularizerValueFromShrunkenNorms:
     """The dual line search takes the regularizer value from the column norms
@@ -676,6 +693,61 @@ class TestPairCoordinates:
             assert np.abs(numeric - np.diag(scalar * free)).max() <= 1e-6
             blocks = full_blocks(jacobian_at(antisymmetric(v), regularizer, s))
             assert np.allclose(along @ blocks @ along, scalar * free, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_fused_prox_parts(self, variant):
+        # prox_parts forms the point and R of it from the magnitudes [|v| - s l1]_+:
+        # the point is prox_weighted_l1's bit for bit, except that an entry -0.0
+        # of v gives -0.0 (copysign) where np.sign(-0.0) * 0 gives +0.0, and
+        # the value is _Pair.value of the point
+        rng = np.random.default_rng(86)
+        p = 12
+        _, _, _, pair = self.node_and_pair(variant, "two_ancestors", 5, p, rng)
+        for s in (0.01, 0.3, 4.0):
+            v = rng.normal(size=p)
+            v[:4] = (0.0, -0.0, s * pair.l1[2], -s * pair.l1[3])  # signed zeros and entries on their thresholds
+            z, parts, value = pair.prox_parts(v, s)
+            assert parts is z and value == pair.value(z)
+            if pair.quad:
+                assert z.tobytes() == pair.prox(v, s).tobytes()
+                continue
+            expected = prox_weighted_l1(v, s * pair.l1)
+            negative_zero = (v == 0.0) & np.signbit(v)
+            assert z[~negative_zero].tobytes() == expected[~negative_zero].tobytes()
+            assert np.all(z[negative_zero] == 0.0) and np.all(np.signbit(z[negative_zero]))
+
+    def test_thresholds_follow_the_step(self):
+        # the thresholds s l1 kept between calls give what a fresh object gives, as s alternates
+        rng = np.random.default_rng(87)
+        x, labels, regularizer, pair = self.node_and_pair("sparse_group", "two_ancestors", 5, 8, rng)
+        for s in (0.3, 0.3, 2.0, 0.3, 2.0, 2.0, 0.01):
+            v = rng.normal(size=8)
+            ours = pair.prox_parts(v, s)
+            fresh = _Pair(label_margins(np.zeros((2, 8)), x, labels), regularizer).prox_parts(v, s)
+            assert ours[0].tobytes() == fresh[0].tobytes() and ours[2] == fresh[2]
+
+    def test_rows_are_the_matrix_form(self):
+        # _Rows applies A and A^T as MarginMap's matrix form does, bit for bit,
+        # and they are the general margin map at w = (u, -u)/sqrt 2 seen along u
+        rng = np.random.default_rng(88)
+        n, p = 40, 8
+        x, labels, _, pair = self.node_and_pair("sparse_group", "root", n, p, rng)
+        u = rng.normal(size=p) * 0.3
+        rows = pair.margin_map(pair.origin.at(u))
+        z, lam = rng.normal(size=p), rng.normal(size=rows.size)
+        assert rows(z).tobytes() == (rows.a @ z.ravel()).tobytes()
+        assert rows.adjoint(lam).tobytes() == (lam @ rows.a).reshape(p).tobytes()
+        margins = label_margins(antisymmetric(u), x, labels)
+        general = MarginMap(x, margins.y0, margins.active)
+        assert general.size == rows.size
+        assert np.allclose(general(antisymmetric(z)), rows(z), rtol=0, atol=1e-12)
+        assert np.allclose(general.adjoint(lam), antisymmetric(rows.adjoint(lam)), rtol=0, atol=1e-12)
+
+    def test_general_dot_is_the_summed_product(self):
+        # K >= 3 keeps the pairwise sum of the entrywise product, bit for bit
+        rng = np.random.default_rng(89)
+        a, b = rng.normal(size=(3, 30)), rng.normal(size=(3, 30))
+        assert _General.dot(a, b) == float((a * b).sum())
 
     @pytest.mark.parametrize("sizes", sorted(TestDualNewtonSpaces.SIZES))
     @pytest.mark.parametrize("chain_name", ["root", "two_ancestors"])
