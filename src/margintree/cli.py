@@ -149,6 +149,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     and write the requested outputs."""
     started = time.perf_counter()
     dataset = load_dataset(spec.input, spec.format, spec.label_column)
+    if spec.truth_tree and dataset.labels is None:
+        raise ValidationError("--truth-tree needs ground-truth labels (--label-column or libsvm labels)")
     if spec.pca_dim is not None:
         if spec.standardize:
             dataset = standardize(dataset)
@@ -381,11 +383,7 @@ def _cmd_evaluate(args) -> int:
     dataset = load_dataset(args.input, args.format, args.label_column)
     if dataset.labels is None:
         raise ValidationError("evaluate requires ground-truth labels (--label-column or libsvm labels)")
-    members = summary.leaf_members()
-    try:
-        leaf_ids = [members[i] for i in dataset.ids.tolist()]
-    except KeyError as err:
-        raise ValidationError(f"instance {err.args[0]!r} missing from the hierarchy's leaves") from None
+    leaf_ids = summary.leaf_of(dataset.n)
     metrics = _evaluate_against_truth(dataset, leaf_ids, summary.root, summary.children_map(), args.truth_tree)
     report = {"hierarchy": args.hierarchy, "input": args.input, "metrics": metrics}
     if args.report_out:

@@ -92,13 +92,28 @@ class HierarchySummary:
     incomplete: bool
     nodes: tuple[dict, ...]
 
-    def leaf_members(self) -> dict:
-        mapping = {}
+    def leaf_of(self, n: int) -> np.ndarray:
+        """The leaf holding each of the instances 0..n-1 (the loaders' ids):
+        the leaves must list each of them once and no other id."""
+        members, leaves = [], []
         for record in self.nodes:
             if not record["children"]:
-                for member in record.get("members", []):
-                    mapping[member] = record["id"]
-        return mapping
+                members += record.get("members", [])
+                leaves += [record["id"]] * (len(members) - len(leaves))
+        members = np.asarray(members)
+        if members.size and members.dtype.kind not in "iu":
+            raise ValidationError("the hierarchy's leaf members must be integer instance ids")
+        outside = (members < 0) | (members >= n)
+        if outside.any():
+            raise ValidationError(f"instance {members[outside.argmax()]} of the hierarchy's leaves is not in the input")
+        counts = np.bincount(members.astype(np.int64), minlength=n)
+        if counts.max(initial=0) > 1:
+            raise ValidationError(f"instance {members[(counts[members] > 1).argmax()]} is in more than one leaf")
+        if counts.min(initial=1) == 0:
+            raise ValidationError(f"instance {counts.argmin()} missing from the hierarchy's leaves")
+        leaf_of = np.empty(n, dtype=np.int64)
+        leaf_of[members] = leaves
+        return leaf_of
 
     def children_map(self) -> dict:
         return {r["id"]: list(r["children"]) for r in self.nodes if r["children"]}

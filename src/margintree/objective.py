@@ -102,6 +102,7 @@ class Margins:
         values = 1.0 - scores[rows, y0][:, None] + scores
         values[rows, y0] = 0.0
         self.x, self.y0, self.values, self.active = x, y0, values, values > 0.0
+        self.kept = None  # the Hessian, once hessian_once() has built it
 
     def at(self, w: np.ndarray) -> "Margins":
         return Margins(w, self.x, self.y0)
@@ -111,6 +112,11 @@ class Margins:
 
     def grad(self) -> np.ndarray:
         return margin_adjoint(2.0 * np.maximum(self.values, 0.0), self.x, self.y0) / self.values.size
+
+    def hessian_once(self) -> np.ndarray:
+        """hessian(), built once and kept: one record serves one model of the weight update."""
+        self.kept = self.hessian() if self.kept is None else self.kept
+        return self.kept
 
     def hessian(self) -> np.ndarray:
         """(2/(n K)) sum over positive margins (i, y) of (e_y - e_{y_i})(e_y -

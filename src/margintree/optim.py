@@ -40,11 +40,19 @@ product at K >= 3, whose rounding, and so whose iterates, it keeps bit for
 bit. At K = 2 the dual line search forms the prox point and R of it from
 one array of magnitudes [|v| - s w]_+, with the thresholds s w formed once
 per model, and A, A^T are plain products with the m x P active rows.
+
+The dual line search returns the one-by-one Armijo scan's trial bit for
+bit without computing every rejected rung: D is concave along the Newton
+ray, so a rung rejected by more than a rounding bound proves every larger
+step rejected. A guess from the quadratic through D(0), its slope and D(1),
+galloping and bisection find the first accepted rung; a rejection within
+the bound falls back to the scan. At K = 2 a trial's dual value is (A^T lam
++ grad + mu d/2).d + R(z), with |lam + t delta|^2 from three scalars per
+Newton step; K >= 3 keeps its summed products.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -53,6 +61,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .objective import (
+    Margins,
     Regularizer,
     column_norms,
     hinge_grad,  # noqa: F401  perfbench/layers.py traces calls through optim.hinge_grad,
@@ -69,7 +78,8 @@ INEXACTNESS = 0.1
 DUAL_NEWTON_STEPS = 50
 DUAL_ASCENT = 1e-4  # Armijo fraction of the dual line search
 MAX_BACKTRACKS = 40
-# the Armijo backtracking of the outer step: shrink factor, fraction of the model decrease and the steps tried
+DUAL_ROUNDING = 2.0**-30  # bound on the relative rounding of a computed dual value
+# the outer Armijo step: shrink factor, fraction of the model decrease; ARMIJO_STEPS serve both line searches
 LINE_SEARCH_SHRINK = 0.5
 SUFFICIENT_DECREASE = 1e-4
 ARMIJO_STEPS = tuple(LINE_SEARCH_SHRINK**i for i in range(MAX_BACKTRACKS))
@@ -228,6 +238,13 @@ class _General:
     def dot(a, b):
         return float((a * b).sum())
 
+    def dual_part(self, at, grad, d, reg, mu):  # at.d + psi: D without -|lam|^2/(2c), at the model's step d
+        return self.dot(at, d) + (0.5 * mu * self.dot(d, d) + self.dot(grad, d) + reg)
+
+    @staticmethod
+    def ray_norm(lam, delta):  # t -> |lam + t delta|^2
+        return lambda t: float((v := lam + t * delta).dot(v))
+
     def prox(self, v, s):
         return prox_sparse_group(v, self.regularizer, s)
 
@@ -254,7 +271,7 @@ class _PairMargins:
 
     def __init__(self, xhat: np.ndarray, u: np.ndarray):
         self.xhat, self.values = xhat, 1.0 + xhat @ u
-        self.active = self.values > 0.0
+        self.active, self.kept = self.values > 0.0, None
 
     def at(self, u: np.ndarray) -> "_PairMargins":
         return _PairMargins(self.xhat, u)
@@ -269,6 +286,8 @@ class _PairMargins:
     def hessian(self) -> np.ndarray:
         rows = self.xhat[self.active]
         return rows.T @ rows / self.values.size
+
+    hessian_once = Margins.hessian_once
 
 
 class _Rows:
@@ -300,6 +319,14 @@ class _Pair:
     @staticmethod
     def dot(a, b):
         return float(a @ b)
+
+    def dual_part(self, at, grad, d, reg, mu):  # the same from one product, (at + grad + mu d/2).d + reg
+        return float((at + grad + (0.5 * mu) * d) @ d) + reg
+
+    @staticmethod
+    def ray_norm(lam, delta):  # t -> |lam + t delta|^2 from three products: no trial forms lam + t delta
+        ll, ld, dd = float(lam @ lam), 2.0 * float(lam @ delta), float(delta @ delta)
+        return lambda t: ll + t * (ld + t * dd)
 
     def value(self, u):
         return self.quad * float(u @ u) if self.quad else float(self.l1 @ np.abs(u))
@@ -346,6 +373,36 @@ class _Pair:
         return c * (grad_dual - a(step)), c * at_grad - hess @ step
 
 
+def _line_search(trial, dual, slope, size):
+    """The first rung t = ARMIJO_STEPS[j] whose trial value reaches dual +
+    DUAL_ASCENT t slope, with its trial (value, size, state), or the last rung
+    when none does, as the one-by-one scan finds them; dual and size are at
+    t = 0, a size bounding the terms of a value. g(t) = D(t) - D(0) -
+    DUAL_ASCENT t slope is concave with g(0) = 0, so g(t') < 0 gives g(t) <=
+    (t/t') g(t') < 0 for t > t'. With computed values within DUAL_ROUNDING
+    times the larger size of the exact ones, a rung rejected by more than four
+    times that proves every larger step rejected; no other rung is skipped."""
+    tried = {}
+
+    def verdict(j):  # 1: accepted, -1: rejected with every larger step, 0: rejected alone
+        value, size_j, _ = tried[j] = tried.get(j) or trial(ARMIJO_STEPS[j])
+        line = dual + DUAL_ASCENT * ARMIJO_STEPS[j] * slope
+        return 1 if value >= line else -1 if line - value > 4.0 * DUAL_ROUNDING * max(size, size_j) else 0
+
+    if verdict(0) > 0:
+        return 1.0, tried[0]
+    # rungs <= lo are rejected and rung hi accepted (none known: MAX_BACKTRACKS); the guess takes halving steps
+    lo, hi, gap = 0, MAX_BACKTRACKS, 1
+    ratio = (dual + slope - tried[0][0]) / ((1.0 - DUAL_ASCENT) * slope)
+    j = min(max(math.ceil(math.log2(ratio)), 1), MAX_BACKTRACKS - 1) if 1.0 < ratio < math.inf else 1
+    while hi - lo > 1 and (found := verdict(j)):
+        lo, hi = (lo, j) if found > 0 else (j, hi)
+        j, gap = ((lo + hi) // 2, gap) if hi < MAX_BACKTRACKS else (min(lo + gap, hi - 1), 2 * gap)
+    # after a rejection it could not prove, the one-by-one scan from the last proved one
+    j = next((j for j in range(lo + 1, hi) if verdict(j) > 0), min(hi, MAX_BACKTRACKS - 1))
+    return ARMIJO_STEPS[j], tried[j]
+
+
 def _solve_dual_model(w, grad, hessian, mu, a, c, space, tol):
     """Minimize the model q(z) + R(z), q(z) = grad.(z - w) + c |A(z - w)|^2/2
     + mu |z - w|^2/2 with hessian() = c A^T A, over z in the coordinates of
@@ -359,19 +416,19 @@ def _solve_dual_model(w, grad, hessian, mu, a, c, space, tol):
     c A^T A (J the Jacobian of the prox), and A^T(c grad D) is the model's
     subgradient residual at z. In the general coordinates the m x K P matrix
     of A is built on the first margin-space step (m <= K P there), hessian()
-    on the first weight-space one."""
+    on the first weight-space one. Each step's Armijo search is _line_search."""
     s = 1.0 / mu
     base = w - s * grad
 
-    def primal(at_lam):
+    def primal(at_lam, lam_sq):
+        """D, its size and the state at A^T lam = at_lam and |lam|^2 = lam_sq."""
         z, parts, reg = space.prox_parts(base - s * at_lam, s)
         d = z - w
-        psi = 0.5 * mu * space.dot(d, d) + space.dot(grad, d) + reg
-        return parts, z, d, psi
+        part, lam_part = space.dual_part(at_lam, grad, d, reg, mu), lam_sq / (2.0 * c)
+        return part - lam_part, abs(part) + lam_part, (at_lam, parts, z, d)
 
     lam = np.zeros(a.size)
-    at_lam = np.zeros(w.shape)  # A^T lam
-    parts, z, d, dual = primal(at_lam)
+    dual, size, (at_lam, parts, z, d) = primal(np.zeros(w.shape), 0.0)  # at_lam = A^T lam
     for _ in range(DUAL_NEWTON_STEPS):
         grad_dual = a(d) - lam / c
         at_grad = a.adjoint(grad_dual)
@@ -384,18 +441,14 @@ def _solve_dual_model(w, grad, hessian, mu, a, c, space, tol):
         slope = float(grad_dual.dot(delta))
         if not slope > 0.0:
             break
-        t = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            at_new = at_lam + t * at_delta
-            lam_new = lam + t * delta
-            parts_new, z_new, d_new, psi_new = primal(at_new)
-            dual_new = space.dot(at_new, d_new) + psi_new - float(lam_new.dot(lam_new)) / (2.0 * c)
-            if dual_new >= dual + DUAL_ASCENT * t * slope:
-                break
-            t *= 0.5
-        if not dual_new > dual:
+        norm = space.ray_norm(lam, delta)
+        t, (value, size_new, (at_new, parts_new, z_new, d_new)) = _line_search(
+            lambda t: primal(at_lam + t * at_delta, norm(t)), dual, slope, size
+        )
+        if not value > dual:
             break  # no ascent left above the rounding of D: z is as good as it gets
-        lam, at_lam, parts, z, d, dual = lam_new, at_new, parts_new, z_new, d_new, dual_new
+        lam = lam + t * delta
+        dual, size, at_lam, parts, z, d = value, size_new, at_new, parts_new, z_new, d_new
     return z
 
 
@@ -430,9 +483,8 @@ def _descend(space, w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
             break
         r_norm = math.sqrt(space.dot(r, r))
         a = space.margin_map(margins)
-        # built on the first weight-space Newton step of this model, if any
-        hessian = functools.cache(margins.hessian)
-        z = _solve_dual_model(w, grad, hessian, DAMPING * r_norm, a, space.c, space, INEXACTNESS * r_norm)
+        # the Hessian is built on the first weight-space Newton step of this model, if any
+        z = _solve_dual_model(w, grad, margins.hessian_once, DAMPING * r_norm, a, space.c, space, INEXACTNESS * r_norm)
         if not np.all(np.isfinite(z)):
             raise SolverError(f"iterate diverged at outer iteration {outer}")
         d = z - w

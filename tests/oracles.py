@@ -402,6 +402,20 @@ def reference_solve_w(
     return w_flat.reshape(k, p)
 
 
+def armijo_scan(trial, dual: float, slope: float, ascent: float, rungs: int):
+    """The dual line search as one-by-one backtracking: halve t from 1 until
+    the value of trial(t) reaches dual + ascent t slope, trying at most rungs
+    steps; returns the last t tried and its trial (value, size, state)."""
+    t = 1.0
+    for rung in range(rungs):
+        if rung:
+            t *= 0.5
+        result = trial(t)
+        if result[0] >= dual + ascent * t * slope:
+            break
+    return t, result
+
+
 def brute_force_network_optimum(network) -> int | None:
     """Minimum cost over all integral flows by enumeration; None when no
     feasible flow exists."""

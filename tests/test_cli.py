@@ -96,9 +96,9 @@ class TestExport:
             assert record["depth"] == node.depth
             assert record["children"] == node.child_ids
             assert record["size"] == node.data.size
-        assert summary.leaf_members() == {i: leaf for i, leaf in sorted(
+        assert summary.leaf_of(h.root.data.size).tolist() == [leaf for _, leaf in sorted(
             (int(i), leaf.id) for leaf in h.leaves() for i in leaf.data.ids
-        )}
+        )]
 
 
 class TestGenerate(object):
@@ -337,6 +337,46 @@ class TestInputErrors:
         tail = ["--input", data, "--label-column"] if command == "evaluate" else ["--out", str(tmp_path / "h.dot")]
         message = "not a json file" if damage == "truncated" else "needs a root"
         self.check(capsys, [command, "--hierarchy", str(hier_path), *tail], message)
+
+    @staticmethod
+    def flat_hierarchy(data, path):
+        assert main(["cluster", "--input", data, "--method", "kmeans_flat", "--hierarchy-out", str(path)]) == 0
+
+    def test_instance_in_two_leaves(self, planted_files, tmp_path, capsys):
+        # evaluate scores each input instance in exactly one leaf: a member copied
+        # into a second leaf is named, not silently moved there
+        data, _ = planted_files
+        hier_path = tmp_path / "h.json"
+        self.flat_hierarchy(data, hier_path)
+        payload = json.loads(hier_path.read_text())
+        first, second = [record for record in payload["nodes"] if not record["children"]][:2]
+        copied = first["members"][3]
+        second["members"].append(copied)
+        hier_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        argv = ["evaluate", "--hierarchy", str(hier_path), "--input", data, "--label-column"]
+        self.check(capsys, argv, f"instance {copied} is in more than one leaf")
+
+    def test_hierarchy_of_a_larger_input(self, planted_files, tmp_path, capsys):
+        # a hierarchy over ids 0..199 scored against the 100 rows of another csv
+        # holds every one of them, and names the first id the input lacks
+        data, _ = planted_files
+        larger, hier_path = str(tmp_path / "larger.csv"), tmp_path / "h.json"
+        assert main(["generate", "--out", larger, "--per-class", "50", "--seed", "1"]) == 0
+        self.flat_hierarchy(larger, hier_path)
+        listed = [m for r in json.loads(hier_path.read_text())["nodes"] if not r["children"] for m in r["members"]]
+        outside = next(m for m in listed if m >= 100)
+        capsys.readouterr()
+        argv = ["evaluate", "--hierarchy", str(hier_path), "--input", data, "--label-column"]
+        self.check(capsys, argv, f"instance {outside} of the hierarchy's leaves is not in the input")
+
+    def test_truth_tree_without_labels(self, planted_files, tmp_path, capsys):
+        # the truth tree scores against labels: without them cluster stops before clustering
+        data, truth = planted_files
+        hier_path = tmp_path / "h.json"
+        argv = ["cluster", "--input", data, "--truth-tree", truth, "--hierarchy-out", str(hier_path)]
+        self.check(capsys, argv, "--truth-tree needs ground-truth labels")
+        assert not hier_path.exists()
 
     def test_input_is_a_directory(self, tmp_path, capsys):
         self.check(capsys, ["cluster", "--input", str(tmp_path)], "Is a directory")

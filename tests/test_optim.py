@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import logging
@@ -27,10 +28,15 @@ from margintree import (
     subset,
 )
 from margintree.optim import (
+    ARMIJO_STEPS,
+    DUAL_ASCENT,
+    DUAL_ROUNDING,
+    MAX_BACKTRACKS,
     SQRT2,
     MarginMap,
     _descend,
     _General,
+    _line_search,
     _Pair,
     _margin_space_step,
     _solve_dual_model,
@@ -50,6 +56,7 @@ import margintree.split
 from helpers import blob_dataset
 from test_objective import chain_of
 from oracles import (
+    armijo_scan,
     finite_difference_grad,
     gradient_descent_smooth_oracle,
     model_residual,
@@ -780,6 +787,105 @@ class TestPairCoordinates:
             assert relative_gap(antisymmetric(at_delta), at_general) <= 1e-9
 
 
+def scan(trial, dual, slope, size):
+    """_line_search's reference: the one-by-one Armijo scan."""
+    return armijo_scan(trial, dual, slope, DUAL_ASCENT, MAX_BACKTRACKS)
+
+
+class TestDualLineSearch:
+    """The bracketed dual line search returns the rung and the trial of the
+    one-by-one scan bit for bit, so the dual path keeps its lam, A^T lam and
+    z, on random dual models of both coordinate objects (K = 2 in u and K =
+    2, 3, 4 in the general coordinates, all five variants) solved to tol 0,
+    that is until the dual stops rising above its rounding. Those reach every
+    case: a step accepted at t = 1, which costs one trial; one bracketed by
+    proved rejections; one whose rejected bracket end lies within the
+    rounding bound, so that the search falls back to the scan; and one with
+    all MAX_BACKTRACKS rungs rejected."""
+
+    MU = 0.37
+    SIZES = ((3, 10), (60, 3), (40, 8))
+
+    @classmethod
+    def model(cls, coords, k, variant, seed, sizes):
+        """_solve_dual_model's arguments on a random node, with tol 0."""
+        rng = np.random.default_rng(seed)
+        n, p = sizes
+        x, labels = rng.normal(size=(n, p)), rng.integers(1, k + 1, size=n)
+        w = rng.normal(size=(k, p)) * 0.3
+        chain = chain_of(rng.normal(size=p), rng.normal(size=p)) if seed % 2 else EMPTY_CHAIN
+        regularizer = Regularizer(RegularizerConfig(alpha=0.3, beta=0.3, variant=variant), chain, k, p)
+        at_zero = label_margins(np.zeros_like(w), x, labels)
+        space = _Pair(at_zero, regularizer) if coords == "pair" else _General(at_zero, regularizer)
+        if coords == "pair":
+            w = (w[0] - w[1]) / SQRT2
+        margins = space.origin.at(w)
+        return w, margins.grad(), margins.hessian_once, cls.MU, space.margin_map(margins), space.c, space, 0.0
+
+    @staticmethod
+    def solve(monkeypatch, model, search):
+        """Solve the model with search as the line search; returns the last
+        primal point and, per Newton step, lam before it and the search's
+        step, value and state, its trial count and whether a trial other
+        than t = 1 was rejected within the rounding bound."""
+        space, steps = model[6], []
+
+        def spy_search(trial, dual, slope, size):
+            tried = {}
+
+            def counted(t):
+                tried[t] = trial(t)
+                return tried[t]
+
+            t, (value, size_t, state) = search(counted, dual, slope, size)
+            lines = {t: dual + DUAL_ASCENT * t * slope for t in tried}
+            unsure = any(
+                v < lines[r] and not lines[r] - v > 4.0 * DUAL_ROUNDING * max(size, r_size)
+                for r, (v, r_size, _) in tried.items()
+                if r != 1.0
+            )
+            steps[-1].update(t=t, value=value, state=state, trials=len(tried), unsure=unsure,
+                             accepted=value >= lines[t])
+            return t, (value, size_t, state)
+
+        def spy_norm(lam, delta, norm=space.ray_norm):
+            steps.append({"lam": lam.copy()})
+            return norm(lam, delta)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(space, "ray_norm", spy_norm)
+            patch.setattr(margintree.optim, "_line_search", spy_search)
+            z = _solve_dual_model(*model)
+        return z, steps
+
+    def test_search_is_the_scan(self, monkeypatch):
+        seen = collections.Counter()
+        for coords, k in (("pair", 2), ("general", 2), ("general", 3), ("general", 4)):
+            for variant in VARIANTS:
+                for seed in range(3):
+                    for sizes in self.SIZES:
+                        name = f"{coords} K={k} {variant} seed {seed} {sizes}"
+                        # a model each, since the margin map switches to its matrix form on the way
+                        z, ours = self.solve(monkeypatch, self.model(coords, k, variant, seed, sizes), _line_search)
+                        z_scan, reference = self.solve(monkeypatch, self.model(coords, k, variant, seed, sizes), scan)
+                        assert z.tobytes() == z_scan.tobytes(), name
+                        assert len(ours) == len(reference), name
+                        for step, expected in zip(ours, reference):
+                            assert step["t"] == expected["t"] and step["value"] == expected["value"], name
+                            assert step["lam"].tobytes() == expected["lam"].tobytes(), name
+                            for got, want in zip(step["state"][::2], expected["state"][::2]):  # A^T lam, z
+                                assert got.tobytes() == want.tobytes(), name
+                            if expected["t"] == 1.0 and expected["accepted"]:
+                                assert step["trials"] == 1, name
+                                seen["accepted at t = 1"] += 1
+                            elif not expected["accepted"]:
+                                assert step["t"] == ARMIJO_STEPS[-1], name
+                                seen["all rungs rejected"] += 1
+                            else:
+                                seen["fallback" if step["unsure"] else "bracketed"] += 1
+        assert set(seen) == {"accepted at t = 1", "bracketed", "fallback", "all rungs rejected"}, seen
+
+
 def stop_residual(w, x, labels, regularizer):
     """solve_w's stop test at the K x P weights w: the largest entry of the
     prox-gradient residual at the step 1/L over the largest entry of the hinge
@@ -947,6 +1053,44 @@ def iterate_path(workload):
     finally:
         margintree.hier.split_node, margintree.split.solve_w = split_node_, solve_w_
     return {"calls": calls, "digest": leaf_digest(hierarchy)}
+
+
+def line_search_trials():
+    """The count of dual line-search trials of the planted-small build of dataset 0."""
+    trials = [0]
+    search = margintree.optim._line_search
+
+    def counting(trial, *args):
+        def counted(t):
+            trials[0] += 1
+            return trial(t)
+
+        return search(counted, *args)
+
+    margintree.optim._line_search = counting
+    try:
+        iterate_path("planted-small")
+    finally:
+        margintree.optim._line_search = search
+    return trials[0]
+
+
+def test_planted_small_line_search_trials():
+    # the one-by-one scan takes 1183 trials on this build; a process of its
+    # own, with BLAS on one thread as TestIteratePath runs the same build
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(margintree.__file__))
+    path = os.pathsep.join([tests, src, os.environ.get("PYTHONPATH", "")])
+    one = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    run = subprocess.run(
+        [sys.executable, "-c", "import test_optim; print(test_optim.line_search_trials())"],
+        env=dict(os.environ, PYTHONPATH=path, **one),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) <= 900
 
 
 class TestIteratePath:
