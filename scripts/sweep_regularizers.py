@@ -12,18 +12,8 @@ import argparse
 
 import numpy as np
 
-from margintree import (
-    BuildConfig,
-    RegularizerConfig,
-    SolverConfig,
-    StoppingCriterion,
-    SyntheticSpec,
-    build_hierarchy,
-    generate_synthetic,
-    global_objective,
-    leaf_partition,
-    rand_index,
-)
+from margintree import RegularizerConfig, SyntheticSpec, generate_synthetic, score_hierarchy
+from margintree.cli import ExperimentSpec, build_method
 
 GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1e0)
 
@@ -37,25 +27,18 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--per-class", type=int, default=25)
-    parser.add_argument("--variant", default="sparse_group")
+    parser.add_argument("--variant", default=RegularizerConfig.variant)
     args = parser.parse_args()
 
     dataset, _ = generate_synthetic(SyntheticSpec(per_class=args.per_class, seed=args.seed))
     print(f"{'alpha':>8} {'beta':>8} {'objective':>12} {'sparsity':>9} {'RI':>7}")
     for alpha in GRID:
         for beta in GRID:
-            reg = RegularizerConfig(alpha=alpha, beta=beta, variant=args.variant)
-            cfg = BuildConfig(
-                k=2, stop=StoppingCriterion(max_leaves=4),
-                reg=reg, solver=SolverConfig(), seed=args.seed,
-            )
-            hierarchy = build_hierarchy(dataset, cfg)
-            part = leaf_partition(hierarchy)
-            pred = np.array([part[i] for i in range(dataset.n)])
-            print(
-                f"{alpha:8.0e} {beta:8.0e} {global_objective(hierarchy, dataset, reg):12.6f} "
-                f"{model_sparsity(hierarchy):9.3f} {rand_index(pred, dataset.labels):7.4f}"
-            )
+            # build_method reads the method options only; the data is in memory
+            options = ExperimentSpec(input="", k=2, max_leaves=4, alpha=alpha, beta=beta, variant=args.variant)
+            hierarchy, objective = build_method(dataset, options, args.seed)
+            ri = score_hierarchy(hierarchy, dataset)["rand_index"]
+            print(f"{alpha:8.0e} {beta:8.0e} {objective:12.6f} {model_sparsity(hierarchy):9.3f} {ri:7.4f}")
 
 
 if __name__ == "__main__":

@@ -8,25 +8,28 @@ input or configuration, 2 solver or infeasibility failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baselines import build_hkm, build_hkm_d
-from .core import Dataset, Hierarchy, flat_hierarchy, leaf_partition
-from .data import SyntheticSpec, generate_synthetic, load_dataset, pca_reduce, standardize
+from .core import Dataset, Hierarchy, flat_hierarchy
+from .data import FORMATS, SyntheticSpec, generate_synthetic, load_dataset, pca_reduce, standardize
 from .errors import SolverError, ValidationError
 from .export import SCHEMA_NAME, SCHEMA_VERSION, export_hierarchy, load_hierarchy_json, render_json, summary_to_dot
 from .hier import BuildConfig, StoppingCriterion, build_hierarchy, global_objective
 from .kmeans import kmeans
-from .metrics import ClassTree, score_leaves
+from .metrics import ClassTree, score_hierarchy
 from .objective import VARIANTS, RegularizerConfig
 from .optim import SolverConfig
+from .split import MAX_ALTERNATIONS
 
 logger = logging.getLogger(__name__)
 
@@ -35,23 +38,27 @@ METHODS = ("hmmc", "hkm", "hkm_d", "kmeans_flat", "mmc_flat")
 
 @dataclass
 class ExperimentSpec:
+    """One `margintree cluster` run; also its option table, one flag per
+    field (metadata: extra argparse keywords) in this order, and the solver's
+    fields flattened in. Defaults are read from the configs they feed."""
+
     input: str
-    format: str = "csv"
+    format: str = field(default="csv", metadata={"choices": FORMATS})
     label_column: bool = False
-    method: str = "hmmc"
+    method: str = field(default="hmmc", metadata={"choices": METHODS})
     k: int = 2
     max_leaves: int | None = None
     min_node_size: int | None = None
     max_height: int | None = None
-    alpha: float = 0.01
-    beta: float = 0.01
-    variant: str = RegularizerConfig.variant
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    max_alternations: int = 50
+    alpha: float = RegularizerConfig.alpha
+    beta: float = RegularizerConfig.beta
+    variant: str = field(default=RegularizerConfig.variant, metadata={"choices": VARIANTS})
     seed: int = 0
     restarts: int = 1
+    solver: SolverConfig = field(default_factory=SolverConfig)
+    max_alternations: int = MAX_ALTERNATIONS
     pca_dim: int | None = None
-    standardize: bool = True
+    standardize: bool = field(default=True, metadata={"help": "skip per-dimension standardization before PCA"})
     truth_tree: str | None = None
     hierarchy_out: str | None = None
     dot_out: str | None = None
@@ -61,6 +68,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.k < 2:
+            raise ValidationError(f"branching factor must be >= 2, got {self.k}")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
         if self.top_features < 0:
@@ -85,15 +94,18 @@ def restart_seed(seed: int, restart: int) -> int:
     return int(np.random.SeedSequence([seed, 7919, restart]).generate_state(1)[0])
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def save_class_tree(tree: ClassTree, path: str) -> None:
     payload = {
         "root": tree.root,
         "children": {str(k): list(v) for k, v in tree.children.items()},
         "leaf_classes": {str(k): v for k, v in tree.leaf_classes.items()},
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, render_json(payload))
 
 
 def load_class_tree(path: str) -> ClassTree:
@@ -115,32 +127,32 @@ def _leaf_inertia(dataset: Dataset, hierarchy: Hierarchy) -> float:
     return total
 
 
-def _build_once(dataset: Dataset, spec: ExperimentSpec, seed: int) -> tuple[Hierarchy, float]:
-    """Run one restart; returns the hierarchy and the method's own selection
-    objective (lower is better, never an evaluation metric)."""
+def build_method(dataset: Dataset, spec: ExperimentSpec, seed: int) -> tuple[Hierarchy, float]:
+    """One run of spec.method on the dataset with the given seed; returns
+    the hierarchy and the method's own selection objective (lower is better,
+    never an evaluation metric): the split objective sum of the margin
+    methods, the leaf inertia of the k-means ones."""
+    if spec.method == "kmeans_flat":
+        result = kmeans(dataset.features, spec.k, seed)
+        return flat_hierarchy(dataset, result.labels, result.centroids), result.inertia
+    stop = StoppingCriterion(max_leaves=spec.k) if spec.method == "mmc_flat" else spec.stopping()
     reg = RegularizerConfig(alpha=spec.alpha, beta=spec.beta, variant=spec.variant)
-    if spec.method in ("hmmc", "mmc_flat"):
-        stop = StoppingCriterion(max_leaves=spec.k) if spec.method == "mmc_flat" else spec.stopping()
-        config = BuildConfig(
-            k=spec.k, stop=stop, reg=reg, solver=spec.solver, seed=seed, max_alternations=spec.max_alternations
-        )
-        hierarchy = build_hierarchy(dataset, config)
-        return hierarchy, global_objective(hierarchy, dataset, reg)
+    config = BuildConfig(
+        k=spec.k, stop=stop, reg=reg, solver=spec.solver, seed=seed, max_alternations=spec.max_alternations
+    )
     if spec.method in ("hkm", "hkm_d"):
-        config = BuildConfig(k=spec.k, stop=spec.stopping(), reg=reg, solver=spec.solver, seed=seed)
-        builder = build_hkm if spec.method == "hkm" else build_hkm_d
-        hierarchy = builder(dataset, config)
+        hierarchy = (build_hkm if spec.method == "hkm" else build_hkm_d)(dataset, config)
         return hierarchy, _leaf_inertia(dataset, hierarchy)
-    result = kmeans(dataset.features, spec.k, seed)
-    hierarchy = flat_hierarchy(dataset, result.labels, result.centroids)
-    return hierarchy, result.inertia
+    hierarchy = build_hierarchy(dataset, config)
+    return hierarchy, global_objective(hierarchy, dataset, reg)
 
 
-def _evaluate_against_truth(dataset: Dataset, leaf_ids, root, children: dict, truth_tree: str | None) -> dict:
-    """RI/SP/PS of a leaf assignment against the truth tree file, or against
-    a flat truth tree over the labels when none is given."""
+def _evaluate_against_truth(dataset: Dataset, hierarchy, truth_tree: str | None) -> dict:
+    """RI/SP/PS of a built or reloaded hierarchy (see score_hierarchy)
+    against the truth tree file, or against a flat truth tree over the
+    labels when none is given."""
     truth = load_class_tree(truth_tree) if truth_tree else None
-    return score_leaves(leaf_ids, root, children, dataset.labels, truth)
+    return score_hierarchy(hierarchy, dataset, truth)
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
@@ -158,7 +170,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     best: tuple[float, int, Hierarchy] | None = None
     for restart in range(spec.restarts):
-        hierarchy, objective = _build_once(dataset, spec, restart_seed(spec.seed, restart))
+        hierarchy, objective = build_method(dataset, spec, restart_seed(spec.seed, restart))
         if best is None or objective < best[0]:
             best = (objective, restart, hierarchy)
     objective, chosen_restart, hierarchy = best
@@ -183,11 +195,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     }
 
     if dataset.labels is not None:
-        partition = leaf_partition(hierarchy)
-        leaf_ids = [partition[i] for i in dataset.ids.tolist()]
-        report["metrics"] = _evaluate_against_truth(
-            dataset, leaf_ids, hierarchy.root_id, hierarchy.children_map(), spec.truth_tree
-        )
+        report["metrics"] = _evaluate_against_truth(dataset, hierarchy, spec.truth_tree)
 
     outputs = {}
     if spec.hierarchy_out:
@@ -199,9 +207,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     report["outputs"] = outputs
     report["runtime_seconds"] = time.perf_counter() - started
     if spec.report_out:
-        with open(spec.report_out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(spec.report_out, render_json(report))
     return report
 
 
@@ -232,6 +238,43 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
+def _options(spec_cls) -> typing.Iterator[tuple[dataclasses.Field, type]]:
+    """The fields of an option-table dataclass with their resolved types."""
+    hints = typing.get_type_hints(spec_cls)
+    return ((f, hints[f.name]) for f in dataclasses.fields(spec_cls))
+
+
+def _add_options(parser: argparse.ArgumentParser, spec_cls) -> None:
+    """One flag per field of spec_cls, --name-with-dashes, typed and
+    defaulted as the field; a field without a default is required, a bool
+    is a switch (--no-name when it defaults to True) and a dataclass field
+    adds the flags of its own fields."""
+    for f, kind in _options(spec_cls):
+        flag = "--" + f.name.replace("_", "-")
+        if dataclasses.is_dataclass(kind):
+            _add_options(parser, kind)
+        elif kind is bool:
+            parser.add_argument("--no-" + flag[2:] if f.default else flag, action="store_true", **f.metadata)
+        elif f.default is dataclasses.MISSING:
+            parser.add_argument(flag, required=True, **f.metadata)
+        else:
+            scalar = next(t for t in typing.get_args(kind) or (kind,) if t is not type(None))
+            parser.add_argument(flag, **{"type": scalar, "default": f.default, **f.metadata})
+
+
+def _spec_from_args(spec_cls, args: argparse.Namespace):
+    """The spec_cls instance the flags of _add_options parsed into args."""
+    values = {}
+    for f, kind in _options(spec_cls):
+        if dataclasses.is_dataclass(kind):
+            values[f.name] = _spec_from_args(kind, args)
+        elif kind is bool and f.default:
+            values[f.name] = not getattr(args, "no_" + f.name)
+        else:
+            values[f.name] = getattr(args, f.name)
+    return spec_cls(**values)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: parsing leaves it as it was, so
@@ -243,46 +286,17 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(gen)
     gen.add_argument("--out", required=True, help="output csv (features + trailing label column)")
     gen.add_argument("--truth-out", help="output json for the ground-truth class tree")
-    gen.add_argument("--depth", type=int, default=2)
-    gen.add_argument("--branching", type=int, default=2)
-    gen.add_argument("--per-class", type=int, default=50)
-    gen.add_argument("--informative-dims", type=int, default=10)
-    gen.add_argument("--noise-dims", type=int, default=10)
-    gen.add_argument("--magnitudes", default="5,3", help="comma-separated, one per level")
-    gen.add_argument("--noise-scale", type=float, default=1.0)
-    gen.add_argument("--seed", type=int, default=0)
+    _add_options(gen, SyntheticSpec)
 
     run = sub.add_parser("cluster", help="run a clustering method and write hierarchy/report")
     _add_common(run)
-    run.add_argument("--input", required=True)
-    run.add_argument("--format", choices=("csv", "libsvm"), default="csv")
-    run.add_argument("--label-column", action="store_true")
-    run.add_argument("--method", choices=METHODS, default="hmmc")
-    run.add_argument("--k", type=int, default=2)
-    run.add_argument("--max-leaves", type=int)
-    run.add_argument("--min-node-size", type=int)
-    run.add_argument("--max-height", type=int)
-    run.add_argument("--alpha", type=float, default=0.01)
-    run.add_argument("--beta", type=float, default=0.01)
-    run.add_argument("--variant", choices=VARIANTS, default=RegularizerConfig.variant)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--restarts", type=int, default=1)
-    run.add_argument("--max-outer-iters", type=int, default=100)
-    run.add_argument("--rel-obj-tol", type=float, default=1e-8)
-    run.add_argument("--max-alternations", type=int, default=50)
-    run.add_argument("--pca-dim", type=int)
-    run.add_argument("--no-standardize", action="store_true", help="skip per-dimension standardization before PCA")
-    run.add_argument("--truth-tree")
-    run.add_argument("--hierarchy-out")
-    run.add_argument("--dot-out")
-    run.add_argument("--report-out")
-    run.add_argument("--top-features", type=int, default=3)
+    _add_options(run, ExperimentSpec)
 
     ev = sub.add_parser("evaluate", help="score an exported hierarchy against ground truth")
     _add_common(ev)
     ev.add_argument("--hierarchy", required=True)
     ev.add_argument("--input", required=True)
-    ev.add_argument("--format", choices=("csv", "libsvm"), default="csv")
+    ev.add_argument("--format", choices=FORMATS, default="csv")
     ev.add_argument("--label-column", action="store_true")
     ev.add_argument("--truth-tree")
     ev.add_argument("--report-out")
@@ -323,17 +337,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
 
 
 def _cmd_generate(args) -> int:
-    magnitudes = tuple(float(tok) for tok in str(args.magnitudes).split(","))
-    spec = SyntheticSpec(
-        depth=args.depth,
-        branching=args.branching,
-        per_class=args.per_class,
-        informative_dims=args.informative_dims,
-        noise_dims=args.noise_dims,
-        magnitudes=magnitudes,
-        noise_scale=args.noise_scale,
-        seed=args.seed,
-    )
+    spec = _spec_from_args(SyntheticSpec, args)
     dataset, truth = generate_synthetic(spec)
     with open(args.out, "w") as fh:
         for row, label in zip(dataset.features, dataset.labels):
@@ -345,34 +349,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    solver = SolverConfig(
-        max_outer_iters=args.max_outer_iters,
-        rel_obj_tol=args.rel_obj_tol,
-    )
-    spec = ExperimentSpec(
-        input=args.input,
-        format=args.format,
-        label_column=args.label_column,
-        method=args.method,
-        k=args.k,
-        max_leaves=args.max_leaves,
-        min_node_size=args.min_node_size,
-        max_height=args.max_height,
-        alpha=args.alpha,
-        beta=args.beta,
-        variant=args.variant,
-        solver=solver,
-        max_alternations=args.max_alternations,
-        seed=args.seed,
-        restarts=args.restarts,
-        pca_dim=args.pca_dim,
-        standardize=not args.no_standardize,
-        truth_tree=args.truth_tree,
-        hierarchy_out=args.hierarchy_out,
-        dot_out=args.dot_out,
-        report_out=args.report_out,
-        top_features=args.top_features,
-    )
+    spec = _spec_from_args(ExperimentSpec, args)
     report = run_experiment(spec)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
@@ -383,13 +360,10 @@ def _cmd_evaluate(args) -> int:
     dataset = load_dataset(args.input, args.format, args.label_column)
     if dataset.labels is None:
         raise ValidationError("evaluate requires ground-truth labels (--label-column or libsvm labels)")
-    leaf_ids = summary.leaf_of(dataset.n)
-    metrics = _evaluate_against_truth(dataset, leaf_ids, summary.root, summary.children_map(), args.truth_tree)
+    metrics = _evaluate_against_truth(dataset, summary, args.truth_tree)
     report = {"hierarchy": args.hierarchy, "input": args.input, "metrics": metrics}
     if args.report_out:
-        with open(args.report_out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.report_out, render_json(report))
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -407,8 +381,7 @@ def _cmd_export(args) -> int:
             "nodes": list(summary.nodes),
         }
         text = render_json(payload)
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    _write(args.out, text)
     print(f"wrote {args.out}")
     return 0
 

@@ -13,13 +13,16 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import Dataset
 from .errors import ParseError, ValidationError
 from .metrics import ClassTree
+
+
+FORMATS = ("csv", "libsvm")
 
 
 def _parse_float(token: str, line_no: int) -> float:
@@ -148,7 +151,7 @@ def _load_libsvm(path: str) -> Dataset:
 def load_dataset(path: str, format: str = "csv", label_column: bool = False) -> Dataset:
     """Load a dense dataset from csv (optional trailing label column) or
     libsvm sparse text (label field kept as ground truth)."""
-    if format not in ("csv", "libsvm"):
+    if format not in FORMATS:
         raise ValidationError(f"unknown format {format!r}; expected csv or libsvm")
     try:
         return _load_csv(path, label_column) if format == "csv" else _load_libsvm(path)
@@ -182,14 +185,24 @@ def pca_reduce(dataset: Dataset, d: int, center: bool = True) -> Dataset:
     return Dataset(features=centered @ components.T, ids=dataset.ids, labels=dataset.labels)
 
 
+def float_list(text: str) -> tuple[float, ...]:
+    """'5,3' -> (5.0, 3.0): a tuple of floats as written on the command line."""
+    return tuple(float(token) for token in text.split(","))
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """The planted tree and its noise; also the option table of `margintree
+    generate`, one flag per field (metadata: extra argparse keywords)."""
+
     depth: int = 2
     branching: int = 2
     per_class: int = 50
     informative_dims: int = 10
     noise_dims: int = 10
-    magnitudes: tuple[float, ...] = (5.0, 3.0)
+    magnitudes: tuple[float, ...] = field(
+        default=(5.0, 3.0), metadata={"type": float_list, "help": "comma-separated, one per level"}
+    )
     noise_scale: float = 1.0
     seed: int = 0
 

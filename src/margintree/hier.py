@@ -20,7 +20,7 @@ from .core import ClusterModels, Dataset, Hierarchy, TreeNode, ancestor_chain, s
 from .errors import UnsplittableNodeError, ValidationError
 from .objective import Regularizer, RegularizerConfig, node_objective
 from .optim import SolverConfig
-from .split import SplitResult, split_node
+from .split import MAX_ALTERNATIONS, SplitResult, split_node
 
 logger = logging.getLogger(__name__)
 
@@ -49,7 +49,7 @@ class BuildConfig:
     reg: RegularizerConfig
     solver: SolverConfig
     seed: int = 0
-    max_alternations: int = 50
+    max_alternations: int = MAX_ALTERNATIONS
 
     def __post_init__(self):
         if self.k < 2:

@@ -75,12 +75,6 @@ class ClassTree:
             shared += 1
         return (len(branch_a) - shared) + (len(branch_b) - shared)
 
-    def branch(self, class_id) -> tuple:
-        try:
-            return self._branches[class_id]
-        except KeyError:
-            raise ValidationError(f"unknown class {class_id!r}") from None
-
     def sp_table(self) -> np.ndarray:
         if self.max_distance == 0.0:
             return np.ones_like(self._dist)
@@ -111,18 +105,6 @@ class ClassTree:
             return self._index[class_id]
         except KeyError:
             raise ValidationError(f"unknown class {class_id!r}") from None
-
-
-def shortest_path_similarity(tree: ClassTree, a, b) -> float:
-    """1 - d(a,b)/d_max with d the tree edge distance between class leaves."""
-    return float(tree.sp_table()[tree.class_index(a), tree.class_index(b)])
-
-
-def path_sharing_similarity(tree: ClassTree, a, b, include_leaf: bool = True) -> float:
-    """Shared root-prefix length over the longer branch; branches include the
-    class leaf unless include_leaf=False (the stricter alternative reading)."""
-    i, j = tree.class_index(a), tree.class_index(b)
-    return float(tree.ps_table(include_leaf=include_leaf)[i, j])
 
 
 def flat_class_tree(classes) -> ClassTree:
@@ -247,20 +229,16 @@ def score_leaves(
     return scores
 
 
-def semantic_score(
-    learned: Hierarchy,
-    truth: ClassTree,
-    dataset: Dataset,
-    metric: str = "SP",
-    include_leaf: bool = True,
-) -> float:
-    """Score a learned hierarchy against the ground-truth class tree with
-    SP or PS (see score_leaves)."""
-    if metric not in ("SP", "PS"):
-        raise ValidationError(f"metric must be SP or PS, got {metric!r}")
+def score_hierarchy(hierarchy, dataset: Dataset, truth: ClassTree | None = None, include_leaf: bool = True) -> dict:
+    """score_leaves of the leaf holding each of the dataset's instances, in
+    dataset order. hierarchy is a built Hierarchy, or an exported one reloaded
+    by export.load_hierarchy_json, whose leaves must list the instances
+    0..n-1 (the loaders' ids)."""
     if dataset.labels is None:
-        raise ValidationError("semantic scoring requires ground-truth labels")
-    partition = leaf_partition(learned)
-    leaf_ids = [partition[i] for i in dataset.ids.tolist()]
-    scores = score_leaves(leaf_ids, learned.root_id, learned.children_map(), dataset.labels, truth, include_leaf)
-    return scores[metric.lower()]
+        raise ValidationError("scoring requires ground-truth labels")
+    if isinstance(hierarchy, Hierarchy):
+        partition = leaf_partition(hierarchy)
+        leaf_ids, root = [partition[i] for i in dataset.ids.tolist()], hierarchy.root_id
+    else:
+        leaf_ids, root = hierarchy.leaf_of(dataset.n), hierarchy.root
+    return score_leaves(leaf_ids, root, hierarchy.children_map(), dataset.labels, truth, include_leaf)

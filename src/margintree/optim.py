@@ -92,9 +92,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
-            raise ValidationError("iteration budgets must be positive")
-        if self.rel_obj_tol <= 0:
-            raise ValidationError("tolerances must be positive")
+            raise ValidationError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
+        if not (np.isfinite(self.rel_obj_tol) and self.rel_obj_tol > 0):
+            raise ValidationError(f"rel_obj_tol must be finite and > 0, got {self.rel_obj_tol}")
 
 
 def prox_weighted_l1(w: np.ndarray, thresholds) -> np.ndarray:

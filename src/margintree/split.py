@@ -25,6 +25,8 @@ from .optim import SolverConfig, solve_w
 logger = logging.getLogger(__name__)
 
 REL_OBJ_TOL = 1e-6
+# The alternation budget of a split, unless the caller gives one.
+MAX_ALTERNATIONS = 50
 DESCENT_TOL = 1e-9
 # Objective checks are relative to |f|, floored at the rounding error of an
 # objective near 0: a few ulps of 1/2, the least split objective at w = 0
@@ -99,7 +101,7 @@ def split_node(
     reg: RegularizerConfig,
     cfg: SolverConfig,
     seed: int,
-    max_alternations: int = 50,
+    max_alternations: int = MAX_ALTERNATIONS,
 ) -> SplitResult:
     """Alternate weight fitting and balanced assignment until the labels
     reach a fixed point, the relative objective change drops below

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from margintree import ClusterModels, Dataset, Hierarchy, TreeNode, subset
+from margintree.core import ClusterModels, Dataset, Hierarchy, TreeNode, subset
 
 
 def blob_dataset(seed: int, centers, per_blob: int = 10, spread: float = 0.3) -> Dataset:

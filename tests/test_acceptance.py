@@ -19,22 +19,16 @@ from margintree import (
     build_hkm_d,
     flat_hierarchy,
     generate_synthetic,
-    hierarchy_to_dict,
-    hinge_grad,
-    hinge_loss,
     kmeans,
-    leaf_partition,
-    prox_sparse_group,
-    rand_index,
-    semantic_score,
-    solve_balanced_assignment,
-    split_node,
-    subset,
+    score_hierarchy,
 )
-from margintree.core import EMPTY_CHAIN
-from margintree.export import render_json
+from margintree.core import EMPTY_CHAIN, subset
+from margintree.export import hierarchy_to_dict, render_json
+from margintree.flow import solve_balanced_assignment
 from margintree.metrics import semantic_score_partition
-from margintree.split import balance_bounds
+from margintree.objective import hinge_grad, hinge_loss
+from margintree.optim import prox_sparse_group
+from margintree.split import balance_bounds, split_node
 from helpers import blob_dataset, manual_hierarchy, random_problem
 from oracles import (
     brute_force_assignment,
@@ -175,12 +169,11 @@ def test_criterion_5_planted_recovery(planted_runs):
     recovered = 0
     sp_h, ps_h, sp_km, ps_km = [], [], [], []
     for seed, (ds, truth, hierarchy) in enumerate(runs):
-        part = leaf_partition(hierarchy)
-        pred = np.array([part[i] for i in range(ds.n)])
-        if rand_index(pred, ds.labels) >= 0.95:
+        scores = score_hierarchy(hierarchy, ds, truth)
+        if scores["rand_index"] >= 0.95:
             recovered += 1
-        sp_h.append(semantic_score(hierarchy, truth, ds, "SP"))
-        ps_h.append(semantic_score(hierarchy, truth, ds, "PS"))
+        sp_h.append(scores["sp"])
+        ps_h.append(scores["ps"])
         km = kmeans(ds.features, 4, seed=seed)
         sp_km.append(semantic_score_partition(km.labels, None, truth, ds.labels, "SP"))
         ps_km.append(semantic_score_partition(km.labels, None, truth, ds.labels, "PS"))
@@ -240,10 +233,8 @@ def test_criterion_7_metric_correctness():
     learned = manual_hierarchy(
         ds, {1: [[0, 1, 2, 3], [4, 5, 6, 7]], 2: [[0, 1, 3], [2]], 3: [[4, 5], [6, 7]]}
     )
-    sp = semantic_score(learned, truth, ds, "SP")
-    ps = semantic_score(learned, truth, ds, "PS")
-    part = leaf_partition(learned)
-    ri = rand_index(np.array([part[i] for i in range(8)]), labels)
+    scores = score_hierarchy(learned, ds, truth)
+    sp, ps, ri = scores["sp"], scores["ps"], scores["rand_index"]
     flat_sp = semantic_score_partition(np.array([1, 1, 2, 2, 3, 3, 4, 4]), None, truth, labels, "SP")
     flat_ps = semantic_score_partition(np.array([1, 1, 2, 2, 3, 3, 4, 4]), None, truth, labels, "PS")
     checks = {

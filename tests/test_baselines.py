@@ -11,12 +11,11 @@ from margintree import (
     build_hierarchy,
     build_hkm,
     build_hkm_d,
-    hkm_d_split_score,
-    hkm_split_score,
     kmeans,
     leaf_partition,
     rand_index,
 )
+from margintree.baselines import hkm_d_split_score, hkm_split_score
 from helpers import blob_dataset
 
 
@@ -151,8 +150,7 @@ class TestBuilders:
         assert shapes[0] == shapes[1]
 
     def test_hkm_deterministic(self):
-        from margintree.export import render_json
-        from margintree import hierarchy_to_dict
+        from margintree.export import hierarchy_to_dict, render_json
 
         ds = self.planted(seed=5)
         cfg = config(StoppingCriterion(max_leaves=4), seed=9)

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -13,12 +15,12 @@ from margintree import (
     RegularizerConfig,
     SolverConfig,
     StoppingCriterion,
+    SyntheticSpec,
     export_hierarchy,
-    hierarchy_to_dict,
     load_hierarchy_json,
 )
 from margintree.cli import METHODS, ExperimentSpec, main, run_experiment
-from margintree.export import summary_to_dot
+from margintree.export import hierarchy_to_dict, summary_to_dot
 from helpers import blob_dataset, manual_hierarchy
 
 
@@ -70,7 +72,7 @@ class TestExport:
         assert text.count("->") == 6
 
     def test_top_features_single_column(self, tmp_path):
-        from margintree import ClusterModels
+        from margintree.core import ClusterModels
 
         h = self.small_hierarchy()
         w = np.zeros((2, 4))
@@ -407,6 +409,19 @@ class TestInputErrors:
         argv = ["cluster", "--input", planted_files[0], "--method", method, "--max-alternations", "-1"]
         self.check(capsys, argv, "max_alternations must be >= 0, got -1")
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_branching_factor_below_two(self, planted_files, capsys, method):
+        argv = ["cluster", "--input", planted_files[0], "--method", method, "--k", "1"]
+        self.check(capsys, argv, "branching factor must be >= 2, got 1")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rel_obj_tol(self, planted_files, tmp_path, capsys, value):
+        # nan would leave the residual stop unable to fire, inf would stop at once
+        report = tmp_path / "report.json"
+        argv = ["cluster", "--input", planted_files[0], "--rel-obj-tol", value, "--report-out", str(report)]
+        self.check(capsys, argv, f"rel_obj_tol must be finite and > 0, got {value}")
+        assert not report.exists()
+
 
 class TestWeightUpdateBudget:
     """A weight update that ends on its outer budget logs one warning naming
@@ -578,3 +593,115 @@ class TestRunExperiment:
         report = run_experiment(spec)
         assert report["chosen_restart"] in (0, 1)
         assert report["leaf_count"] == 4
+
+
+def help_flags(capsys, command):
+    """The sorted option names `margintree <command> --help` lists."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return sorted(set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out.split("options:")[1])))
+
+
+CLUSTER_FLAGS = [
+    "--alpha", "--beta", "--config", "--dot-out", "--format", "--help", "--hierarchy-out", "--input", "--k",
+    "--label-column", "--max-alternations", "--max-height", "--max-leaves", "--max-outer-iters", "--method",
+    "--min-node-size", "--no-standardize", "--pca-dim", "--rel-obj-tol", "--report-out", "--restarts", "--seed",
+    "--top-features", "--truth-tree", "--variant", "--verbose", "-h", "-v",
+]
+GENERATE_FLAGS = [
+    "--branching", "--config", "--depth", "--help", "--informative-dims", "--magnitudes", "--noise-dims",
+    "--noise-scale", "--out", "--per-class", "--seed", "--truth-out", "--verbose", "-h", "-v",
+]
+# Every config key of cluster and generate, a value, and what it must set on
+# the ExperimentSpec or SyntheticSpec the command runs. --input and --out are
+# also given on the command line, where they are required, and win.
+CLUSTER_KEYS = [
+    ("input", "other.csv", "input", "data.csv"),
+    ("format", "libsvm", "format", "libsvm"),
+    ("label_column", "yes", "label_column", True),
+    ("method", "hkm_d", "method", "hkm_d"),
+    ("k", "3", "k", 3),
+    ("max_leaves", "5", "max_leaves", 5),
+    ("min_node_size", "7", "min_node_size", 7),
+    ("max_height", "2", "max_height", 2),
+    ("alpha", "0.5", "alpha", 0.5),
+    ("beta", "0.25", "beta", 0.25),
+    ("variant", "l1", "variant", "l1"),
+    ("seed", "4", "seed", 4),
+    ("restarts", "2", "restarts", 2),
+    ("max_outer_iters", "17", "solver", SolverConfig(max_outer_iters=17)),
+    ("rel_obj_tol", "1e-6", "solver", SolverConfig(rel_obj_tol=1e-6)),
+    ("max_alternations", "9", "max_alternations", 9),
+    ("pca_dim", "3", "pca_dim", 3),
+    ("no_standardize", "yes", "standardize", False),
+    ("no_standardize", "no", "standardize", True),
+    ("truth_tree", "t.json", "truth_tree", "t.json"),
+    ("hierarchy_out", "h.json", "hierarchy_out", "h.json"),
+    ("dot_out", "h.dot", "dot_out", "h.dot"),
+    ("report_out", "r.json", "report_out", "r.json"),
+    ("top_features", "2", "top_features", 2),
+]
+GENERATE_KEYS = [
+    ("depth", "3", "depth", 3),
+    ("branching", "3", "branching", 3),
+    ("per_class", "4", "per_class", 4),
+    ("informative_dims", "5", "informative_dims", 5),
+    ("noise_dims", "0", "noise_dims", 0),
+    ("magnitudes", "4, 2", "magnitudes", (4.0, 2.0)),
+    ("noise_scale", "0.5", "noise_scale", 0.5),
+    ("seed", "6", "seed", 6),
+]
+
+
+class TestOptionTables:
+    """cluster's options are ExperimentSpec's fields and generate's are
+    SyntheticSpec's: the flags, the config keys and what each one sets are
+    pinned here, so a change to either table shows."""
+
+    def test_cluster_flags(self, capsys):
+        assert help_flags(capsys, "cluster") == CLUSTER_FLAGS
+
+    def test_generate_flags(self, capsys):
+        assert help_flags(capsys, "generate") == GENERATE_FLAGS
+
+    @staticmethod
+    def cluster_spec(monkeypatch, tmp_path, config_text):
+        specs = []
+        monkeypatch.setattr(margintree.cli, "run_experiment", lambda spec: specs.append(spec) or {})
+        argv = ["cluster", "--input", "data.csv"]
+        if config_text is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config_text)
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        return specs[0]
+
+    def test_cluster_defaults_are_the_spec_defaults(self, monkeypatch, tmp_path):
+        assert self.cluster_spec(monkeypatch, tmp_path, None) == ExperimentSpec(input="data.csv")
+        defaults = ExperimentSpec(input="data.csv")
+        assert (defaults.alpha, defaults.beta, defaults.variant) == (
+            RegularizerConfig.alpha, RegularizerConfig.beta, RegularizerConfig.variant
+        )
+        assert defaults.solver == SolverConfig()
+
+    @pytest.mark.parametrize("key, raw, attribute, value", CLUSTER_KEYS, ids=[f"{k}={r}" for k, r, _, _ in CLUSTER_KEYS])
+    def test_cluster_config_key(self, monkeypatch, tmp_path, key, raw, attribute, value):
+        spec = self.cluster_spec(monkeypatch, tmp_path, f"{key} = {raw}\n")
+        assert getattr(spec, attribute) == value
+        others = {f.name for f in dataclasses.fields(ExperimentSpec)} - {attribute}
+        defaults = ExperimentSpec(input="data.csv")
+        assert {name: getattr(spec, name) for name in others} == {name: getattr(defaults, name) for name in others}
+
+    @pytest.mark.parametrize("key, raw, attribute, value", GENERATE_KEYS, ids=[k for k, _, _, _ in GENERATE_KEYS])
+    def test_generate_config_key(self, monkeypatch, tmp_path, key, raw, attribute, value):
+        specs = []
+        generate = margintree.cli.generate_synthetic
+        monkeypatch.setattr(margintree.cli, "generate_synthetic", lambda spec: specs.append(spec) or generate(spec))
+        cfg = tmp_path / "gen.cfg"
+        magnitudes = "\nmagnitudes = 4,2,1" if key == "depth" else ""  # one magnitude per level
+        cfg.write_text(f"{key} = {raw}{magnitudes}\nout = other.csv\ntruth_out = {tmp_path / 'truth.json'}\n")
+        out = tmp_path / "data.csv"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.exists() and (tmp_path / "truth.json").exists()
+        expected = {attribute: value, **({"magnitudes": (4.0, 2.0, 1.0)} if key == "depth" else {})}
+        assert specs[0] == SyntheticSpec(**expected)

@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margintree import (
-    ClusterModels,
-    Dataset,
-    StructureError,
-    ValidationError,
-    ancestor_chain,
-    leaf_partition,
-    subset,
-)
+from margintree import Dataset, ValidationError, leaf_partition
+from margintree.core import ClusterModels, ancestor_chain, subset
+from margintree.errors import StructureError
 from helpers import blob_dataset, manual_hierarchy
 
 

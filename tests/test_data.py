@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import margintree.data
-from margintree import ParseError, SyntheticSpec, ValidationError, generate_synthetic, load_dataset, pca_reduce
+from margintree import SyntheticSpec, ValidationError, generate_synthetic, load_dataset, pca_reduce
 from margintree.cli import main
 from margintree.data import _read_csv_plain, _read_csv_rows, standardize
-from margintree.metrics import shortest_path_similarity
+from margintree.errors import ParseError
 from oracles import reference_parse_csv
 
 
@@ -355,8 +355,9 @@ class TestSynthetic:
 
     def test_truth_tree_depths(self):
         _, truth = generate_synthetic(SyntheticSpec(seed=0, per_class=2))
-        assert shortest_path_similarity(truth, 0, 1) == pytest.approx(0.5)
-        assert shortest_path_similarity(truth, 0, 2) == 0.0
+        sp, i = truth.sp_table(), truth.class_index
+        assert sp[i(0), i(1)] == pytest.approx(0.5)
+        assert sp[i(0), i(2)] == 0.0
 
     def test_invalid_spec(self):
         with pytest.raises(ValidationError):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from margintree import ConfigError, ValidationError, solve_balanced_assignment
+from margintree import ValidationError
+from margintree.errors import ConfigError
+from margintree.flow import solve_balanced_assignment
 from margintree.split import balance_bounds
 from oracles import (
     GuardError,

@@ -8,18 +8,15 @@ from margintree import (
     StoppingCriterion,
     SyntheticSpec,
     ValidationError,
-    ancestor_chain,
     build_hierarchy,
     generate_synthetic,
     global_objective,
-    hierarchy_to_dict,
     leaf_partition,
-    node_seed,
-    should_stop,
-    split_node,
 )
-from margintree.core import Hierarchy
-from margintree.export import render_json
+from margintree.core import Hierarchy, ancestor_chain
+from margintree.export import hierarchy_to_dict, render_json
+from margintree.hier import node_seed, should_stop
+from margintree.split import split_node
 from helpers import blob_dataset
 
 
@@ -147,8 +144,8 @@ class TestGlobalObjective:
         assert global_objective(h, ds, RegularizerConfig()) == 0.0
 
     def test_single_split_equals_node_objective(self):
-        from margintree import Regularizer, node_objective
         from margintree.core import EMPTY_CHAIN
+        from margintree.objective import Regularizer, node_objective
 
         ds, _ = planted()
         cfg = quick_config(StoppingCriterion(max_leaves=2))

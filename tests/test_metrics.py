@@ -6,16 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margintree import (
-    ClassTree,
-    Dataset,
-    ValidationError,
-    path_sharing_similarity,
-    rand_index,
-    semantic_score,
-    shortest_path_similarity,
-)
-from margintree.metrics import flat_class_tree, score_leaves, semantic_score_partition
+from margintree import ClassTree, Dataset, ValidationError, export_hierarchy, load_hierarchy_json, rand_index
+from margintree.metrics import flat_class_tree, score_hierarchy, score_leaves, semantic_score_partition
 from helpers import manual_hierarchy
 from oracles import exhaustive_pair_score
 
@@ -29,53 +21,55 @@ def balanced_tree():
     )
 
 
+def sp(tree, a, b):
+    """Shortest-path similarity of classes a and b, read from the tree's table."""
+    return tree.sp_table()[tree.class_index(a), tree.class_index(b)]
+
+
+def ps(tree, a, b, include_leaf=True):
+    """Path-sharing similarity of classes a and b, read from the tree's table."""
+    return tree.ps_table(include_leaf)[tree.class_index(a), tree.class_index(b)]
+
+
 class TestShortestPath:
     def test_siblings(self):
-        assert shortest_path_similarity(balanced_tree(), "c1", "c2") == pytest.approx(0.5)
+        assert sp(balanced_tree(), "c1", "c2") == pytest.approx(0.5)
 
     def test_diameter_pair(self):
-        assert shortest_path_similarity(balanced_tree(), "c1", "c3") == 0.0
+        assert sp(balanced_tree(), "c1", "c3") == 0.0
 
     def test_identity(self):
-        assert shortest_path_similarity(balanced_tree(), "c1", "c1") == 1.0
+        assert sp(balanced_tree(), "c1", "c1") == 1.0
 
     def test_unknown_class(self):
         with pytest.raises(ValidationError):
-            shortest_path_similarity(balanced_tree(), "c1", "zz")
+            balanced_tree().class_index("zz")
 
     def test_monotone_in_distance(self):
         tree = balanced_tree()
-        assert (
-            shortest_path_similarity(tree, "c1", "c1")
-            > shortest_path_similarity(tree, "c1", "c2")
-            > shortest_path_similarity(tree, "c1", "c3")
-        )
+        assert sp(tree, "c1", "c1") > sp(tree, "c1", "c2") > sp(tree, "c1", "c3")
 
 
 class TestPathSharing:
     def test_siblings(self):
-        assert path_sharing_similarity(balanced_tree(), "c1", "c2") == pytest.approx(2 / 3)
+        assert ps(balanced_tree(), "c1", "c2") == pytest.approx(2 / 3)
 
     def test_cross_pair(self):
-        assert path_sharing_similarity(balanced_tree(), "c1", "c3") == pytest.approx(1 / 3)
+        assert ps(balanced_tree(), "c1", "c3") == pytest.approx(1 / 3)
 
     def test_identity(self):
-        assert path_sharing_similarity(balanced_tree(), "c1", "c1") == 1.0
+        assert ps(balanced_tree(), "c1", "c1") == 1.0
 
     def test_exclude_leaf_reading(self):
         tree = balanced_tree()
-        assert path_sharing_similarity(tree, "c1", "c2", include_leaf=False) == 1.0
-        assert path_sharing_similarity(tree, "c1", "c3", include_leaf=False) == 0.5
+        assert ps(tree, "c1", "c2", include_leaf=False) == 1.0
+        assert ps(tree, "c1", "c3", include_leaf=False) == 0.5
 
     def test_symmetry_and_bounds(self):
         tree = balanced_tree()
-        for a in tree.class_ids:
-            for b in tree.class_ids:
-                sp = shortest_path_similarity(tree, a, b)
-                ps = path_sharing_similarity(tree, a, b)
-                assert 0.0 <= sp <= 1.0 and 0.0 <= ps <= 1.0
-                assert sp == shortest_path_similarity(tree, b, a)
-                assert ps == path_sharing_similarity(tree, b, a)
+        for table in (tree.sp_table(), tree.ps_table()):
+            assert np.all((0.0 <= table) & (table <= 1.0))
+            assert np.array_equal(table, table.T)
 
 
 class TestRandIndex:
@@ -121,13 +115,15 @@ def eight_instance_case(misplaced=True):
 class TestSemanticScore:
     def test_perfect_hierarchy_scores_one(self):
         ds, truth, learned = eight_instance_case(misplaced=False)
-        assert semantic_score(learned, truth, ds, "SP") == pytest.approx(1.0, abs=1e-12)
-        assert semantic_score(learned, truth, ds, "PS") == pytest.approx(1.0, abs=1e-12)
+        scores = score_hierarchy(learned, ds, truth)
+        assert scores["sp"] == pytest.approx(1.0, abs=1e-12)
+        assert scores["ps"] == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_computed_misplacement(self):
         ds, truth, learned = eight_instance_case(misplaced=True)
-        assert semantic_score(learned, truth, ds, "SP") == pytest.approx(109 / 112, abs=1e-12)
-        assert semantic_score(learned, truth, ds, "PS") == pytest.approx(83 / 84, abs=1e-12)
+        scores = score_hierarchy(learned, ds, truth)
+        assert scores["sp"] == pytest.approx(109 / 112, abs=1e-12)
+        assert scores["ps"] == pytest.approx(83 / 84, abs=1e-12)
 
     def test_flat_convention(self):
         ds, truth, _ = eight_instance_case()
@@ -140,22 +136,23 @@ class TestSemanticScore:
     def test_flat_hierarchy_uses_convention(self):
         ds, truth, _ = eight_instance_case()
         flat = manual_hierarchy(ds, {1: [[0, 1], [2, 3], [4, 5], [6, 7]]})
-        assert semantic_score(flat, truth, ds, "SP") == pytest.approx(13 / 14, abs=1e-12)
-        assert semantic_score(flat, truth, ds, "PS") == pytest.approx(17 / 21, abs=1e-12)
+        scores = score_hierarchy(flat, ds, truth)
+        assert scores["sp"] == pytest.approx(13 / 14, abs=1e-12)
+        assert scores["ps"] == pytest.approx(17 / 21, abs=1e-12)
 
     def test_missing_labels_rejected(self):
         ds, truth, learned = eight_instance_case()
         unlabeled = Dataset(features=ds.features, ids=ds.ids)
         with pytest.raises(ValidationError):
-            semantic_score(learned, truth, unlabeled, "SP")
+            score_hierarchy(learned, unlabeled, truth)
 
 
 class TestFlatClassTree:
     def test_structure(self):
         tree = flat_class_tree(["a", "b", "c"])
-        assert shortest_path_similarity(tree, "a", "a") == 1.0
-        assert shortest_path_similarity(tree, "a", "b") == 0.0
-        assert path_sharing_similarity(tree, "a", "b") == 0.5
+        assert sp(tree, "a", "a") == 1.0
+        assert sp(tree, "a", "b") == 0.0
+        assert ps(tree, "a", "b") == 0.5
 
 
 def random_class_tree(rng, classes) -> ClassTree:
@@ -226,15 +223,18 @@ class TestExactPairScore:
 
 
 class TestScoreLeaves:
-    def test_matches_semantic_score(self):
+    def test_matches_score_hierarchy(self):
         ds, truth, learned = eight_instance_case()
         leaf_ids = [4, 4, 5, 4, 6, 6, 7, 7]
         scores = score_leaves(leaf_ids, 1, learned.children_map(), ds.labels, truth)
-        assert scores == {
-            "rand_index": rand_index(leaf_ids, ds.labels),
-            "sp": semantic_score(learned, truth, ds, "SP"),
-            "ps": semantic_score(learned, truth, ds, "PS"),
-        }
+        assert scores == score_hierarchy(learned, ds, truth)
+        assert scores["rand_index"] == rand_index(leaf_ids, ds.labels)
+
+    def test_reloaded_hierarchy_scores_the_same(self, tmp_path):
+        ds, truth, learned = eight_instance_case()
+        path = str(tmp_path / "h.json")
+        export_hierarchy(learned, path)
+        assert score_hierarchy(load_hierarchy_json(path), ds, truth) == score_hierarchy(learned, ds, truth)
 
     def test_labels_matched_by_string(self):
         truth = flat_class_tree(["0", "1"])

@@ -3,25 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margintree import (
-    AncestorChain,
-    ClusterModels,
+from margintree import RegularizerConfig, ValidationError
+from margintree.core import EMPTY_CHAIN, AncestorChain, ClusterModels
+from margintree.objective import (
+    VARIANTS,
     Regularizer,
-    RegularizerConfig,
-    ValidationError,
     cost_matrix,
     exclusive_weights,
     group_reg,
     hinge_grad,
     hinge_loss,
-    node_objective,
-)
-from margintree.core import EMPTY_CHAIN
-from margintree.objective import (
-    VARIANTS,
     label_margins,
     margin_adjoint,
     margin_map,
+    node_objective,
     regularizer_value,
 )
 from helpers import random_problem

@@ -11,22 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margintree import (
-    Dataset,
-    Regularizer,
-    RegularizerConfig,
-    SolverConfig,
-    SyntheticSpec,
-    generate_synthetic,
-    hinge_loss,
-    node_objective,
-    prox_group,
-    prox_sparse_group,
-    prox_weighted_l1,
-    solve_w,
-    split_node,
-    subset,
-)
+from margintree import Dataset, RegularizerConfig, SolverConfig, SyntheticSpec, ValidationError, generate_synthetic
 from margintree.optim import (
     ARMIJO_STEPS,
     DUAL_ASCENT,
@@ -41,14 +26,27 @@ from margintree.optim import (
     _margin_space_step,
     _solve_dual_model,
     _weight_space_step,
+    prox_group,
     prox_jacobian,
     prox_parts,
+    prox_sparse_group,
+    prox_weighted_l1,
+    solve_w,
 )
 from margintree.cli import restart_seed
-from margintree.core import EMPTY_CHAIN
+from margintree.core import EMPTY_CHAIN, subset
 from margintree.hier import BuildConfig, StoppingCriterion, build_hierarchy
-from margintree.objective import VARIANTS, hinge_grad, label_margins, margin_adjoint, margin_map
-from margintree.split import OBJECTIVE_FLOOR
+from margintree.objective import (
+    VARIANTS,
+    Regularizer,
+    hinge_grad,
+    hinge_loss,
+    label_margins,
+    margin_adjoint,
+    margin_map,
+    node_objective,
+)
+from margintree.split import OBJECTIVE_FLOOR, split_node
 import margintree.hier
 import margintree.objective
 import margintree.optim
@@ -303,6 +301,18 @@ class TestRegularizerValueFromShrunkenNorms:
         if variant != "squared_l2":
             assert not z.any()
         assert spec.value(z, shrunk) == spec.value(z)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_rel_obj_tol_must_be_finite_and_positive(self, tol):
+        # nan fails every comparison, so no residual stop could fire; inf stops at once
+        with pytest.raises(ValidationError, match="rel_obj_tol must be finite and > 0"):
+            SolverConfig(rel_obj_tol=tol)
+
+    def test_outer_budget_must_be_positive(self):
+        with pytest.raises(ValidationError, match="max_outer_iters must be >= 1, got 0"):
+            SolverConfig(max_outer_iters=0)
 
 
 class TestSolveW:

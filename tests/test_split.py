@@ -3,21 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margintree import (
-    Regularizer,
-    RegularizerConfig,
-    SolverConfig,
-    UnsplittableNodeError,
-    balance_bounds,
-    hinge_loss,
-    init_assignment,
-    rand_index,
-    split_node,
-    subset,
-)
-from margintree.core import EMPTY_CHAIN, NodeData
-from margintree.objective import group_reg
-from margintree.split import _score
+from margintree import RegularizerConfig, SolverConfig, rand_index
+from margintree.core import EMPTY_CHAIN, NodeData, subset
+from margintree.errors import UnsplittableNodeError
+from margintree.objective import Regularizer, group_reg, hinge_loss
+from margintree.split import _score, balance_bounds, init_assignment, split_node
 from helpers import blob_dataset
 from test_objective import chain_of, exclusive_terms
 
