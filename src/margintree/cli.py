@@ -321,6 +321,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser, arg
         return args
     flags = []
     for key, raw in _read_config_file(args.config).items():
+        if key == "verbose":
+            raise ValidationError(f"{args.config}: 'verbose' is not a config key; pass -v or -vv on the command line")
         if key in ("command", "config") or not hasattr(args, key):
             raise ValidationError(f"{args.config}: {key!r} is not an option of {args.command}")
         flag = "--" + key.replace("_", "-")

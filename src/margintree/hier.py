@@ -1,16 +1,20 @@
 """Greedy top-down hierarchy construction with per-leaf split caching.
 
-Every round evaluates a candidate split for each splittable leaf (reusing
-cached candidates), finalizes the leaf with the highest splitting score
-(ties to the lowest node id), and adds its K children as new leaves. A
-leaf's candidate is computed once with a seed derived from the run seed and
-the node id, so results do not depend on evaluation order and caching is
-transparent.
+Every round finalizes the leaf with the highest splitting score (ties to the
+lowest node id) and adds its K children as new leaves. A leaf's candidate
+split is computed once, with a seed derived from the run seed and the node
+id, so results do not depend on evaluation order and caching is transparent.
+With an upper bound on a leaf's score (the max-margin builder at K = 2), a
+round evaluates leaves in decreasing bound and leaves out those whose bound
+is below the best score found: a lazy greedy evaluation that picks the same
+leaf as evaluating every candidate, without solving the losers. Otherwise
+every splittable leaf gets its candidate.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +24,7 @@ from .core import ClusterModels, Dataset, Hierarchy, TreeNode, ancestor_chain, s
 from .errors import UnsplittableNodeError, ValidationError
 from .objective import Regularizer, RegularizerConfig, node_objective
 from .optim import SolverConfig
-from .split import MAX_ALTERNATIONS, SplitResult, split_node
+from .split import MAX_ALTERNATIONS, SplitResult, score_bound, split_node
 
 logger = logging.getLogger(__name__)
 
@@ -87,34 +91,62 @@ def grow_tree(
     k: int,
     stop: StoppingCriterion,
     evaluate: Callable[[Hierarchy, TreeNode, int], Candidate],
+    bound: Callable[[Hierarchy, TreeNode], float] | None = None,
 ) -> Hierarchy:
     """Shared greedy builder used by the max-margin method and the k-means
     baselines; `evaluate` returns a leaf's candidate split (labels, models,
-    score) given its derived seed."""
+    score) given its derived seed.
+
+    `bound`, when given, returns an upper bound on the score of a leaf's
+    candidate; it is computed once per leaf. Each round then evaluates the
+    pending leaves in decreasing bound (ties to the lowest id) and leaves
+    uncached every leaf whose bound is below the best score among the
+    current leaves: that leaf cannot win the round, and a later round
+    evaluates it if its bound no longer falls short. The chosen leaves are
+    those of evaluating every leaf."""
     if dataset.n < k:
         raise ValidationError(f"dataset of {dataset.n} instances cannot be split into {k} clusters")
     hierarchy = Hierarchy.with_root(dataset)
     cache: dict[int, Candidate | None] = {}
+    bounds: dict[int, float] = {}
     next_id = 2
     round_no = 0
 
+    def scored() -> list[tuple[int, Candidate]]:
+        return [
+            (leaf.id, cache[leaf.id])
+            for leaf in hierarchy.leaves()
+            if cache.get(leaf.id) is not None and np.isfinite(cache[leaf.id].score)
+        ]
+
     while not should_stop(hierarchy, stop):
+        pending = []
         for leaf in sorted(hierarchy.leaves(), key=lambda node: node.id):
             if leaf.id in cache:
                 continue
             if leaf.data.size < k:
                 cache[leaf.id] = None
                 continue
+            if leaf.id not in bounds:
+                bounds[leaf.id] = math.inf if bound is None else bound(hierarchy, leaf)
+            pending.append(leaf)
+        pending.sort(key=lambda node: -bounds[node.id])  # stable: equal bounds stay in id order
+        best = max((candidate.score for _, candidate in scored()), default=-math.inf)
+        for position, leaf in enumerate(pending):
+            if bounds[leaf.id] < best:
+                if logger.isEnabledFor(logging.DEBUG):
+                    deferred = ", ".join(f"{node.id} (bound {bounds[node.id]:.6e})" for node in pending[position:])
+                    logger.debug("round %d: deferred leaves %s below the best score %.6e", round_no + 1, deferred, best)
+                break
             try:
                 cache[leaf.id] = evaluate(hierarchy, leaf, leaf.id)
             except UnsplittableNodeError:
                 cache[leaf.id] = None
+                continue
+            if np.isfinite(cache[leaf.id].score):
+                best = max(best, cache[leaf.id].score)
 
-        candidates = [
-            (leaf.id, cache[leaf.id])
-            for leaf in hierarchy.leaves()
-            if cache.get(leaf.id) is not None and np.isfinite(cache[leaf.id].score)
-        ]
+        candidates = scored()
         if not candidates:
             hierarchy.incomplete = True
             logger.warning("no splittable leaf remains before the stopping criterion was met")
@@ -148,7 +180,10 @@ def grow_tree(
 
 
 def build_hierarchy(dataset: Dataset, config: BuildConfig) -> Hierarchy:
-    """Greedy max-margin hierarchy over the dataset."""
+    """Greedy max-margin hierarchy over the dataset. At K = 2 the builder
+    skips candidates whose score_bound is below the round's best score; at
+    K >= 3 the weights are not antisymmetric, no bound holds, and it
+    evaluates every leaf."""
 
     def evaluate(hierarchy: Hierarchy, leaf: TreeNode, node_id: int) -> Candidate:
         result: SplitResult = split_node(
@@ -162,7 +197,11 @@ def build_hierarchy(dataset: Dataset, config: BuildConfig) -> Hierarchy:
         )
         return Candidate(labels=result.labels, models=result.models, score=result.score)
 
-    return grow_tree(dataset, config.k, config.stop, evaluate)
+    def bound(hierarchy: Hierarchy, leaf: TreeNode) -> float:
+        x = leaf.data.features
+        return score_bound(x, Regularizer(config.reg, ancestor_chain(hierarchy, leaf.id), 2, x.shape[1]))
+
+    return grow_tree(dataset, config.k, config.stop, evaluate, bound if config.k == 2 else None)
 
 
 def global_objective(hierarchy: Hierarchy, dataset: Dataset, reg: RegularizerConfig) -> float:

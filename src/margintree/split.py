@@ -20,7 +20,7 @@ from .errors import SolverError, UnsplittableNodeError
 from .flow import solve_balanced_assignment
 from .kmeans import kmeans
 from .objective import Regularizer, RegularizerConfig, cost_matrix, node_objective
-from .optim import SolverConfig, solve_w
+from .optim import SQRT2, SolverConfig, solve_w
 
 logger = logging.getLogger(__name__)
 
@@ -92,6 +92,32 @@ def _score(w: np.ndarray, labels: np.ndarray, x: np.ndarray, regularizer: Regula
     scores = x @ w.T
     numer = float(scores[np.arange(x.shape[0]), labels - 1].sum())
     return numer / denom
+
+
+def score_bound(x: np.ndarray, regularizer: Regularizer) -> float:
+    """An upper bound on the _score of every K = 2 split of the n x P
+    features x that split_node can return: antisymmetric weights w = (v, -v)
+    and cluster sizes within balance_bounds(n, 2); regularizer is the split's.
+
+    The score is d.v / sum_p sqrt 2 c_p |v_p|, d = S_1 - S_2 the difference of
+    the clusters' column sums and c_p = lambda_G + sqrt 2 lambda_E,p, so it
+    is at most max_p |d_p| / (sqrt 2 c_p). With |C_1| = s, |d_p| is at most
+    T_p - 2 b_p(s) or T_p - 2 b_p(n - s), T_p the column's total and b_p(s)
+    the sum of its s smallest entries; s and n - s both lie within the
+    bounds, and one sort per column gives the least b_p there. A rounding
+    allowance covers the float error of the computed score (n + P terms of
+    at most sum_i |x_ip| |v_p| per column) and of the bound itself, so a
+    computed score never exceeds it."""
+    n, p = x.shape
+    bounds = balance_bounds(n, 2)
+    sums = np.zeros((n + 1, p))
+    np.cumsum(np.sort(x, axis=0), axis=0, out=sums[1:])
+    spread = sums[n] - 2.0 * sums[bounds.lower : bounds.upper + 1].min(axis=0)
+    rounding = 8.0 * (n + p + 8) * np.finfo(float).eps
+    weight = SQRT2 * (regularizer.lambda_g + SQRT2 * regularizer.lambda_e)
+    bound = float(np.max((spread + rounding * np.abs(x).sum(axis=0)) / weight)) * (1.0 + rounding)
+    # column sums that overflow give nan, which would break the builder's order by bound
+    return float("inf") if np.isnan(bound) else bound
 
 
 def split_node(

@@ -249,8 +249,9 @@ class TestClusterCommand:
             ("alpah = 0.5", "'alpah' is not an option of cluster"),
             ("label_column = maybe", "label_column must be one of"),
             ("command = export", "'command' is not an option of cluster"),
+            ("verbose = 1", "'verbose' is not a config key; pass -v or -vv on the command line"),
         ],
-        ids=["bad_int", "unknown_key", "bad_bool", "command_key"],
+        ids=["bad_int", "unknown_key", "bad_bool", "command_key", "verbose_key"],
     )
     def test_config_file_errors(self, planted_files, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -258,6 +259,16 @@ class TestClusterCommand:
         assert main(["cluster", "--config", str(cfg), "--input", planted_files[0], "--label-column"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: ") and message in err
+
+    @pytest.mark.parametrize("raw", ["1", "yes"])
+    def test_verbose_config_key_points_to_the_flag(self, tmp_path, capsys, raw):
+        # -v counts and takes no value, so no config value can set it
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(f"verbose = {raw}\n")
+        out = tmp_path / "d.csv"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: 'verbose' is not a config key; pass -v or -vv on the command line\n"
+        assert not out.exists()
 
 
 class TestRepeatedMainCalls:

@@ -1,3 +1,6 @@
+import json
+import logging
+
 import numpy as np
 import pytest
 
@@ -13,9 +16,13 @@ from margintree import (
     global_objective,
     leaf_partition,
 )
-from margintree.core import Hierarchy, ancestor_chain
+import margintree.hier
+from margintree.cli import main
+from margintree.core import ClusterModels, Hierarchy, ancestor_chain
+from margintree.errors import UnsplittableNodeError
 from margintree.export import hierarchy_to_dict, render_json
-from margintree.hier import node_seed, should_stop
+from margintree.hier import Candidate, grow_tree, node_seed, should_stop
+from margintree.objective import VARIANTS
 from margintree.split import split_node
 from helpers import blob_dataset
 
@@ -168,3 +175,129 @@ class TestNodeSeed:
         assert node_seed(0, 1) == node_seed(0, 1)
         seen = {node_seed(42, node_id) for node_id in range(1, 50)}
         assert len(seen) == 49
+
+
+class TestBoundedRounds:
+    """grow_tree given a bound on each leaf's score splits the leaves that
+    evaluating every leaf splits, and evaluates no more of them."""
+
+    STOPS = [StoppingCriterion(max_leaves=12), StoppingCriterion(min_node_size=9), StoppingCriterion(max_height=4)]
+
+    @staticmethod
+    def candidates(seed, k):
+        """An evaluate and a bound over made-up candidates: integer scores, so
+        that scores tie, some -inf or unsplittable leaves, and bounds equal to
+        the score or above it."""
+        evaluated = []
+
+        def draw(node_id):
+            return np.random.default_rng([seed, node_id])
+
+        def evaluate(hierarchy, leaf, node_id):
+            evaluated.append(node_id)
+            rng = draw(node_id)
+            score = float(rng.integers(0, 6))
+            kind = rng.random()
+            if kind < 0.1:
+                raise UnsplittableNodeError("made up")
+            labels = np.arange(leaf.data.size) % k + 1
+            rng.shuffle(labels)
+            return Candidate(labels, ClusterModels(np.eye(k, 2)), -np.inf if kind < 0.2 else score)
+
+        def bound(hierarchy, leaf):
+            rng = draw(leaf.id)
+            return float(rng.integers(0, 6)) + float(rng.choice([0.0, 0.0, 0.5, 3.0], p=[0.4, 0.2, 0.2, 0.2]))
+
+        return evaluate, bound, evaluated
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("stop", STOPS, ids=["max_leaves", "min_node_size", "max_height"])
+    def test_made_up_candidates(self, k, stop):
+        ds = blob_dataset(0, [[0.0, 0.0]], per_blob=64)
+        saved = 0
+        for seed in range(40):
+            evaluate, _, full = self.candidates(seed, k)
+            reference = grow_tree(ds, k, stop, evaluate)
+            evaluate, bound, lazy = self.candidates(seed, k)
+            bounded = grow_tree(ds, k, stop, evaluate, bound)
+            assert render_json(hierarchy_to_dict(bounded)) == render_json(hierarchy_to_dict(reference))
+            assert bounded.incomplete == reference.incomplete
+            assert len(lazy) == len(set(lazy)) and set(lazy) <= set(full)
+            saved += len(full) - len(lazy)
+        assert saved > 0
+
+    def test_deferred_leaves_logged_at_debug(self, caplog):
+        ds, _ = generate_synthetic(SyntheticSpec(per_class=50, seed=0))
+        cfg = quick_config(StoppingCriterion(max_leaves=4))
+        with caplog.at_level(logging.DEBUG, logger="margintree.hier"):
+            h = build_hierarchy(ds, cfg)
+        [message] = [r.getMessage() for r in caplog.records if "deferred" in r.getMessage()]
+        # the final round splits node 3 and never evaluates the n=50 leaves 4 and 5
+        winner = h.node(h.node(7).parent_id)
+        assert message.startswith("round 3: deferred leaves 5 (bound ")
+        assert message.endswith(f"below the best score {winner.split_score:.6e}")
+        bounds = [float(part.split(")")[0]) for part in message.split("(bound ")[1:]]
+        assert ", 4 (bound " in message and bounds == sorted(bounds, reverse=True)
+        assert winner.split_score > bounds[0]
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="margintree.hier"):
+            build_hierarchy(ds, cfg)
+        assert caplog.records and not [r for r in caplog.records if "deferred" in r.getMessage()]
+
+
+# cluster options of the oracle runs: K = 2 and 3, each stopping criterion,
+# the variants and restarts
+ORACLE_RUNS = {
+    "k2-max-leaves": ["--k", "2", "--max-leaves", "4"],
+    "k2-min-node-size": ["--k", "2", "--min-node-size", "20"],
+    "k2-max-height": ["--k", "2", "--max-height", "3"],
+    "k2-restarts": ["--k", "2", "--max-leaves", "4", "--restarts", "2"],
+    "k3-max-leaves": ["--k", "3", "--max-leaves", "5"],
+    "k3-min-node-size": ["--k", "3", "--min-node-size", "30"],
+    "k3-max-height": ["--k", "3", "--max-height", "2"],
+    **{f"k2-{v}": ["--k", "2", "--min-node-size", "20", "--variant", v] for v in VARIANTS},
+}
+# the runs that never evaluate some leaf the reference evaluates; in the
+# others every deferred leaf is evaluated in a later round
+ORACLE_SAVES = {"k2-max-leaves", "k2-restarts"}
+
+
+class TestBoundOracle:
+    """The max-margin builder with the K = 2 score bound writes the bytes of
+    the reference builder, which evaluates every leaf."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("oracle") / "data.csv"
+        assert main(["generate", "--out", str(path), "--per-class", "25", "--seed", "2"]) == 0
+        return str(path)
+
+    @staticmethod
+    def run(data, options, out):
+        out.mkdir()
+        argv = ["cluster", "--input", data, "--label-column", *options]
+        for flag, name in (("--hierarchy-out", "h.json"), ("--dot-out", "h.dot"), ("--report-out", "r.json")):
+            argv += [flag, str(out / name)]
+        assert main(argv) == 0
+        report = json.loads((out / "r.json").read_text())
+        del report["runtime_seconds"], report["outputs"]
+        return (out / "h.json").read_text(), (out / "h.dot").read_text(), report
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_RUNS))
+    def test_same_bytes_as_evaluating_every_leaf(self, data, tmp_path, monkeypatch, caplog, name):
+        splits = []
+        split = margintree.hier.split_node
+        monkeypatch.setattr(margintree.hier, "split_node", lambda *args: splits.append(1) or split(*args))
+        with caplog.at_level(logging.DEBUG, logger="margintree.hier"):
+            bounded = self.run(data, ORACLE_RUNS[name], tmp_path / "bounded")
+        deferred = [r for r in caplog.records if "deferred" in r.getMessage()]
+        lazy, splits[:] = len(splits), []
+        grow = margintree.hier.grow_tree
+        monkeypatch.setattr(margintree.hier, "grow_tree", lambda dataset, k, stop, evaluate, bound: grow(dataset, k, stop, evaluate))
+        reference = self.run(data, ORACLE_RUNS[name], tmp_path / "reference")
+        assert bounded == reference
+        assert not bounded[2]["incomplete"]
+        # at K = 2 some leaves wait for a later round, or are never evaluated;
+        # at K = 3 there is no bound
+        assert bool(deferred) == (ORACLE_RUNS[name][1] == "2")
+        assert lazy <= len(splits) and (lazy < len(splits)) == (name in ORACLE_SAVES)

@@ -34,7 +34,7 @@ from margintree.optim import (
     solve_w,
 )
 from margintree.cli import restart_seed
-from margintree.core import EMPTY_CHAIN, subset
+from margintree.core import EMPTY_CHAIN, ancestor_chain, subset
 from margintree.hier import BuildConfig, StoppingCriterion, build_hierarchy
 from margintree.objective import (
     VARIANTS,
@@ -46,7 +46,7 @@ from margintree.objective import (
     margin_map,
     node_objective,
 )
-from margintree.split import OBJECTIVE_FLOOR, split_node
+from margintree.split import OBJECTIVE_FLOOR, score_bound, split_node
 import margintree.hier
 import margintree.objective
 import margintree.optim
@@ -1030,39 +1030,64 @@ PARENT_PATH = {
 }
 
 
+# solve_w calls of the build of dataset 0: at K = 2 the builder never solves
+# the final round's two losing candidates (nodes 4 and 5), whose score bound is
+# below the round's winning score; TestIteratePath solves them on their own.
+BUILD_CALLS = {"planted-small": 3, "planted-large": 3, "planted-wide": 9}
+
+
 def leaf_digest(hierarchy):
     members = sorted(sorted(int(i) for i in leaf.data.indices) for leaf in hierarchy.leaves())
     return hashlib.sha256(json.dumps(members).encode()).hexdigest()
 
 
-def iterate_path(workload):
-    """Build dataset 0 of a workload; return each solve_w call's objective and
-    relative residual, and the leaf digest."""
+def iterate_path(workload, skipped=True):
+    """Build dataset 0 of a workload; return the node id, objective and
+    relative residual of each solve_w call, and the leaf digest. With
+    skipped, also split each node of the recorded path that the build did
+    not split, with the chain, seed and configuration the build would have
+    used, and return its calls with its score and score bound, and the
+    final round's winning score."""
     (branching, per_class, k, max_leaves), _, _ = PARENT_PATH[workload]
     ds, _ = generate_synthetic(SyntheticSpec(branching=branching, per_class=per_class, seed=0))
     reg = RegularizerConfig(alpha=0.01, beta=0.01)
-    calls, chains = [], []
+    config = BuildConfig(
+        k=k, stop=StoppingCriterion(max_leaves=max_leaves), reg=reg, solver=SolverConfig(), seed=restart_seed(0, 0)
+    )
+    node_of_seed = {margintree.hier.node_seed(config.seed, node_id): node_id for node_id in range(1, 64)}
+    calls, chains, nodes = [], [], []
     split_node_, solve_w_ = margintree.hier.split_node, margintree.split.solve_w
 
-    def spy_split(data, chain, *args):
+    def spy_split(data, chain, k, reg, solver, seed, *args):
         chains.append(chain)
-        return split_node_(data, chain, *args)
+        nodes.append(node_of_seed[seed])
+        return split_node_(data, chain, k, reg, solver, seed, *args)
 
     def spy_solve(x, labels, regularizer, cfg, w0):
         w = solve_w_(x, labels, regularizer, cfg, w0)
         residual = weight_update_residual(w, x, labels, chains[-1], reg)
-        calls.append((node_objective(w, labels, regularizer, x), residual))
+        calls.append((nodes[-1], node_objective(w, labels, regularizer, x), residual))
         return w
 
     margintree.hier.split_node, margintree.split.solve_w = spy_split, spy_solve
     try:
-        config = BuildConfig(
-            k=k, stop=StoppingCriterion(max_leaves=max_leaves), reg=reg, solver=SolverConfig(), seed=restart_seed(0, 0)
-        )
         hierarchy = build_hierarchy(ds, config)
+        path = {"calls": list(calls), "digest": leaf_digest(hierarchy)}
+        if skipped:
+            del calls[:]
+            last = hierarchy.node(max(hierarchy.nodes))
+            path["winning"] = hierarchy.node(last.parent_id).split_score
+            path["skipped"] = []
+            for node_id in sorted(set(range(1, len(PARENT_PATH[workload][1]) + 1)) - set(nodes)):
+                leaf, chain = hierarchy.node(node_id), ancestor_chain(hierarchy, node_id)
+                x = leaf.data.features
+                bound = score_bound(x, Regularizer(reg, chain, k, x.shape[1]))
+                result = spy_split(leaf.data, chain, k, reg, config.solver, margintree.hier.node_seed(config.seed, node_id))
+                path["skipped"].append({"calls": list(calls), "score": result.score, "bound": bound})
+                del calls[:]
     finally:
         margintree.hier.split_node, margintree.split.solve_w = split_node_, solve_w_
-    return {"calls": calls, "digest": leaf_digest(hierarchy)}
+    return path
 
 
 def line_search_trials():
@@ -1079,15 +1104,17 @@ def line_search_trials():
 
     margintree.optim._line_search = counting
     try:
-        iterate_path("planted-small")
+        iterate_path("planted-small", skipped=False)
     finally:
         margintree.optim._line_search = search
     return trials[0]
 
 
 def test_planted_small_line_search_trials():
-    # the one-by-one scan takes 1183 trials on this build; a process of its
-    # own, with BLAS on one thread as TestIteratePath runs the same build
+    # the one-by-one scan takes 1183 trials on the build that solves all five
+    # candidates, the bracketed search 781, and 311 on the build that skips
+    # the two that cannot win; a process of its own, with BLAS on one thread
+    # as TestIteratePath runs the same build
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(margintree.__file__))
     path = os.pathsep.join([tests, src, os.environ.get("PYTHONPATH", "")])
@@ -1100,13 +1127,16 @@ def test_planted_small_line_search_trials():
         timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    assert int(run.stdout) <= 900
+    assert int(run.stdout) <= 360
 
 
 class TestIteratePath:
     """The weight update keeps its iterate path on dataset 0 of each benchmark
     workload: every solve_w call ends at a relative residual <= 1e-8 and at
-    the recorded objective, and the leaves are the recorded ones."""
+    the recorded objective, and the leaves are the recorded ones. The build
+    makes BUILD_CALLS of the recorded calls; the candidates it skips are
+    solved on their own, end at their recorded objectives, and score below
+    a bound that is itself below the winning score."""
 
     @pytest.mark.parametrize("workload", sorted(PARENT_PATH))
     def test_objectives_residuals_and_leaves(self, workload):
@@ -1126,11 +1156,18 @@ class TestIteratePath:
         )
         assert run.returncode == 0, run.stderr
         result = json.loads(run.stdout)
-        assert len(result["calls"]) == len(recorded)
-        for (objective, residual), parent in zip(result["calls"], recorded):
+        assert len(result["calls"]) == BUILD_CALLS[workload]
+        calls = result["calls"] + [call for skipped in result["skipped"] for call in skipped["calls"]]
+        # one call per split, the recorded run's k-th call on node k
+        assert sorted(node for node, _, _ in calls) == list(range(1, len(recorded) + 1))
+        for node, objective, residual in calls:
+            parent = recorded[node - 1]
             assert residual <= 1e-8
             # no higher than the recorded objective by more than 1e-10 relative;
             # a call that takes one more model solve than the recorded run may end
             # lower, by what one model step gains near the stopping residual
             assert -1e-8 <= (objective - parent) / parent <= 1e-10
+        assert len(result["skipped"]) == len(recorded) - BUILD_CALLS[workload]
+        for skipped in result["skipped"]:
+            assert skipped["score"] < skipped["bound"] < result["winning"]
         assert result["digest"] == digest

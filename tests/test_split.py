@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margintree import RegularizerConfig, SolverConfig, rand_index
-from margintree.core import EMPTY_CHAIN, NodeData, subset
+from margintree import RegularizerConfig, SolverConfig, SyntheticSpec, generate_synthetic, rand_index
+from margintree.core import EMPTY_CHAIN, NodeData, ancestor_chain, subset
 from margintree.errors import UnsplittableNodeError
-from margintree.objective import Regularizer, group_reg, hinge_loss
-from margintree.split import _score, balance_bounds, init_assignment, split_node
+from margintree.hier import BuildConfig, Candidate, StoppingCriterion, grow_tree, node_seed
+from margintree.objective import VARIANTS, Regularizer, group_reg, hinge_loss
+from margintree.split import _score, balance_bounds, init_assignment, score_bound, split_node
 from helpers import blob_dataset
 from test_objective import chain_of, exclusive_terms
 
@@ -178,3 +179,114 @@ class TestSplittingScore:
         numer = float((nd.features @ w.T)[np.arange(nd.size), result.labels - 1].sum())
         assert _score(w, result.labels, nd.features, Regularizer(reg, chain, *w.shape)) == result.score
         assert result.score == numer / (group_reg(w) + exclusive_terms(w, chain)[1])
+
+
+def balanced_labelings(x, rng):
+    """Labelings for each |C_1| within the balance bounds: a random one, and
+    for each column the sorted (adversarial) ones that put its largest or
+    its smallest entries in C_1."""
+    n, p = x.shape
+    bounds = balance_bounds(n, 2)
+    for size in range(bounds.lower, bounds.upper + 1):
+        for order in [rng.permutation(n)] + [np.argsort(-x[:, col], kind="stable") for col in range(p)] + [
+            np.argsort(x[:, col], kind="stable") for col in range(p)
+        ]:
+            labels = np.full(n, 2)
+            labels[order[:size]] = 1
+            yield labels
+
+
+def antisymmetric_weights(p, rng):
+    """w = (v, -v): random dense and sparse v, and each signed unit vector,
+    at which the bound is tight for a sorted labeling."""
+    vs = [rng.normal(size=p), rng.normal(size=p) * (rng.random(p) < 0.3)]
+    for col in range(p):
+        for sign in (1.0, -1.0):
+            v = np.zeros(p)
+            v[col] = sign * rng.uniform(0.1, 10.0)
+            vs.append(v)
+    return [np.stack((v, -v)) for v in vs if v.any()]
+
+
+CHAINS = {"root": EMPTY_CHAIN, "two_ancestors": chain_of([0.5, -1.0, 0.0, 2.0], [1.0, 0.0, -0.25, 0.3])}
+
+
+class TestScoreBound:
+    """_score <= score_bound for every antisymmetric K = 2 weights and every
+    labeling within the balance bounds, the computed values included."""
+
+    @staticmethod
+    def check(x, chain, reg, rng):
+        regularizer = Regularizer(reg, chain, 2, x.shape[1])
+        bound = score_bound(x, regularizer)
+        ws = antisymmetric_weights(x.shape[1], rng)
+        tightest = 0.0
+        for labels in balanced_labelings(x, rng):
+            for w in ws:
+                score = _score(w, labels, x, regularizer)
+                assert score <= bound
+                tightest = max(tightest, score)
+        return bound, tightest
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e7])
+    def test_random_and_sorted_labelings(self, chain, variant, scale):
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 9, 40):
+            x = scale * (rng.normal(size=(n, 4)) + rng.normal(size=4))
+            bound, tightest = self.check(x, CHAINS[chain], RegularizerConfig(0.01, 0.01, variant), rng)
+            # a unit vector on the bound's column with the sorted labeling at the
+            # size that attains it reaches the bound up to rounding
+            assert tightest >= bound * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e7])
+    def test_duplicate_and_identical_rows(self, chain, scale):
+        rng = np.random.default_rng(11)
+        rows = scale * rng.normal(size=(5, 4))
+        duplicates = np.vstack([rows, rows])
+        regularizer = Regularizer(RegularizerConfig(), CHAINS[chain], 2, 4)
+        bound = score_bound(duplicates, regularizer)
+        # each row and its copy in opposite clusters: d = 0, the score is rounding
+        labels = np.array([1] * 5 + [2] * 5)
+        for w in antisymmetric_weights(4, rng):
+            assert abs(_score(w, labels, duplicates, regularizer)) <= bound
+        self.check(duplicates, CHAINS[chain], RegularizerConfig(), rng)
+        # identical rows: the balanced labeling at n/2 has d = 0 exactly, and the
+        # unit vectors reach the bound at the bounds' sizes
+        identical = np.tile(scale * rng.normal(size=4), (10, 1))
+        bound, tightest = self.check(identical, CHAINS[chain], RegularizerConfig(), rng)
+        assert tightest >= bound * (1.0 - 1e-9)
+
+    def test_zero_rows_bound_only_the_rounding(self):
+        x = np.zeros((6, 3))
+        x[0, 0] = 1e-300
+        assert 0.0 < score_bound(x, Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 3)) < 1e-290
+
+    def test_overflowing_column_is_no_bound(self):
+        # the column sums overflow to inf - inf; an infinite bound keeps the leaf evaluated
+        x = np.array([[1e308], [1e308], [-1e308], [-1e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert score_bound(x, Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 1)) == float("inf")
+
+    SHAPES = {"planted-small": (2, 50), "planted-large": (2, 400), "planted-wide": (4, 50)}
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_every_split_of_a_build(self, shape):
+        # every leaf's candidate, the ones a bounded build skips included, at K = 2
+        branching, per_class = self.SHAPES[shape]
+        ds, _ = generate_synthetic(SyntheticSpec(branching=branching, per_class=per_class, seed=1))
+        config = BuildConfig(k=2, stop=StoppingCriterion(max_leaves=5), reg=RegularizerConfig(), solver=SolverConfig())
+        checked = []
+
+        def evaluate(hierarchy, leaf, node_id):
+            chain = ancestor_chain(hierarchy, node_id)
+            result = split_node(leaf.data, chain, 2, config.reg, config.solver, node_seed(config.seed, node_id))
+            x = leaf.data.features
+            assert result.score <= score_bound(x, Regularizer(config.reg, chain, 2, x.shape[1]))
+            checked.append(node_id)
+            return Candidate(labels=result.labels, models=result.models, score=result.score)
+
+        grow_tree(ds, 2, config.stop, evaluate)
+        assert len(checked) == 7
