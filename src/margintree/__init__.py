@@ -8,7 +8,10 @@ flow), with taxonomy evaluation metrics and k-means baselines.
 This namespace holds what a library user needs: data, the build configs and
 builders, scoring and export. Internals are imported from their modules;
 `margintree.cli` has `ExperimentSpec` and `build_method`, which run any of
-the five methods the way `margintree cluster` does.
+the five methods the way `margintree cluster` does. The solvers' budgets and
+tolerances are module constants, not settings: `optim.MAX_OUTER_ITERS` and
+`optim.REL_OBJ_TOL` for the weight update, `split.MAX_ALTERNATIONS` for a
+split, `kmeans.MAX_ITERS` and `kmeans.TOL` for k-means.
 """
 
 from .baselines import build_hkm, build_hkm_d
@@ -20,6 +23,5 @@ from .hier import BuildConfig, StoppingCriterion, build_hierarchy, global_object
 from .kmeans import kmeans
 from .metrics import ClassTree, rand_index, score_hierarchy, score_leaves
 from .objective import RegularizerConfig
-from .optim import SolverConfig
 
 __version__ = "0.1.0"

@@ -35,9 +35,9 @@ def _build(dataset: Dataset, config: BuildConfig, score: Callable[[KMeansResult,
     """The greedy builder with a k-means split per leaf, ranked by score of
     the split and the leaf's features (read once per leaf)."""
 
-    def evaluate(hierarchy: Hierarchy, leaf: TreeNode, node_id: int) -> Candidate:
+    def evaluate(hierarchy: Hierarchy, leaf: TreeNode) -> Candidate:
         x = leaf.data.features
-        result = kmeans(x, config.k, node_seed(config.seed, node_id))
+        result = kmeans(x, config.k, node_seed(config.seed, leaf.id))
         return Candidate(labels=result.labels, models=ClusterModels(weights=result.centroids), score=score(result, x))
 
     return grow_tree(dataset, config.k, config.stop, evaluate)

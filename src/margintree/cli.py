@@ -28,8 +28,6 @@ from .hier import BuildConfig, StoppingCriterion, build_hierarchy, global_object
 from .kmeans import kmeans
 from .metrics import ClassTree, score_hierarchy
 from .objective import VARIANTS, RegularizerConfig
-from .optim import SolverConfig
-from .split import MAX_ALTERNATIONS
 
 logger = logging.getLogger(__name__)
 
@@ -39,8 +37,8 @@ METHODS = ("hmmc", "hkm", "hkm_d", "kmeans_flat", "mmc_flat")
 @dataclass
 class ExperimentSpec:
     """One `margintree cluster` run; also its option table, one flag per
-    field (metadata: extra argparse keywords) in this order, and the solver's
-    fields flattened in. Defaults are read from the configs they feed."""
+    field (metadata: extra argparse keywords) in this order. Defaults are
+    read from the configs they feed."""
 
     input: str
     format: str = field(default="csv", metadata={"choices": FORMATS})
@@ -55,8 +53,6 @@ class ExperimentSpec:
     variant: str = field(default=RegularizerConfig.variant, metadata={"choices": VARIANTS})
     seed: int = 0
     restarts: int = 1
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    max_alternations: int = MAX_ALTERNATIONS
     pca_dim: int | None = None
     standardize: bool = field(default=True, metadata={"help": "skip per-dimension standardization before PCA"})
     truth_tree: str | None = None
@@ -74,8 +70,6 @@ class ExperimentSpec:
             raise ValidationError("restarts must be >= 1")
         if self.top_features < 0:
             raise ValidationError(f"top_features must be >= 0, got {self.top_features}")
-        if self.max_alternations < 0:
-            raise ValidationError(f"max_alternations must be >= 0, got {self.max_alternations}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
@@ -137,9 +131,7 @@ def build_method(dataset: Dataset, spec: ExperimentSpec, seed: int) -> tuple[Hie
         return flat_hierarchy(dataset, result.labels, result.centroids), result.inertia
     stop = StoppingCriterion(max_leaves=spec.k) if spec.method == "mmc_flat" else spec.stopping()
     reg = RegularizerConfig(alpha=spec.alpha, beta=spec.beta, variant=spec.variant)
-    config = BuildConfig(
-        k=spec.k, stop=stop, reg=reg, solver=spec.solver, seed=seed, max_alternations=spec.max_alternations
-    )
+    config = BuildConfig(k=spec.k, stop=stop, reg=reg, seed=seed)
     if spec.method in ("hkm", "hkm_d"):
         hierarchy = (build_hkm if spec.method == "hkm" else build_hkm_d)(dataset, config)
         return hierarchy, _leaf_inertia(dataset, hierarchy)
@@ -246,14 +238,11 @@ def _options(spec_cls) -> typing.Iterator[tuple[dataclasses.Field, type]]:
 
 def _add_options(parser: argparse.ArgumentParser, spec_cls) -> None:
     """One flag per field of spec_cls, --name-with-dashes, typed and
-    defaulted as the field; a field without a default is required, a bool
-    is a switch (--no-name when it defaults to True) and a dataclass field
-    adds the flags of its own fields."""
+    defaulted as the field; a field without a default is required and a
+    bool is a switch (--no-name when it defaults to True)."""
     for f, kind in _options(spec_cls):
         flag = "--" + f.name.replace("_", "-")
-        if dataclasses.is_dataclass(kind):
-            _add_options(parser, kind)
-        elif kind is bool:
+        if kind is bool:
             parser.add_argument("--no-" + flag[2:] if f.default else flag, action="store_true", **f.metadata)
         elif f.default is dataclasses.MISSING:
             parser.add_argument(flag, required=True, **f.metadata)
@@ -266,9 +255,7 @@ def _spec_from_args(spec_cls, args: argparse.Namespace):
     """The spec_cls instance the flags of _add_options parsed into args."""
     values = {}
     for f, kind in _options(spec_cls):
-        if dataclasses.is_dataclass(kind):
-            values[f.name] = _spec_from_args(kind, args)
-        elif kind is bool and f.default:
+        if kind is bool and f.default:
             values[f.name] = not getattr(args, "no_" + f.name)
         else:
             values[f.name] = getattr(args, f.name)

@@ -168,14 +168,15 @@ def standardize(dataset: Dataset) -> Dataset:
     return Dataset(features=(x - mean) / std, ids=dataset.ids, labels=dataset.labels)
 
 
-def pca_reduce(dataset: Dataset, d: int, center: bool = True) -> Dataset:
-    """Project onto the top-d principal directions (descending variance;
-    each component's largest-magnitude loading is made positive)."""
+def pca_reduce(dataset: Dataset, d: int) -> Dataset:
+    """Project the centered features onto the top-d principal directions
+    (descending variance; each component's largest-magnitude loading is
+    made positive)."""
     x = dataset.features
     n, p = x.shape
     if not (1 <= d <= min(n, p)):
         raise ValidationError(f"d must lie in [1, min(N, P)] = [1, {min(n, p)}], got {d}")
-    centered = x - x.mean(axis=0) if center else x
+    centered = x - x.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     components = vt[:d]
     for row in range(d):

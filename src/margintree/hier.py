@@ -23,8 +23,7 @@ import numpy as np
 from .core import ClusterModels, Dataset, Hierarchy, TreeNode, ancestor_chain, subset
 from .errors import UnsplittableNodeError, ValidationError
 from .objective import Regularizer, RegularizerConfig, node_objective
-from .optim import SolverConfig
-from .split import MAX_ALTERNATIONS, SplitResult, score_bound, split_node
+from .split import SplitResult, score_bound, split_node
 
 logger = logging.getLogger(__name__)
 
@@ -51,15 +50,11 @@ class BuildConfig:
     k: int
     stop: StoppingCriterion
     reg: RegularizerConfig
-    solver: SolverConfig
     seed: int = 0
-    max_alternations: int = MAX_ALTERNATIONS
 
     def __post_init__(self):
         if self.k < 2:
             raise ValidationError(f"branching factor must be >= 2, got {self.k}")
-        if self.max_alternations < 0:
-            raise ValidationError(f"max_alternations must be >= 0, got {self.max_alternations}")
 
 
 def node_seed(seed: int, node_id: int) -> int:
@@ -90,12 +85,13 @@ def grow_tree(
     dataset: Dataset,
     k: int,
     stop: StoppingCriterion,
-    evaluate: Callable[[Hierarchy, TreeNode, int], Candidate],
+    evaluate: Callable[[Hierarchy, TreeNode], Candidate],
     bound: Callable[[Hierarchy, TreeNode], float] | None = None,
 ) -> Hierarchy:
     """Shared greedy builder used by the max-margin method and the k-means
     baselines; `evaluate` returns a leaf's candidate split (labels, models,
-    score) given its derived seed.
+    score). A leaf it raises UnsplittableNodeError on, or whose candidate
+    leaves a cluster empty, is unsplittable.
 
     `bound`, when given, returns an upper bound on the score of a leaf's
     candidate; it is computed once per leaf. Each round then evaluates the
@@ -139,12 +135,14 @@ def grow_tree(
                     logger.debug("round %d: deferred leaves %s below the best score %.6e", round_no + 1, deferred, best)
                 break
             try:
-                cache[leaf.id] = evaluate(hierarchy, leaf, leaf.id)
+                candidate = evaluate(hierarchy, leaf)
             except UnsplittableNodeError:
-                cache[leaf.id] = None
-                continue
-            if np.isfinite(cache[leaf.id].score):
-                best = max(best, cache[leaf.id].score)
+                candidate = None
+            if candidate is not None and np.unique(candidate.labels).size < k:
+                candidate = None  # an empty cluster would be an empty leaf
+            cache[leaf.id] = candidate
+            if candidate is not None and np.isfinite(candidate.score):
+                best = max(best, candidate.score)
 
         candidates = scored()
         if not candidates:
@@ -185,15 +183,9 @@ def build_hierarchy(dataset: Dataset, config: BuildConfig) -> Hierarchy:
     K >= 3 the weights are not antisymmetric, no bound holds, and it
     evaluates every leaf."""
 
-    def evaluate(hierarchy: Hierarchy, leaf: TreeNode, node_id: int) -> Candidate:
+    def evaluate(hierarchy: Hierarchy, leaf: TreeNode) -> Candidate:
         result: SplitResult = split_node(
-            leaf.data,
-            ancestor_chain(hierarchy, leaf.id),
-            config.k,
-            config.reg,
-            config.solver,
-            node_seed(config.seed, leaf.id),
-            config.max_alternations,
+            leaf.data, ancestor_chain(hierarchy, leaf.id), config.k, config.reg, node_seed(config.seed, leaf.id)
         )
         return Candidate(labels=result.labels, models=result.models, score=result.score)
 

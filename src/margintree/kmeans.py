@@ -12,6 +12,10 @@ import numpy as np
 
 from .errors import ValidationError
 
+# Lloyd iterations stop after MAX_ITERS, or once the inertia falls by less than TOL
+MAX_ITERS = 300
+TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class KMeansResult:
@@ -43,7 +47,7 @@ def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return d2.argmin(axis=1)
 
 
-def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 300, tol: float = 1e-6) -> KMeansResult:
+def kmeans(x: np.ndarray, k: int, seed: int) -> KMeansResult:
     n = x.shape[0]
     if n < k:
         raise ValidationError(f"cannot fit {k} clusters to {n} instances")
@@ -52,7 +56,7 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 300, tol: float = 
     labels = _assign(x, centroids)
     prev_inertia = np.inf
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         for j in range(k):
             members = labels == j
             if members.any():
@@ -64,7 +68,7 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 300, tol: float = 
                 labels[far] = j
         new_labels = _assign(x, centroids)
         inertia = float(((x - centroids[new_labels]) ** 2).sum())
-        converged = np.array_equal(new_labels, labels) or prev_inertia - inertia < tol
+        converged = np.array_equal(new_labels, labels) or prev_inertia - inertia < TOL
         labels = new_labels
         prev_inertia = inertia
         if converged:

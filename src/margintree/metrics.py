@@ -80,19 +80,15 @@ class ClassTree:
             return np.ones_like(self._dist)
         return 1.0 - self._dist / self.max_distance
 
-    def ps_table(self, include_leaf: bool = True) -> np.ndarray:
+    def ps_table(self) -> np.ndarray:
         n = len(self.class_ids)
         table = np.ones((n, n))
         for (i, a), (j, b) in itertools.combinations(enumerate(self.class_ids), 2):
-            table[i, j] = table[j, i] = self._ps(self._branches[a], self._branches[b], include_leaf)
+            table[i, j] = table[j, i] = self._ps(self._branches[a], self._branches[b])
         return table
 
     @staticmethod
-    def _ps(branch_a, branch_b, include_leaf: bool) -> float:
-        if not include_leaf:
-            branch_a, branch_b = branch_a[:-1], branch_b[:-1]
-            if not branch_a or not branch_b:
-                return 1.0
+    def _ps(branch_a, branch_b) -> float:
         shared = 0
         for x, y in zip(branch_a, branch_b):
             if x != y:
@@ -153,8 +149,8 @@ def _class_codes(tree: ClassTree, classes) -> np.ndarray:
     return np.asarray(codes, dtype=np.int64)[inverse]
 
 
-def _similarity_table(tree: ClassTree, metric: str, include_leaf: bool) -> np.ndarray:
-    return tree.sp_table() if metric == "SP" else tree.ps_table(include_leaf)
+def _similarity_table(tree: ClassTree, metric: str) -> np.ndarray:
+    return tree.sp_table() if metric == "SP" else tree.ps_table()
 
 
 def _pair_score(learned_codes, learned_table, truth_codes, truth_table) -> float:
@@ -184,7 +180,6 @@ def semantic_score_partition(
     truth: ClassTree,
     truth_labels,
     metric: str = "SP",
-    include_leaf: bool = True,
 ) -> float:
     """1 - MSE between learned and ground-truth pairwise similarities.
 
@@ -200,14 +195,12 @@ def semantic_score_partition(
         learned_table = np.eye(clusters.size)
     else:
         codes = np.asarray(cluster_codes, dtype=np.int64)
-        learned_table = _similarity_table(learned_tree, metric, include_leaf)
-    truth_table = _similarity_table(truth, metric, include_leaf)
+        learned_table = _similarity_table(learned_tree, metric)
+    truth_table = _similarity_table(truth, metric)
     return _pair_score(codes, learned_table, _class_codes(truth, truth_labels), truth_table)
 
 
-def score_leaves(
-    leaf_ids, root, children: dict, labels, truth: ClassTree | None = None, include_leaf: bool = True
-) -> dict:
+def score_leaves(leaf_ids, root, children: dict, labels, truth: ClassTree | None = None) -> dict:
     """Rand index, SP and PS of a learned tree's leaf assignment.
 
     leaf_ids[i] is the leaf holding instance i, and root with children (node
@@ -225,11 +218,11 @@ def score_leaves(
         codes = _class_codes(learned_tree, leaf_ids)
     scores = {"rand_index": rand_index(leaf_ids, labels)}
     for metric in ("SP", "PS"):
-        scores[metric.lower()] = semantic_score_partition(codes, learned_tree, truth, labels, metric, include_leaf)
+        scores[metric.lower()] = semantic_score_partition(codes, learned_tree, truth, labels, metric)
     return scores
 
 
-def score_hierarchy(hierarchy, dataset: Dataset, truth: ClassTree | None = None, include_leaf: bool = True) -> dict:
+def score_hierarchy(hierarchy, dataset: Dataset, truth: ClassTree | None = None) -> dict:
     """score_leaves of the leaf holding each of the dataset's instances, in
     dataset order. hierarchy is a built Hierarchy, or an exported one reloaded
     by export.load_hierarchy_json, whose leaves must list the instances
@@ -241,4 +234,4 @@ def score_hierarchy(hierarchy, dataset: Dataset, truth: ClassTree | None = None,
         leaf_ids, root = [partition[i] for i in dataset.ids.tolist()], hierarchy.root_id
     else:
         leaf_ids, root = hierarchy.leaf_of(dataset.n), hierarchy.root
-    return score_leaves(leaf_ids, root, hierarchy.children_map(), dataset.labels, truth, include_leaf)
+    return score_leaves(leaf_ids, root, hierarchy.children_map(), dataset.labels, truth)

@@ -10,9 +10,11 @@ R(w + d) to a residual of |r|/10 by semismooth Newton on its dual. An Armijo
 backtracking on the true objective takes the step, or the prox-gradient
 step, which always decreases the objective, when the model step is no
 descent direction. The run stops once the largest entry of r falls below
-rel_obj_tol times that of the hinge gradient at w = 0. One margins record
-per iterate gives the loss, the gradient, the active margins and H; the
-accepted Armijo trial's record serves the next iteration.
+REL_OBJ_TOL times that of the hinge gradient at w = 0, or after
+MAX_OUTER_ITERS outer iterations; both are module constants, read at each
+call. One margins record per iterate gives the loss, the gradient, the
+active margins and H; the accepted Armijo trial's record serves the next
+iteration.
 
 The dual maps A, A^T touch only the m positive margins (MarginMap). Each
 dual Newton system is solved over the m margins when m is at most the
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,18 +84,9 @@ DUAL_ROUNDING = 2.0**-30  # bound on the relative rounding of a computed dual va
 LINE_SEARCH_SHRINK = 0.5
 SUFFICIENT_DECREASE = 1e-4
 ARMIJO_STEPS = tuple(LINE_SEARCH_SHRINK**i for i in range(MAX_BACKTRACKS))
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    max_outer_iters: int = 100
-    rel_obj_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_outer_iters < 1:
-            raise ValidationError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
-        if not (np.isfinite(self.rel_obj_tol) and self.rel_obj_tol > 0):
-            raise ValidationError(f"rel_obj_tol must be finite and > 0, got {self.rel_obj_tol}")
+# the outer budget, and the residual stop relative to the hinge gradient at w = 0
+MAX_OUTER_ITERS = 100
+REL_OBJ_TOL = 1e-8
 
 
 def prox_weighted_l1(w: np.ndarray, thresholds) -> np.ndarray:
@@ -452,7 +444,7 @@ def _solve_dual_model(w, grad, hessian, mu, a, c, space, tol):
     return z
 
 
-def _descend(space, w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+def _descend(space, w: np.ndarray) -> np.ndarray:
     """solve_w's outer proximal Newton loop, from w in the coordinates of space."""
     scale = float(np.abs(space.origin.grad()).max())
     if scale == 0.0:
@@ -470,14 +462,14 @@ def _descend(space, w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     if not np.isfinite(fw):
         raise SolverError(f"objective not finite at the initial point (value {fw})")
 
-    for outer in range(cfg.max_outer_iters + 1):
+    for outer in range(MAX_OUTER_ITERS + 1):
         grad = margins.grad()
         pg = space.prox(w - t * grad, t)
         r = (w - pg) / t
         residual = float(np.abs(r).max())
-        if residual <= cfg.rel_obj_tol * scale:
+        if residual <= REL_OBJ_TOL * scale:
             break
-        if outer == cfg.max_outer_iters:
+        if outer == MAX_OUTER_ITERS:
             logger.warning("weight update ended on its budget of %d outer iterations at relative residual %.3e",
                            outer, residual / scale)
             break
@@ -513,15 +505,15 @@ def _descend(space, w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     return w
 
 
-def solve_w(x: np.ndarray, labels, regularizer: Regularizer, cfg: SolverConfig, w0: np.ndarray) -> np.ndarray:
+def solve_w(x: np.ndarray, labels, regularizer: Regularizer, w0: np.ndarray) -> np.ndarray:
     """Minimize the split objective in the weights for fixed labels, from the
     K x P start w0 on the node's n x P features x; regularizer is the split's.
     Returns the K x P weights.
 
     Stops when the largest entry of the prox-gradient residual drops below
-    cfg.rel_obj_tol times the largest entry of the hinge gradient at w = 0,
+    REL_OBJ_TOL times the largest entry of the hinge gradient at w = 0,
     when no step decreases the objective, which it logs at debug level, or
-    when the outer budget is exhausted, which it logs as a warning (both
+    after MAX_OUTER_ITERS outer iterations, which it logs as a warning (both
     with the final relative residual); the objective is non-increasing
     across iterations. Raises SolverError if the objective turns non-finite.
     At K = 2 they run on u = (w_1 - w_2)/sqrt 2 from the start projected onto w_1 = -w_2.
@@ -529,6 +521,6 @@ def solve_w(x: np.ndarray, labels, regularizer: Regularizer, cfg: SolverConfig, 
     w = np.array(w0, dtype=float)
     at_zero = label_margins(np.zeros_like(w), x, labels)  # checks the labels and dimensions, once per call
     if w.shape[0] != 2:
-        return _descend(_General(at_zero, regularizer), w, cfg)
-    u = _descend(_Pair(at_zero, regularizer), (w[0] - w[1]) / SQRT2, cfg)
+        return _descend(_General(at_zero, regularizer), w)
+    u = _descend(_Pair(at_zero, regularizer), (w[0] - w[1]) / SQRT2)
     return np.stack((u, -u)) / SQRT2

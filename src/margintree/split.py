@@ -20,12 +20,11 @@ from .errors import SolverError, UnsplittableNodeError
 from .flow import solve_balanced_assignment
 from .kmeans import kmeans
 from .objective import Regularizer, RegularizerConfig, cost_matrix, node_objective
-from .optim import SQRT2, SolverConfig, solve_w
+from .optim import SQRT2, solve_w
 
 logger = logging.getLogger(__name__)
 
 REL_OBJ_TOL = 1e-6
-# The alternation budget of a split, unless the caller gives one.
 MAX_ALTERNATIONS = 50
 DESCENT_TOL = 1e-9
 # Objective checks are relative to |f|, floored at the rounding error of an
@@ -56,7 +55,8 @@ class SplitResult:
 
 def balance_bounds(n: int, k: int) -> BalanceBounds:
     """Cluster-size bounds floor(0.9 n/K) and ceil(1.1 n/K), repaired to
-    feasibility when rounding breaks K*L <= n <= K*U.
+    feasibility when rounding breaks K*L <= n <= K*U, and with L at least 1
+    so that no cluster is empty (feasible, since n >= K).
 
     Integer arithmetic throughout (0.9 = 9/10) so results never depend on
     float rounding.
@@ -65,7 +65,7 @@ def balance_bounds(n: int, k: int) -> BalanceBounds:
         raise UnsplittableNodeError(f"need at least 2 clusters, got {k}")
     if n < k:
         raise UnsplittableNodeError(f"cannot split {n} instances into {k} clusters")
-    lower = (9 * n) // (10 * k)
+    lower = max((9 * n) // (10 * k), 1)
     upper = -((-11 * n) // (10 * k))
     if k * lower > n:
         lower = n // k
@@ -120,30 +120,23 @@ def score_bound(x: np.ndarray, regularizer: Regularizer) -> float:
     return float("inf") if np.isnan(bound) else bound
 
 
-def split_node(
-    data: NodeData,
-    chain: AncestorChain,
-    k: int,
-    reg: RegularizerConfig,
-    cfg: SolverConfig,
-    seed: int,
-    max_alternations: int = MAX_ALTERNATIONS,
-) -> SplitResult:
+def split_node(data: NodeData, chain: AncestorChain, k: int, reg: RegularizerConfig, seed: int) -> SplitResult:
     """Alternate weight fitting and balanced assignment until the labels
     reach a fixed point, the relative objective change drops below
-    REL_OBJ_TOL, or the alternation budget runs out. The split's Regularizer
-    (lambda_E from the ancestor chain) is built once, here; the rest runs on
-    arrays, and the fitted weights become one ClusterModels at the end."""
+    REL_OBJ_TOL, or MAX_ALTERNATIONS alternations are done. The split's
+    Regularizer (lambda_E from the ancestor chain) is built once, here; the
+    rest runs on arrays, and the fitted weights become one ClusterModels at
+    the end."""
     x = data.features  # one copy of the node's rows for the whole split
     regularizer = Regularizer(reg, chain, k, x.shape[1])
     bounds = balance_bounds(data.size, k)
     labels = init_assignment(x, k, bounds, seed)
-    w = solve_w(x, labels, regularizer, cfg, np.zeros((k, x.shape[1])))
+    w = solve_w(x, labels, regularizer, np.zeros((k, x.shape[1])))
     objective = node_objective(w, labels, regularizer, x)
     trace = [objective]
 
     iterations = 0
-    for iterations in range(1, max_alternations + 1):
+    for iterations in range(1, MAX_ALTERNATIONS + 1):
         costs = cost_matrix(w, x)
         new_labels = solve_balanced_assignment(costs, bounds.lower, bounds.upper)
         after_assign = node_objective(w, new_labels, regularizer, x)
@@ -157,7 +150,7 @@ def split_node(
         labels = new_labels
         trace.append(after_assign)
 
-        w = solve_w(x, labels, regularizer, cfg, w)
+        w = solve_w(x, labels, regularizer, w)
         objective = node_objective(w, labels, regularizer, x)
         if objective > after_assign + _slack(DESCENT_TOL, after_assign):
             raise SolverError(

@@ -11,7 +11,6 @@ from margintree import (
     ClassTree,
     Dataset,
     RegularizerConfig,
-    SolverConfig,
     StoppingCriterion,
     SyntheticSpec,
     build_hierarchy,
@@ -128,7 +127,7 @@ def test_criterion_4_monotone_alternating_descent():
         else:
             ds = Dataset(features=rng.normal(size=(24, 5)), ids=np.arange(24))
         nd = subset(ds, np.arange(ds.n))
-        result = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), SolverConfig(), seed=trial)
+        result = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), seed=trial)
         assert result.iterations <= 50
         for before, after in zip(result.trace, result.trace[1:]):
             assert after <= before + 1e-8 * max(1.0, abs(before)), f"objective rose on trial {trial}"
@@ -151,10 +150,7 @@ def planted_runs():
         best = None
         reg = RegularizerConfig(alpha=1e-2, beta=1e-2)
         for restart in range(3):
-            cfg = BuildConfig(
-                k=2, stop=StoppingCriterion(max_leaves=4), reg=reg,
-                solver=SolverConfig(), seed=restart_seed(seed, restart),
-            )
+            cfg = BuildConfig(k=2, stop=StoppingCriterion(max_leaves=4), reg=reg, seed=restart_seed(seed, restart))
             h = build_hierarchy(ds, cfg)
             obj = global_objective(h, ds, reg)
             if best is None or obj < best[0]:
@@ -253,19 +249,19 @@ def test_criterion_8_determinism():
     reg = RegularizerConfig(alpha=1e-2, beta=1e-2)
 
     def hmmc():
-        cfg = BuildConfig(k=2, stop=StoppingCriterion(max_leaves=4), reg=reg, solver=SolverConfig(), seed=7)
+        cfg = BuildConfig(k=2, stop=StoppingCriterion(max_leaves=4), reg=reg, seed=7)
         return build_hierarchy(ds, cfg)
 
     def mmc_flat():
-        cfg = BuildConfig(k=4, stop=StoppingCriterion(max_leaves=4), reg=reg, solver=SolverConfig(), seed=7)
+        cfg = BuildConfig(k=4, stop=StoppingCriterion(max_leaves=4), reg=reg, seed=7)
         return build_hierarchy(ds, cfg)
 
     def hkm():
-        cfg = BuildConfig(k=2, stop=StoppingCriterion(max_leaves=4), reg=reg, solver=SolverConfig(), seed=7)
+        cfg = BuildConfig(k=2, stop=StoppingCriterion(max_leaves=4), reg=reg, seed=7)
         return build_hkm(ds, cfg)
 
     def hkm_d():
-        cfg = BuildConfig(k=2, stop=StoppingCriterion(max_leaves=4), reg=reg, solver=SolverConfig(), seed=7)
+        cfg = BuildConfig(k=2, stop=StoppingCriterion(max_leaves=4), reg=reg, seed=7)
         return build_hkm_d(ds, cfg)
 
     def kmeans_flat():
@@ -293,7 +289,7 @@ def test_criterion_9_variant_toggles():
         cfg = BuildConfig(
             k=2, stop=StoppingCriterion(max_leaves=4),
             reg=RegularizerConfig(alpha=1.0, beta=1.0, variant=variant),
-            solver=SolverConfig(), seed=0,
+            seed=0,
         )
         h = build_hierarchy(ds, cfg)
         assert len(h.leaves()) == 4, f"{variant} did not run to completion"

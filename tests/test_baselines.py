@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from margintree import (
     BuildConfig,
     Dataset,
     RegularizerConfig,
-    SolverConfig,
     StoppingCriterion,
     ValidationError,
     build_hierarchy,
@@ -20,7 +21,7 @@ from helpers import blob_dataset
 
 
 def config(stop, seed=0, k=2):
-    return BuildConfig(k=k, stop=stop, reg=RegularizerConfig(), solver=SolverConfig(), seed=seed)
+    return BuildConfig(k=k, stop=stop, reg=RegularizerConfig(), seed=seed)
 
 
 class TestKMeans:
@@ -54,11 +55,28 @@ class TestKMeans:
         with pytest.raises(ValidationError):
             kmeans(ds.features, 3, seed=0)
 
-    def test_inertia_non_increasing_in_budget(self):
+    def test_inertia_non_increasing_in_budget(self, monkeypatch):
         ds = blob_dataset(4, [[2.0, 0.0], [-2.0, 0.0], [0.0, 3.0]], per_blob=10, spread=1.0)
-        inertias = [kmeans(ds.features, 3, seed=5, max_iters=m).inertia for m in (1, 2, 3, 5, 10)]
+        inertias = []
+        for budget in (1, 2, 3, 5, 10):
+            # the package's `kmeans` is the function; the constant is the module's
+            monkeypatch.setattr(importlib.import_module("margintree.kmeans"), "MAX_ITERS", budget)
+            inertias.append(kmeans(ds.features, 3, seed=5).inertia)
         for a, b in zip(inertias, inertias[1:]):
             assert b <= a + 1e-9
+
+    def test_inertia_stop_reads_tol(self, monkeypatch):
+        # the first iteration has no inertia to compare with, so any tolerance stops at the second
+        module = importlib.import_module("margintree.kmeans")
+        ds = blob_dataset(4, [[2.0, 0.0], [-2.0, 0.0], [0.0, 3.0]], per_blob=10, spread=1.0)
+        assert kmeans(ds.features, 3, seed=5).iterations > 2
+        monkeypatch.setattr(module, "TOL", float("inf"))
+        loose = kmeans(ds.features, 3, seed=5)
+        monkeypatch.undo()
+        monkeypatch.setattr(module, "MAX_ITERS", 2)
+        budget = kmeans(ds.features, 3, seed=5)
+        assert loose.iterations == budget.iterations == 2
+        assert np.array_equal(loose.labels, budget.labels) and np.array_equal(loose.centroids, budget.centroids)
 
 
 class TestScores:
@@ -142,7 +160,6 @@ class TestBuilders:
             k=2,
             stop=StoppingCriterion(max_leaves=2),
             reg=RegularizerConfig(alpha=1e-3, beta=1e-3),
-            solver=SolverConfig(),
             seed=4,
         )
         h = build_hierarchy(ds, hmmc_cfg)

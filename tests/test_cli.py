@@ -13,7 +13,6 @@ import margintree
 from margintree import (
     Dataset,
     RegularizerConfig,
-    SolverConfig,
     StoppingCriterion,
     SyntheticSpec,
     export_hierarchy,
@@ -250,8 +249,14 @@ class TestClusterCommand:
             ("label_column = maybe", "label_column must be one of"),
             ("command = export", "'command' is not an option of cluster"),
             ("verbose = 1", "'verbose' is not a config key; pass -v or -vv on the command line"),
+            ("max_outer_iters = 5", "'max_outer_iters' is not an option of cluster"),
+            ("rel_obj_tol = 1e-6", "'rel_obj_tol' is not an option of cluster"),
+            ("max_alternations = 9", "'max_alternations' is not an option of cluster"),
         ],
-        ids=["bad_int", "unknown_key", "bad_bool", "command_key", "verbose_key"],
+        ids=[
+            "bad_int", "unknown_key", "bad_bool", "command_key", "verbose_key",
+            "max_outer_iters", "rel_obj_tol", "max_alternations",
+        ],
     )
     def test_config_file_errors(self, planted_files, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -416,22 +421,15 @@ class TestInputErrors:
         self.check(capsys, argv, "seed must be >= 0, got -3")
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_negative_alternation_budget(self, planted_files, capsys, method):
-        argv = ["cluster", "--input", planted_files[0], "--method", method, "--max-alternations", "-1"]
-        self.check(capsys, argv, "max_alternations must be >= 0, got -1")
-
-    @pytest.mark.parametrize("method", METHODS)
     def test_branching_factor_below_two(self, planted_files, capsys, method):
         argv = ["cluster", "--input", planted_files[0], "--method", method, "--k", "1"]
         self.check(capsys, argv, "branching factor must be >= 2, got 1")
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_rel_obj_tol(self, planted_files, tmp_path, capsys, value):
-        # nan would leave the residual stop unable to fire, inf would stop at once
-        report = tmp_path / "report.json"
-        argv = ["cluster", "--input", planted_files[0], "--rel-obj-tol", value, "--report-out", str(report)]
-        self.check(capsys, argv, f"rel_obj_tol must be finite and > 0, got {value}")
-        assert not report.exists()
+    @pytest.mark.parametrize("flag, raw", [("--max-outer-iters", "5"), ("--rel-obj-tol", "1e-6"), ("--max-alternations", "9")])
+    def test_solver_budget_flags_are_unknown(self, planted_files, capsys, flag, raw):
+        # the weight update's and the split's budgets are module constants, not options
+        argv = ["cluster", "--input", planted_files[0], flag, raw]
+        self.check(capsys, argv, f"unrecognized arguments: {flag} {raw}")
 
 
 class TestWeightUpdateBudget:
@@ -445,15 +443,43 @@ class TestWeightUpdateBudget:
             assert main(argv) == 0
         return [r.getMessage() for r in caplog.records if r.name == "margintree.optim" and r.levelno >= logging.WARNING]
 
-    def test_warns_on_budget_and_not_by_default(self, tmp_path, caplog):
+    def test_warns_on_budget_and_not_by_default(self, tmp_path, caplog, monkeypatch):
         data = str(tmp_path / "data.csv")
         assert main(["generate", "--out", data, "--per-class", "50", "--seed", "0"]) == 0  # planted-small
         cluster = ["cluster", "--input", data, "--label-column", "--k", "2", "--max-leaves", "4"]
-        messages = self.budget_warnings(caplog, [*cluster, "--max-outer-iters", "3"])
+        assert self.budget_warnings(caplog, cluster) == []
+        monkeypatch.setattr(margintree.optim, "MAX_OUTER_ITERS", 3)
+        messages = self.budget_warnings(caplog, cluster)
         assert messages
         for message in messages:
             assert "budget of 3 outer iterations" in message and "relative residual" in message
-        assert self.budget_warnings(caplog, cluster) == []
+
+
+def checked_patterns():
+    """The stderr texts .github/checked.sh greps for, in its order: that of a
+    weight update ending on its budget, then that of an incomplete tree."""
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), ".github", "checked.sh")
+    with open(script) as fh:
+        return re.findall(r'grep -q "([^"]*)"', fh.read())
+
+
+class TestCheckedPatterns:
+    """The CI steps run through .github/checked.sh fail on a weight update
+    that ends on its budget, or on an incomplete tree, only while the
+    warnings contain the text it greps for."""
+
+    def test_warnings_contain_the_grepped_text(self, planted_files, tmp_path, caplog, monkeypatch):
+        budget, incomplete = checked_patterns()
+        with monkeypatch.context() as patch:
+            patch.setattr(margintree.optim, "MAX_OUTER_ITERS", 3)
+            messages = TestWeightUpdateBudget.budget_warnings(caplog, ["cluster", "--input", planted_files[0], "--label-column"])
+        assert messages and all(budget in message for message in messages)
+        data = tmp_path / "identical.csv"
+        np.savetxt(data, np.ones((2, 3)), delimiter=",")  # two identical rows: no split at K = 2 has a finite score
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="margintree.hier"):
+            assert main(["cluster", "--input", str(data), "--k", "2"]) == 0
+        assert any(incomplete in message for message in caplog.messages)
 
 
 class TestEvaluateAndExport:
@@ -546,7 +572,7 @@ class TestEvaluateAndExport:
 
 def degenerate_rows(kind, k):
     rng = np.random.default_rng(1)
-    if kind in ("n_equals_k", "n_is_k_plus_1"):  # size bounds [0, 2] and [1, 2]
+    if kind in ("n_equals_k", "n_is_k_plus_1"):  # size bounds [1, 2]: no leaf is empty
         return rng.normal(size=(k + (kind == "n_is_k_plus_1"), 3))
     if kind == "duplicate_rows":  # 5 distinct rows, 8 copies each
         return np.repeat(rng.normal(size=(5, 3)), 8, axis=0)
@@ -565,7 +591,7 @@ class TestDegenerateInputs:
     def test_cluster_completes(self, tmp_path, kind, k):
         data = tmp_path / "data.csv"
         np.savetxt(data, degenerate_rows(kind, k), delimiter=",")
-        report = tmp_path / "report.json"
+        report, hierarchy = tmp_path / "report.json", tmp_path / "hierarchy.json"
         src = os.path.dirname(os.path.dirname(margintree.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         # a process of its own, so a solver that never terminates fails on the timeout
@@ -573,6 +599,7 @@ class TestDegenerateInputs:
             [
                 sys.executable, "-c", "import sys; from margintree.cli import main; sys.exit(main(sys.argv[1:]))",
                 "cluster", "--input", str(data), "--k", str(k), "--report-out", str(report),
+                "--hierarchy-out", str(hierarchy),
             ],
             env=env,
             capture_output=True,
@@ -583,6 +610,7 @@ class TestDegenerateInputs:
         payload = json.loads(report.read_text())
         assert payload["incomplete"] is False
         assert payload["leaf_count"] == k
+        assert all(node["size"] > 0 for node in json.loads(hierarchy.read_text())["nodes"])
 
 
 class TestRunExperiment:
@@ -596,7 +624,6 @@ class TestRunExperiment:
             max_leaves=4,
             alpha=0.01,
             beta=0.01,
-            solver=SolverConfig(),
             seed=1,
             restarts=2,
             truth_tree=truth,
@@ -615,9 +642,8 @@ def help_flags(capsys, command):
 
 CLUSTER_FLAGS = [
     "--alpha", "--beta", "--config", "--dot-out", "--format", "--help", "--hierarchy-out", "--input", "--k",
-    "--label-column", "--max-alternations", "--max-height", "--max-leaves", "--max-outer-iters", "--method",
-    "--min-node-size", "--no-standardize", "--pca-dim", "--rel-obj-tol", "--report-out", "--restarts", "--seed",
-    "--top-features", "--truth-tree", "--variant", "--verbose", "-h", "-v",
+    "--label-column", "--max-height", "--max-leaves", "--method", "--min-node-size", "--no-standardize", "--pca-dim",
+    "--report-out", "--restarts", "--seed", "--top-features", "--truth-tree", "--variant", "--verbose", "-h", "-v",
 ]
 GENERATE_FLAGS = [
     "--branching", "--config", "--depth", "--help", "--informative-dims", "--magnitudes", "--noise-dims",
@@ -640,9 +666,6 @@ CLUSTER_KEYS = [
     ("variant", "l1", "variant", "l1"),
     ("seed", "4", "seed", 4),
     ("restarts", "2", "restarts", 2),
-    ("max_outer_iters", "17", "solver", SolverConfig(max_outer_iters=17)),
-    ("rel_obj_tol", "1e-6", "solver", SolverConfig(rel_obj_tol=1e-6)),
-    ("max_alternations", "9", "max_alternations", 9),
     ("pca_dim", "3", "pca_dim", 3),
     ("no_standardize", "yes", "standardize", False),
     ("no_standardize", "no", "standardize", True),
@@ -675,6 +698,11 @@ class TestOptionTables:
     def test_generate_flags(self, capsys):
         assert help_flags(capsys, "generate") == GENERATE_FLAGS
 
+    def test_no_solver_settings_in_the_library(self):
+        assert not hasattr(margintree, "SolverConfig")
+        for config in (ExperimentSpec, margintree.BuildConfig):
+            assert not {"solver", "max_alternations"} & {f.name for f in dataclasses.fields(config)}
+
     @staticmethod
     def cluster_spec(monkeypatch, tmp_path, config_text):
         specs = []
@@ -693,7 +721,6 @@ class TestOptionTables:
         assert (defaults.alpha, defaults.beta, defaults.variant) == (
             RegularizerConfig.alpha, RegularizerConfig.beta, RegularizerConfig.variant
         )
-        assert defaults.solver == SolverConfig()
 
     @pytest.mark.parametrize("key, raw, attribute, value", CLUSTER_KEYS, ids=[f"{k}={r}" for k, r, _, _ in CLUSTER_KEYS])
     def test_cluster_config_key(self, monkeypatch, tmp_path, key, raw, attribute, value):

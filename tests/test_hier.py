@@ -6,12 +6,14 @@ import pytest
 
 from margintree import (
     BuildConfig,
+    Dataset,
     RegularizerConfig,
-    SolverConfig,
     StoppingCriterion,
     SyntheticSpec,
     ValidationError,
     build_hierarchy,
+    build_hkm,
+    build_hkm_d,
     generate_synthetic,
     global_objective,
     leaf_partition,
@@ -37,7 +39,6 @@ def quick_config(stop, seed=0, k=2):
         k=k,
         stop=stop,
         reg=RegularizerConfig(alpha=1e-2, beta=1e-2),
-        solver=SolverConfig(),
         seed=seed,
     )
 
@@ -96,27 +97,44 @@ class TestBuildHierarchy:
             assert len(h.leaves()) == leaves
             assert len(h.non_leaves()) == rounds
 
-    def test_negative_alternation_budget_rejected(self):
-        with pytest.raises(ValidationError, match="max_alternations must be >= 0"):
-            BuildConfig(
-                k=2,
-                stop=StoppingCriterion(max_leaves=2),
-                reg=RegularizerConfig(),
-                solver=SolverConfig(),
-                max_alternations=-1,
-            )
-
     def test_n_less_than_k_rejected(self):
         ds = blob_dataset(0, [[0.0, 0.0]], per_blob=2)
         with pytest.raises(ValidationError):
             build_hierarchy(ds, quick_config(StoppingCriterion(max_leaves=4), k=3))
 
     def test_unsplittable_everywhere_sets_flag(self):
-        ds = blob_dataset(0, [[1.0, 0.0], [-1.0, 0.0]], per_blob=2, spread=0.1)
         # 4 points, K=3: root splittable once into 3 leaves of sizes ~1; then nothing
-        h = build_hierarchy(ds, quick_config(StoppingCriterion(max_leaves=9), k=3))
+        cases = [(build_hierarchy, blob_dataset(0, [[1.0, 0.0], [-1.0, 0.0]], per_blob=2, spread=0.1), 3)]
+        # K identical rows: balanced labels force w = 0 (score -inf), and k-means leaves a cluster empty
+        for k in (2, 4):
+            cases += [(build, Dataset(features=np.ones((k, 3)), ids=np.arange(k)), k) for build in (build_hierarchy, build_hkm)]
+        for build, ds, k in cases:
+            h = build(ds, quick_config(StoppingCriterion(max_leaves=9), k=k))
+            assert h.incomplete
+            assert len(h.leaves()) < 9
+            assert all(leaf.data.size > 0 for leaf in h.leaves())
+
+    @pytest.mark.parametrize("build", [build_hierarchy, build_hkm, build_hkm_d], ids=["hmmc", "hkm", "hkm_d"])
+    def test_k_distinct_rows_split_into_singletons(self, build):
+        # n = K: the size bounds are [1, ...], so every cluster takes one row
+        for k in (2, 3, 4):
+            ds = Dataset(features=np.random.default_rng(k).normal(size=(k, 3)), ids=np.arange(k))
+            h = build(ds, quick_config(StoppingCriterion(max_leaves=k), k=k))
+            assert not h.incomplete
+            assert [leaf.data.size for leaf in h.leaves()] == [1] * k
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_candidate_with_an_empty_cluster_is_unsplittable(self, k):
+        # the root's candidate leaves cluster k empty; every other leaf's fills each cluster
+        ds = blob_dataset(0, [[0.0, 0.0]], per_blob=12)
+
+        def evaluate(hierarchy, leaf):
+            labels = np.arange(leaf.data.size) % (k - 1 if leaf.id == 1 else k) + 1
+            return Candidate(labels, ClusterModels(np.eye(k, 2)), 1.0)
+
+        h = grow_tree(ds, k, StoppingCriterion(max_leaves=k), evaluate)
         assert h.incomplete
-        assert len(h.leaves()) < 9
+        assert h.root.is_leaf
 
     def test_children_partition_parent(self):
         ds, _ = planted(seed=5)
@@ -130,15 +148,7 @@ class TestBuildHierarchy:
         cfg = quick_config(StoppingCriterion(max_leaves=4), seed=2)
         h = build_hierarchy(ds, cfg)
         for node in h.non_leaves():
-            fresh = split_node(
-                node.data,
-                ancestor_chain(h, node.id),
-                cfg.k,
-                cfg.reg,
-                cfg.solver,
-                node_seed(cfg.seed, node.id),
-                cfg.max_alternations,
-            )
+            fresh = split_node(node.data, ancestor_chain(h, node.id), cfg.k, cfg.reg, node_seed(cfg.seed, node.id))
             assert np.array_equal(fresh.labels, node.labels)
             assert np.array_equal(fresh.models.weights, node.models.weights)
             assert fresh.score == node.split_score
@@ -193,9 +203,9 @@ class TestBoundedRounds:
         def draw(node_id):
             return np.random.default_rng([seed, node_id])
 
-        def evaluate(hierarchy, leaf, node_id):
-            evaluated.append(node_id)
-            rng = draw(node_id)
+        def evaluate(hierarchy, leaf):
+            evaluated.append(leaf.id)
+            rng = draw(leaf.id)
             score = float(rng.integers(0, 6))
             kind = rng.random()
             if kind < 0.1:

@@ -26,9 +26,9 @@ def sp(tree, a, b):
     return tree.sp_table()[tree.class_index(a), tree.class_index(b)]
 
 
-def ps(tree, a, b, include_leaf=True):
+def ps(tree, a, b):
     """Path-sharing similarity of classes a and b, read from the tree's table."""
-    return tree.ps_table(include_leaf)[tree.class_index(a), tree.class_index(b)]
+    return tree.ps_table()[tree.class_index(a), tree.class_index(b)]
 
 
 class TestShortestPath:
@@ -59,11 +59,6 @@ class TestPathSharing:
 
     def test_identity(self):
         assert ps(balanced_tree(), "c1", "c1") == 1.0
-
-    def test_exclude_leaf_reading(self):
-        tree = balanced_tree()
-        assert ps(tree, "c1", "c2", include_leaf=False) == 1.0
-        assert ps(tree, "c1", "c3", include_leaf=False) == 0.5
 
     def test_symmetry_and_bounds(self):
         tree = balanced_tree()
@@ -183,13 +178,12 @@ def check_against_exhaustive(rng, n, n_learned, n_truth):
     codes = rng.integers(0, n_learned, n)
     flat_codes = rng.integers(0, n_learned, n) * 7 - 3  # arbitrary cluster labels
     for metric in ("SP", "PS"):
-        for include_leaf in (True, False):
-            table = learned.sp_table() if metric == "SP" else learned.ps_table(include_leaf)
-            truth_table = truth.sp_table() if metric == "SP" else truth.ps_table(include_leaf)
-            got = semantic_score_partition(codes, learned, truth, labels, metric, include_leaf)
-            assert abs(got - exhaustive_pair_score(codes, table, truth_codes, truth_table)) <= 1e-12
-            got = semantic_score_partition(flat_codes, None, truth, labels, metric, include_leaf)
-            assert abs(got - exhaustive_pair_score(flat_codes, None, truth_codes, truth_table)) <= 1e-12
+        table = learned.sp_table() if metric == "SP" else learned.ps_table()
+        truth_table = truth.sp_table() if metric == "SP" else truth.ps_table()
+        got = semantic_score_partition(codes, learned, truth, labels, metric)
+        assert abs(got - exhaustive_pair_score(codes, table, truth_codes, truth_table)) <= 1e-12
+        got = semantic_score_partition(flat_codes, None, truth, labels, metric)
+        assert abs(got - exhaustive_pair_score(flat_codes, None, truth_codes, truth_table)) <= 1e-12
 
 
 class TestExactPairScore:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margintree import Dataset, RegularizerConfig, SolverConfig, SyntheticSpec, ValidationError, generate_synthetic
+from margintree import Dataset, RegularizerConfig, SyntheticSpec, generate_synthetic
 from margintree.optim import (
     ARMIJO_STEPS,
     DUAL_ASCENT,
@@ -303,18 +303,6 @@ class TestRegularizerValueFromShrunkenNorms:
         assert spec.value(z, shrunk) == spec.value(z)
 
 
-class TestSolverConfig:
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
-    def test_rel_obj_tol_must_be_finite_and_positive(self, tol):
-        # nan fails every comparison, so no residual stop could fire; inf stops at once
-        with pytest.raises(ValidationError, match="rel_obj_tol must be finite and > 0"):
-            SolverConfig(rel_obj_tol=tol)
-
-    def test_outer_budget_must_be_positive(self):
-        with pytest.raises(ValidationError, match="max_outer_iters must be >= 1, got 0"):
-            SolverConfig(max_outer_iters=0)
-
-
 class TestSolveW:
     def separable_node(self):
         ds = blob_dataset(0, [[5.0, 0.0], [-5.0, 0.0]], per_blob=10, spread=0.3)
@@ -324,13 +312,13 @@ class TestSolveW:
     def test_separable_drives_loss_to_zero(self):
         x, labels = self.separable_node()
         reg = RegularizerConfig(alpha=0.0, beta=0.0)
-        w = solve_w(x, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), SolverConfig(), np.zeros((2, 2)))
+        w = solve_w(x, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), np.zeros((2, 2)))
         assert hinge_loss(w, x, labels) <= 1e-6
 
     def test_huge_alpha_returns_zero(self):
         x, labels = self.separable_node()
         reg = RegularizerConfig(alpha=1e6, beta=0.0)
-        w = solve_w(x, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), SolverConfig(), np.zeros((2, 2)))
+        w = solve_w(x, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), np.zeros((2, 2)))
         assert np.array_equal(w, np.zeros((2, 2)))
 
     def test_final_objective_not_above_start(self):
@@ -341,7 +329,7 @@ class TestSolveW:
             labels = rng.integers(1, 3, size=ds.n)
             regularizer = Regularizer(RegularizerConfig(alpha=0.1, beta=0.1), EMPTY_CHAIN, 2, p)
             w0 = rng.normal(size=(2, p))
-            w = solve_w(ds.features, labels, regularizer, SolverConfig(), w0)
+            w = solve_w(ds.features, labels, regularizer, w0)
             before = node_objective(w0, labels, regularizer, ds.features)
             after = node_objective(w, labels, regularizer, ds.features)
             assert after <= before + 1e-12
@@ -355,7 +343,7 @@ class TestSolveW:
             labels = rng.integers(1, 3, size=n)
             alpha = float(rng.uniform(0.05, 0.5))
             regularizer = Regularizer(RegularizerConfig(alpha=alpha, beta=0.0, variant="squared_l2"), EMPTY_CHAIN, 2, p)
-            w = solve_w(x, labels, regularizer, SolverConfig(), np.zeros((2, p)))
+            w = solve_w(x, labels, regularizer, np.zeros((2, p)))
             ours = node_objective(w, labels, regularizer, x)
             oracle = gradient_descent_smooth_oracle(x, labels, alpha, 2)
             assert ours <= oracle * (1 + 1e-4) + 1e-10
@@ -379,7 +367,7 @@ class TestSolveW:
         monkeypatch.setattr(margintree.objective, "exclusive_weights", counting)
         monkeypatch.setattr(margintree.split, "solve_w", counting_solve_w)
         chain = chain_of([1.0, 0.5, 0.1], [0.2, 2.0, 1.0])
-        split_node(nd, chain, 2, RegularizerConfig(alpha=0.05, beta=0.05), SolverConfig(), seed=0)
+        split_node(nd, chain, 2, RegularizerConfig(alpha=0.05, beta=0.05), seed=0)
         assert len(updates) >= 2
         assert len(calls) == 1
 
@@ -388,7 +376,7 @@ class TestSolveW:
         x, labels = self.separable_node()
         x = x * magnitude
         reg = RegularizerConfig(alpha=0.01, beta=0.0)
-        w = solve_w(x, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), SolverConfig(), np.zeros((2, 2)))
+        w = solve_w(x, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), np.zeros((2, 2)))
         assert np.any(w != 0.0)
         assert weight_update_residual(w, x, labels, EMPTY_CHAIN, reg) <= 1e-5
 
@@ -397,8 +385,38 @@ class TestSolveW:
         x = np.ones((4, 3))
         labels = np.array([1, 2, 1, 2])
         w0 = np.arange(6.0).reshape(2, 3)
-        w = solve_w(x, labels, Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 3), SolverConfig(), w0)
+        w = solve_w(x, labels, Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 3), w0)
         assert np.array_equal(w, np.zeros((2, 3)))
+
+
+class TestStopConstants:
+    """solve_w reads MAX_OUTER_ITERS and REL_OBJ_TOL at each call, on the
+    K = 2 path and the K >= 3 one: from w = 0, which the default stop moves
+    away from, a residual stop that fires at once or a budget of no outer
+    iteration returns the start."""
+
+    @staticmethod
+    def node(k):
+        ds = blob_dataset(3, [[4.0, 0.0], [-4.0, 0.0], [0.0, 4.0]][:k], per_blob=6, spread=0.5)
+        regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), EMPTY_CHAIN, k, 2)
+        return ds.features, ds.labels + 1, regularizer
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_infinite_tolerance_stops_before_a_step(self, monkeypatch, k):
+        x, labels, regularizer = self.node(k)
+        assert np.any(solve_w(x, labels, regularizer, np.zeros((k, 2))) != 0.0)
+        monkeypatch.setattr(margintree.optim, "REL_OBJ_TOL", float("inf"))
+        assert np.array_equal(solve_w(x, labels, regularizer, np.zeros((k, 2))), np.zeros((k, 2)))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_zero_budget_warns_and_returns_the_start(self, monkeypatch, caplog, k):
+        x, labels, regularizer = self.node(k)
+        monkeypatch.setattr(margintree.optim, "MAX_OUTER_ITERS", 0)
+        with caplog.at_level(logging.WARNING, logger="margintree.optim"):
+            w = solve_w(x, labels, regularizer, np.zeros((k, 2)))
+        assert np.array_equal(w, np.zeros((k, 2)))
+        [message] = caplog.messages
+        assert "budget of 0 outer iterations" in message
 
 
 def signed_zero_weights():
@@ -484,7 +502,7 @@ class TestWeightUpdateOptimality:
         chain = self.chain(chain_name, p)
         reg = RegularizerConfig(alpha=0.01, beta=0.01, variant=variant)
         w0 = np.zeros((k, p))
-        ours = solve_w(x, labels, Regularizer(reg, chain, k, p), SolverConfig(), w0)
+        ours = solve_w(x, labels, Regularizer(reg, chain, k, p), w0)
         reference = reference_solve_w(x, labels, chain, reg, w0, memory=memory, shrink=shrink, max_outer_iters=30)
         self.check(x, labels, chain, reg, w0, ours, reference)
 
@@ -494,7 +512,7 @@ class TestWeightUpdateOptimality:
         chain = self.chain("two_ancestors", p)
         reg = RegularizerConfig(alpha=0.05, beta=0.02)
         w0 = rng.normal(size=(2, p))
-        ours = solve_w(x, labels, Regularizer(reg, chain, 2, p), SolverConfig(), w0)
+        ours = solve_w(x, labels, Regularizer(reg, chain, 2, p), w0)
         self.check(x, labels, chain, reg, w0, ours, reference_solve_w(x, labels, chain, reg, w0))
 
 
@@ -651,7 +669,7 @@ class TestDualNewtonSpaces:
 
         monkeypatch.setattr(margintree.objective.Margins, "hessian", spy_hessian)
         regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), EMPTY_CHAIN, 4, p)
-        solve_w(x, labels, regularizer, SolverConfig(), np.zeros((4, p)))
+        solve_w(x, labels, regularizer, np.zeros((4, p)))
         assert {name for name, _ in spaces} == {"margin", "weight"}
         assert all(smaller == (name == "margin") for name, smaller in spaces)
         assert all(model["hessians"] == min(model["weight"], 1) for model in models)
@@ -662,11 +680,11 @@ def antisymmetric(u):
     return np.stack((u, -u)) / SQRT2
 
 
-def general_solve_w(x, labels, regularizer, cfg, w0):
+def general_solve_w(x, labels, regularizer, w0):
     """solve_w's general K x P path, run at any K (solve_w itself takes the
     u coordinates at K = 2)."""
     w = np.array(w0, dtype=float)
-    return _descend(_General(label_margins(np.zeros_like(w), x, labels), regularizer), w, cfg)
+    return _descend(_General(label_margins(np.zeros_like(w), x, labels), regularizer), w)
 
 
 class TestPairCoordinates:
@@ -948,8 +966,8 @@ class TestPairPathMatchesGeneral:
         # a start the size of the fitted weights
         w0 = np.zeros((2, p)) if start == "zeros" else 0.1 * np.random.default_rng(85).normal(size=(2, p))
         projected = np.stack((w0[0] - w0[1], w0[1] - w0[0])) / 2.0
-        ours = solve_w(x, labels, regularizer, SolverConfig(), w0)
-        general = general_solve_w(x, labels, regularizer, SolverConfig(), w0)
+        ours = solve_w(x, labels, regularizer, w0)
+        general = general_solve_w(x, labels, regularizer, w0)
         assert np.array_equal(ours[0], -ours[1])
         for w in (ours, general):
             assert stop_residual(w, x, labels, regularizer) <= 1e-8
@@ -958,7 +976,7 @@ class TestPairPathMatchesGeneral:
         else:
             # to rounding: the loss depends on w_1 - w_2 only, which the projection keeps
             self.no_higher(objective(projected), objective(w0), 4.0 * np.finfo(float).eps)
-            self.no_higher(objective(ours), objective(general_solve_w(x, labels, regularizer, SolverConfig(), projected)), 1e-10)
+            self.no_higher(objective(ours), objective(general_solve_w(x, labels, regularizer, projected)), 1e-10)
             self.no_higher(objective(ours), objective(general), 1e-8)
 
 
@@ -973,7 +991,7 @@ class TestNoDescentStop:
     def stops(caplog, solve, x, labels, regularizer):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="margintree.optim"):
-            w = solve(x, labels, regularizer, SolverConfig(), np.zeros((2, x.shape[1])))
+            w = solve(x, labels, regularizer, np.zeros((2, x.shape[1])))
         records = [r for r in caplog.records if r.name == "margintree.optim" and "w-update iter" not in r.msg]
         assert all(r.levelno == logging.DEBUG for r in records)
         return w, [r.getMessage() for r in records]
@@ -1051,20 +1069,18 @@ def iterate_path(workload, skipped=True):
     (branching, per_class, k, max_leaves), _, _ = PARENT_PATH[workload]
     ds, _ = generate_synthetic(SyntheticSpec(branching=branching, per_class=per_class, seed=0))
     reg = RegularizerConfig(alpha=0.01, beta=0.01)
-    config = BuildConfig(
-        k=k, stop=StoppingCriterion(max_leaves=max_leaves), reg=reg, solver=SolverConfig(), seed=restart_seed(0, 0)
-    )
+    config = BuildConfig(k=k, stop=StoppingCriterion(max_leaves=max_leaves), reg=reg, seed=restart_seed(0, 0))
     node_of_seed = {margintree.hier.node_seed(config.seed, node_id): node_id for node_id in range(1, 64)}
     calls, chains, nodes = [], [], []
     split_node_, solve_w_ = margintree.hier.split_node, margintree.split.solve_w
 
-    def spy_split(data, chain, k, reg, solver, seed, *args):
+    def spy_split(data, chain, k, reg, seed):
         chains.append(chain)
         nodes.append(node_of_seed[seed])
-        return split_node_(data, chain, k, reg, solver, seed, *args)
+        return split_node_(data, chain, k, reg, seed)
 
-    def spy_solve(x, labels, regularizer, cfg, w0):
-        w = solve_w_(x, labels, regularizer, cfg, w0)
+    def spy_solve(x, labels, regularizer, w0):
+        w = solve_w_(x, labels, regularizer, w0)
         residual = weight_update_residual(w, x, labels, chains[-1], reg)
         calls.append((nodes[-1], node_objective(w, labels, regularizer, x), residual))
         return w
@@ -1082,7 +1098,7 @@ def iterate_path(workload, skipped=True):
                 leaf, chain = hierarchy.node(node_id), ancestor_chain(hierarchy, node_id)
                 x = leaf.data.features
                 bound = score_bound(x, Regularizer(reg, chain, k, x.shape[1]))
-                result = spy_split(leaf.data, chain, k, reg, config.solver, margintree.hier.node_seed(config.seed, node_id))
+                result = spy_split(leaf.data, chain, k, reg, margintree.hier.node_seed(config.seed, node_id))
                 path["skipped"].append({"calls": list(calls), "score": result.score, "bound": bound})
                 del calls[:]
     finally:

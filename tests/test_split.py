@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margintree import RegularizerConfig, SolverConfig, SyntheticSpec, generate_synthetic, rand_index
+import margintree.split
+from margintree import Dataset, RegularizerConfig, SyntheticSpec, generate_synthetic, rand_index
 from margintree.core import EMPTY_CHAIN, NodeData, ancestor_chain, subset
 from margintree.errors import UnsplittableNodeError
 from margintree.hier import BuildConfig, Candidate, StoppingCriterion, grow_tree, node_seed
@@ -24,7 +25,7 @@ class TestBalanceBounds:
 
     def test_degenerate_two(self):
         b = balance_bounds(2, 2)
-        assert (b.lower, b.upper) == (0, 2)
+        assert (b.lower, b.upper) == (1, 2)
 
     def test_unsplittable(self):
         with pytest.raises(UnsplittableNodeError):
@@ -38,7 +39,7 @@ class TestBalanceBounds:
                 balance_bounds(n, k)
             return
         b = balance_bounds(n, k)
-        assert b.lower >= 0
+        assert b.lower >= 1
         assert k * b.lower <= n <= k * b.upper
 
 
@@ -69,17 +70,27 @@ class TestSplitNode:
     def test_recovers_blobs(self):
         ds = blob_dataset(3, [[5.0, 0.0, 0.0], [-5.0, 0.0, 0.0]], per_blob=15, spread=0.5)
         nd = subset(ds, np.arange(30))
-        res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(1e-4, 1e-4), SolverConfig(), seed=0)
+        res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(1e-4, 1e-4), seed=0)
         assert rand_index(res.labels, ds.labels) == 1.0
         assert hinge_loss(res.models.weights, nd.features, res.labels) <= 1e-4
 
-    def test_zero_alternations(self):
+    def test_zero_alternations(self, monkeypatch):
+        monkeypatch.setattr(margintree.split, "MAX_ALTERNATIONS", 0)
         ds = blob_dataset(4, [[4.0, 0.0], [-4.0, 0.0]], per_blob=8, spread=0.5)
         nd = subset(ds, np.arange(16))
-        res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), SolverConfig(), seed=0, max_alternations=0)
+        res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), seed=0)
         init = init_assignment(nd.features, 2, balance_bounds(16, 2), seed=0)
         assert np.array_equal(res.labels, init)
         assert res.iterations == 0
+        assert np.isfinite(res.objective)
+
+    def test_alternation_budget_caps_iterations(self, monkeypatch):
+        ds = Dataset(features=np.random.default_rng(4).normal(size=(30, 4)), ids=np.arange(30))
+        nd = subset(ds, np.arange(30))
+        assert split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(1.0, 1.0), seed=0).iterations > 1
+        monkeypatch.setattr(margintree.split, "MAX_ALTERNATIONS", 1)
+        res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(1.0, 1.0), seed=0)
+        assert res.iterations == 1 and len(res.trace) == 3
         assert np.isfinite(res.objective)
 
     def test_monotone_trace_over_seeds(self):
@@ -92,7 +103,7 @@ class TestSplitNode:
 
                 ds = Dataset(features=rng.normal(size=(20, 4)), ids=np.arange(20))
             nd = subset(ds, np.arange(20))
-            res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), SolverConfig(), seed=trial)
+            res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), seed=trial)
             assert res.iterations <= 50
             for a, b in zip(res.trace, res.trace[1:]):
                 assert b <= a + 1e-8 * max(1.0, abs(a))
@@ -100,7 +111,7 @@ class TestSplitNode:
     def test_cluster_sizes_within_bounds(self):
         ds = blob_dataset(6, [[2.0, 0.0], [-2.0, 0.0]], per_blob=11, spread=1.5)
         nd = subset(ds, np.arange(22))
-        res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), SolverConfig(), seed=1)
+        res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), seed=1)
         b = balance_bounds(22, 2)
         sizes = np.bincount(res.labels - 1, minlength=2)
         assert sizes.min() >= b.lower and sizes.max() <= b.upper
@@ -108,8 +119,8 @@ class TestSplitNode:
     def test_deterministic(self):
         ds = blob_dataset(7, [[2.0, 1.0], [-2.0, -1.0]], per_blob=10, spread=1.0)
         nd = subset(ds, np.arange(20))
-        a = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), SolverConfig(), seed=9)
-        b = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), SolverConfig(), seed=9)
+        a = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), seed=9)
+        b = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), seed=9)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.models.weights, b.models.weights)
         assert a.objective == b.objective
@@ -121,7 +132,7 @@ class TestSplitNode:
         ds = blob_dataset(seed, [[5.0, 0.0, 0.0], [-5.0, 0.0, 0.0]], per_blob=15, spread=0.5)
         nd = subset(ds, np.arange(30))
         reg = RegularizerConfig(0.01, 0.01, variant="exclusive_only")
-        res = split_node(nd, EMPTY_CHAIN, 2, reg, SolverConfig(), seed=seed)
+        res = split_node(nd, EMPTY_CHAIN, 2, reg, seed=seed)
         assert 0.0 <= res.objective <= 1e-12
         assert rand_index(res.labels, ds.labels) == 1.0
 
@@ -138,7 +149,7 @@ class TestSplitNode:
             return original.fget(node)
 
         monkeypatch.setattr(NodeData, "features", property(counting))
-        res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), SolverConfig(), seed=3)
+        res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), seed=3)
         assert res.iterations >= 1
         assert len(reads) == 1
 
@@ -146,7 +157,7 @@ class TestSplitNode:
         ds = blob_dataset(8, [[0.0, 0.0]], per_blob=1)
         nd = subset(ds, [0])
         with pytest.raises(UnsplittableNodeError):
-            split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(), SolverConfig(), seed=0)
+            split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(), seed=0)
 
 
 class TestSplittingScore:
@@ -174,7 +185,7 @@ class TestSplittingScore:
         nd = subset(ds, np.arange(ds.n))
         chain = chain_of([0.5, -1.0, 2.0], [1.0, 0.0, -0.5])
         reg = RegularizerConfig(alpha=0.05, beta=0.05)
-        result = split_node(nd, chain, 2, reg, SolverConfig(), seed=0)
+        result = split_node(nd, chain, 2, reg, seed=0)
         w = result.models.weights
         numer = float((nd.features @ w.T)[np.arange(nd.size), result.labels - 1].sum())
         assert _score(w, result.labels, nd.features, Regularizer(reg, chain, *w.shape)) == result.score
@@ -277,15 +288,15 @@ class TestScoreBound:
         # every leaf's candidate, the ones a bounded build skips included, at K = 2
         branching, per_class = self.SHAPES[shape]
         ds, _ = generate_synthetic(SyntheticSpec(branching=branching, per_class=per_class, seed=1))
-        config = BuildConfig(k=2, stop=StoppingCriterion(max_leaves=5), reg=RegularizerConfig(), solver=SolverConfig())
+        config = BuildConfig(k=2, stop=StoppingCriterion(max_leaves=5), reg=RegularizerConfig())
         checked = []
 
-        def evaluate(hierarchy, leaf, node_id):
-            chain = ancestor_chain(hierarchy, node_id)
-            result = split_node(leaf.data, chain, 2, config.reg, config.solver, node_seed(config.seed, node_id))
+        def evaluate(hierarchy, leaf):
+            chain = ancestor_chain(hierarchy, leaf.id)
+            result = split_node(leaf.data, chain, 2, config.reg, node_seed(config.seed, leaf.id))
             x = leaf.data.features
             assert result.score <= score_bound(x, Regularizer(config.reg, chain, 2, x.shape[1]))
-            checked.append(node_id)
+            checked.append(leaf.id)
             return Candidate(labels=result.labels, models=result.models, score=result.score)
 
         grow_tree(ds, 2, config.stop, evaluate)
