@@ -15,7 +15,7 @@ split, `kmeans.MAX_ITERS` and `kmeans.TOL` for k-means.
 """
 
 from .baselines import build_hkm, build_hkm_d
-from .core import Dataset, Hierarchy, flat_hierarchy, leaf_partition
+from .core import Dataset, Hierarchy, flat_hierarchy
 from .data import SyntheticSpec, generate_synthetic, load_dataset, pca_reduce
 from .errors import SolverError, ValidationError
 from .export import export_hierarchy, load_hierarchy_json

@@ -23,7 +23,7 @@ from .baselines import build_hkm, build_hkm_d
 from .core import Dataset, Hierarchy, flat_hierarchy
 from .data import FORMATS, SyntheticSpec, generate_synthetic, load_dataset, pca_reduce, standardize
 from .errors import SolverError, ValidationError
-from .export import SCHEMA_NAME, SCHEMA_VERSION, export_hierarchy, load_hierarchy_json, render_json, summary_to_dot
+from .export import export_hierarchy, load_hierarchy_json, render, render_json
 from .hier import BuildConfig, StoppingCriterion, build_hierarchy, global_objective
 from .kmeans import kmeans
 from .metrics import ClassTree, score_hierarchy
@@ -128,7 +128,8 @@ def build_method(dataset: Dataset, spec: ExperimentSpec, seed: int) -> tuple[Hie
     methods, the leaf inertia of the k-means ones."""
     if spec.method == "kmeans_flat":
         result = kmeans(dataset.features, spec.k, seed)
-        return flat_hierarchy(dataset, result.labels, result.centroids), result.inertia
+        hierarchy = flat_hierarchy(dataset, result.labels, result.centroids)
+        return hierarchy, _leaf_inertia(dataset, hierarchy) if hierarchy.incomplete else result.inertia
     stop = StoppingCriterion(max_leaves=spec.k) if spec.method == "mmc_flat" else spec.stopping()
     reg = RegularizerConfig(alpha=spec.alpha, beta=spec.beta, variant=spec.variant)
     config = BuildConfig(k=spec.k, stop=stop, reg=reg, seed=seed)
@@ -345,11 +346,11 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    summary = load_hierarchy_json(args.hierarchy)
+    payload = load_hierarchy_json(args.hierarchy)
     dataset = load_dataset(args.input, args.format, args.label_column)
     if dataset.labels is None:
         raise ValidationError("evaluate requires ground-truth labels (--label-column or libsvm labels)")
-    metrics = _evaluate_against_truth(dataset, summary, args.truth_tree)
+    metrics = _evaluate_against_truth(dataset, payload, args.truth_tree)
     report = {"hierarchy": args.hierarchy, "input": args.input, "metrics": metrics}
     if args.report_out:
         _write(args.report_out, render_json(report))
@@ -358,19 +359,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    summary = load_hierarchy_json(args.hierarchy)
-    if args.format == "dot":
-        text = summary_to_dot(summary)
-    else:
-        payload = {
-            "format": SCHEMA_NAME,
-            "version": SCHEMA_VERSION,
-            "root": summary.root,
-            "incomplete": summary.incomplete,
-            "nodes": list(summary.nodes),
-        }
-        text = render_json(payload)
-    _write(args.out, text)
+    _write(args.out, render(load_hierarchy_json(args.hierarchy), args.format))
     print(f"wrote {args.out}")
     return 0
 

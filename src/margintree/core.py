@@ -8,11 +8,14 @@ are plain inner products w.x, so callers should center their features.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import StructureError, ValidationError
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,15 +180,18 @@ class Hierarchy:
     def non_leaves(self) -> list[TreeNode]:
         return [n for n in self.nodes.values() if not n.is_leaf]
 
-    def children_map(self) -> dict:
-        """Node id -> child ids, for every node that has children."""
-        return {n.id: list(n.child_ids) for n in self.nodes.values() if n.child_ids}
-
 
 def flat_hierarchy(dataset: Dataset, labels: np.ndarray, centroids: np.ndarray) -> Hierarchy:
     """Wrap a flat partition (labels in {1..K}, one centroid row per
-    cluster) as a depth-1 hierarchy, so it exports and scores like a tree."""
+    cluster) as a depth-1 hierarchy, so it exports and scores like a tree.
+    An empty cluster would be an empty leaf: the root is then the only leaf
+    and the hierarchy is incomplete, as when the builder finds no splittable
+    leaf."""
     hierarchy = Hierarchy.with_root(dataset)
+    if np.unique(labels).size < centroids.shape[0]:
+        hierarchy.incomplete = True
+        logger.warning("no splittable leaf remains before the stopping criterion was met")
+        return hierarchy
     root = hierarchy.root
     root.models = ClusterModels(weights=centroids)
     root.labels = labels
@@ -238,16 +244,3 @@ def ancestor_chain(hierarchy: Hierarchy, node_id: int) -> AncestorChain:
     entries.reverse()
     return AncestorChain(entries=tuple(entries))
 
-
-def leaf_partition(hierarchy: Hierarchy) -> dict:
-    """Map every instance id to the unique leaf node containing it."""
-    mapping = {}
-    for leaf in hierarchy.leaves():
-        for instance_id in leaf.data.ids.tolist():
-            if instance_id in mapping:
-                raise StructureError(f"instance {instance_id} appears in more than one leaf")
-            mapping[instance_id] = leaf.id
-    root_ids = hierarchy.root.data.ids
-    if len(mapping) != len(root_ids):
-        raise StructureError("leaves do not cover the root's instances")
-    return mapping

@@ -7,6 +7,10 @@ branches including the leaf itself). A clustering is scored against ground
 truth by 1 - MSE between learned and true pairwise similarities over
 instance pairs; flat clusterings use the convention that two instances have
 similarity 1 when co-clustered and 0 otherwise.
+
+A built hierarchy and a reloaded one are scored through the same view, the
+payload of export.hierarchy_to_dict: `leaf_of` maps each instance to its
+leaf from the payload's leaf members, and `score_hierarchy` scores that map.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ import itertools
 
 import numpy as np
 
-from .core import Dataset, Hierarchy, leaf_partition
+from .core import Dataset, Hierarchy
 from .errors import StructureError, ValidationError
+from .export import hierarchy_to_dict
 
 
 class ClassTree:
@@ -48,53 +53,40 @@ class ClassTree:
             if self.children.get(leaf):
                 raise StructureError(f"class node {leaf!r} is not a leaf")
 
-        self._branches = {}
+        branch_of = {}
         def walk(node, prefix):
             branch = prefix + (node,)
             if node in self.leaf_classes:
-                self._branches[self.leaf_classes[node]] = branch
+                branch_of[self.leaf_classes[node]] = branch
             for kid in self.children.get(node, ()):
                 walk(kid, branch)
         walk(root, ())
 
-        self.class_ids = sorted(self._branches, key=repr)
+        self.class_ids = sorted(branch_of, key=repr)
         self._index = {c: i for i, c in enumerate(self.class_ids)}
-        n = len(self.class_ids)
-        self._dist = np.zeros((n, n))
-        for (i, a), (j, b) in itertools.combinations(enumerate(self.class_ids), 2):
-            d = self._path_distance(self._branches[a], self._branches[b])
-            self._dist[i, j] = self._dist[j, i] = d
-        self.max_distance = float(self._dist.max()) if n > 1 else 0.0
-
-    @staticmethod
-    def _path_distance(branch_a, branch_b) -> int:
-        shared = 0
-        for x, y in zip(branch_a, branch_b):
-            if x != y:
-                break
-            shared += 1
-        return (len(branch_a) - shared) + (len(branch_b) - shared)
+        branches = [branch_of[c] for c in self.class_ids]
+        lengths = np.array([len(b) for b in branches], dtype=np.int64)
+        # shared[i, j]: length of the common root prefix of branches i and j
+        shared = np.diag(lengths)
+        for (i, a), (j, b) in itertools.combinations(enumerate(branches), 2):
+            prefix = 0
+            while prefix < min(len(a), len(b)) and a[prefix] == b[prefix]:
+                prefix += 1
+            shared[i, j] = shared[j, i] = prefix
+        distance = lengths[:, None] + lengths[None, :] - 2 * shared
+        max_distance = float(distance.max()) if len(branches) > 1 else 0.0
+        self._sp = np.ones(distance.shape) if max_distance == 0.0 else 1.0 - distance / max_distance
+        self._ps = shared / np.maximum.outer(lengths, lengths)
+        for table in (self._sp, self._ps):
+            table.setflags(write=False)
 
     def sp_table(self) -> np.ndarray:
-        if self.max_distance == 0.0:
-            return np.ones_like(self._dist)
-        return 1.0 - self._dist / self.max_distance
+        """Shortest-path similarity of each pair of classes (read-only)."""
+        return self._sp
 
     def ps_table(self) -> np.ndarray:
-        n = len(self.class_ids)
-        table = np.ones((n, n))
-        for (i, a), (j, b) in itertools.combinations(enumerate(self.class_ids), 2):
-            table[i, j] = table[j, i] = self._ps(self._branches[a], self._branches[b])
-        return table
-
-    @staticmethod
-    def _ps(branch_a, branch_b) -> float:
-        shared = 0
-        for x, y in zip(branch_a, branch_b):
-            if x != y:
-                break
-            shared += 1
-        return shared / max(len(branch_a), len(branch_b))
+        """Path-sharing similarity of each pair of classes (read-only)."""
+        return self._ps
 
     def class_index(self, class_id) -> int:
         try:
@@ -149,10 +141,6 @@ def _class_codes(tree: ClassTree, classes) -> np.ndarray:
     return np.asarray(codes, dtype=np.int64)[inverse]
 
 
-def _similarity_table(tree: ClassTree, metric: str) -> np.ndarray:
-    return tree.sp_table() if metric == "SP" else tree.ps_table()
-
-
 def _pair_score(learned_codes, learned_table, truth_codes, truth_table) -> float:
     """1 - mean over instance pairs of (learned - true similarity)^2, from
     the learned x true class count matrix C alone. For each distinct learned
@@ -190,14 +178,14 @@ def semantic_score_partition(
     """
     if metric not in ("SP", "PS"):
         raise ValidationError(f"metric must be SP or PS, got {metric!r}")
+    table = ClassTree.sp_table if metric == "SP" else ClassTree.ps_table
     if learned_tree is None:
         clusters, codes = np.unique(cluster_codes, return_inverse=True)
         learned_table = np.eye(clusters.size)
     else:
         codes = np.asarray(cluster_codes, dtype=np.int64)
-        learned_table = _similarity_table(learned_tree, metric)
-    truth_table = _similarity_table(truth, metric)
-    return _pair_score(codes, learned_table, _class_codes(truth, truth_labels), truth_table)
+        learned_table = table(learned_tree)
+    return _pair_score(codes, learned_table, _class_codes(truth, truth_labels), table(truth))
 
 
 def score_leaves(leaf_ids, root, children: dict, labels, truth: ClassTree | None = None) -> dict:
@@ -222,16 +210,36 @@ def score_leaves(leaf_ids, root, children: dict, labels, truth: ClassTree | None
     return scores
 
 
+def leaf_of(payload: dict, ids) -> np.ndarray:
+    """The leaf holding each of ids (the loaders' 0..n-1 or a Dataset's own
+    ids), read from the leaf members of a hierarchy payload: the leaves must
+    list each of the ids once and no other id."""
+    leaves = [record for record in payload["nodes"] if not record["children"]]
+    members = np.asarray([m for record in leaves for m in record.get("members", [])])
+    owners = np.repeat([record["id"] for record in leaves], [len(record.get("members", [])) for record in leaves])
+    ids = np.asarray(ids)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    pos = np.minimum(np.searchsorted(sorted_ids, members), ids.size - 1)
+    outside = sorted_ids[pos] != members
+    if outside.any():
+        raise ValidationError(f"instance {members[outside.argmax()]} of the hierarchy's leaves is not in the input")
+    counts = np.bincount(pos, minlength=ids.size)
+    if counts.max(initial=0) > 1:
+        raise ValidationError(f"instance {members[(counts[pos] > 1).argmax()]} is in more than one leaf")
+    if counts.min(initial=1) == 0:
+        raise ValidationError(f"instance {sorted_ids[counts.argmin()]} missing from the hierarchy's leaves")
+    leaf = np.empty(ids.size, dtype=np.int64)
+    leaf[order[pos]] = owners
+    return leaf
+
+
 def score_hierarchy(hierarchy, dataset: Dataset, truth: ClassTree | None = None) -> dict:
     """score_leaves of the leaf holding each of the dataset's instances, in
-    dataset order. hierarchy is a built Hierarchy, or an exported one reloaded
-    by export.load_hierarchy_json, whose leaves must list the instances
-    0..n-1 (the loaders' ids)."""
+    dataset order (see leaf_of). hierarchy is a built Hierarchy or a payload
+    of one: export.hierarchy_to_dict, or load_hierarchy_json of its file."""
     if dataset.labels is None:
         raise ValidationError("scoring requires ground-truth labels")
-    if isinstance(hierarchy, Hierarchy):
-        partition = leaf_partition(hierarchy)
-        leaf_ids, root = [partition[i] for i in dataset.ids.tolist()], hierarchy.root_id
-    else:
-        leaf_ids, root = hierarchy.leaf_of(dataset.n), hierarchy.root
-    return score_leaves(leaf_ids, root, hierarchy.children_map(), dataset.labels, truth)
+    payload = hierarchy_to_dict(hierarchy, 0) if isinstance(hierarchy, Hierarchy) else hierarchy
+    children = {record["id"]: record["children"] for record in payload["nodes"] if record["children"]}
+    return score_leaves(leaf_of(payload, dataset.ids), payload["root"], children, dataset.labels, truth)

@@ -13,10 +13,11 @@ from margintree import (
     build_hkm,
     build_hkm_d,
     kmeans,
-    leaf_partition,
     rand_index,
 )
 from margintree.baselines import hkm_d_split_score, hkm_split_score
+from margintree.export import hierarchy_to_dict
+from margintree.metrics import leaf_of
 from helpers import blob_dataset
 
 
@@ -130,8 +131,7 @@ class TestBuilders:
         ds = self.planted()
         h = build_hkm(ds, config(StoppingCriterion(max_leaves=4)))
         assert len(h.leaves()) == 4
-        part = leaf_partition(h)
-        pred = np.array([part[i] for i in range(ds.n)])
+        pred = leaf_of(hierarchy_to_dict(h), ds.ids)
         ri = rand_index(pred, ds.labels)  # recorded, not thresholded: greedy HKM
         assert 0.0 <= ri <= 1.0           # may grow a compact leaf first
         union = np.concatenate([leaf.data.indices for leaf in h.leaves()])

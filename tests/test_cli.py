@@ -19,7 +19,8 @@ from margintree import (
     load_hierarchy_json,
 )
 from margintree.cli import METHODS, ExperimentSpec, main, run_experiment
-from margintree.export import hierarchy_to_dict, summary_to_dot
+from margintree.export import hierarchy_to_dict, render
+from margintree.metrics import leaf_of
 from helpers import blob_dataset, manual_hierarchy
 
 
@@ -89,15 +90,15 @@ class TestExport:
         h = self.small_hierarchy()
         path = tmp_path / "h.json"
         export_hierarchy(h, str(path), "json")
-        summary = load_hierarchy_json(str(path))
-        assert summary.root == 1
-        by_id = {r["id"]: r for r in summary.nodes}
+        payload = load_hierarchy_json(str(path))
+        assert payload["root"] == 1
+        by_id = {r["id"]: r for r in payload["nodes"]}
         for node in h.nodes.values():
             record = by_id[node.id]
             assert record["depth"] == node.depth
             assert record["children"] == node.child_ids
             assert record["size"] == node.data.size
-        assert summary.leaf_of(h.root.data.size).tolist() == [leaf for _, leaf in sorted(
+        assert leaf_of(payload, h.root.data.ids).tolist() == [leaf for _, leaf in sorted(
             (int(i), leaf.id) for leaf in h.leaves() for i in leaf.data.ids
         )]
 
@@ -566,7 +567,7 @@ class TestEvaluateAndExport:
                 "--dot-out", str(dot_path),
             ]
         )
-        converted = summary_to_dot(load_hierarchy_json(str(hier_path)))
+        converted = render(load_hierarchy_json(str(hier_path)), "dot")
         assert converted == dot_path.read_text()
 
 

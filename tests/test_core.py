@@ -1,11 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margintree import Dataset, ValidationError, leaf_partition
+from margintree import Dataset, ValidationError
 from margintree.core import ClusterModels, ancestor_chain, subset
 from margintree.errors import StructureError
+from margintree.export import hierarchy_to_dict
+from margintree.metrics import leaf_of
 from helpers import blob_dataset, manual_hierarchy
 
 
@@ -109,28 +113,39 @@ class TestLeafPartition:
         from margintree import Hierarchy
 
         h = Hierarchy.with_root(ds)
-        part = leaf_partition(h)
-        assert set(part.values()) == {1}
-        assert len(part) == 5
+        part = leaf_of(hierarchy_to_dict(h), ds.ids)
+        assert part.tolist() == [1] * 5
 
     def test_binary_split(self):
         ds = blob_dataset(0, [[0.0, 0.0]], per_blob=4)
         h = manual_hierarchy(ds, {1: [[0, 1], [2, 3]]})
-        part = leaf_partition(h)
+        part = leaf_of(hierarchy_to_dict(h), ds.ids)
         assert part[0] == part[1] == 2
         assert part[2] == part[3] == 3
 
     def test_two_splits_partition(self):
         ds = blob_dataset(0, [[0.0, 0.0]], per_blob=8)
         h = manual_hierarchy(ds, {1: [[0, 1, 2, 3], [4, 5, 6, 7]], 2: [[0, 1], [2, 3]]})
-        part = leaf_partition(h)
+        payload = hierarchy_to_dict(h)
+        part = leaf_of(payload, ds.ids)
         leaves = {n.id for n in h.leaves()}
-        assert set(part.values()) <= leaves
+        assert set(part.tolist()) <= leaves
         assert len(part) == 8
         member_sets = [set(n.data.ids.tolist()) for n in h.leaves()]
         assert sum(len(s) for s in member_sets) == 8
         union = set().union(*member_sets)
         assert union == set(range(8))
+        # hand-broken payloads: an id the input lacks, an id in two leaves, an id in no leaf
+        damages = [
+            (lambda first, second: first["members"].append(99), "instance 99 of the hierarchy's leaves is not in the input"),
+            (lambda first, second: second["members"].append(4), "instance 4 is in more than one leaf"),
+            (lambda first, second: first["members"].remove(5), "instance 5 missing from the hierarchy's leaves"),
+        ]
+        for damage, message in damages:
+            broken = copy.deepcopy(payload)
+            damage(*[record for record in broken["nodes"] if not record["children"]][:2])  # leaves 3 and 4
+            with pytest.raises(ValidationError, match=message):
+                leaf_of(broken, ds.ids)
 
 
 @settings(max_examples=30, deadline=None)

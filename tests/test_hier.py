@@ -16,14 +16,14 @@ from margintree import (
     build_hkm_d,
     generate_synthetic,
     global_objective,
-    leaf_partition,
 )
 import margintree.hier
-from margintree.cli import main
+from margintree.cli import ExperimentSpec, build_method, main
 from margintree.core import ClusterModels, Hierarchy, ancestor_chain
 from margintree.errors import UnsplittableNodeError
 from margintree.export import hierarchy_to_dict, render_json
 from margintree.hier import Candidate, grow_tree, node_seed, should_stop
+from margintree.metrics import leaf_of
 from margintree.objective import VARIANTS
 from margintree.split import split_node
 from helpers import blob_dataset
@@ -74,7 +74,7 @@ class TestBuildHierarchy:
         h = build_hierarchy(ds, quick_config(StoppingCriterion(max_leaves=4)))
         assert len(h.leaves()) == 4
         assert len(h.non_leaves()) == 3
-        part = leaf_partition(h)
+        part = leaf_of(hierarchy_to_dict(h), ds.ids)
         assert len(part) == ds.n
 
     def test_f_one_no_split(self):
@@ -106,8 +106,12 @@ class TestBuildHierarchy:
         # 4 points, K=3: root splittable once into 3 leaves of sizes ~1; then nothing
         cases = [(build_hierarchy, blob_dataset(0, [[1.0, 0.0], [-1.0, 0.0]], per_blob=2, spread=0.1), 3)]
         # K identical rows: balanced labels force w = 0 (score -inf), and k-means leaves a cluster empty
+        def kmeans_flat(ds, config):
+            return build_method(ds, ExperimentSpec(input="", method="kmeans_flat", k=config.k), 0)[0]
+
         for k in (2, 4):
-            cases += [(build, Dataset(features=np.ones((k, 3)), ids=np.arange(k)), k) for build in (build_hierarchy, build_hkm)]
+            builds = (build_hierarchy, build_hkm, kmeans_flat)
+            cases += [(build, Dataset(features=np.ones((k, 3)), ids=np.arange(k)), k) for build in builds]
         for build, ds, k in cases:
             h = build(ds, quick_config(StoppingCriterion(max_leaves=9), k=k))
             assert h.incomplete

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from margintree import ClassTree, Dataset, ValidationError, export_hierarchy, load_hierarchy_json, rand_index
+from margintree.export import hierarchy_to_dict
 from margintree.metrics import flat_class_tree, score_hierarchy, score_leaves, semantic_score_partition
 from helpers import manual_hierarchy
 from oracles import exhaustive_pair_score
@@ -92,12 +93,12 @@ class TestRandIndex:
         assert rand_index(pred, truth) == pytest.approx(rand_index(remap[pred], truth))
 
 
-def eight_instance_case(misplaced=True):
+def eight_instance_case(misplaced=True, ids=range(8)):
     """Fixed 8-instance / 4-class example; instance 3 (class c2) lands in the
     first learned leaf when misplaced."""
     truth = balanced_tree()
     labels = np.array(["c1", "c1", "c2", "c2", "c3", "c3", "c4", "c4"])
-    ds = Dataset(features=np.zeros((8, 2)), ids=np.arange(8), labels=labels)
+    ds = Dataset(features=np.zeros((8, 2)), ids=ids, labels=labels)
     first = [0, 1, 3] if misplaced else [0, 1]
     second = [2] if misplaced else [2, 3]
     learned = manual_hierarchy(
@@ -220,15 +221,21 @@ class TestScoreLeaves:
     def test_matches_score_hierarchy(self):
         ds, truth, learned = eight_instance_case()
         leaf_ids = [4, 4, 5, 4, 6, 6, 7, 7]
-        scores = score_leaves(leaf_ids, 1, learned.children_map(), ds.labels, truth)
+        children = {r["id"]: r["children"] for r in hierarchy_to_dict(learned)["nodes"] if r["children"]}
+        scores = score_leaves(leaf_ids, 1, children, ds.labels, truth)
         assert scores == score_hierarchy(learned, ds, truth)
         assert scores["rand_index"] == rand_index(leaf_ids, ds.labels)
 
     def test_reloaded_hierarchy_scores_the_same(self, tmp_path):
         ds, truth, learned = eight_instance_case()
-        path = str(tmp_path / "h.json")
-        export_hierarchy(learned, path)
-        assert score_hierarchy(load_hierarchy_json(path), ds, truth) == score_hierarchy(learned, ds, truth)
+        expected = score_hierarchy(learned, ds, truth)
+        # the loaders' ids, a library Dataset's string ids and permuted integer ids
+        for ids in (np.arange(8), np.array([f"x{i}" for i in "hgfedcba"]), np.array([5, 2, 7, 0, 3, 6, 1, 4]) * 10):
+            ds, truth, learned = eight_instance_case(ids=ids)
+            path = str(tmp_path / "h.json")
+            export_hierarchy(learned, path)
+            for hierarchy in (learned, hierarchy_to_dict(learned), load_hierarchy_json(path)):
+                assert score_hierarchy(hierarchy, ds, truth) == expected
 
     def test_labels_matched_by_string(self):
         truth = flat_class_tree(["0", "1"])
