@@ -19,7 +19,7 @@ GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1e0)
 
 
 def model_sparsity(hierarchy) -> float:
-    weights = np.concatenate([n.models.weights.ravel() for n in hierarchy.non_leaves()])
+    weights = np.concatenate([n.split.weights.ravel() for n in hierarchy.non_leaves()])
     return float(np.mean(weights == 0.0))
 
 

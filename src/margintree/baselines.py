@@ -4,7 +4,7 @@ HKM scores a leaf by how compact its candidate clusters are (negated average
 within-cluster distance, so argmax picks the most compact). HKM-D instead
 grows the leaf with the most scattered data, independent of the candidate
 split. Both split a node with plain seeded k-means; the fitted centroids are
-stored in the node's model slot.
+the weights of the node's Split.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ClusterModels, Dataset, Hierarchy, TreeNode
-from .hier import BuildConfig, Candidate, grow_tree, node_seed
+from .core import Dataset, Hierarchy, Split, TreeNode
+from .hier import BuildConfig, grow_tree, node_seed
 from .kmeans import KMeansResult, kmeans
 
 
@@ -35,10 +35,10 @@ def _build(dataset: Dataset, config: BuildConfig, score: Callable[[KMeansResult,
     """The greedy builder with a k-means split per leaf, ranked by score of
     the split and the leaf's features (read once per leaf)."""
 
-    def evaluate(hierarchy: Hierarchy, leaf: TreeNode) -> Candidate:
+    def evaluate(hierarchy: Hierarchy, leaf: TreeNode) -> Split:
         x = leaf.data.features
         result = kmeans(x, config.k, node_seed(config.seed, leaf.id))
-        return Candidate(labels=result.labels, models=ClusterModels(weights=result.centroids), score=score(result, x))
+        return Split(result.labels, result.centroids, score(result, x))
 
     return grow_tree(dataset, config.k, config.stop, evaluate)
 

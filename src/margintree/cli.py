@@ -23,7 +23,7 @@ from .baselines import build_hkm, build_hkm_d
 from .core import Dataset, Hierarchy, flat_hierarchy
 from .data import FORMATS, SyntheticSpec, generate_synthetic, load_dataset, pca_reduce, standardize
 from .errors import SolverError, ValidationError
-from .export import export_hierarchy, load_hierarchy_json, render, render_json
+from .export import export_hierarchy, load_hierarchy_json, read_json, render, render_json
 from .hier import BuildConfig, StoppingCriterion, build_hierarchy, global_objective
 from .kmeans import kmeans
 from .metrics import ClassTree, score_hierarchy
@@ -103,16 +103,19 @@ def save_class_tree(tree: ClassTree, path: str) -> None:
 
 
 def load_class_tree(path: str) -> ClassTree:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return ClassTree(
-        root=payload["root"],
-        children={k: list(v) for k, v in payload["children"].items()},
-        leaf_classes=payload["leaf_classes"],
-    )
+    """The class tree save_class_tree wrote to path."""
+    payload = read_json(path)
+    if not isinstance(payload, dict) or "root" not in payload:
+        raise ValidationError(f"{path}: a truth tree needs a root")
+    children, leaf_classes = payload.get("children"), payload.get("leaf_classes")
+    if not isinstance(children, dict) or not all(isinstance(kids, list) for kids in children.values()):
+        raise ValidationError(f"{path}: a truth tree needs a children object of lists")
+    if not isinstance(leaf_classes, dict):
+        raise ValidationError(f"{path}: a truth tree needs a leaf_classes object")
+    return ClassTree(root=payload["root"], children=children, leaf_classes=leaf_classes)
 
 
-def _leaf_inertia(dataset: Dataset, hierarchy: Hierarchy) -> float:
+def _leaf_inertia(hierarchy: Hierarchy) -> float:
     total = 0.0
     for leaf in hierarchy.leaves():
         x = leaf.data.features
@@ -129,13 +132,13 @@ def build_method(dataset: Dataset, spec: ExperimentSpec, seed: int) -> tuple[Hie
     if spec.method == "kmeans_flat":
         result = kmeans(dataset.features, spec.k, seed)
         hierarchy = flat_hierarchy(dataset, result.labels, result.centroids)
-        return hierarchy, _leaf_inertia(dataset, hierarchy) if hierarchy.incomplete else result.inertia
+        return hierarchy, _leaf_inertia(hierarchy) if hierarchy.incomplete else result.inertia
     stop = StoppingCriterion(max_leaves=spec.k) if spec.method == "mmc_flat" else spec.stopping()
     reg = RegularizerConfig(alpha=spec.alpha, beta=spec.beta, variant=spec.variant)
     config = BuildConfig(k=spec.k, stop=stop, reg=reg, seed=seed)
     if spec.method in ("hkm", "hkm_d"):
         hierarchy = (build_hkm if spec.method == "hkm" else build_hkm_d)(dataset, config)
-        return hierarchy, _leaf_inertia(dataset, hierarchy)
+        return hierarchy, _leaf_inertia(hierarchy)
     hierarchy = build_hierarchy(dataset, config)
     return hierarchy, global_objective(hierarchy, dataset, reg)
 

@@ -1,4 +1,4 @@
-"""Domain types shared by all modules: datasets, node data, cluster models,
+"""Domain types shared by all modules: datasets, node data, a node's split,
 tree nodes and the hierarchy, plus subsetting and ancestor-chain extraction.
 
 Cluster labels are 1-based everywhere ({1..K}); node ids are assigned in
@@ -97,47 +97,34 @@ class NodeData:
 
 
 @dataclass(frozen=True, eq=False)
-class ClusterModels:
-    """K x P weight matrix; row k is the linear model of cluster k."""
+class Split:
+    """A node's split, from split_node to export: labels[i] in {1..K} gives
+    the cluster of the node's i-th member (aligned with data.indices), row k
+    of the K x P weights is the linear model of cluster k (a centroid in a
+    k-means-built tree), and score is what the builder ranked the leaf by
+    (None when nothing ranked it). trace holds split_node's objective at the
+    start and after each half-step; iterations counts its alternations."""
 
+    labels: np.ndarray
     weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] < 2:
-            raise ValidationError(f"weights must be K x P with K >= 2, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("weights contain NaN or Inf")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+    score: float | None = None
+    trace: tuple[float, ...] = ()
 
     @property
-    def k(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.weights.shape[1]
+    def iterations(self) -> int:
+        return max(0, (len(self.trace) - 1) // 2)
 
 
 @dataclass
 class TreeNode:
-    """One node of the hierarchy.
-
-    models / labels / split_score are set when the node is split; labels[i]
-    in {1..K} gives the cluster of the i-th member (aligned with
-    data.indices). For k-means-built trees the model rows are centroids.
-    """
+    """One node of the hierarchy; split is set when the node is split."""
 
     id: int
     data: NodeData
     depth: int = 0
     parent_id: int | None = None
     child_ids: list[int] = field(default_factory=list)
-    models: ClusterModels | None = None
-    labels: np.ndarray | None = None
-    split_score: float | None = None
+    split: Split | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -180,6 +167,20 @@ class Hierarchy:
     def non_leaves(self) -> list[TreeNode]:
         return [n for n in self.nodes.values() if not n.is_leaf]
 
+    def add_children(self, node: TreeNode, split: Split) -> None:
+        """Record the node's split and create its K children, cluster k's
+        members as child k, with ids in creation order."""
+        node.split = split
+        for cluster in range(1, split.weights.shape[0] + 1):
+            child = TreeNode(
+                id=max(self.nodes) + 1,
+                data=subset(node.data.parent, node.data.indices[split.labels == cluster]),
+                depth=node.depth + 1,
+                parent_id=node.id,
+            )
+            self.nodes[child.id] = child
+            node.child_ids.append(child.id)
+
 
 def flat_hierarchy(dataset: Dataset, labels: np.ndarray, centroids: np.ndarray) -> Hierarchy:
     """Wrap a flat partition (labels in {1..K}, one centroid row per
@@ -192,19 +193,7 @@ def flat_hierarchy(dataset: Dataset, labels: np.ndarray, centroids: np.ndarray) 
         hierarchy.incomplete = True
         logger.warning("no splittable leaf remains before the stopping criterion was met")
         return hierarchy
-    root = hierarchy.root
-    root.models = ClusterModels(weights=centroids)
-    root.labels = labels
-    k = centroids.shape[0]
-    for cluster in range(1, k + 1):
-        child = TreeNode(
-            id=cluster + 1,
-            data=subset(dataset, root.data.indices[labels == cluster]),
-            depth=1,
-            parent_id=root.id,
-        )
-        hierarchy.nodes[child.id] = child
-        root.child_ids.append(child.id)
+    hierarchy.add_children(hierarchy.root, Split(labels, centroids))
     return hierarchy
 
 
@@ -213,34 +202,16 @@ def subset(dataset: Dataset, indices) -> NodeData:
     return NodeData(parent=dataset, indices=np.asarray(indices, dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class AncestorChain:
-    """Per-ancestor (models, chosen_child) pairs from the root down to the
-    node's parent; chosen_child in {1..K_a} is the child taken on the path.
-    Empty for the root."""
-
-    entries: tuple[tuple[ClusterModels, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-EMPTY_CHAIN = AncestorChain(entries=())
-
-
-def ancestor_chain(hierarchy: Hierarchy, node_id: int) -> AncestorChain:
-    """Walk root -> parent collecting each ancestor's models and which of its
-    children leads to the target node."""
-    node = hierarchy.node(node_id)
-    entries = []
-    child = node
+def ancestor_chain(hierarchy: Hierarchy, node_id: int) -> tuple[np.ndarray, ...]:
+    """The ancestors' weight rows on the path from the root down to the
+    node: each ancestor's row of the child the path takes. Empty for the
+    root."""
+    rows = []
+    child = hierarchy.node(node_id)
     while child.parent_id is not None:
         parent = hierarchy.node(child.parent_id)
-        if parent.models is None:
-            raise StructureError(f"ancestor {parent.id} of node {node_id} has no fitted models")
-        chosen = parent.child_ids.index(child.id) + 1
-        entries.append((parent.models, chosen))
+        if parent.split is None:
+            raise StructureError(f"ancestor {parent.id} of node {node_id} has no fitted split")
+        rows.append(parent.split.weights[parent.child_ids.index(child.id)])
         child = parent
-    entries.reverse()
-    return AncestorChain(entries=tuple(entries))
-
+    return tuple(reversed(rows))

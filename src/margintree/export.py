@@ -36,10 +36,10 @@ def hierarchy_to_dict(hierarchy: Hierarchy, top_features: int = 3) -> dict:
             "depth": node.depth,
             "size": node.data.size,
             "children": list(node.child_ids),
-            "split_score": None if node.split_score is None else float(node.split_score),
+            "split_score": None if node.split is None or node.split.score is None else float(node.split.score),
         }
-        if node.child_ids and node.models is not None:
-            norms = np.linalg.norm(node.models.weights, axis=0)
+        if node.child_ids and node.split is not None:
+            norms = np.linalg.norm(node.split.weights, axis=0)
             order = np.argsort(-norms, kind="stable")
             record["top_features"] = [int(i) for i in order[:top_features]]
         if node.is_leaf:
@@ -90,13 +90,18 @@ def export_hierarchy(hierarchy: Hierarchy, path: str, format: str = "json", top_
         fh.write(text)
 
 
-def load_hierarchy_json(path: str) -> dict:
-    """The payload hierarchy_to_dict wrote to an exported json file."""
+def read_json(path: str):
+    """The json value in the file at path; a malformed file is a ValidationError."""
     with open(path) as fh:
         try:
-            payload = json.load(fh)
+            return json.load(fh)
         except ValueError as err:  # malformed json or undecodable bytes
             raise ValidationError(f"{path}: not a json file ({err})") from None
+
+
+def load_hierarchy_json(path: str) -> dict:
+    """The payload hierarchy_to_dict wrote to an exported json file."""
+    payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != SCHEMA_NAME:
         raise ValidationError(f"{path}: not a {SCHEMA_NAME} file")
     if "root" not in payload or "nodes" not in payload:

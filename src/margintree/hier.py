@@ -1,9 +1,10 @@
 """Greedy top-down hierarchy construction with per-leaf split caching.
 
 Every round finalizes the leaf with the highest splitting score (ties to the
-lowest node id) and adds its K children as new leaves. A leaf's candidate
-split is computed once, with a seed derived from the run seed and the node
-id, so results do not depend on evaluation order and caching is transparent.
+lowest node id): Hierarchy.add_children records its Split and adds its K
+children as new leaves. A leaf's candidate Split is computed once, with a
+seed derived from the run seed and the node id, so results do not depend on
+evaluation order and caching is transparent.
 With an upper bound on a leaf's score (the max-margin builder at K = 2), a
 round evaluates leaves in decreasing bound and leaves out those whose bound
 is below the best score found: a lazy greedy evaluation that picks the same
@@ -20,10 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ClusterModels, Dataset, Hierarchy, TreeNode, ancestor_chain, subset
+from .core import Dataset, Hierarchy, Split, TreeNode, ancestor_chain
 from .errors import UnsplittableNodeError, ValidationError
 from .objective import Regularizer, RegularizerConfig, node_objective
-from .split import SplitResult, score_bound, split_node
+from .split import score_bound, split_node
 
 logger = logging.getLogger(__name__)
 
@@ -71,25 +72,15 @@ def should_stop(hierarchy: Hierarchy, stop: StoppingCriterion) -> bool:
     return hierarchy.height() >= stop.max_height
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A leaf's candidate split: its labels, the fitted models and the score
-    the builder ranks leaves by."""
-
-    labels: np.ndarray
-    models: ClusterModels
-    score: float
-
-
 def grow_tree(
     dataset: Dataset,
     k: int,
     stop: StoppingCriterion,
-    evaluate: Callable[[Hierarchy, TreeNode], Candidate],
+    evaluate: Callable[[Hierarchy, TreeNode], Split],
     bound: Callable[[Hierarchy, TreeNode], float] | None = None,
 ) -> Hierarchy:
     """Shared greedy builder used by the max-margin method and the k-means
-    baselines; `evaluate` returns a leaf's candidate split (labels, models,
+    baselines; `evaluate` returns a leaf's candidate Split (labels, weights,
     score). A leaf it raises UnsplittableNodeError on, or whose candidate
     leaves a cluster empty, is unsplittable.
 
@@ -103,12 +94,11 @@ def grow_tree(
     if dataset.n < k:
         raise ValidationError(f"dataset of {dataset.n} instances cannot be split into {k} clusters")
     hierarchy = Hierarchy.with_root(dataset)
-    cache: dict[int, Candidate | None] = {}
+    cache: dict[int, Split | None] = {}
     bounds: dict[int, float] = {}
-    next_id = 2
     round_no = 0
 
-    def scored() -> list[tuple[int, Candidate]]:
+    def scored() -> list[tuple[int, Split]]:
         return [
             (leaf.id, cache[leaf.id])
             for leaf in hierarchy.leaves()
@@ -151,21 +141,7 @@ def grow_tree(
             break
         best_id, best = max(candidates, key=lambda item: (item[1].score, -item[0]))
 
-        node = hierarchy.node(best_id)
-        node.models = best.models
-        node.labels = best.labels
-        node.split_score = best.score
-        for cluster in range(1, k + 1):
-            member_positions = node.data.indices[best.labels == cluster]
-            child = TreeNode(
-                id=next_id,
-                data=subset(dataset, member_positions),
-                depth=node.depth + 1,
-                parent_id=node.id,
-            )
-            hierarchy.nodes[next_id] = child
-            node.child_ids.append(next_id)
-            next_id += 1
+        hierarchy.add_children(hierarchy.node(best_id), best)
         round_no += 1
         logger.info(
             "round %d: split node %d (score %.6e), %d leaves",
@@ -183,11 +159,10 @@ def build_hierarchy(dataset: Dataset, config: BuildConfig) -> Hierarchy:
     K >= 3 the weights are not antisymmetric, no bound holds, and it
     evaluates every leaf."""
 
-    def evaluate(hierarchy: Hierarchy, leaf: TreeNode) -> Candidate:
-        result: SplitResult = split_node(
+    def evaluate(hierarchy: Hierarchy, leaf: TreeNode) -> Split:
+        return split_node(
             leaf.data, ancestor_chain(hierarchy, leaf.id), config.k, config.reg, node_seed(config.seed, leaf.id)
         )
-        return Candidate(labels=result.labels, models=result.models, score=result.score)
 
     def bound(hierarchy: Hierarchy, leaf: TreeNode) -> float:
         x = leaf.data.features
@@ -201,9 +176,9 @@ def global_objective(hierarchy: Hierarchy, dataset: Dataset, reg: RegularizerCon
     (reporting only; the builder never materializes this)."""
     total = 0.0
     for node in hierarchy.non_leaves():
-        if node.models is None or node.labels is None:
+        if node.split is None:
             raise ValidationError(f"non-leaf node {node.id} has no fitted split")
-        w = node.models.weights
+        w = node.split.weights
         regularizer = Regularizer(reg, ancestor_chain(hierarchy, node.id), *w.shape)
-        total += node_objective(w, node.labels, regularizer, node.data.features)
+        total += node_objective(w, node.split.labels, regularizer, node.data.features)
     return total

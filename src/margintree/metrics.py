@@ -32,6 +32,10 @@ class ClassTree:
         self.root = root
         self.children = {node: tuple(kids) for node, kids in children.items()}
         self.leaf_classes = dict(leaf_classes)
+        try:
+            hash((root, *self.leaf_classes.values(), *itertools.chain(*self.children.values())))
+        except TypeError:
+            raise StructureError("class tree nodes and classes must be hashable") from None
 
         reachable = set()
         stack = [root]

@@ -16,12 +16,13 @@ and the exclusive overlap with the frozen ancestor-path models
 which for fixed ancestors is a weighted l1 norm with per-feature weights
 lambda_E. At the root (no ancestors) E and lambda_E are identically zero.
 
-A Regularizer is built once per split: it computes lambda_E and the group
-normalization lambda_G = 1/(P K) from the ancestor chain, and holds the one
-table of variants, each with its value and the coefficients of its prox.
+A Regularizer is built once per split: it computes lambda_E from the
+ancestor chain (core.ancestor_chain: the ancestors' weight rows on the path)
+and the group normalization lambda_G = 1/(P K), and holds the one table of
+variants, each with its value and the coefficients of its prox.
 
-Every function here takes arrays: K x P weights w and n x P features x. The
-tree's ClusterModels and NodeData stay with the callers that build the tree.
+Every function here takes arrays: K x P weights w, n x P features x and the
+chain's P-vectors; the tree's Split and NodeData stay with its builders.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AncestorChain
 from .errors import ValidationError
 
 VARIANTS = ("sparse_group", "group_only", "exclusive_only", "l1", "squared_l2")
@@ -193,12 +193,12 @@ def group_reg(w: np.ndarray) -> float:
     return float(column_norms(w).sum() / (w.shape[1] * w.shape[0]))
 
 
-def exclusive_weights(chain: AncestorChain, k: int, p: int) -> np.ndarray:
-    """Read-only per-feature l1 weights lambda_E from the ancestor-path
-    models; zero at the root."""
+def exclusive_weights(chain: tuple[np.ndarray, ...], k: int, p: int) -> np.ndarray:
+    """Read-only per-feature l1 weights lambda_E from the ancestor rows on
+    the path, root first; zero at the root."""
     lam = np.zeros(p)
-    for models, chosen_child in chain.entries:
-        lam += np.abs(models.weights[chosen_child - 1])
+    for row in chain:
+        lam += np.abs(row)
     if len(chain):
         lam /= k * len(chain) * p
     lam.setflags(write=False)
@@ -219,7 +219,7 @@ class Regularizer:
     score.
     """
 
-    def __init__(self, config: RegularizerConfig, chain: AncestorChain, k: int, p: int):
+    def __init__(self, config: RegularizerConfig, chain: tuple[np.ndarray, ...], k: int, p: int):
         self.config = config
         self.lambda_g = 1.0 / (p * k)
         self.lambda_e = exclusive_weights(chain, k, p)
@@ -259,7 +259,7 @@ class Regularizer:
         return self._value(w, norms)
 
 
-def regularizer_value(w: np.ndarray, chain: AncestorChain, config: RegularizerConfig) -> float:
+def regularizer_value(w: np.ndarray, chain: tuple[np.ndarray, ...], config: RegularizerConfig) -> float:
     """The variant-selected regularization term (everything except the hinge)."""
     return Regularizer(config, chain, *w.shape).value(w)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AncestorChain, ClusterModels, NodeData
+from .core import NodeData, Split
 from .errors import SolverError, UnsplittableNodeError
 from .flow import solve_balanced_assignment
 from .kmeans import kmeans
@@ -41,16 +41,6 @@ def _slack(rel: float, objective: float) -> float:
 class BalanceBounds:
     lower: int
     upper: int
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    models: ClusterModels
-    labels: np.ndarray
-    objective: float
-    score: float
-    iterations: int
-    trace: tuple[float, ...] = ()
 
 
 def balance_bounds(n: int, k: int) -> BalanceBounds:
@@ -120,13 +110,13 @@ def score_bound(x: np.ndarray, regularizer: Regularizer) -> float:
     return float("inf") if np.isnan(bound) else bound
 
 
-def split_node(data: NodeData, chain: AncestorChain, k: int, reg: RegularizerConfig, seed: int) -> SplitResult:
+def split_node(data: NodeData, chain: tuple[np.ndarray, ...], k: int, reg: RegularizerConfig, seed: int) -> Split:
     """Alternate weight fitting and balanced assignment until the labels
     reach a fixed point, the relative objective change drops below
     REL_OBJ_TOL, or MAX_ALTERNATIONS alternations are done. The split's
-    Regularizer (lambda_E from the ancestor chain) is built once, here; the
-    rest runs on arrays, and the fitted weights become one ClusterModels at
-    the end."""
+    Regularizer (lambda_E from the ancestor rows of core.ancestor_chain) is
+    built once, here; the rest runs on arrays. The split's objective is the
+    last entry of its trace."""
     x = data.features  # one copy of the node's rows for the whole split
     regularizer = Regularizer(reg, chain, k, x.shape[1])
     bounds = balance_bounds(data.size, k)
@@ -162,11 +152,4 @@ def split_node(data: NodeData, chain: AncestorChain, k: int, reg: RegularizerCon
 
     score = _score(w, labels, x, regularizer)
     logger.debug("split converged: n=%d iterations=%d objective=%.6e score=%.6e", data.size, iterations, trace[-1], score)
-    return SplitResult(
-        models=ClusterModels(weights=w),
-        labels=labels,
-        objective=trace[-1],
-        score=score,
-        iterations=iterations,
-        trace=tuple(trace),
-    )
+    return Split(labels, w, score, tuple(trace))

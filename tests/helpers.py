@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from margintree.core import ClusterModels, Dataset, Hierarchy, TreeNode, subset
+from margintree.core import Dataset, Hierarchy, Split
 
 
 def blob_dataset(seed: int, centers, per_blob: int = 10, spread: float = 0.3) -> Dataset:
@@ -29,10 +29,10 @@ def random_problem(rng: np.random.Generator, n_max=20, p_max=10, k_max=4):
 
 def manual_hierarchy(dataset: Dataset, structure: dict[int, list[list[int]]]) -> Hierarchy:
     """Build a hierarchy by hand from {node_id: list of child member-index
-    lists}; node 1 is the root owning all rows. Splits get placeholder
-    models and consistent labels."""
+    lists}; node 1 is the root owning all rows. Each split gets placeholder
+    weights and the labels of its groups, and Hierarchy.add_children makes
+    the children, as the builders do."""
     hierarchy = Hierarchy.with_root(dataset)
-    next_id = 2
     pending = [1]
     while pending:
         node_id = pending.pop(0)
@@ -46,17 +46,6 @@ def manual_hierarchy(dataset: Dataset, structure: dict[int, list[list[int]]]) ->
             for m in members:
                 labels[position[m]] = cluster
         assert labels.min() >= 1, "structure must cover every member"
-        node.labels = labels
-        node.models = ClusterModels(weights=np.eye(len(groups), dataset.p))
-        for members in groups:
-            child = TreeNode(
-                id=next_id,
-                data=subset(dataset, np.asarray(members, dtype=np.int64)),
-                depth=node.depth + 1,
-                parent_id=node_id,
-            )
-            hierarchy.nodes[next_id] = child
-            node.child_ids.append(next_id)
-            pending.append(next_id)
-            next_id += 1
+        hierarchy.add_children(node, Split(labels, np.eye(len(groups), dataset.p)))
+        pending.extend(node.child_ids)
     return hierarchy

@@ -157,8 +157,8 @@ def _regularizer_terms(chain, reg, k: int, p: int) -> tuple[np.ndarray, float, f
     variant's regularizer, from the definitions."""
     lam_g = 1.0 / (p * k)
     lam_e = np.zeros(p)
-    for models, child in chain.entries:
-        lam_e += np.abs(models.weights[child - 1])
+    for row in chain:
+        lam_e += np.abs(row)
     if len(chain):
         lam_e /= k * len(chain) * p
     a, b = reg.alpha, reg.beta

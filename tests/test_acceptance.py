@@ -21,7 +21,7 @@ from margintree import (
     kmeans,
     score_hierarchy,
 )
-from margintree.core import EMPTY_CHAIN, subset
+from margintree.core import subset
 from margintree.export import hierarchy_to_dict, render_json
 from margintree.flow import solve_balanced_assignment
 from margintree.metrics import semantic_score_partition
@@ -127,7 +127,7 @@ def test_criterion_4_monotone_alternating_descent():
         else:
             ds = Dataset(features=rng.normal(size=(24, 5)), ids=np.arange(24))
         nd = subset(ds, np.arange(ds.n))
-        result = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), seed=trial)
+        result = split_node(nd, (), 2, RegularizerConfig(0.01, 0.01), seed=trial)
         assert result.iterations <= 50
         for before, after in zip(result.trace, result.trace[1:]):
             assert after <= before + 1e-8 * max(1.0, abs(before)), f"objective rose on trial {trial}"
@@ -196,16 +196,16 @@ def test_criterion_6_exclusive_sparsity_effect(planted_runs):
     details = []
     for ds, truth, hierarchy in runs:
         root = hierarchy.root
-        w_root = np.abs(root.models.weights)
+        w_root = np.abs(root.split.weights)
         root_l1_frac = w_root[:, level1].sum() / w_root.sum()
         root_l2_frac = w_root[:, level2].sum() / w_root.sum()
         child_ok = True
         for child_id in root.child_ids:
             child = hierarchy.nodes[child_id]
-            if child.models is None:
+            if child.split is None:
                 child_ok = False
                 continue
-            w_child = np.abs(child.models.weights)
+            w_child = np.abs(child.split.weights)
             if w_child[:, level2].sum() / w_child.sum() <= root_l2_frac:
                 child_ok = False
         if root_l1_frac >= 0.6 and child_ok:
@@ -281,7 +281,7 @@ def test_criterion_9_variant_toggles():
     ds, _ = generate_synthetic(SyntheticSpec(per_class=25, seed=0))
 
     def sparsity(h):
-        weights = np.concatenate([n.models.weights.ravel() for n in h.non_leaves()])
+        weights = np.concatenate([n.split.weights.ravel() for n in h.non_leaves()])
         return float(np.mean(weights == 0.0))
 
     results = {}

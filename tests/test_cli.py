@@ -72,12 +72,10 @@ class TestExport:
         assert text.count("->") == 6
 
     def test_top_features_single_column(self, tmp_path):
-        from margintree.core import ClusterModels
-
         h = self.small_hierarchy()
         w = np.zeros((2, 4))
         w[:, 2] = [1.0, -2.0]
-        h.nodes[1].models = ClusterModels(weights=w)
+        h.nodes[1].split = dataclasses.replace(h.nodes[1].split, weights=w)
         payload = hierarchy_to_dict(h)
         root_record = next(r for r in payload["nodes"] if r["id"] == 1)
         assert root_record["top_features"][0] == 2
@@ -360,6 +358,35 @@ class TestInputErrors:
     @staticmethod
     def flat_hierarchy(data, path):
         assert main(["cluster", "--input", data, "--method", "kmeans_flat", "--hierarchy-out", str(path)]) == 0
+
+    DAMAGED_TRUTH = {  # file text, and the message ({path}: the file's path)
+        "truncated": ('{"root": "r", "children": {"r": [', "{path}: not a json file"),
+        "no_root": ('{"children": {}}', "{path}: a truth tree needs a root"),
+        "children_list": (
+            '{"root": "r", "children": [], "leaf_classes": {}}',
+            "{path}: a truth tree needs a children object of lists",
+        ),
+        "nested_node": (  # found by metrics.ClassTree, as for a library caller
+            '{"root": "r", "children": {"r": [["a"]]}, "leaf_classes": {}}',
+            "class tree nodes and classes must be hashable",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["evaluate", "cluster"])
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_TRUTH))
+    def test_damaged_truth_tree(self, planted_files, tmp_path, capsys, command, damage):
+        data, _ = planted_files
+        text, message = self.DAMAGED_TRUTH[damage]
+        truth = tmp_path / "truth.json"
+        truth.write_text(text)
+        hier_path = tmp_path / "h.json"
+        if command == "evaluate":
+            self.flat_hierarchy(data, hier_path)
+            argv = ["evaluate", "--hierarchy", str(hier_path), "--input", data, "--label-column"]
+        else:
+            argv = ["cluster", "--input", data, "--label-column", "--method", "kmeans_flat"]
+        capsys.readouterr()
+        self.check(capsys, [*argv, "--truth-tree", str(truth)], message.format(path=truth))
 
     def test_instance_in_two_leaves(self, planted_files, tmp_path, capsys):
         # evaluate scores each input instance in exactly one leaf: a member copied

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from margintree import Dataset, ValidationError
-from margintree.core import ClusterModels, ancestor_chain, subset
+from margintree.core import ancestor_chain, subset
 from margintree.errors import StructureError
 from margintree.export import hierarchy_to_dict
 from margintree.metrics import leaf_of
@@ -56,16 +57,6 @@ class TestSubset:
         assert np.array_equal(nd.ids, ds.ids)
 
 
-class TestClusterModels:
-    def test_requires_two_rows(self):
-        with pytest.raises(ValidationError):
-            ClusterModels(weights=np.ones((1, 3)))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValidationError):
-            ClusterModels(weights=np.array([[1.0, np.inf], [0.0, 1.0]]))
-
-
 class TestAncestorChain:
     def make_two_level(self):
         ds = blob_dataset(0, [[0, 0]], per_blob=8)
@@ -77,18 +68,22 @@ class TestAncestorChain:
 
     def test_depth_two_chain(self):
         h = self.make_two_level()
+        # distinct weights at the two ancestors, so a reversed chain or one
+        # read from the wrong ancestor fails
+        h.nodes[2].split = dataclasses.replace(h.nodes[2].split, weights=2 * np.eye(2))
         # node 4 is the first child of node 2, which is the first child of root
         chain = ancestor_chain(h, 4)
         assert len(chain) == 2
-        assert chain.entries[0][0] is h.nodes[1].models
-        assert chain.entries[0][1] == 1
-        assert chain.entries[1][1] == 1
+        assert np.shares_memory(chain[0], h.nodes[1].split.weights)
+        assert np.shares_memory(chain[1], h.nodes[2].split.weights)
+        assert np.array_equal(chain[0], [1, 0]) and np.array_equal(chain[1], [2, 0])
 
     def test_chosen_child_tracks_route(self):
         h = self.make_two_level()
         chain = ancestor_chain(h, 3)  # second child of root
         assert len(chain) == 1
-        assert chain.entries[0][1] == 2
+        assert np.array_equal(chain[0], h.nodes[1].split.weights[1])
+        assert not np.array_equal(chain[0], h.nodes[1].split.weights[0])
 
     def test_chain_length_equals_depth(self):
         h = self.make_two_level()
@@ -102,7 +97,7 @@ class TestAncestorChain:
 
     def test_missing_models(self):
         h = self.make_two_level()
-        h.nodes[1].models = None
+        h.nodes[1].split = None
         with pytest.raises(StructureError):
             ancestor_chain(h, 2)
 

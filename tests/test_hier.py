@@ -19,10 +19,10 @@ from margintree import (
 )
 import margintree.hier
 from margintree.cli import ExperimentSpec, build_method, main
-from margintree.core import ClusterModels, Hierarchy, ancestor_chain
+from margintree.core import Hierarchy, Split, ancestor_chain
 from margintree.errors import UnsplittableNodeError
 from margintree.export import hierarchy_to_dict, render_json
-from margintree.hier import Candidate, grow_tree, node_seed, should_stop
+from margintree.hier import grow_tree, node_seed, should_stop
 from margintree.metrics import leaf_of
 from margintree.objective import VARIANTS
 from margintree.split import split_node
@@ -134,7 +134,7 @@ class TestBuildHierarchy:
 
         def evaluate(hierarchy, leaf):
             labels = np.arange(leaf.data.size) % (k - 1 if leaf.id == 1 else k) + 1
-            return Candidate(labels, ClusterModels(np.eye(k, 2)), 1.0)
+            return Split(labels, np.eye(k, 2), 1.0)
 
         h = grow_tree(ds, k, StoppingCriterion(max_leaves=k), evaluate)
         assert h.incomplete
@@ -153,9 +153,9 @@ class TestBuildHierarchy:
         h = build_hierarchy(ds, cfg)
         for node in h.non_leaves():
             fresh = split_node(node.data, ancestor_chain(h, node.id), cfg.k, cfg.reg, node_seed(cfg.seed, node.id))
-            assert np.array_equal(fresh.labels, node.labels)
-            assert np.array_equal(fresh.models.weights, node.models.weights)
-            assert fresh.score == node.split_score
+            assert np.array_equal(fresh.labels, node.split.labels)
+            assert np.array_equal(fresh.weights, node.split.weights)
+            assert fresh.score == node.split.score
 
 
 class TestGlobalObjective:
@@ -165,15 +165,14 @@ class TestGlobalObjective:
         assert global_objective(h, ds, RegularizerConfig()) == 0.0
 
     def test_single_split_equals_node_objective(self):
-        from margintree.core import EMPTY_CHAIN
         from margintree.objective import Regularizer, node_objective
 
         ds, _ = planted()
         cfg = quick_config(StoppingCriterion(max_leaves=2))
         h = build_hierarchy(ds, cfg)
         root = h.root
-        regularizer = Regularizer(cfg.reg, EMPTY_CHAIN, *root.models.weights.shape)
-        expected = node_objective(root.models.weights, root.labels, regularizer, root.data.features)
+        regularizer = Regularizer(cfg.reg, (), *root.split.weights.shape)
+        expected = node_objective(root.split.weights, root.split.labels, regularizer, root.data.features)
         assert global_objective(h, ds, cfg.reg) == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative_finite(self):
@@ -216,7 +215,7 @@ class TestBoundedRounds:
                 raise UnsplittableNodeError("made up")
             labels = np.arange(leaf.data.size) % k + 1
             rng.shuffle(labels)
-            return Candidate(labels, ClusterModels(np.eye(k, 2)), -np.inf if kind < 0.2 else score)
+            return Split(labels, np.eye(k, 2), -np.inf if kind < 0.2 else score)
 
         def bound(hierarchy, leaf):
             rng = draw(leaf.id)
@@ -249,10 +248,10 @@ class TestBoundedRounds:
         # the final round splits node 3 and never evaluates the n=50 leaves 4 and 5
         winner = h.node(h.node(7).parent_id)
         assert message.startswith("round 3: deferred leaves 5 (bound ")
-        assert message.endswith(f"below the best score {winner.split_score:.6e}")
+        assert message.endswith(f"below the best score {winner.split.score:.6e}")
         bounds = [float(part.split(")")[0]) for part in message.split("(bound ")[1:]]
         assert ", 4 (bound " in message and bounds == sorted(bounds, reverse=True)
-        assert winner.split_score > bounds[0]
+        assert winner.split.score > bounds[0]
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="margintree.hier"):
             build_hierarchy(ds, cfg)

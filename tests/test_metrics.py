@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from margintree import ClassTree, Dataset, ValidationError, export_hierarchy, load_hierarchy_json, rand_index
+from margintree.errors import StructureError
 from margintree.export import hierarchy_to_dict
 from margintree.metrics import flat_class_tree, score_hierarchy, score_leaves, semantic_score_partition
 from helpers import manual_hierarchy
@@ -30,6 +31,22 @@ def sp(tree, a, b):
 def ps(tree, a, b):
     """Path-sharing similarity of classes a and b, read from the tree's table."""
     return tree.ps_table()[tree.class_index(a), tree.class_index(b)]
+
+
+class TestClassTreeStructure:
+    @pytest.mark.parametrize(
+        "root, children, leaf_classes",
+        [
+            (["r"], {}, {}),
+            ("r", {"r": [["a"]]}, {}),
+            ("r", {"r": ["a"]}, {"a": {"c": 1}}),
+        ],
+        ids=["root", "child", "class"],
+    )
+    def test_unhashable_node_or_class(self, root, children, leaf_classes):
+        # a json list or object as a node or class is invalid input, not a TypeError
+        with pytest.raises(StructureError, match="must be hashable"):
+            ClassTree(root=root, children=children, leaf_classes=leaf_classes)
 
 
 class TestShortestPath:

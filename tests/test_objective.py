@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from margintree import RegularizerConfig, ValidationError
-from margintree.core import EMPTY_CHAIN, AncestorChain, ClusterModels
 from margintree.objective import (
     VARIANTS,
     Regularizer,
@@ -31,13 +30,8 @@ from oracles import (
 
 
 def chain_of(*ancestor_rows):
-    """Chain whose ancestors each have a single relevant row (chosen child 1)."""
-    entries = []
-    for row in ancestor_rows:
-        row = np.asarray(row, dtype=float)
-        w = np.vstack([row, np.zeros_like(row)])
-        entries.append((ClusterModels(weights=w), 1))
-    return AncestorChain(entries=tuple(entries))
+    """The chain of ancestor rows taken on the path, as core.ancestor_chain returns it."""
+    return tuple(np.asarray(row, dtype=float) for row in ancestor_rows)
 
 
 EXCLUSIVE = RegularizerConfig(alpha=0.0, beta=1.0, variant="exclusive_only")
@@ -254,7 +248,7 @@ class TestGroupReg:
 
 class TestExclusive:
     def test_empty_chain_zero_vector(self):
-        lam = exclusive_weights(EMPTY_CHAIN, 2, 5)
+        lam = exclusive_weights((), 2, 5)
         assert np.array_equal(lam, np.zeros(5))
 
     def test_hand_lambda(self):
@@ -270,7 +264,7 @@ class TestExclusive:
         assert np.allclose(lam2, 2 * lam1)
 
     def test_empty_chain_reg_zero(self):
-        assert exclusive_terms(np.ones((2, 4)), EMPTY_CHAIN) == (0.0, 0.0)
+        assert exclusive_terms(np.ones((2, 4)), ()) == (0.0, 0.0)
 
     def test_hand_reg(self):
         chain = chain_of([3.0, 0.0])
@@ -289,7 +283,7 @@ class TestExclusive:
 
 
 class TestRegularizer:
-    CHAINS = {"root": EMPTY_CHAIN, "two_ancestors": chain_of([1.0, -2.0, 0.0, 0.5], [0.0, 3.0, -1.0, 0.25])}
+    CHAINS = {"root": (), "two_ancestors": chain_of([1.0, -2.0, 0.0, 0.5], [0.0, 3.0, -1.0, 0.25])}
 
     @staticmethod
     def by_formula(w, chain, cfg):
@@ -353,20 +347,20 @@ class TestRegularizer:
 class TestNodeObjective:
     def test_zero_composition(self):
         x = np.random.default_rng(10).normal(size=(8, 3))
-        regularizer = Regularizer(RegularizerConfig(1.0, 1.0), EMPTY_CHAIN, 2, 3)
+        regularizer = Regularizer(RegularizerConfig(1.0, 1.0), (), 2, 3)
         val = node_objective(np.zeros((2, 3)), np.ones(8, dtype=int), regularizer, x)
         assert val == pytest.approx(0.5)
 
     def test_dominates_hinge(self):
         rng = np.random.default_rng(11)
         w, x, labels = random_problem(rng)
-        regularizer = Regularizer(RegularizerConfig(alpha=0.3, beta=0.7), EMPTY_CHAIN, *w.shape)
+        regularizer = Regularizer(RegularizerConfig(alpha=0.3, beta=0.7), (), *w.shape)
         assert node_objective(w, labels, regularizer, x) >= hinge_loss(w, x, labels)
 
     def test_separable_equals_group(self):
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
         x = np.array([[2.0, 0.0], [0.0, 2.0]])
-        regularizer = Regularizer(RegularizerConfig(alpha=1.0, beta=0.0), EMPTY_CHAIN, 2, 2)
+        regularizer = Regularizer(RegularizerConfig(alpha=1.0, beta=0.0), (), 2, 2)
         assert node_objective(w, [1, 2], regularizer, x) == pytest.approx(group_reg(w))
 
     @pytest.mark.parametrize("variant", ["group_only", "l1", "squared_l2", "sparse_group"])

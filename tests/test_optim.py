@@ -34,7 +34,7 @@ from margintree.optim import (
     solve_w,
 )
 from margintree.cli import restart_seed
-from margintree.core import EMPTY_CHAIN, ancestor_chain, subset
+from margintree.core import ancestor_chain, subset
 from margintree.hier import BuildConfig, StoppingCriterion, build_hierarchy
 from margintree.objective import (
     VARIANTS,
@@ -176,7 +176,7 @@ class TestProxSparseGroup:
         rng = np.random.default_rng(6)
         w = rng.normal(size=(2, 3))
         reg = RegularizerConfig(alpha=1.5, beta=0.0, variant="squared_l2")
-        spec = Regularizer(reg, EMPTY_CHAIN, 2, 3)
+        spec = Regularizer(reg, (), 2, 3)
         out = prox_sparse_group(w, spec, 2.0)
         assert np.allclose(out, w / (1.0 + 2.0 * 2.0 * 1.5 / 6.0))
 
@@ -226,7 +226,7 @@ class TestProxJacobian:
     def test_central_differences(self, variant, chain_name):
         rng = np.random.default_rng(23)
         k, p = 3, 5
-        chain = EMPTY_CHAIN if chain_name == "root" else chain_of(rng.uniform(0, 2, p), rng.uniform(0, 2, p))
+        chain = () if chain_name == "root" else chain_of(rng.uniform(0, 2, p), rng.uniform(0, 2, p))
         spec = Regularizer(RegularizerConfig(alpha=2.0, beta=3.0, variant=variant), chain, k, p)
         for s in (0.5, 2.0):
             w = self.away_from_thresholds(rng, spec, s, k, p)
@@ -285,7 +285,7 @@ class TestRegularizerValueFromShrunkenNorms:
     def test_equals_value(self, variant, chain_name):
         rng = np.random.default_rng(25)
         k, p = 3, 12
-        chain = EMPTY_CHAIN if chain_name == "root" else chain_of(rng.uniform(0, 2, p), rng.uniform(0, 2, p))
+        chain = () if chain_name == "root" else chain_of(rng.uniform(0, 2, p), rng.uniform(0, 2, p))
         spec = Regularizer(RegularizerConfig(alpha=0.5, beta=0.5, variant=variant), chain, k, p)
         for s in (0.1, 1.0, 10.0, 1e4):
             v = rng.normal(size=(k, p)) * rng.uniform(0.01, 2.0, size=p)  # some columns shrink to zero
@@ -312,13 +312,13 @@ class TestSolveW:
     def test_separable_drives_loss_to_zero(self):
         x, labels = self.separable_node()
         reg = RegularizerConfig(alpha=0.0, beta=0.0)
-        w = solve_w(x, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), np.zeros((2, 2)))
+        w = solve_w(x, labels, Regularizer(reg, (), 2, 2), np.zeros((2, 2)))
         assert hinge_loss(w, x, labels) <= 1e-6
 
     def test_huge_alpha_returns_zero(self):
         x, labels = self.separable_node()
         reg = RegularizerConfig(alpha=1e6, beta=0.0)
-        w = solve_w(x, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), np.zeros((2, 2)))
+        w = solve_w(x, labels, Regularizer(reg, (), 2, 2), np.zeros((2, 2)))
         assert np.array_equal(w, np.zeros((2, 2)))
 
     def test_final_objective_not_above_start(self):
@@ -327,7 +327,7 @@ class TestSolveW:
             n, p = 15, 4
             ds = blob_dataset(int(rng.integers(1e6)), [[1.0] * p, [-1.0] * p], per_blob=n // 2 + 1, spread=1.0)
             labels = rng.integers(1, 3, size=ds.n)
-            regularizer = Regularizer(RegularizerConfig(alpha=0.1, beta=0.1), EMPTY_CHAIN, 2, p)
+            regularizer = Regularizer(RegularizerConfig(alpha=0.1, beta=0.1), (), 2, p)
             w0 = rng.normal(size=(2, p))
             w = solve_w(ds.features, labels, regularizer, w0)
             before = node_objective(w0, labels, regularizer, ds.features)
@@ -342,7 +342,7 @@ class TestSolveW:
             x = rng.normal(size=(n, p))
             labels = rng.integers(1, 3, size=n)
             alpha = float(rng.uniform(0.05, 0.5))
-            regularizer = Regularizer(RegularizerConfig(alpha=alpha, beta=0.0, variant="squared_l2"), EMPTY_CHAIN, 2, p)
+            regularizer = Regularizer(RegularizerConfig(alpha=alpha, beta=0.0, variant="squared_l2"), (), 2, p)
             w = solve_w(x, labels, regularizer, np.zeros((2, p)))
             ours = node_objective(w, labels, regularizer, x)
             oracle = gradient_descent_smooth_oracle(x, labels, alpha, 2)
@@ -376,16 +376,16 @@ class TestSolveW:
         x, labels = self.separable_node()
         x = x * magnitude
         reg = RegularizerConfig(alpha=0.01, beta=0.0)
-        w = solve_w(x, labels, Regularizer(reg, EMPTY_CHAIN, 2, 2), np.zeros((2, 2)))
+        w = solve_w(x, labels, Regularizer(reg, (), 2, 2), np.zeros((2, 2)))
         assert np.any(w != 0.0)
-        assert weight_update_residual(w, x, labels, EMPTY_CHAIN, reg) <= 1e-5
+        assert weight_update_residual(w, x, labels, (), reg) <= 1e-5
 
     def test_zero_gradient_at_zero_returns_zero(self):
         # identical rows, balanced labels: the hinge gradient at w = 0 vanishes, so w = 0 is optimal
         x = np.ones((4, 3))
         labels = np.array([1, 2, 1, 2])
         w0 = np.arange(6.0).reshape(2, 3)
-        w = solve_w(x, labels, Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 3), w0)
+        w = solve_w(x, labels, Regularizer(RegularizerConfig(), (), 2, 3), w0)
         assert np.array_equal(w, np.zeros((2, 3)))
 
 
@@ -398,7 +398,7 @@ class TestStopConstants:
     @staticmethod
     def node(k):
         ds = blob_dataset(3, [[4.0, 0.0], [-4.0, 0.0], [0.0, 4.0]][:k], per_blob=6, spread=0.5)
-        regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), EMPTY_CHAIN, k, 2)
+        regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), (), k, 2)
         return ds.features, ds.labels + 1, regularizer
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -454,7 +454,7 @@ class TestProxSignedZeros:
     def test_prox_sparse_group(self, variant, chain_name):
         w = signed_zero_weights()
         k, p = w.shape
-        chain = EMPTY_CHAIN if chain_name == "root" else chain_of(np.linspace(-2.0, 2.0, p), np.ones(p))
+        chain = () if chain_name == "root" else chain_of(np.linspace(-2.0, 2.0, p), np.ones(p))
         reg = RegularizerConfig(alpha=0.5, beta=2.0, variant=variant)
         spec = Regularizer(reg, chain, k, p)
         for s in (0.01, 0.3, 1.0, 4.0):
@@ -478,7 +478,7 @@ class TestWeightUpdateOptimality:
     @staticmethod
     def chain(name, p):
         if name == "root":
-            return EMPTY_CHAIN
+            return ()
         rng = np.random.default_rng(21)
         return chain_of(rng.normal(size=p), rng.normal(size=p))
 
@@ -543,7 +543,7 @@ class TestDualNewtonSpaces:
         x = rng.normal(size=(n, p))
         labels = rng.integers(1, k + 1, size=n)
         w = rng.normal(size=(k, p)) * 0.3
-        chain = EMPTY_CHAIN if chain_name == "root" else chain_of(rng.normal(size=p), rng.normal(size=p))
+        chain = () if chain_name == "root" else chain_of(rng.normal(size=p), rng.normal(size=p))
         regularizer = Regularizer(RegularizerConfig(alpha=0.3, beta=0.3, variant=variant), chain, k, p)
         margins = label_margins(w, x, labels)
         return rng, x, labels, w, chain, regularizer, (x, margins.y0, margins.active), 2.0 / (n * k)
@@ -668,7 +668,7 @@ class TestDualNewtonSpaces:
             return hessian(margins)
 
         monkeypatch.setattr(margintree.objective.Margins, "hessian", spy_hessian)
-        regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), EMPTY_CHAIN, 4, p)
+        regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), (), 4, p)
         solve_w(x, labels, regularizer, np.zeros((4, p)))
         assert {name for name, _ in spaces} == {"margin", "weight"}
         assert all(smaller == (name == "margin") for name, smaller in spaces)
@@ -694,7 +694,7 @@ class TestPairCoordinates:
 
     @staticmethod
     def node_and_pair(variant, chain_name, n, p, rng, alpha=2.0, beta=3.0):
-        chain = EMPTY_CHAIN if chain_name == "root" else chain_of(rng.normal(size=p), rng.normal(size=p))
+        chain = () if chain_name == "root" else chain_of(rng.normal(size=p), rng.normal(size=p))
         regularizer = Regularizer(RegularizerConfig(alpha=alpha, beta=beta, variant=variant), chain, 2, p)
         x, labels = rng.normal(size=(n, p)), rng.integers(1, 3, size=n)
         return x, labels, regularizer, _Pair(label_margins(np.zeros((2, p)), x, labels), regularizer)
@@ -841,7 +841,7 @@ class TestDualLineSearch:
         n, p = sizes
         x, labels = rng.normal(size=(n, p)), rng.integers(1, k + 1, size=n)
         w = rng.normal(size=(k, p)) * 0.3
-        chain = chain_of(rng.normal(size=p), rng.normal(size=p)) if seed % 2 else EMPTY_CHAIN
+        chain = chain_of(rng.normal(size=p), rng.normal(size=p)) if seed % 2 else ()
         regularizer = Regularizer(RegularizerConfig(alpha=0.3, beta=0.3, variant=variant), chain, k, p)
         at_zero = label_margins(np.zeros_like(w), x, labels)
         space = _Pair(at_zero, regularizer) if coords == "pair" else _General(at_zero, regularizer)
@@ -1001,7 +1001,7 @@ class TestNoDescentStop:
         rng = np.random.default_rng(84)
         x = rng.normal(size=(60, 8))
         labels = rng.integers(1, 3, size=60)
-        regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), EMPTY_CHAIN, 2, 8)
+        regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), (), 2, 8)
         w, messages = self.stops(caplog, solve, x, labels, regularizer)
         residual = stop_residual(w, x, labels, regularizer)
         assert residual > 1e-8
@@ -1012,7 +1012,7 @@ class TestNoDescentStop:
 
     def test_not_logged_when_the_residual_test_stops(self, caplog):
         x, labels = TestPairPathMatchesGeneral.node("random")
-        regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), EMPTY_CHAIN, 2, 8)
+        regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), (), 2, 8)
         w, messages = self.stops(caplog, solve_w, x, labels, regularizer)
         assert stop_residual(w, x, labels, regularizer) <= 1e-8
         assert messages == []
@@ -1092,7 +1092,7 @@ def iterate_path(workload, skipped=True):
         if skipped:
             del calls[:]
             last = hierarchy.node(max(hierarchy.nodes))
-            path["winning"] = hierarchy.node(last.parent_id).split_score
+            path["winning"] = hierarchy.node(last.parent_id).split.score
             path["skipped"] = []
             for node_id in sorted(set(range(1, len(PARENT_PATH[workload][1]) + 1)) - set(nodes)):
                 leaf, chain = hierarchy.node(node_id), ancestor_chain(hierarchy, node_id)

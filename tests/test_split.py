@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import margintree.split
 from margintree import Dataset, RegularizerConfig, SyntheticSpec, generate_synthetic, rand_index
-from margintree.core import EMPTY_CHAIN, NodeData, ancestor_chain, subset
+from margintree.core import NodeData, ancestor_chain, subset
 from margintree.errors import UnsplittableNodeError
-from margintree.hier import BuildConfig, Candidate, StoppingCriterion, grow_tree, node_seed
+from margintree.hier import BuildConfig, StoppingCriterion, grow_tree, node_seed
 from margintree.objective import VARIANTS, Regularizer, group_reg, hinge_loss
 from margintree.split import _score, balance_bounds, init_assignment, score_bound, split_node
 from helpers import blob_dataset
@@ -70,28 +70,28 @@ class TestSplitNode:
     def test_recovers_blobs(self):
         ds = blob_dataset(3, [[5.0, 0.0, 0.0], [-5.0, 0.0, 0.0]], per_blob=15, spread=0.5)
         nd = subset(ds, np.arange(30))
-        res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(1e-4, 1e-4), seed=0)
+        res = split_node(nd, (), 2, RegularizerConfig(1e-4, 1e-4), seed=0)
         assert rand_index(res.labels, ds.labels) == 1.0
-        assert hinge_loss(res.models.weights, nd.features, res.labels) <= 1e-4
+        assert hinge_loss(res.weights, nd.features, res.labels) <= 1e-4
 
     def test_zero_alternations(self, monkeypatch):
         monkeypatch.setattr(margintree.split, "MAX_ALTERNATIONS", 0)
         ds = blob_dataset(4, [[4.0, 0.0], [-4.0, 0.0]], per_blob=8, spread=0.5)
         nd = subset(ds, np.arange(16))
-        res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), seed=0)
+        res = split_node(nd, (), 2, RegularizerConfig(0.01, 0.01), seed=0)
         init = init_assignment(nd.features, 2, balance_bounds(16, 2), seed=0)
         assert np.array_equal(res.labels, init)
         assert res.iterations == 0
-        assert np.isfinite(res.objective)
+        assert np.isfinite(res.trace[-1])
 
     def test_alternation_budget_caps_iterations(self, monkeypatch):
         ds = Dataset(features=np.random.default_rng(4).normal(size=(30, 4)), ids=np.arange(30))
         nd = subset(ds, np.arange(30))
-        assert split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(1.0, 1.0), seed=0).iterations > 1
+        assert split_node(nd, (), 2, RegularizerConfig(1.0, 1.0), seed=0).iterations > 1
         monkeypatch.setattr(margintree.split, "MAX_ALTERNATIONS", 1)
-        res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(1.0, 1.0), seed=0)
+        res = split_node(nd, (), 2, RegularizerConfig(1.0, 1.0), seed=0)
         assert res.iterations == 1 and len(res.trace) == 3
-        assert np.isfinite(res.objective)
+        assert np.isfinite(res.trace[-1])
 
     def test_monotone_trace_over_seeds(self):
         rng = np.random.default_rng(5)
@@ -103,7 +103,7 @@ class TestSplitNode:
 
                 ds = Dataset(features=rng.normal(size=(20, 4)), ids=np.arange(20))
             nd = subset(ds, np.arange(20))
-            res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), seed=trial)
+            res = split_node(nd, (), 2, RegularizerConfig(0.01, 0.01), seed=trial)
             assert res.iterations <= 50
             for a, b in zip(res.trace, res.trace[1:]):
                 assert b <= a + 1e-8 * max(1.0, abs(a))
@@ -111,7 +111,7 @@ class TestSplitNode:
     def test_cluster_sizes_within_bounds(self):
         ds = blob_dataset(6, [[2.0, 0.0], [-2.0, 0.0]], per_blob=11, spread=1.5)
         nd = subset(ds, np.arange(22))
-        res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), seed=1)
+        res = split_node(nd, (), 2, RegularizerConfig(0.01, 0.01), seed=1)
         b = balance_bounds(22, 2)
         sizes = np.bincount(res.labels - 1, minlength=2)
         assert sizes.min() >= b.lower and sizes.max() <= b.upper
@@ -119,11 +119,11 @@ class TestSplitNode:
     def test_deterministic(self):
         ds = blob_dataset(7, [[2.0, 1.0], [-2.0, -1.0]], per_blob=10, spread=1.0)
         nd = subset(ds, np.arange(20))
-        a = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), seed=9)
-        b = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), seed=9)
+        a = split_node(nd, (), 2, RegularizerConfig(0.01, 0.01), seed=9)
+        b = split_node(nd, (), 2, RegularizerConfig(0.01, 0.01), seed=9)
         assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.models.weights, b.models.weights)
-        assert a.objective == b.objective
+        assert np.array_equal(a.weights, b.weights)
+        assert a.trace[-1] == b.trace[-1]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_objective_at_rounding_level_does_not_raise(self, seed):
@@ -132,8 +132,8 @@ class TestSplitNode:
         ds = blob_dataset(seed, [[5.0, 0.0, 0.0], [-5.0, 0.0, 0.0]], per_blob=15, spread=0.5)
         nd = subset(ds, np.arange(30))
         reg = RegularizerConfig(0.01, 0.01, variant="exclusive_only")
-        res = split_node(nd, EMPTY_CHAIN, 2, reg, seed=seed)
-        assert 0.0 <= res.objective <= 1e-12
+        res = split_node(nd, (), 2, reg, seed=seed)
+        assert 0.0 <= res.trace[-1] <= 1e-12
         assert rand_index(res.labels, ds.labels) == 1.0
 
     def test_reads_node_features_once(self, monkeypatch):
@@ -149,7 +149,7 @@ class TestSplitNode:
             return original.fget(node)
 
         monkeypatch.setattr(NodeData, "features", property(counting))
-        res = split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(0.01, 0.01), seed=3)
+        res = split_node(nd, (), 2, RegularizerConfig(0.01, 0.01), seed=3)
         assert res.iterations >= 1
         assert len(reads) == 1
 
@@ -157,17 +157,17 @@ class TestSplitNode:
         ds = blob_dataset(8, [[0.0, 0.0]], per_blob=1)
         nd = subset(ds, [0])
         with pytest.raises(UnsplittableNodeError):
-            split_node(nd, EMPTY_CHAIN, 2, RegularizerConfig(), seed=0)
+            split_node(nd, (), 2, RegularizerConfig(), seed=0)
 
 
 class TestSplittingScore:
     def test_hand_value(self):
         x = np.array([[2.0, 0.0], [0.0, 2.0]])
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert _score(w, np.array([1, 2]), x, Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 2)) == pytest.approx(8.0)
+        assert _score(w, np.array([1, 2]), x, Regularizer(RegularizerConfig(), (), 2, 2)) == pytest.approx(8.0)
 
     def test_zero_models_sentinel(self):
-        regularizer = Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 2)
+        regularizer = Regularizer(RegularizerConfig(), (), 2, 2)
         assert _score(np.zeros((2, 2)), np.array([1, 2, 1]), np.ones((3, 2)), regularizer) == float("-inf")
 
     def test_scale_invariance(self):
@@ -175,7 +175,7 @@ class TestSplittingScore:
         x = rng.normal(size=(6, 3))
         w = rng.normal(size=(2, 3))
         labels = rng.integers(1, 3, size=6)
-        regularizer = Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 3)
+        regularizer = Regularizer(RegularizerConfig(), (), 2, 3)
         s1 = _score(w, labels, x, regularizer)
         s2 = _score(3.0 * w, labels, x, regularizer)
         assert s1 == pytest.approx(s2, rel=1e-9)
@@ -186,7 +186,7 @@ class TestSplittingScore:
         chain = chain_of([0.5, -1.0, 2.0], [1.0, 0.0, -0.5])
         reg = RegularizerConfig(alpha=0.05, beta=0.05)
         result = split_node(nd, chain, 2, reg, seed=0)
-        w = result.models.weights
+        w = result.weights
         numer = float((nd.features @ w.T)[np.arange(nd.size), result.labels - 1].sum())
         assert _score(w, result.labels, nd.features, Regularizer(reg, chain, *w.shape)) == result.score
         assert result.score == numer / (group_reg(w) + exclusive_terms(w, chain)[1])
@@ -219,7 +219,7 @@ def antisymmetric_weights(p, rng):
     return [np.stack((v, -v)) for v in vs if v.any()]
 
 
-CHAINS = {"root": EMPTY_CHAIN, "two_ancestors": chain_of([0.5, -1.0, 0.0, 2.0], [1.0, 0.0, -0.25, 0.3])}
+CHAINS = {"root": (), "two_ancestors": chain_of([0.5, -1.0, 0.0, 2.0], [1.0, 0.0, -0.25, 0.3])}
 
 
 class TestScoreBound:
@@ -273,13 +273,13 @@ class TestScoreBound:
     def test_zero_rows_bound_only_the_rounding(self):
         x = np.zeros((6, 3))
         x[0, 0] = 1e-300
-        assert 0.0 < score_bound(x, Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 3)) < 1e-290
+        assert 0.0 < score_bound(x, Regularizer(RegularizerConfig(), (), 2, 3)) < 1e-290
 
     def test_overflowing_column_is_no_bound(self):
         # the column sums overflow to inf - inf; an infinite bound keeps the leaf evaluated
         x = np.array([[1e308], [1e308], [-1e308], [-1e308]])
         with np.errstate(over="ignore", invalid="ignore"):
-            assert score_bound(x, Regularizer(RegularizerConfig(), EMPTY_CHAIN, 2, 1)) == float("inf")
+            assert score_bound(x, Regularizer(RegularizerConfig(), (), 2, 1)) == float("inf")
 
     SHAPES = {"planted-small": (2, 50), "planted-large": (2, 400), "planted-wide": (4, 50)}
 
@@ -297,7 +297,7 @@ class TestScoreBound:
             x = leaf.data.features
             assert result.score <= score_bound(x, Regularizer(config.reg, chain, 2, x.shape[1]))
             checked.append(leaf.id)
-            return Candidate(labels=result.labels, models=result.models, score=result.score)
+            return result
 
         grow_tree(ds, 2, config.stop, evaluate)
         assert len(checked) == 7
