@@ -9,6 +9,7 @@ the weights of the node's Split.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -33,14 +34,14 @@ def hkm_d_split_score(x: np.ndarray) -> float:
 
 def _build(dataset: Dataset, config: BuildConfig, score: Callable[[KMeansResult, np.ndarray], float]) -> Hierarchy:
     """The greedy builder with a k-means split per leaf, ranked by score of
-    the split and the leaf's features (read once per leaf)."""
+    the split and the leaf's features (read once per leaf); no score bound."""
 
-    def evaluate(hierarchy: Hierarchy, leaf: TreeNode) -> Split:
+    def split(leaf: TreeNode) -> Split:
         x = leaf.data.features
         result = kmeans(x, config.k, node_seed(config.seed, leaf.id))
         return Split(result.labels, result.centroids, score(result, x))
 
-    return grow_tree(dataset, config.k, config.stop, evaluate)
+    return grow_tree(dataset, config.k, config.stop, lambda hierarchy, leaf: (math.inf, lambda: split(leaf)))
 
 
 def build_hkm(dataset: Dataset, config: BuildConfig) -> Hierarchy:

@@ -140,25 +140,25 @@ def build_method(dataset: Dataset, spec: ExperimentSpec, seed: int) -> tuple[Hie
         hierarchy = (build_hkm if spec.method == "hkm" else build_hkm_d)(dataset, config)
         return hierarchy, _leaf_inertia(hierarchy)
     hierarchy = build_hierarchy(dataset, config)
-    return hierarchy, global_objective(hierarchy, dataset, reg)
+    return hierarchy, global_objective(hierarchy)
 
 
-def _evaluate_against_truth(dataset: Dataset, hierarchy, truth_tree: str | None) -> dict:
+def _evaluate_against_truth(dataset: Dataset, hierarchy, truth: ClassTree | None) -> dict:
     """RI/SP/PS of a built or reloaded hierarchy (see score_hierarchy)
-    against the truth tree file, or against a flat truth tree over the
-    labels when none is given."""
-    truth = load_class_tree(truth_tree) if truth_tree else None
+    against the loaded truth tree, or against a flat truth tree over the
+    labels when there is none."""
     return score_hierarchy(hierarchy, dataset, truth)
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
-    """Load data, run the method over its restarts keeping the best run by
-    the method's own objective, score against ground truth when available,
-    and write the requested outputs."""
+    """Load and check the inputs (the truth tree too) before any build, run
+    the method over its restarts keeping the best run by its own objective,
+    score against ground truth when available, and write the outputs."""
     started = time.perf_counter()
     dataset = load_dataset(spec.input, spec.format, spec.label_column)
     if spec.truth_tree and dataset.labels is None:
         raise ValidationError("--truth-tree needs ground-truth labels (--label-column or libsvm labels)")
+    truth = load_class_tree(spec.truth_tree) if spec.truth_tree else None
     if spec.pca_dim is not None:
         if spec.standardize:
             dataset = standardize(dataset)
@@ -191,7 +191,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     }
 
     if dataset.labels is not None:
-        report["metrics"] = _evaluate_against_truth(dataset, hierarchy, spec.truth_tree)
+        report["metrics"] = _evaluate_against_truth(dataset, hierarchy, truth)
 
     outputs = {}
     if spec.hierarchy_out:
@@ -353,7 +353,8 @@ def _cmd_evaluate(args) -> int:
     dataset = load_dataset(args.input, args.format, args.label_column)
     if dataset.labels is None:
         raise ValidationError("evaluate requires ground-truth labels (--label-column or libsvm labels)")
-    metrics = _evaluate_against_truth(dataset, payload, args.truth_tree)
+    truth = load_class_tree(args.truth_tree) if args.truth_tree else None
+    metrics = _evaluate_against_truth(dataset, payload, truth)
     report = {"hierarchy": args.hierarchy, "input": args.input, "metrics": metrics}
     if args.report_out:
         _write(args.report_out, render_json(report))

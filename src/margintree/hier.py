@@ -2,14 +2,15 @@
 
 Every round finalizes the leaf with the highest splitting score (ties to the
 lowest node id): Hierarchy.add_children records its Split and adds its K
-children as new leaves. A leaf's candidate Split is computed once, with a
-seed derived from the run seed and the node id, so results do not depend on
-evaluation order and caching is transparent.
-With an upper bound on a leaf's score (the max-margin builder at K = 2), a
-round evaluates leaves in decreasing bound and leaves out those whose bound
-is below the best score found: a lazy greedy evaluation that picks the same
-leaf as evaluating every candidate, without solving the losers. Otherwise
-every splittable leaf gets its candidate.
+children as new leaves. A leaf is prepared once: the builder's candidate
+callback reads its rows and returns an upper bound on its score with a
+callable that computes its Split, with a seed derived from the run seed and
+the node id, so results do not depend on evaluation order and caching is
+transparent. A round evaluates leaves in decreasing bound and leaves out
+those whose bound is below the best score found: a lazy greedy evaluation
+that picks the same leaf as evaluating every candidate, without solving the
+losers. A builder without a bound (math.inf) evaluates every splittable
+leaf. The split objective of a built tree is read from its split records.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from .core import Dataset, Hierarchy, Split, TreeNode, ancestor_chain
 from .errors import UnsplittableNodeError, ValidationError
-from .objective import Regularizer, RegularizerConfig, node_objective
+from .objective import Regularizer, RegularizerConfig
+from .objective import node_objective  # noqa: F401  perfbench/layers.py traces calls through hier.node_objective
 from .split import score_bound, split_node
 
 logger = logging.getLogger(__name__)
@@ -76,26 +78,23 @@ def grow_tree(
     dataset: Dataset,
     k: int,
     stop: StoppingCriterion,
-    evaluate: Callable[[Hierarchy, TreeNode], Split],
-    bound: Callable[[Hierarchy, TreeNode], float] | None = None,
+    candidate: Callable[[Hierarchy, TreeNode], tuple[float, Callable[[], Split]]],
 ) -> Hierarchy:
     """Shared greedy builder used by the max-margin method and the k-means
-    baselines; `evaluate` returns a leaf's candidate Split (labels, weights,
-    score). A leaf it raises UnsplittableNodeError on, or whose candidate
-    leaves a cluster empty, is unsplittable.
-
-    `bound`, when given, returns an upper bound on the score of a leaf's
-    candidate; it is computed once per leaf. Each round then evaluates the
-    pending leaves in decreasing bound (ties to the lowest id) and leaves
-    uncached every leaf whose bound is below the best score among the
-    current leaves: that leaf cannot win the round, and a later round
-    evaluates it if its bound no longer falls short. The chosen leaves are
-    those of evaluating every leaf."""
+    baselines. `candidate(hierarchy, leaf)`, called once per splittable leaf,
+    returns an upper bound on the leaf's score (math.inf where the builder
+    has none) and a callable returning its candidate Split. A leaf whose
+    split raises UnsplittableNodeError, or leaves a cluster empty, is
+    unsplittable. Each round evaluates the pending leaves in decreasing
+    bound (ties to the lowest id) and leaves unevaluated every leaf whose
+    bound is below the best score among the current leaves: that leaf cannot
+    win the round, and a later round evaluates it if its bound no longer
+    falls short. The chosen leaves are those of evaluating every leaf."""
     if dataset.n < k:
         raise ValidationError(f"dataset of {dataset.n} instances cannot be split into {k} clusters")
     hierarchy = Hierarchy.with_root(dataset)
     cache: dict[int, Split | None] = {}
-    bounds: dict[int, float] = {}
+    prepared: dict[int, tuple[float, Callable[[], Split]]] = {}  # pending leaves, popped when evaluated
     round_no = 0
 
     def scored() -> list[tuple[int, Split]]:
@@ -113,26 +112,26 @@ def grow_tree(
             if leaf.data.size < k:
                 cache[leaf.id] = None
                 continue
-            if leaf.id not in bounds:
-                bounds[leaf.id] = math.inf if bound is None else bound(hierarchy, leaf)
+            if leaf.id not in prepared:
+                prepared[leaf.id] = candidate(hierarchy, leaf)
             pending.append(leaf)
-        pending.sort(key=lambda node: -bounds[node.id])  # stable: equal bounds stay in id order
-        best = max((candidate.score for _, candidate in scored()), default=-math.inf)
+        pending.sort(key=lambda node: -prepared[node.id][0])  # stable: equal bounds stay in id order
+        best = max((split.score for _, split in scored()), default=-math.inf)
         for position, leaf in enumerate(pending):
-            if bounds[leaf.id] < best:
+            if prepared[leaf.id][0] < best:
                 if logger.isEnabledFor(logging.DEBUG):
-                    deferred = ", ".join(f"{node.id} (bound {bounds[node.id]:.6e})" for node in pending[position:])
+                    deferred = ", ".join(f"{node.id} (bound {prepared[node.id][0]:.6e})" for node in pending[position:])
                     logger.debug("round %d: deferred leaves %s below the best score %.6e", round_no + 1, deferred, best)
                 break
             try:
-                candidate = evaluate(hierarchy, leaf)
+                split = prepared.pop(leaf.id)[1]()
             except UnsplittableNodeError:
-                candidate = None
-            if candidate is not None and np.unique(candidate.labels).size < k:
-                candidate = None  # an empty cluster would be an empty leaf
-            cache[leaf.id] = candidate
-            if candidate is not None and np.isfinite(candidate.score):
-                best = max(best, candidate.score)
+                split = None
+            if split is not None and np.unique(split.labels).size < k:
+                split = None  # an empty cluster would be an empty leaf
+            cache[leaf.id] = split
+            if split is not None and np.isfinite(split.score):
+                best = max(best, split.score)
 
         candidates = scored()
         if not candidates:
@@ -154,31 +153,26 @@ def grow_tree(
 
 
 def build_hierarchy(dataset: Dataset, config: BuildConfig) -> Hierarchy:
-    """Greedy max-margin hierarchy over the dataset. At K = 2 the builder
-    skips candidates whose score_bound is below the round's best score; at
-    K >= 3 the weights are not antisymmetric, no bound holds, and it
-    evaluates every leaf."""
+    """Greedy max-margin hierarchy over the dataset. A leaf's rows and
+    Regularizer are made once, for its score bound and its split_node call;
+    the bound is score_bound at K = 2, and none is implemented at K >= 3."""
 
-    def evaluate(hierarchy: Hierarchy, leaf: TreeNode) -> Split:
-        return split_node(
-            leaf.data, ancestor_chain(hierarchy, leaf.id), config.k, config.reg, node_seed(config.seed, leaf.id)
-        )
+    def candidate(hierarchy: Hierarchy, leaf: TreeNode) -> tuple[float, Callable[[], Split]]:
+        x = leaf.data.features  # the leaf's one copy of its rows
+        regularizer = Regularizer(config.reg, ancestor_chain(hierarchy, leaf.id), config.k, x.shape[1])
+        seed = node_seed(config.seed, leaf.id)
+        bound = score_bound(x, regularizer) if config.k == 2 else math.inf
+        return bound, lambda: split_node(x, regularizer, config.k, seed)
 
-    def bound(hierarchy: Hierarchy, leaf: TreeNode) -> float:
-        x = leaf.data.features
-        return score_bound(x, Regularizer(config.reg, ancestor_chain(hierarchy, leaf.id), 2, x.shape[1]))
-
-    return grow_tree(dataset, config.k, config.stop, evaluate, bound if config.k == 2 else None)
+    return grow_tree(dataset, config.k, config.stop, candidate)
 
 
-def global_objective(hierarchy: Hierarchy, dataset: Dataset, reg: RegularizerConfig) -> float:
-    """Sum of the per-split objectives over all fitted non-leaf nodes
-    (reporting only; the builder never materializes this)."""
+def global_objective(hierarchy: Hierarchy) -> float:
+    """Sum of the split objectives, each the last trace entry of a non-leaf's
+    split; a k-means-built or hand-built tree has none and is an error."""
     total = 0.0
     for node in hierarchy.non_leaves():
-        if node.split is None:
-            raise ValidationError(f"non-leaf node {node.id} has no fitted split")
-        w = node.split.weights
-        regularizer = Regularizer(reg, ancestor_chain(hierarchy, node.id), *w.shape)
-        total += node_objective(w, node.split.labels, regularizer, node.data.features)
+        if node.split is None or not node.split.trace:
+            raise ValidationError(f"non-leaf node {node.id} has no fitted split objective")
+        total += node.split.trace[-1]
     return total

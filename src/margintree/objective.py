@@ -220,7 +220,6 @@ class Regularizer:
     """
 
     def __init__(self, config: RegularizerConfig, chain: tuple[np.ndarray, ...], k: int, p: int):
-        self.config = config
         self.lambda_g = 1.0 / (p * k)
         self.lambda_e = exclusive_weights(chain, k, p)
         self._has_ancestors = len(chain) > 0

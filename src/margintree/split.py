@@ -1,6 +1,7 @@
-"""Splitting one node: balance bounds, seeded initialization, alternating
-descent between the weight update and the balanced assignment, and the
-splitting score used by the greedy hierarchy builder.
+"""Splitting one node, given its n x P feature array and its split's
+Regularizer: balance bounds, seeded initialization, alternating descent
+between the weight update and the balanced assignment, and the splitting
+score and its K = 2 upper bound used by the greedy hierarchy builder.
 
 The alternation fixes labels and solves for weights (convex), then fixes
 weights and solves the balanced assignment exactly by min-cost flow; both
@@ -15,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NodeData, Split
+from .core import Split
 from .errors import SolverError, UnsplittableNodeError
 from .flow import solve_balanced_assignment
 from .kmeans import kmeans
-from .objective import Regularizer, RegularizerConfig, cost_matrix, node_objective
+from .objective import Regularizer, cost_matrix, node_objective
 from .optim import SQRT2, solve_w
 
 logger = logging.getLogger(__name__)
@@ -110,16 +111,14 @@ def score_bound(x: np.ndarray, regularizer: Regularizer) -> float:
     return float("inf") if np.isnan(bound) else bound
 
 
-def split_node(data: NodeData, chain: tuple[np.ndarray, ...], k: int, reg: RegularizerConfig, seed: int) -> Split:
-    """Alternate weight fitting and balanced assignment until the labels
-    reach a fixed point, the relative objective change drops below
-    REL_OBJ_TOL, or MAX_ALTERNATIONS alternations are done. The split's
-    Regularizer (lambda_E from the ancestor rows of core.ancestor_chain) is
-    built once, here; the rest runs on arrays. The split's objective is the
+def split_node(x: np.ndarray, regularizer: Regularizer, k: int, seed: int) -> Split:
+    """Split the node's n x P features x into k clusters under the split's
+    regularizer (lambda_E from the ancestor rows of core.ancestor_chain):
+    alternate weight fitting and balanced assignment until the labels reach
+    a fixed point, the relative objective change drops below REL_OBJ_TOL, or
+    MAX_ALTERNATIONS alternations are done. The split's objective is the
     last entry of its trace."""
-    x = data.features  # one copy of the node's rows for the whole split
-    regularizer = Regularizer(reg, chain, k, x.shape[1])
-    bounds = balance_bounds(data.size, k)
+    bounds = balance_bounds(x.shape[0], k)
     labels = init_assignment(x, k, bounds, seed)
     w = solve_w(x, labels, regularizer, np.zeros((k, x.shape[1])))
     objective = node_objective(w, labels, regularizer, x)
@@ -151,5 +150,5 @@ def split_node(data: NodeData, chain: tuple[np.ndarray, ...], k: int, reg: Regul
             break
 
     score = _score(w, labels, x, regularizer)
-    logger.debug("split converged: n=%d iterations=%d objective=%.6e score=%.6e", data.size, iterations, trace[-1], score)
+    logger.debug("split converged: n=%d iterations=%d objective=%.6e score=%.6e", len(x), iterations, trace[-1], score)
     return Split(labels, w, score, tuple(trace))

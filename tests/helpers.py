@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from margintree.core import Dataset, Hierarchy, Split
+from margintree.objective import Regularizer, RegularizerConfig
+from margintree.split import split_node
 
 
 def blob_dataset(seed: int, centers, per_blob: int = 10, spread: float = 0.3) -> Dataset:
@@ -15,6 +17,12 @@ def blob_dataset(seed: int, centers, per_blob: int = 10, spread: float = 0.3) ->
     features = np.vstack(rows)
     labels = np.repeat(np.arange(len(centers)), per_blob)
     return Dataset(features=features, ids=np.arange(features.shape[0]), labels=labels)
+
+
+def split_rows(x: np.ndarray, chain, k: int, reg: RegularizerConfig, seed: int) -> Split:
+    """split_node on the n x P rows x under the Regularizer that reg and the
+    ancestor chain give the split, as build_hierarchy makes it."""
+    return split_node(x, Regularizer(reg, chain, k, x.shape[1]), k, seed)
 
 
 def random_problem(rng: np.random.Generator, n_max=20, p_max=10, k_max=4):

@@ -27,8 +27,8 @@ from margintree.flow import solve_balanced_assignment
 from margintree.metrics import semantic_score_partition
 from margintree.objective import hinge_grad, hinge_loss
 from margintree.optim import prox_sparse_group
-from margintree.split import balance_bounds, split_node
-from helpers import blob_dataset, manual_hierarchy, random_problem
+from margintree.split import balance_bounds
+from helpers import blob_dataset, manual_hierarchy, random_problem, split_rows
 from oracles import (
     brute_force_assignment,
     finite_difference_grad,
@@ -127,7 +127,7 @@ def test_criterion_4_monotone_alternating_descent():
         else:
             ds = Dataset(features=rng.normal(size=(24, 5)), ids=np.arange(24))
         nd = subset(ds, np.arange(ds.n))
-        result = split_node(nd, (), 2, RegularizerConfig(0.01, 0.01), seed=trial)
+        result = split_rows(nd.features, (), 2, RegularizerConfig(0.01, 0.01), seed=trial)
         assert result.iterations <= 50
         for before, after in zip(result.trace, result.trace[1:]):
             assert after <= before + 1e-8 * max(1.0, abs(before)), f"objective rose on trial {trial}"
@@ -152,7 +152,7 @@ def planted_runs():
         for restart in range(3):
             cfg = BuildConfig(k=2, stop=StoppingCriterion(max_leaves=4), reg=reg, seed=restart_seed(seed, restart))
             h = build_hierarchy(ds, cfg)
-            obj = global_objective(h, ds, reg)
+            obj = global_objective(h)
             if best is None or obj < best[0]:
                 best = (obj, h)
         runs.append((ds, truth, best[1]))

@@ -388,6 +388,19 @@ class TestInputErrors:
         capsys.readouterr()
         self.check(capsys, [*argv, "--truth-tree", str(truth)], message.format(path=truth))
 
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_TRUTH))
+    def test_damaged_truth_tree_stops_before_clustering(self, planted_files, tmp_path, capsys, monkeypatch, damage):
+        # cluster reads the truth tree with the labels, so a broken one costs no build
+        data, _ = planted_files
+        text, message = self.DAMAGED_TRUTH[damage]
+        truth = tmp_path / "truth.json"
+        truth.write_text(text)
+        builds, build = [], margintree.cli.build_method
+        monkeypatch.setattr(margintree.cli, "build_method", lambda *args: builds.append(args) or build(*args))
+        argv = ["cluster", "--input", data, "--label-column", "--truth-tree", str(truth)]
+        self.check(capsys, argv, message.format(path=truth))
+        assert builds == []
+
     def test_instance_in_two_leaves(self, planted_files, tmp_path, capsys):
         # evaluate scores each input instance in exactly one leaf: a member copied
         # into a second leaf is named, not silently moved there

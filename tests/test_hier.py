@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -19,14 +20,13 @@ from margintree import (
 )
 import margintree.hier
 from margintree.cli import ExperimentSpec, build_method, main
-from margintree.core import Hierarchy, Split, ancestor_chain
+from margintree.core import Hierarchy, NodeData, Split, ancestor_chain, flat_hierarchy
 from margintree.errors import UnsplittableNodeError
 from margintree.export import hierarchy_to_dict, render_json
 from margintree.hier import grow_tree, node_seed, should_stop
 from margintree.metrics import leaf_of
-from margintree.objective import VARIANTS
-from margintree.split import split_node
-from helpers import blob_dataset
+from margintree.objective import VARIANTS, Regularizer, node_objective
+from helpers import blob_dataset, manual_hierarchy, split_rows
 
 
 def planted(seed=0, per_class=12):
@@ -132,11 +132,11 @@ class TestBuildHierarchy:
         # the root's candidate leaves cluster k empty; every other leaf's fills each cluster
         ds = blob_dataset(0, [[0.0, 0.0]], per_blob=12)
 
-        def evaluate(hierarchy, leaf):
+        def candidate(hierarchy, leaf):
             labels = np.arange(leaf.data.size) % (k - 1 if leaf.id == 1 else k) + 1
-            return Split(labels, np.eye(k, 2), 1.0)
+            return math.inf, lambda: Split(labels, np.eye(k, 2), 1.0)
 
-        h = grow_tree(ds, k, StoppingCriterion(max_leaves=k), evaluate)
+        h = grow_tree(ds, k, StoppingCriterion(max_leaves=k), candidate)
         assert h.incomplete
         assert h.root.is_leaf
 
@@ -152,35 +152,92 @@ class TestBuildHierarchy:
         cfg = quick_config(StoppingCriterion(max_leaves=4), seed=2)
         h = build_hierarchy(ds, cfg)
         for node in h.non_leaves():
-            fresh = split_node(node.data, ancestor_chain(h, node.id), cfg.k, cfg.reg, node_seed(cfg.seed, node.id))
+            chain = ancestor_chain(h, node.id)
+            fresh = split_rows(node.data.features, chain, cfg.k, cfg.reg, node_seed(cfg.seed, node.id))
             assert np.array_equal(fresh.labels, node.split.labels)
             assert np.array_equal(fresh.weights, node.split.weights)
             assert fresh.score == node.split.score
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_each_node_rows_copied_at_most_once(self, k, monkeypatch):
+        # a leaf's bound and its split share one copy of its rows, and
+        # global_objective reads the split records, not the rows
+        ds, _ = planted(seed=3, per_class=25)
+        reads, original = [], NodeData.features
+        monkeypatch.setattr(NodeData, "features", property(lambda data: reads.append(data) or original.fget(data)))
+        h = build_hierarchy(ds, quick_config(StoppingCriterion(max_leaves=5), k=k))
+        node_of = {id(node.data): node.id for node in h.nodes.values()}
+        read = [node_of[id(data)] for data in reads]
+        assert len(read) == len(set(read))
+        assert {node.id for node in h.non_leaves()} <= set(read)
+        reads.clear()
+        global_objective(h)
+        assert reads == []
+
+
+# the builds whose objective global_objective reads from the split records:
+# (SyntheticSpec keywords, K, stopping keywords, variant)
+OBJECTIVE_BUILDS = {
+    "k2-max-leaves": ({"per_class": 12}, 2, {"max_leaves": 4}, "sparse_group"),
+    "k3-min-node-size": ({"per_class": 25}, 3, {"min_node_size": 20}, "sparse_group"),
+    "branching4-k4": ({"per_class": 12, "branching": 4}, 4, {"max_leaves": 7}, "sparse_group"),
+    "k2-exclusive_only": ({"per_class": 12}, 2, {"max_leaves": 4}, "exclusive_only"),
+    "k2-squared_l2": ({"per_class": 12}, 2, {"max_leaves": 4}, "squared_l2"),
+}
 
 
 class TestGlobalObjective:
     def test_root_only_zero(self):
         ds, _ = planted()
         h = Hierarchy.with_root(ds)
-        assert global_objective(h, ds, RegularizerConfig()) == 0.0
+        assert global_objective(h) == 0.0
 
     def test_single_split_equals_node_objective(self):
-        from margintree.objective import Regularizer, node_objective
-
         ds, _ = planted()
         cfg = quick_config(StoppingCriterion(max_leaves=2))
         h = build_hierarchy(ds, cfg)
         root = h.root
         regularizer = Regularizer(cfg.reg, (), *root.split.weights.shape)
         expected = node_objective(root.split.weights, root.split.labels, regularizer, root.data.features)
-        assert global_objective(h, ds, cfg.reg) == pytest.approx(expected, rel=1e-12)
+        assert global_objective(h) == expected
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVE_BUILDS))
+    def test_equals_trace_and_recomputed_objective(self, name):
+        # the sum of each split's last trace entry is the objective recomputed
+        # from its rows and the Regularizer of its ancestor chain, bit for bit
+        spec, k, stop, variant = OBJECTIVE_BUILDS[name]
+        ds, _ = generate_synthetic(SyntheticSpec(seed=1, **spec))
+        reg = RegularizerConfig(alpha=1e-2, beta=1e-2, variant=variant)
+        h = build_hierarchy(ds, BuildConfig(k=k, stop=StoppingCriterion(**stop), reg=reg))
+        assert len(h.non_leaves()) >= 2
+        traced, recomputed = 0.0, 0.0
+        for node in h.non_leaves():
+            w, labels = node.split.weights, node.split.labels
+            traced += node.split.trace[-1]
+            regularizer = Regularizer(reg, ancestor_chain(h, node.id), *w.shape)
+            recomputed += node_objective(w, labels, regularizer, node.data.features)
+        assert global_objective(h) == traced == recomputed
 
     def test_nonnegative_finite(self):
         ds, _ = planted(seed=9)
         cfg = quick_config(StoppingCriterion(max_leaves=4))
         h = build_hierarchy(ds, cfg)
-        value = global_objective(h, ds, cfg.reg)
+        value = global_objective(h)
         assert np.isfinite(value) and value >= 0.0
+
+    def test_split_without_objective_raises(self):
+        # hand-built and flat trees, and k-means splits, carry no split objective
+        ds, _ = planted()
+        half = ds.n // 2
+        trees = [
+            manual_hierarchy(ds, {1: [list(range(half)), list(range(half, ds.n))]}),
+            flat_hierarchy(ds, np.arange(ds.n) % 2 + 1, np.zeros((2, ds.p))),
+            build_hkm(ds, quick_config(StoppingCriterion(max_leaves=3))),
+        ]
+        for h in trees:
+            assert h.non_leaves()
+            with pytest.raises(ValidationError, match="has no fitted split objective"):
+                global_objective(h)
 
 
 class TestNodeSeed:
@@ -197,31 +254,32 @@ class TestBoundedRounds:
     STOPS = [StoppingCriterion(max_leaves=12), StoppingCriterion(min_node_size=9), StoppingCriterion(max_height=4)]
 
     @staticmethod
-    def candidates(seed, k):
-        """An evaluate and a bound over made-up candidates: integer scores, so
+    def candidates(seed, k, bounded=True):
+        """A candidate callback over made-up candidates: integer scores, so
         that scores tie, some -inf or unsplittable leaves, and bounds equal to
-        the score or above it."""
+        the score or above it (math.inf when not bounded)."""
         evaluated = []
 
         def draw(node_id):
             return np.random.default_rng([seed, node_id])
 
-        def evaluate(hierarchy, leaf):
-            evaluated.append(leaf.id)
-            rng = draw(leaf.id)
-            score = float(rng.integers(0, 6))
-            kind = rng.random()
-            if kind < 0.1:
-                raise UnsplittableNodeError("made up")
-            labels = np.arange(leaf.data.size) % k + 1
-            rng.shuffle(labels)
-            return Split(labels, np.eye(k, 2), -np.inf if kind < 0.2 else score)
+        def candidate(hierarchy, leaf):
+            def split():
+                evaluated.append(leaf.id)
+                rng = draw(leaf.id)
+                score = float(rng.integers(0, 6))
+                kind = rng.random()
+                if kind < 0.1:
+                    raise UnsplittableNodeError("made up")
+                labels = np.arange(leaf.data.size) % k + 1
+                rng.shuffle(labels)
+                return Split(labels, np.eye(k, 2), -np.inf if kind < 0.2 else score)
 
-        def bound(hierarchy, leaf):
             rng = draw(leaf.id)
-            return float(rng.integers(0, 6)) + float(rng.choice([0.0, 0.0, 0.5, 3.0], p=[0.4, 0.2, 0.2, 0.2]))
+            bound = float(rng.integers(0, 6)) + float(rng.choice([0.0, 0.0, 0.5, 3.0], p=[0.4, 0.2, 0.2, 0.2]))
+            return (bound if bounded else math.inf), split
 
-        return evaluate, bound, evaluated
+        return candidate, evaluated
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("stop", STOPS, ids=["max_leaves", "min_node_size", "max_height"])
@@ -229,10 +287,10 @@ class TestBoundedRounds:
         ds = blob_dataset(0, [[0.0, 0.0]], per_blob=64)
         saved = 0
         for seed in range(40):
-            evaluate, _, full = self.candidates(seed, k)
-            reference = grow_tree(ds, k, stop, evaluate)
-            evaluate, bound, lazy = self.candidates(seed, k)
-            bounded = grow_tree(ds, k, stop, evaluate, bound)
+            candidate, full = self.candidates(seed, k, bounded=False)
+            reference = grow_tree(ds, k, stop, candidate)
+            candidate, lazy = self.candidates(seed, k)
+            bounded = grow_tree(ds, k, stop, candidate)
             assert render_json(hierarchy_to_dict(bounded)) == render_json(hierarchy_to_dict(reference))
             assert bounded.incomplete == reference.incomplete
             assert len(lazy) == len(set(lazy)) and set(lazy) <= set(full)
@@ -306,7 +364,11 @@ class TestBoundOracle:
         deferred = [r for r in caplog.records if "deferred" in r.getMessage()]
         lazy, splits[:] = len(splits), []
         grow = margintree.hier.grow_tree
-        monkeypatch.setattr(margintree.hier, "grow_tree", lambda dataset, k, stop, evaluate, bound: grow(dataset, k, stop, evaluate))
+
+        def unbounded(dataset, k, stop, candidate):
+            return grow(dataset, k, stop, lambda hierarchy, leaf: (math.inf, candidate(hierarchy, leaf)[1]))
+
+        monkeypatch.setattr(margintree.hier, "grow_tree", unbounded)
         reference = self.run(data, ORACLE_RUNS[name], tmp_path / "reference")
         assert bounded == reference
         assert not bounded[2]["incomplete"]

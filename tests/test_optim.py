@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margintree import Dataset, RegularizerConfig, SyntheticSpec, generate_synthetic
+from margintree import RegularizerConfig, SyntheticSpec, generate_synthetic
 from margintree.optim import (
     ARMIJO_STEPS,
     DUAL_ASCENT,
@@ -34,7 +34,6 @@ from margintree.optim import (
     solve_w,
 )
 from margintree.cli import restart_seed
-from margintree.core import ancestor_chain, subset
 from margintree.hier import BuildConfig, StoppingCriterion, build_hierarchy
 from margintree.objective import (
     VARIANTS,
@@ -349,10 +348,9 @@ class TestSolveW:
             assert ours <= oracle * (1 + 1e-4) + 1e-10
 
     def test_lambda_e_computed_once_per_call(self, monkeypatch):
-        # once per split_node call, however many weight updates and objective
-        # evaluations the split makes
+        # once per split, when its Regularizer is made, however many weight
+        # updates and objective evaluations split_node makes
         x = np.random.default_rng(1).normal(size=(30, 3))
-        nd = subset(Dataset(features=x, ids=np.arange(30)), np.arange(30))
         calls, updates = [], []
         original = margintree.objective.exclusive_weights
 
@@ -367,7 +365,7 @@ class TestSolveW:
         monkeypatch.setattr(margintree.objective, "exclusive_weights", counting)
         monkeypatch.setattr(margintree.split, "solve_w", counting_solve_w)
         chain = chain_of([1.0, 0.5, 0.1], [0.2, 2.0, 1.0])
-        split_node(nd, chain, 2, RegularizerConfig(alpha=0.05, beta=0.05), seed=0)
+        split_node(x, Regularizer(RegularizerConfig(alpha=0.05, beta=0.05), chain, 2, 3), 2, seed=0)
         assert len(updates) >= 2
         assert len(calls) == 1
 
@@ -536,6 +534,10 @@ class TestDualNewtonSpaces:
     # (n, p): few margins and many free weights, or the other way round
     SIZES = {"m < free": (3, 10), "m > free": (60, 3)}
 
+    @staticmethod
+    def config(variant):
+        return RegularizerConfig(alpha=0.3, beta=0.3, variant=variant)
+
     @classmethod
     def problem(cls, k, variant, chain_name, sizes, seed):
         rng = np.random.default_rng(seed)
@@ -544,7 +546,7 @@ class TestDualNewtonSpaces:
         labels = rng.integers(1, k + 1, size=n)
         w = rng.normal(size=(k, p)) * 0.3
         chain = () if chain_name == "root" else chain_of(rng.normal(size=p), rng.normal(size=p))
-        regularizer = Regularizer(RegularizerConfig(alpha=0.3, beta=0.3, variant=variant), chain, k, p)
+        regularizer = Regularizer(cls.config(variant), chain, k, p)
         margins = label_margins(w, x, labels)
         return rng, x, labels, w, chain, regularizer, (x, margins.y0, margins.active), 2.0 / (n * k)
 
@@ -636,7 +638,7 @@ class TestDualNewtonSpaces:
         # with tol 0 each solve runs until the dual stops rising above its
         # rounding, which leaves model residuals of up to a few 1e-8 here
         for z in minimizers:
-            assert model_residual(z, w, grad, hess, self.MU, chain, regularizer.config) <= 1e-7 * np.abs(grad).max()
+            assert model_residual(z, w, grad, hess, self.MU, chain, self.config(variant)) <= 1e-7 * np.abs(grad).max()
         assert relative_gap(ours, woodbury) <= GAP
 
     def test_space_follows_sizes_and_hessian_is_lazy(self, monkeypatch):
@@ -1071,21 +1073,25 @@ def iterate_path(workload, skipped=True):
     reg = RegularizerConfig(alpha=0.01, beta=0.01)
     config = BuildConfig(k=k, stop=StoppingCriterion(max_leaves=max_leaves), reg=reg, seed=restart_seed(0, 0))
     node_of_seed = {margintree.hier.node_seed(config.seed, node_id): node_id for node_id in range(1, 64)}
-    calls, chains, nodes = [], [], []
-    split_node_, solve_w_ = margintree.hier.split_node, margintree.split.solve_w
+    calls, chains, nodes = [], {}, []
+    split_node_, solve_w_, chain_ = margintree.hier.split_node, margintree.split.solve_w, margintree.hier.ancestor_chain
 
-    def spy_split(data, chain, k, reg, seed):
-        chains.append(chain)
+    def spy_chain(hierarchy, node_id):
+        chains[node_id] = chain_(hierarchy, node_id)
+        return chains[node_id]
+
+    def spy_split(x, regularizer, k, seed):
         nodes.append(node_of_seed[seed])
-        return split_node_(data, chain, k, reg, seed)
+        return split_node_(x, regularizer, k, seed)
 
     def spy_solve(x, labels, regularizer, w0):
         w = solve_w_(x, labels, regularizer, w0)
-        residual = weight_update_residual(w, x, labels, chains[-1], reg)
+        residual = weight_update_residual(w, x, labels, chains[nodes[-1]], reg)
         calls.append((nodes[-1], node_objective(w, labels, regularizer, x), residual))
         return w
 
-    margintree.hier.split_node, margintree.split.solve_w = spy_split, spy_solve
+    margintree.hier.split_node, margintree.hier.ancestor_chain = spy_split, spy_chain
+    margintree.split.solve_w = spy_solve
     try:
         hierarchy = build_hierarchy(ds, config)
         path = {"calls": list(calls), "digest": leaf_digest(hierarchy)}
@@ -1095,14 +1101,15 @@ def iterate_path(workload, skipped=True):
             path["winning"] = hierarchy.node(last.parent_id).split.score
             path["skipped"] = []
             for node_id in sorted(set(range(1, len(PARENT_PATH[workload][1]) + 1)) - set(nodes)):
-                leaf, chain = hierarchy.node(node_id), ancestor_chain(hierarchy, node_id)
-                x = leaf.data.features
-                bound = score_bound(x, Regularizer(reg, chain, k, x.shape[1]))
-                result = spy_split(leaf.data, chain, k, reg, margintree.hier.node_seed(config.seed, node_id))
+                x = hierarchy.node(node_id).data.features
+                regularizer = Regularizer(reg, spy_chain(hierarchy, node_id), k, x.shape[1])
+                bound = score_bound(x, regularizer)
+                result = spy_split(x, regularizer, k, margintree.hier.node_seed(config.seed, node_id))
                 path["skipped"].append({"calls": list(calls), "score": result.score, "bound": bound})
                 del calls[:]
     finally:
-        margintree.hier.split_node, margintree.split.solve_w = split_node_, solve_w_
+        margintree.hier.split_node, margintree.hier.ancestor_chain = split_node_, chain_
+        margintree.split.solve_w = solve_w_
     return path
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from margintree.errors import UnsplittableNodeError
 from margintree.hier import BuildConfig, StoppingCriterion, grow_tree, node_seed
 from margintree.objective import VARIANTS, Regularizer, group_reg, hinge_loss
 from margintree.split import _score, balance_bounds, init_assignment, score_bound, split_node
-from helpers import blob_dataset
+from helpers import blob_dataset, split_rows
 from test_objective import chain_of, exclusive_terms
 
 
@@ -70,7 +72,7 @@ class TestSplitNode:
     def test_recovers_blobs(self):
         ds = blob_dataset(3, [[5.0, 0.0, 0.0], [-5.0, 0.0, 0.0]], per_blob=15, spread=0.5)
         nd = subset(ds, np.arange(30))
-        res = split_node(nd, (), 2, RegularizerConfig(1e-4, 1e-4), seed=0)
+        res = split_rows(nd.features, (), 2, RegularizerConfig(1e-4, 1e-4), seed=0)
         assert rand_index(res.labels, ds.labels) == 1.0
         assert hinge_loss(res.weights, nd.features, res.labels) <= 1e-4
 
@@ -78,7 +80,7 @@ class TestSplitNode:
         monkeypatch.setattr(margintree.split, "MAX_ALTERNATIONS", 0)
         ds = blob_dataset(4, [[4.0, 0.0], [-4.0, 0.0]], per_blob=8, spread=0.5)
         nd = subset(ds, np.arange(16))
-        res = split_node(nd, (), 2, RegularizerConfig(0.01, 0.01), seed=0)
+        res = split_rows(nd.features, (), 2, RegularizerConfig(0.01, 0.01), seed=0)
         init = init_assignment(nd.features, 2, balance_bounds(16, 2), seed=0)
         assert np.array_equal(res.labels, init)
         assert res.iterations == 0
@@ -87,9 +89,9 @@ class TestSplitNode:
     def test_alternation_budget_caps_iterations(self, monkeypatch):
         ds = Dataset(features=np.random.default_rng(4).normal(size=(30, 4)), ids=np.arange(30))
         nd = subset(ds, np.arange(30))
-        assert split_node(nd, (), 2, RegularizerConfig(1.0, 1.0), seed=0).iterations > 1
+        assert split_rows(nd.features, (), 2, RegularizerConfig(1.0, 1.0), seed=0).iterations > 1
         monkeypatch.setattr(margintree.split, "MAX_ALTERNATIONS", 1)
-        res = split_node(nd, (), 2, RegularizerConfig(1.0, 1.0), seed=0)
+        res = split_rows(nd.features, (), 2, RegularizerConfig(1.0, 1.0), seed=0)
         assert res.iterations == 1 and len(res.trace) == 3
         assert np.isfinite(res.trace[-1])
 
@@ -103,7 +105,7 @@ class TestSplitNode:
 
                 ds = Dataset(features=rng.normal(size=(20, 4)), ids=np.arange(20))
             nd = subset(ds, np.arange(20))
-            res = split_node(nd, (), 2, RegularizerConfig(0.01, 0.01), seed=trial)
+            res = split_rows(nd.features, (), 2, RegularizerConfig(0.01, 0.01), seed=trial)
             assert res.iterations <= 50
             for a, b in zip(res.trace, res.trace[1:]):
                 assert b <= a + 1e-8 * max(1.0, abs(a))
@@ -111,7 +113,7 @@ class TestSplitNode:
     def test_cluster_sizes_within_bounds(self):
         ds = blob_dataset(6, [[2.0, 0.0], [-2.0, 0.0]], per_blob=11, spread=1.5)
         nd = subset(ds, np.arange(22))
-        res = split_node(nd, (), 2, RegularizerConfig(0.01, 0.01), seed=1)
+        res = split_rows(nd.features, (), 2, RegularizerConfig(0.01, 0.01), seed=1)
         b = balance_bounds(22, 2)
         sizes = np.bincount(res.labels - 1, minlength=2)
         assert sizes.min() >= b.lower and sizes.max() <= b.upper
@@ -119,8 +121,8 @@ class TestSplitNode:
     def test_deterministic(self):
         ds = blob_dataset(7, [[2.0, 1.0], [-2.0, -1.0]], per_blob=10, spread=1.0)
         nd = subset(ds, np.arange(20))
-        a = split_node(nd, (), 2, RegularizerConfig(0.01, 0.01), seed=9)
-        b = split_node(nd, (), 2, RegularizerConfig(0.01, 0.01), seed=9)
+        a = split_rows(nd.features, (), 2, RegularizerConfig(0.01, 0.01), seed=9)
+        b = split_rows(nd.features, (), 2, RegularizerConfig(0.01, 0.01), seed=9)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.weights, b.weights)
         assert a.trace[-1] == b.trace[-1]
@@ -132,7 +134,7 @@ class TestSplitNode:
         ds = blob_dataset(seed, [[5.0, 0.0, 0.0], [-5.0, 0.0, 0.0]], per_blob=15, spread=0.5)
         nd = subset(ds, np.arange(30))
         reg = RegularizerConfig(0.01, 0.01, variant="exclusive_only")
-        res = split_node(nd, (), 2, reg, seed=seed)
+        res = split_rows(nd.features, (), 2, reg, seed=seed)
         assert 0.0 <= res.trace[-1] <= 1e-12
         assert rand_index(res.labels, ds.labels) == 1.0
 
@@ -149,7 +151,7 @@ class TestSplitNode:
             return original.fget(node)
 
         monkeypatch.setattr(NodeData, "features", property(counting))
-        res = split_node(nd, (), 2, RegularizerConfig(0.01, 0.01), seed=3)
+        res = split_rows(nd.features, (), 2, RegularizerConfig(0.01, 0.01), seed=3)
         assert res.iterations >= 1
         assert len(reads) == 1
 
@@ -157,7 +159,7 @@ class TestSplitNode:
         ds = blob_dataset(8, [[0.0, 0.0]], per_blob=1)
         nd = subset(ds, [0])
         with pytest.raises(UnsplittableNodeError):
-            split_node(nd, (), 2, RegularizerConfig(), seed=0)
+            split_rows(nd.features, (), 2, RegularizerConfig(), seed=0)
 
 
 class TestSplittingScore:
@@ -185,7 +187,7 @@ class TestSplittingScore:
         nd = subset(ds, np.arange(ds.n))
         chain = chain_of([0.5, -1.0, 2.0], [1.0, 0.0, -0.5])
         reg = RegularizerConfig(alpha=0.05, beta=0.05)
-        result = split_node(nd, chain, 2, reg, seed=0)
+        result = split_rows(nd.features, chain, 2, reg, seed=0)
         w = result.weights
         numer = float((nd.features @ w.T)[np.arange(nd.size), result.labels - 1].sum())
         assert _score(w, result.labels, nd.features, Regularizer(reg, chain, *w.shape)) == result.score
@@ -291,13 +293,17 @@ class TestScoreBound:
         config = BuildConfig(k=2, stop=StoppingCriterion(max_leaves=5), reg=RegularizerConfig())
         checked = []
 
-        def evaluate(hierarchy, leaf):
-            chain = ancestor_chain(hierarchy, leaf.id)
-            result = split_node(leaf.data, chain, 2, config.reg, node_seed(config.seed, leaf.id))
+        def candidate(hierarchy, leaf):
             x = leaf.data.features
-            assert result.score <= score_bound(x, Regularizer(config.reg, chain, 2, x.shape[1]))
-            checked.append(leaf.id)
-            return result
+            regularizer = Regularizer(config.reg, ancestor_chain(hierarchy, leaf.id), 2, x.shape[1])
 
-        grow_tree(ds, 2, config.stop, evaluate)
+            def split():
+                result = split_node(x, regularizer, 2, node_seed(config.seed, leaf.id))
+                assert result.score <= score_bound(x, regularizer)
+                checked.append(leaf.id)
+                return result
+
+            return math.inf, split
+
+        grow_tree(ds, 2, config.stop, candidate)
         assert len(checked) == 7
