@@ -100,10 +100,27 @@ def read_json(path: str):
 
 
 def load_hierarchy_json(path: str) -> dict:
-    """The payload hierarchy_to_dict wrote to an exported json file."""
+    """The payload hierarchy_to_dict wrote to an exported json file. Its
+    nodes must be objects with an integer id, a children list and a size,
+    and the root and every child must name one of them."""
     payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != SCHEMA_NAME:
         raise ValidationError(f"{path}: not a {SCHEMA_NAME} file")
     if "root" not in payload or "nodes" not in payload:
         raise ValidationError(f"{path}: a {SCHEMA_NAME} file needs a root and its nodes")
+    nodes = payload["nodes"]
+    if not isinstance(nodes, list) or not all(isinstance(record, dict) for record in nodes):
+        raise ValidationError(f"{path}: nodes must be a list of objects")
+    for pos, record in enumerate(nodes):
+        if not isinstance(record.get("id"), int) or not isinstance(record.get("children"), list) or "size" not in record:
+            raise ValidationError(f"{path}: nodes[{pos}] needs an integer id, a children list and a size")
+    ids = {record["id"] for record in nodes}
+    def is_node(node_id):
+        return isinstance(node_id, int) and node_id in ids
+    if not is_node(payload["root"]):
+        raise ValidationError(f"{path}: root {payload['root']!r} is not a node id")
+    for record in nodes:
+        for kid in record["children"]:
+            if not is_node(kid):
+                raise ValidationError(f"{path}: child {kid!r} of node {record['id']} is not a node id")
     return payload

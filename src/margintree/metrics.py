@@ -5,8 +5,10 @@ distance (1 - d/d_max over the tree's leaf pairs) or by path sharing (length
 of the common root prefix of their branches over the longer branch, with
 branches including the leaf itself). A clustering is scored against ground
 truth by 1 - MSE between learned and true pairwise similarities over
-instance pairs; flat clusterings use the convention that two instances have
-similarity 1 when co-clustered and 0 otherwise.
+instance pairs. One flat rule holds for the learned tree and the truth
+alike: in a tree whose classes are all children of the root, two instances
+have similarity 1 when they share a class and 0 otherwise. One learned x true
+count matrix gives the Rand index, SP and PS.
 
 A built hierarchy and a reloaded one are scored through the same view, the
 payload of export.hierarchy_to_dict: `leaf_of` maps each instance to its
@@ -107,25 +109,31 @@ def flat_class_tree(classes) -> ClassTree:
     return ClassTree(root="__root__", children=children, leaf_classes=leaf_classes)
 
 
+def _count_matrix(row_codes, col_codes, n_rows: int, n_cols: int) -> np.ndarray:
+    """C[a, b]: the number of instances with row code a and column code b."""
+    return np.bincount(row_codes * n_cols + col_codes, minlength=n_rows * n_cols).reshape(n_rows, n_cols)
+
+
+def _rand_from_counts(counts: np.ndarray) -> float:
+    """Fraction of instance pairs on which the rows' and the columns'
+    partitions agree, from their count matrix."""
+    n = int(counts.sum())
+    if n < 2:
+        return 1.0
+    both, rows, cols = (int((c * (c - 1) // 2).sum()) for c in (counts, counts.sum(axis=1), counts.sum(axis=0)))
+    total = n * (n - 1) // 2
+    return (total + 2 * both - rows - cols) / total
+
+
 def rand_index(pred, truth) -> float:
     """Fraction of instance pairs on which the two partitions agree."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ValidationError("partitions must be equal-length 1-D label arrays")
-    n = pred.size
-    if n < 2:
-        return 1.0
-    _, pi = np.unique(pred, return_inverse=True)
-    _, ti = np.unique(truth, return_inverse=True)
-    contingency = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
-    np.add.at(contingency, (pi, ti), 1)
-    same_both = (contingency * (contingency - 1) // 2).sum()
-    same_pred = (np.bincount(pi) * (np.bincount(pi) - 1) // 2).sum()
-    same_truth = (np.bincount(ti) * (np.bincount(ti) - 1) // 2).sum()
-    total = n * (n - 1) // 2
-    agreements = total + 2 * same_both - same_pred - same_truth
-    return float(agreements / total)
+    pred_ids, pi = np.unique(pred, return_inverse=True)
+    truth_ids, ti = np.unique(truth, return_inverse=True)
+    return _rand_from_counts(_count_matrix(pi, ti, pred_ids.size, truth_ids.size))
 
 
 def _class_codes(tree: ClassTree, classes) -> np.ndarray:
@@ -145,20 +153,27 @@ def _class_codes(tree: ClassTree, classes) -> np.ndarray:
     return np.asarray(codes, dtype=np.int64)[inverse]
 
 
-def _pair_score(learned_codes, learned_table, truth_codes, truth_table) -> float:
+def _side(tree: ClassTree, classes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each instance's class code in tree, and the tree's SP and PS tables.
+    The flat rule: when every class is a child of the root, both tables are
+    the identity (same class -> 1, else 0)."""
+    codes = _class_codes(tree, classes)
+    if set(tree.leaf_classes) <= {tree.root, *tree.children.get(tree.root, ())}:
+        identity = np.eye(len(tree.class_ids))
+        return codes, identity, identity
+    return codes, tree.sp_table(), tree.ps_table()
+
+
+def _pair_score(counts: np.ndarray, learned_table, truth_table) -> float:
     """1 - mean over instance pairs of (learned - true similarity)^2, from
     the learned x true class count matrix C alone. For each distinct learned
     similarity v, C'[L == v]C counts the ordered instance pairs per pair of
     true classes, and each contributes (v - T)^2. Self-pairs are counted too
     but add nothing: every class has similarity 1 to itself in both tables."""
-    if learned_codes.shape != truth_codes.shape:
-        raise ValidationError("one learned and one true class per instance required")
-    n = learned_codes.size
+    n = int(counts.sum())
     if n < 2:
         return 1.0
-    n_truth = truth_table.shape[0]
-    counts = np.bincount(learned_codes * n_truth + truth_codes, minlength=learned_table.shape[0] * n_truth)
-    counts = counts.reshape(-1, n_truth).astype(float)
+    counts = counts.astype(float)
     total = 0.0
     for value in np.unique(learned_table):
         pairs = counts.T @ (learned_table == value) @ counts
@@ -166,52 +181,31 @@ def _pair_score(learned_codes, learned_table, truth_codes, truth_table) -> float
     return 1.0 - total / (n * (n - 1))
 
 
-def semantic_score_partition(
-    cluster_codes: np.ndarray,
-    learned_tree: ClassTree | None,
-    truth: ClassTree,
-    truth_labels,
-    metric: str = "SP",
-) -> float:
-    """1 - MSE between learned and ground-truth pairwise similarities.
-
-    cluster_codes maps each instance to a learned class index; learned_tree
-    gives the learned class similarities, or None for the flat convention
-    (same cluster -> 1, else 0). Exact over all instance pairs, in time
-    linear in the number of instances and memory independent of it.
-    """
-    if metric not in ("SP", "PS"):
-        raise ValidationError(f"metric must be SP or PS, got {metric!r}")
-    table = ClassTree.sp_table if metric == "SP" else ClassTree.ps_table
-    if learned_tree is None:
-        clusters, codes = np.unique(cluster_codes, return_inverse=True)
-        learned_table = np.eye(clusters.size)
-    else:
-        codes = np.asarray(cluster_codes, dtype=np.int64)
-        learned_table = table(learned_tree)
-    return _pair_score(codes, learned_table, _class_codes(truth, truth_labels), table(truth))
-
-
 def score_leaves(leaf_ids, root, children: dict, labels, truth: ClassTree | None = None) -> dict:
     """Rand index, SP and PS of a learned tree's leaf assignment.
 
     leaf_ids[i] is the leaf holding instance i, and root with children (node
-    id -> child ids) is the learned tree. A flat tree (every leaf a child of
-    the root) is scored with the same-cluster/else-0 convention. truth
-    defaults to a flat class tree over the labels' string forms.
+    id -> child ids) is the learned tree; truth defaults to a flat class tree
+    over the labels' string forms. Both sides follow one flat rule (see
+    _side), so a flat clustering scored against a flat truth gets
+    SP = PS = RI. One learned x true count matrix gives all three scores,
+    exactly over all instance pairs, in time linear in the number of
+    instances and memory independent of it.
     """
-    leaf_ids = np.asarray(leaf_ids)
+    if np.shape(leaf_ids) != np.shape(labels) or np.ndim(leaf_ids) != 1:
+        raise ValidationError("one learned leaf and one label per instance required")
     if truth is None:
         truth = flat_class_tree(sorted({str(c) for c in labels}))
-    learned_tree, codes = None, leaf_ids
-    if any(children.get(kid) for kid in children.get(root, ())):
-        leaves = {kid for kids in children.values() for kid in kids if not children.get(kid)}
-        learned_tree = ClassTree(root, children, {leaf: leaf for leaf in leaves})
-        codes = _class_codes(learned_tree, leaf_ids)
-    scores = {"rand_index": rand_index(leaf_ids, labels)}
-    for metric in ("SP", "PS"):
-        scores[metric.lower()] = semantic_score_partition(codes, learned_tree, truth, labels, metric)
-    return scores
+    leaves = {kid for kids in children.values() for kid in kids if not children.get(kid)} or {root}
+    learned = ClassTree(root, children, {leaf: leaf for leaf in leaves})
+    learned_codes, learned_sp, learned_ps = _side(learned, leaf_ids)
+    truth_codes, truth_sp, truth_ps = _side(truth, labels)
+    counts = _count_matrix(learned_codes, truth_codes, len(learned.class_ids), len(truth.class_ids))
+    return {
+        "rand_index": _rand_from_counts(counts),
+        "sp": _pair_score(counts, learned_sp, truth_sp),
+        "ps": _pair_score(counts, learned_ps, truth_ps),
+    }
 
 
 def leaf_of(payload: dict, ids) -> np.ndarray:

@@ -436,16 +436,17 @@ def brute_force_network_optimum(network) -> int | None:
 
 def exhaustive_pair_score(cluster_codes, learned_table, truth_codes, truth_table) -> float:
     """1 - mean over every unordered instance pair of the squared difference
-    between learned and true similarity. learned_table None is the flat
-    convention: 1 when two instances share a cluster code, else 0."""
-    cluster_codes = np.asarray(cluster_codes)
-    truth_codes = np.asarray(truth_codes)
-    i, j = np.triu_indices(truth_codes.size, k=1)
-    true_sim = truth_table[truth_codes[i], truth_codes[j]]
-    if learned_table is None:
-        learned_sim = (cluster_codes[i] == cluster_codes[j]).astype(float)
-    else:
-        learned_sim = learned_table[cluster_codes[i], cluster_codes[j]]
+    between learned and true similarity. A table of None is the flat
+    convention: 1 when two instances share a code, else 0."""
+
+    def similarity(codes, table):
+        codes = np.asarray(codes)
+        if table is None:
+            return (codes[i] == codes[j]).astype(float)
+        return table[codes[i], codes[j]]
+
+    i, j = np.triu_indices(np.size(truth_codes), k=1)
+    learned_sim, true_sim = similarity(cluster_codes, learned_table), similarity(truth_codes, truth_table)
     return float(1.0 - np.mean((learned_sim - true_sim) ** 2))
 
 

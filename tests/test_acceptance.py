@@ -20,11 +20,11 @@ from margintree import (
     generate_synthetic,
     kmeans,
     score_hierarchy,
+    score_leaves,
 )
 from margintree.core import subset
 from margintree.export import hierarchy_to_dict, render_json
 from margintree.flow import solve_balanced_assignment
-from margintree.metrics import semantic_score_partition
 from margintree.objective import hinge_grad, hinge_loss
 from margintree.optim import prox_sparse_group
 from margintree.split import balance_bounds
@@ -171,8 +171,9 @@ def test_criterion_5_planted_recovery(planted_runs):
         sp_h.append(scores["sp"])
         ps_h.append(scores["ps"])
         km = kmeans(ds.features, 4, seed=seed)
-        sp_km.append(semantic_score_partition(km.labels, None, truth, ds.labels, "SP"))
-        ps_km.append(semantic_score_partition(km.labels, None, truth, ds.labels, "PS"))
+        km_scores = score_leaves(km.labels, 0, {0: [1, 2, 3, 4]}, ds.labels, truth)  # labels 1..4
+        sp_km.append(km_scores["sp"])
+        ps_km.append(km_scores["ps"])
     elapsed = build_time + (time.perf_counter() - started)
     ok = (
         recovered >= 4
@@ -231,8 +232,8 @@ def test_criterion_7_metric_correctness():
     )
     scores = score_hierarchy(learned, ds, truth)
     sp, ps, ri = scores["sp"], scores["ps"], scores["rand_index"]
-    flat_sp = semantic_score_partition(np.array([1, 1, 2, 2, 3, 3, 4, 4]), None, truth, labels, "SP")
-    flat_ps = semantic_score_partition(np.array([1, 1, 2, 2, 3, 3, 4, 4]), None, truth, labels, "PS")
+    flat = score_leaves(np.array([1, 1, 2, 2, 3, 3, 4, 4]), 0, {0: [1, 2, 3, 4]}, labels, truth)
+    flat_sp, flat_ps = flat["sp"], flat["ps"]
     checks = {
         "SP": (sp, 109 / 112),
         "PS": (ps, 83 / 84),

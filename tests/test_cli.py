@@ -355,6 +355,28 @@ class TestInputErrors:
         message = "not a json file" if damage == "truncated" else "needs a root"
         self.check(capsys, [command, "--hierarchy", str(hier_path), *tail], message)
 
+    DAMAGED_HIERARCHY = {  # the nodes and root of a margintree-hierarchy file, and the message
+        "nodes_not_a_list": (5, 1, "nodes must be a list of objects"),
+        "node_not_an_object": ([5], 1, "nodes must be a list of objects"),
+        "node_without_children_or_size": ([{"id": 1}], 1, "nodes[0] needs an integer id, a children list and a size"),
+        "node_without_id": ([{"children": [], "size": 0}], 1, "nodes[0] needs an integer id"),
+        "children_not_a_list": ([{"id": 1, "children": 2, "size": 0}], 1, "nodes[0] needs an integer id, a children list"),
+        "unknown_root": ([{"id": 1, "children": [], "size": 0}], 2, "root 2 is not a node id"),
+        "unknown_child": ([{"id": 1, "children": [2], "size": 0}], 1, "child 2 of node 1 is not a node id"),
+        "list_child": ([{"id": 1, "children": [[2]], "size": 0}], 1, "child [2] of node 1 is not a node id"),
+    }
+
+    @pytest.mark.parametrize("command", ["evaluate", "export"])
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_HIERARCHY))
+    def test_malformed_hierarchy_nodes(self, planted_files, tmp_path, capsys, command, damage):
+        data, _ = planted_files
+        nodes, root, message = self.DAMAGED_HIERARCHY[damage]
+        hier_path = tmp_path / "h.json"
+        hier_path.write_text(json.dumps({"format": "margintree-hierarchy", "root": root, "nodes": nodes}))
+        tail = ["--input", data, "--label-column"] if command == "evaluate" else ["--out", str(tmp_path / "h.dot")]
+        self.check(capsys, [command, "--hierarchy", str(hier_path), *tail], f"{hier_path}: {message}")
+        assert not (tmp_path / "h.dot").exists()
+
     @staticmethod
     def flat_hierarchy(data, path):
         assert main(["cluster", "--input", data, "--method", "kmeans_flat", "--hierarchy-out", str(path)]) == 0
@@ -609,6 +631,34 @@ class TestEvaluateAndExport:
         )
         converted = render(load_hierarchy_json(str(hier_path)), "dot")
         assert converted == dot_path.read_text()
+
+
+class TestFlatTruth:
+    """A flat truth, the default or a depth-1 truth tree, follows the flat
+    rule of a flat clustering: a clustering that recovers the two classes
+    scores 1 on the Rand index, SP and PS alike."""
+
+    @pytest.fixture(scope="class")
+    def depth_one_files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("depth-one")
+        data, truth = str(root / "data.csv"), str(root / "truth.json")
+        argv = ["generate", "--out", data, "--truth-out", truth, "--depth", "1", "--magnitudes", "5"]
+        assert main([*argv, "--per-class", "50", "--seed", "0"]) == 0
+        return data, truth
+
+    @pytest.mark.parametrize("method", ["kmeans_flat", "mmc_flat", "hmmc"])
+    def test_default_truth_equals_depth_one_truth(self, depth_one_files, tmp_path, method):
+        data, truth = depth_one_files
+        reports = []
+        for name, tail in (("default", []), ("depth-one", ["--truth-tree", truth])):
+            path = tmp_path / f"{name}.json"
+            argv = ["cluster", "--input", data, "--label-column", "--method", method, "--k", "2"]
+            assert main([*argv, *tail, "--report-out", str(path)]) == 0
+            report = json.loads(path.read_text())
+            del report["runtime_seconds"], report["outputs"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["metrics"] == {"rand_index": 1.0, "sp": 1.0, "ps": 1.0}
 
 
 def degenerate_rows(kind, k):

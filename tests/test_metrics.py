@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from margintree import ClassTree, Dataset, ValidationError, export_hierarchy, load_hierarchy_json, rand_index
 from margintree.errors import StructureError
 from margintree.export import hierarchy_to_dict
-from margintree.metrics import flat_class_tree, score_hierarchy, score_leaves, semantic_score_partition
+from margintree.metrics import flat_class_tree, score_hierarchy, score_leaves
 from helpers import manual_hierarchy
 from oracles import exhaustive_pair_score
 
@@ -109,6 +109,19 @@ class TestRandIndex:
         remap = rng.permutation(4)
         assert rand_index(pred, truth) == pytest.approx(rand_index(remap[pred], truth))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_flat_clustering_against_flat_truth(self, seed):
+        # the flat rule on both sides: SP and PS of a flat clustering against a flat truth are its Rand index
+        rng = np.random.default_rng(seed)
+        n, n_clusters = int(rng.integers(2, 60)), int(rng.integers(1, 6))
+        pred = rng.integers(0, n_clusters, n)
+        truth = rng.integers(0, int(rng.integers(1, 6)), n)
+        scores = score_leaves(pred, -1, {-1: list(range(n_clusters))}, truth)
+        ri = rand_index(pred, truth)
+        assert abs(scores["sp"] - ri) <= 1e-12 and abs(scores["ps"] - ri) <= 1e-12
+        assert scores["rand_index"] == ri
+
 
 def eight_instance_case(misplaced=True, ids=range(8)):
     """Fixed 8-instance / 4-class example; instance 3 (class c2) lands in the
@@ -141,10 +154,9 @@ class TestSemanticScore:
     def test_flat_convention(self):
         ds, truth, _ = eight_instance_case()
         flat_labels = np.array([1, 1, 2, 2, 3, 3, 4, 4])
-        sp = semantic_score_partition(flat_labels, None, truth, ds.labels, "SP")
-        ps = semantic_score_partition(flat_labels, None, truth, ds.labels, "PS")
-        assert sp == pytest.approx(13 / 14, abs=1e-12)
-        assert ps == pytest.approx(17 / 21, abs=1e-12)
+        scores = score_leaves(flat_labels, 0, {0: [1, 2, 3, 4]}, ds.labels, truth)
+        assert scores["sp"] == pytest.approx(13 / 14, abs=1e-12)
+        assert scores["ps"] == pytest.approx(17 / 21, abs=1e-12)
 
     def test_flat_hierarchy_uses_convention(self):
         ds, truth, _ = eight_instance_case()
@@ -188,20 +200,41 @@ def random_class_tree(rng, classes) -> ClassTree:
     return ClassTree(root=root, children=children, leaf_classes=leaf_classes)
 
 
+def is_flat(tree: ClassTree) -> bool:
+    """No child of the root has children of its own."""
+    return not any(tree.children.get(kid) for kid in tree.children.get(tree.root, ()))
+
+
+def numbered(tree: ClassTree):
+    """tree's root and children map over integer node ids, and the leaf id of
+    each of its classes."""
+    number = {}
+    def num(node):
+        return number.setdefault(node, len(number))
+    children = {num(node): [num(kid) for kid in kids] for node, kids in tree.children.items()}
+    return num(tree.root), children, {c: num(node) for node, c in tree.leaf_classes.items()}
+
+
 def check_against_exhaustive(rng, n, n_learned, n_truth):
     truth = random_class_tree(rng, [f"t{c}" for c in range(n_truth)])
     learned = random_class_tree(rng, list(range(n_learned)))
     labels = np.asarray(truth.class_ids, dtype=object)[rng.integers(0, n_truth, n)]
     truth_codes = np.asarray([truth.class_index(c) for c in labels])
     codes = rng.integers(0, n_learned, n)
+    root, children, leaf_of_class = numbered(learned)
+    leaf_ids = np.asarray([leaf_of_class[learned.class_ids[c]] for c in codes])
     flat_codes = rng.integers(0, n_learned, n) * 7 - 3  # arbitrary cluster labels
-    for metric in ("SP", "PS"):
-        table = learned.sp_table() if metric == "SP" else learned.ps_table()
-        truth_table = truth.sp_table() if metric == "SP" else truth.ps_table()
-        got = semantic_score_partition(codes, learned, truth, labels, metric)
-        assert abs(got - exhaustive_pair_score(codes, table, truth_codes, truth_table)) <= 1e-12
-        got = semantic_score_partition(flat_codes, None, truth, labels, metric)
-        assert abs(got - exhaustive_pair_score(flat_codes, None, truth_codes, truth_table)) <= 1e-12
+    flat_children = {"root": [c * 7 - 3 for c in range(n_learned)]}
+    scores = score_leaves(leaf_ids, root, children, labels, truth)
+    flat_scores = score_leaves(flat_codes, "root", flat_children, labels, truth)
+    # a flat side, learned or true, takes the same-class/else-0 convention (None)
+    for metric in ("sp", "ps"):
+        table = None if is_flat(learned) else getattr(learned, f"{metric}_table")()
+        truth_table = None if is_flat(truth) else getattr(truth, f"{metric}_table")()
+        assert abs(scores[metric] - exhaustive_pair_score(codes, table, truth_codes, truth_table)) <= 1e-12
+        assert abs(flat_scores[metric] - exhaustive_pair_score(flat_codes, None, truth_codes, truth_table)) <= 1e-12
+    for got, cluster_codes in ((scores, codes), (flat_scores, flat_codes)):
+        assert abs(got["rand_index"] - exhaustive_pair_score(cluster_codes, None, truth_codes, None)) <= 1e-12
 
 
 class TestExactPairScore:
