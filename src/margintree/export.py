@@ -101,8 +101,11 @@ def read_json(path: str):
 
 def load_hierarchy_json(path: str) -> dict:
     """The payload hierarchy_to_dict wrote to an exported json file. Its
-    nodes must be objects with an integer id, a children list and a size,
-    and the root and every child must name one of them."""
+    nodes must be objects with a distinct integer id, a children list and a
+    size; a split_score, when given, a number or null, and a leaf's members
+    a list of instance ids. The root and the children lists must form one
+    tree over all the nodes: each node but the root a child of exactly one
+    node, and reached from the root."""
     payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != SCHEMA_NAME:
         raise ValidationError(f"{path}: not a {SCHEMA_NAME} file")
@@ -111,16 +114,40 @@ def load_hierarchy_json(path: str) -> dict:
     nodes = payload["nodes"]
     if not isinstance(nodes, list) or not all(isinstance(record, dict) for record in nodes):
         raise ValidationError(f"{path}: nodes must be a list of objects")
+    ids: set[int] = set()
     for pos, record in enumerate(nodes):
         if not isinstance(record.get("id"), int) or not isinstance(record.get("children"), list) or "size" not in record:
             raise ValidationError(f"{path}: nodes[{pos}] needs an integer id, a children list and a size")
-    ids = {record["id"] for record in nodes}
+        if record["id"] in ids:
+            raise ValidationError(f"{path}: node id {record['id']} appears more than once")
+        ids.add(record["id"])
+        score = record.get("split_score")
+        if score is not None and not isinstance(score, (int, float)):
+            raise ValidationError(f"{path}: the split_score of node {record['id']} must be a number or null")
+        members = record.get("members", [])  # integer ids from the loaders; a library Dataset's may be text
+        if not record["children"] and not (isinstance(members, list) and set(map(type, members)) <= {int, float, str}):
+            raise ValidationError(f"{path}: the members of leaf {record['id']} must be a list of instance ids")
     def is_node(node_id):
         return isinstance(node_id, int) and node_id in ids
-    if not is_node(payload["root"]):
-        raise ValidationError(f"{path}: root {payload['root']!r} is not a node id")
+    root = payload["root"]
+    if not is_node(root):
+        raise ValidationError(f"{path}: root {root!r} is not a node id")
+    parent: dict[int, int] = {}
     for record in nodes:
         for kid in record["children"]:
             if not is_node(kid):
                 raise ValidationError(f"{path}: child {kid!r} of node {record['id']} is not a node id")
+            if kid in parent:
+                raise ValidationError(f"{path}: node {kid} is a child of node {parent[kid]} and of node {record['id']}")
+            parent[kid] = record["id"]
+    if root in parent:
+        raise ValidationError(f"{path}: root {root} is a child of node {parent[root]}, a cycle")
+    children = {record["id"]: record["children"] for record in nodes}
+    reached, stack = {root}, [root]
+    while stack:
+        for kid in children[stack.pop()]:
+            reached.add(kid)
+            stack.append(kid)
+    if reached != ids:
+        raise ValidationError(f"{path}: node {min(ids - reached)} is not reached from root {root}")
     return payload

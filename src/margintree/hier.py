@@ -9,8 +9,10 @@ the node id, so results do not depend on evaluation order and caching is
 transparent. A round evaluates leaves in decreasing bound and leaves out
 those whose bound is below the best score found: a lazy greedy evaluation
 that picks the same leaf as evaluating every candidate, without solving the
-losers. A builder without a bound (math.inf) evaluates every splittable
-leaf. The split objective of a built tree is read from its split records.
+losers. The max-margin builder bounds a leaf's score from its rows at
+every K (split.score_bound), HKM-D by the score itself; a builder without
+a bound (math.inf, HKM) evaluates every splittable leaf. The split
+objective of a built tree is read from its split records.
 """
 
 from __future__ import annotations
@@ -154,15 +156,14 @@ def grow_tree(
 
 def build_hierarchy(dataset: Dataset, config: BuildConfig) -> Hierarchy:
     """Greedy max-margin hierarchy over the dataset. A leaf's rows and
-    Regularizer are made once, for its score bound and its split_node call;
-    the bound is score_bound at K = 2, and none is implemented at K >= 3."""
+    Regularizer are made once, for its score bound (score_bound, at every K)
+    and its split_node call."""
 
     def candidate(hierarchy: Hierarchy, leaf: TreeNode) -> tuple[float, Callable[[], Split]]:
         x = leaf.data.features  # the leaf's one copy of its rows
         regularizer = Regularizer(config.reg, ancestor_chain(hierarchy, leaf.id), config.k, x.shape[1])
         seed = node_seed(config.seed, leaf.id)
-        bound = score_bound(x, regularizer) if config.k == 2 else math.inf
-        return bound, lambda: split_node(x, regularizer, config.k, seed)
+        return score_bound(x, regularizer, config.k), lambda: split_node(x, regularizer, config.k, seed)
 
     return grow_tree(dataset, config.k, config.stop, candidate)
 

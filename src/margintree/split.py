@@ -1,7 +1,7 @@
 """Splitting one node, given its n x P feature array and its split's
 Regularizer: balance bounds, seeded initialization, alternating descent
 between the weight update and the balanced assignment, and the splitting
-score and its K = 2 upper bound used by the greedy hierarchy builder.
+score and its upper bound used by the greedy hierarchy builder.
 
 The alternation fixes labels and solves for weights (convex), then fixes
 weights and solves the balanced assignment exactly by min-cost flow; both
@@ -85,28 +85,53 @@ def _score(w: np.ndarray, labels: np.ndarray, x: np.ndarray, regularizer: Regula
     return numer / denom
 
 
-def score_bound(x: np.ndarray, regularizer: Regularizer) -> float:
-    """An upper bound on the _score of every K = 2 split of the n x P
-    features x that split_node can return: antisymmetric weights w = (v, -v)
-    and cluster sizes within balance_bounds(n, 2); regularizer is the split's.
+def score_bound(x: np.ndarray, regularizer: Regularizer, k: int) -> float:
+    """An upper bound on the _score of every K = k split of the n x P
+    features x that split_node can return, under the split's regularizer;
+    cluster sizes lie within balance_bounds(n, k).
 
-    The score is d.v / sum_p sqrt 2 c_p |v_p|, d = S_1 - S_2 the difference of
-    the clusters' column sums and c_p = lambda_G + sqrt 2 lambda_E,p, so it
-    is at most max_p |d_p| / (sqrt 2 c_p). With |C_1| = s, |d_p| is at most
-    T_p - 2 b_p(s) or T_p - 2 b_p(n - s), T_p the column's total and b_p(s)
-    the sum of its s smallest entries; s and n - s both lie within the
-    bounds, and one sort per column gives the least b_p there. A rounding
-    allowance covers the float error of the computed score (n + P terms of
-    at most sum_i |x_ip| |v_p| per column) and of the bound itself, so a
-    computed score never exceeds it."""
+    At K >= 3, any K x P weights: the score is sum_p w_p.S_p / sum_p
+    (lambda_G ||w_p||_2 + lambda_E,p ||w_p||_1), S_p the K-vector of the
+    clusters' sums of column p and w_p its weights; by Cauchy-Schwarz and
+    ||w_p||_1 >= ||w_p||_2 it is at most max_p ||S_p||_2 / c_p, c_p =
+    lambda_G + lambda_E,p. ||S_p||_2^2 <= max_k |S_kp| sum_k |S_kp| <= t_p
+    A_p, with A_p = sum_i |x_ip| and t_p the larger of the sum of the column's
+    U largest positive entries and the magnitude of the sum of its U most
+    negative ones, U the upper balance bound.
+
+    At K = 2, antisymmetric weights w = (v, -v), a tighter form: the score is
+    d.v / sum_p sqrt 2 c_p |v_p|, d = S_1 - S_2 and c_p = lambda_G + sqrt 2
+    lambda_E,p, so it is at most max_p |d_p| / (sqrt 2 c_p). With |C_1| = s,
+    |d_p| is at most T_p - 2 b_p(s) or T_p - 2 b_p(n - s), T_p the column's
+    total and b_p(s) the sum of its s smallest entries; s and n - s both lie
+    within the bounds.
+
+    Either takes one sort per column. The rounding allowance r = 8 (n + (K -
+    1) P + 8) eps covers the float error of the computed score and of the
+    bound: the numerator, a sum of n dot products of P terms, errs by at most
+    (n + P) eps/2 times sum_p A_p ||w_p||_2 (the r A_p term), and the
+    denominator's sums of at most K P + K + P non-negative terms, the
+    bound's own sums of n, and the divisions and square roots by at most
+    (n + K P + K + P + 16) eps/2 relative (the factor 1 + r), so a computed
+    score never exceeds it. Products x_ip w_kp below the normal range are
+    not covered. A column sum that overflows gives inf."""
     n, p = x.shape
-    bounds = balance_bounds(n, 2)
-    sums = np.zeros((n + 1, p))
-    np.cumsum(np.sort(x, axis=0), axis=0, out=sums[1:])
-    spread = sums[n] - 2.0 * sums[bounds.lower : bounds.upper + 1].min(axis=0)
-    rounding = 8.0 * (n + p + 8) * np.finfo(float).eps
-    weight = SQRT2 * (regularizer.lambda_g + SQRT2 * regularizer.lambda_e)
-    bound = float(np.max((spread + rounding * np.abs(x).sum(axis=0)) / weight)) * (1.0 + rounding)
+    bounds = balance_bounds(n, k)
+    rounding = 8.0 * (n + (k - 1) * p + 8) * np.finfo(float).eps
+    magnitude = np.abs(x).sum(axis=0)
+    ordered = np.sort(x, axis=0)
+    if k == 2:
+        sums = np.zeros((n + 1, p))
+        np.cumsum(ordered, axis=0, out=sums[1:])
+        spread = sums[n] - 2.0 * sums[bounds.lower : bounds.upper + 1].min(axis=0)
+        weight = SQRT2 * (regularizer.lambda_g + SQRT2 * regularizer.lambda_e)
+    else:
+        top = np.maximum(ordered[n - bounds.upper :], 0.0).sum(axis=0)
+        bottom = np.maximum(-ordered[: bounds.upper], 0.0).sum(axis=0)
+        # sqrt t_p sqrt A_p, as sqrt(t_p A_p) could underflow or overflow
+        spread = np.sqrt(np.maximum(top, bottom)) * np.sqrt(magnitude)
+        weight = regularizer.lambda_g + regularizer.lambda_e
+    bound = float(np.max((spread + rounding * magnitude) / weight)) * (1.0 + rounding)
     # column sums that overflow give nan, which would break the builder's order by bound
     return float("inf") if np.isnan(bound) else bound
 

@@ -327,6 +327,11 @@ class TestRepeatedMainCalls:
         assert self.report(after_error) == expected
 
 
+def node(node_id, *children, **fields):
+    """A node record of a hierarchy file: its id, children and fields, size 1."""
+    return {"id": node_id, "children": list(children), "size": 1, **fields}
+
+
 class TestInputErrors:
     """Unreadable files and bad flags exit 1 with one error line, not a traceback."""
 
@@ -364,6 +369,15 @@ class TestInputErrors:
         "unknown_root": ([{"id": 1, "children": [], "size": 0}], 2, "root 2 is not a node id"),
         "unknown_child": ([{"id": 1, "children": [2], "size": 0}], 1, "child 2 of node 1 is not a node id"),
         "list_child": ([{"id": 1, "children": [[2]], "size": 0}], 1, "child [2] of node 1 is not a node id"),
+        "members_not_a_list": ([node(1, members=5)], 1, "the members of leaf 1 must be a list of instance ids"),
+        "member_not_an_id": ([node(1, members=[0, [1]])], 1, "the members of leaf 1 must be a list of instance ids"),
+        "boolean_member": ([node(1, members=[True])], 1, "the members of leaf 1 must be a list of instance ids"),
+        "text_split_score": ([node(1, split_score="abc")], 1, "the split_score of node 1 must be a number or null"),
+        "duplicate_id": ([node(1), node(1)], 1, "node id 1 appears more than once"),
+        "cycle_through_the_root": ([node(1, 2, 3), node(2), node(3, 1)], 1, "root 1 is a child of node 3, a cycle"),
+        "two_parents": ([node(1, 2, 3), node(2), node(3, 2)], 1, "node 2 is a child of node 1 and of node 3"),
+        "unreached_node": ([node(1), node(2)], 1, "node 2 is not reached from root 1"),
+        "cycle_off_the_root": ([node(1), node(2, 3), node(3, 2)], 1, "node 2 is not reached from root 1"),
     }
 
     @pytest.mark.parametrize("command", ["evaluate", "export"])

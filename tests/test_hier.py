@@ -18,8 +18,9 @@ from margintree import (
     generate_synthetic,
     global_objective,
 )
+import margintree.baselines
 import margintree.hier
-from margintree.cli import ExperimentSpec, build_method, main
+from margintree.cli import ExperimentSpec, build_method, main, restart_seed
 from margintree.core import Hierarchy, NodeData, Split, ancestor_chain, flat_hierarchy
 from margintree.errors import UnsplittableNodeError
 from margintree.export import hierarchy_to_dict, render_json
@@ -334,8 +335,8 @@ ORACLE_SAVES = {"k2-max-leaves", "k2-restarts"}
 
 
 class TestBoundOracle:
-    """The max-margin builder with the K = 2 score bound writes the bytes of
-    the reference builder, which evaluates every leaf."""
+    """The max-margin builder with its score bound writes the bytes of the
+    reference builder, which evaluates every leaf."""
 
     @pytest.fixture(scope="class")
     def data(self, tmp_path_factory):
@@ -373,6 +374,66 @@ class TestBoundOracle:
         assert bounded == reference
         assert not bounded[2]["incomplete"]
         # at K = 2 some leaves wait for a later round, or are never evaluated;
-        # at K = 3 there is no bound
+        # at K = 3 on this input no bound falls below a round's best score
         assert bool(deferred) == (ORACLE_RUNS[name][1] == "2")
         assert lazy <= len(splits) and (lazy < len(splits)) == (name in ORACLE_SAVES)
+
+
+class TestBoundAtEveryK:
+    """On the planted-wide shape (K = 4, max-leaves 10), each bounded builder
+    writes the payload of the same builder without a bound and solves fewer
+    candidates. The data seeds are ones on which the max-margin bound defers
+    the four grandchildren of the final round."""
+
+    @staticmethod
+    def planted_wide(data_seed):
+        # as `generate --branching 4 --per-class 50 --seed s` and `cluster --k 4
+        # --max-leaves 10 --seed s` make them
+        ds, _ = generate_synthetic(SyntheticSpec(branching=4, per_class=50, seed=data_seed))
+        reg = RegularizerConfig(alpha=0.01, beta=0.01)
+        return ds, BuildConfig(k=4, stop=StoppingCriterion(max_leaves=10), reg=reg, seed=restart_seed(data_seed, 0))
+
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        calls = []
+        function = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(1) or function(*args))
+        return calls
+
+    @pytest.mark.parametrize("data_seed", [0, 1, 200])
+    def test_hmmc(self, monkeypatch, data_seed):
+        ds, config = self.planted_wide(data_seed)
+        splits = self.counted(monkeypatch, margintree.hier, "split_node")
+        bounded = hierarchy_to_dict(build_hierarchy(ds, config))
+        assert len(splits) == 5
+        monkeypatch.setattr(margintree.hier, "score_bound", lambda *args: math.inf)
+        assert hierarchy_to_dict(build_hierarchy(ds, config)) == bounded
+        assert len(splits) == 5 + 9
+
+    @pytest.mark.parametrize("data_seed", [0, 1, 200])
+    def test_hkm_d(self, monkeypatch, data_seed):
+        ds, config = self.planted_wide(data_seed)
+        fits = self.counted(monkeypatch, margintree.baselines, "kmeans")
+        bounded = hierarchy_to_dict(build_hkm_d(ds, config))
+        assert len(fits) == 3
+        grow = margintree.baselines.grow_tree
+        bounds_and_scores = []
+
+        def unbounded(dataset, k, stop, candidate):
+            def every_leaf(hierarchy, leaf):
+                bound, split = candidate(hierarchy, leaf)
+
+                def scored():
+                    result = split()
+                    bounds_and_scores.append((bound, result.score))
+                    return result
+
+                return math.inf, scored
+
+            return grow(dataset, k, stop, every_leaf)
+
+        monkeypatch.setattr(margintree.baselines, "grow_tree", unbounded)
+        assert hierarchy_to_dict(build_hkm_d(ds, config)) == bounded
+        assert len(fits) == 3 + 9
+        # the scatter is each leaf's score and its bound
+        assert len(bounds_and_scores) == 9 and all(bound == score for bound, score in bounds_and_scores)

@@ -194,18 +194,37 @@ class TestSplittingScore:
         assert result.score == numer / (group_reg(w) + exclusive_terms(w, chain)[1])
 
 
-def balanced_labelings(x, rng):
-    """Labelings for each |C_1| within the balance bounds: a random one, and
-    for each column the sorted (adversarial) ones that put its largest or
-    its smallest entries in C_1."""
+def balanced_sizes(n, k, rng):
+    """Cluster sizes within the balance bounds: at K = 2 every |C_1|; at K >= 3
+    the remainder over L spread evenly, piled on the first clusters (cluster 1
+    at U where the others leave room) and spread at random."""
+    bounds = balance_bounds(n, k)
+    if k == 2:
+        yield from ([size, n - size] for size in range(bounds.lower, bounds.upper + 1))
+        return
+    extra = n - k * bounds.lower
+    even = [bounds.lower + extra // k + (c < extra % k) for c in range(k)]
+    room = bounds.upper - bounds.lower
+    piled = [bounds.lower + min(room, max(extra - c * room, 0)) for c in range(k)]
+    spread = [bounds.lower] * k
+    for _ in range(extra):
+        spread[rng.choice([c for c in range(k) if spread[c] < bounds.upper])] += 1
+    yield from (even, piled, spread)
+
+
+def balanced_labelings(x, k, rng):
+    """Labelings for cluster sizes within the balance bounds: for each, a
+    random one, and for each column the sorted (adversarial) ones that put its
+    largest or its smallest entries in cluster 1, the next in cluster 2, and
+    so on."""
     n, p = x.shape
-    bounds = balance_bounds(n, 2)
-    for size in range(bounds.lower, bounds.upper + 1):
+    for sizes in balanced_sizes(n, k, rng):
+        assert sum(sizes) == n
         for order in [rng.permutation(n)] + [np.argsort(-x[:, col], kind="stable") for col in range(p)] + [
             np.argsort(x[:, col], kind="stable") for col in range(p)
         ]:
-            labels = np.full(n, 2)
-            labels[order[:size]] = 1
+            labels = np.empty(n, dtype=np.int64)
+            labels[order] = np.repeat(np.arange(1, k + 1), sizes)
             yield labels
 
 
@@ -221,89 +240,134 @@ def antisymmetric_weights(p, rng):
     return [np.stack((v, -v)) for v in vs if v.any()]
 
 
+def general_weights(x, labels, k, rng):
+    """K x P weights: random dense and sparse ones, each signed unit vector
+    of cluster 1, and for each column the clusters' sums of that column S_p
+    alone, the weights that score highest under the labeling on one column."""
+    p = x.shape[1]
+    ws = [rng.normal(size=(k, p)), rng.normal(size=(k, p)) * (rng.random((k, p)) < 0.3)]
+    for col in range(p):
+        for sign in (1.0, -1.0):
+            w = np.zeros((k, p))
+            w[0, col] = sign * rng.uniform(0.1, 10.0)
+            ws.append(w)
+        w = np.zeros((k, p))
+        w[:, col] = np.bincount(labels - 1, weights=x[:, col], minlength=k)
+        ws.append(w)
+    return [w for w in ws if w.any()]
+
+
 CHAINS = {"root": (), "two_ancestors": chain_of([0.5, -1.0, 0.0, 2.0], [1.0, 0.0, -0.25, 0.3])}
 
 
 class TestScoreBound:
-    """_score <= score_bound for every antisymmetric K = 2 weights and every
-    labeling within the balance bounds, the computed values included."""
+    """_score <= score_bound for every labeling within the balance bounds and
+    the weights split_node can return (antisymmetric at K = 2, any at K >= 3),
+    the computed values included."""
 
     @staticmethod
-    def check(x, chain, reg, rng):
-        regularizer = Regularizer(reg, chain, 2, x.shape[1])
-        bound = score_bound(x, regularizer)
-        ws = antisymmetric_weights(x.shape[1], rng)
+    def check(x, chain, reg, rng, k=2):
+        regularizer = Regularizer(reg, chain, k, x.shape[1])
+        bound = score_bound(x, regularizer, k)
+        ws = antisymmetric_weights(x.shape[1], rng) if k == 2 else None
         tightest = 0.0
-        for labels in balanced_labelings(x, rng):
-            for w in ws:
+        for labels in balanced_labelings(x, k, rng):
+            for w in ws or general_weights(x, labels, k, rng):
                 score = _score(w, labels, x, regularizer)
                 assert score <= bound
                 tightest = max(tightest, score)
         return bound, tightest
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e7])
-    def test_random_and_sorted_labelings(self, chain, variant, scale):
+    def test_random_and_sorted_labelings(self, k, chain, variant, scale):
         rng = np.random.default_rng(7)
-        for n in (2, 3, 9, 40):
+        for n in sorted({k, k + 1, 9, 40}):
             x = scale * (rng.normal(size=(n, 4)) + rng.normal(size=4))
-            bound, tightest = self.check(x, CHAINS[chain], RegularizerConfig(0.01, 0.01, variant), rng)
-            # a unit vector on the bound's column with the sorted labeling at the
-            # size that attains it reaches the bound up to rounding
-            assert tightest >= bound * (1.0 - 1e-9)
+            bound, tightest = self.check(x, CHAINS[chain], RegularizerConfig(0.01, 0.01, variant), rng, k)
+            # at K = 2 a unit vector on the bound's column with the sorted labeling
+            # at the size that attains it reaches the bound up to rounding; at K >= 3
+            # the column's sums S_p on the piled sorted labeling come within 2x of it
+            assert tightest >= bound * (1.0 - 1e-9) / (1.0 if k == 2 else 2.0)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e7])
-    def test_duplicate_and_identical_rows(self, chain, scale):
+    def test_duplicate_and_identical_rows(self, k, chain, scale):
         rng = np.random.default_rng(11)
-        rows = scale * rng.normal(size=(5, 4))
+        rows = scale * rng.normal(size=(6, 4))
         duplicates = np.vstack([rows, rows])
-        regularizer = Regularizer(RegularizerConfig(), CHAINS[chain], 2, 4)
-        bound = score_bound(duplicates, regularizer)
-        # each row and its copy in opposite clusters: d = 0, the score is rounding
-        labels = np.array([1] * 5 + [2] * 5)
-        for w in antisymmetric_weights(4, rng):
+        regularizer = Regularizer(RegularizerConfig(), CHAINS[chain], k, 4)
+        bound = score_bound(duplicates, regularizer, k)
+        # each row and its copy in different clusters: at K = 2 d = 0, the score is rounding
+        labels = np.concatenate([np.arange(6) % k + 1, (np.arange(6) + 1) % k + 1])
+        for w in antisymmetric_weights(4, rng) if k == 2 else general_weights(duplicates, labels, k, rng):
             assert abs(_score(w, labels, duplicates, regularizer)) <= bound
-        self.check(duplicates, CHAINS[chain], RegularizerConfig(), rng)
-        # identical rows: the balanced labeling at n/2 has d = 0 exactly, and the
-        # unit vectors reach the bound at the bounds' sizes
-        identical = np.tile(scale * rng.normal(size=4), (10, 1))
-        bound, tightest = self.check(identical, CHAINS[chain], RegularizerConfig(), rng)
-        assert tightest >= bound * (1.0 - 1e-9)
+        self.check(duplicates, CHAINS[chain], RegularizerConfig(), rng, k)
+        # identical rows: at K = 2 the balanced labeling at n/2 has d = 0 exactly,
+        # and the unit vectors reach the bound at the bounds' sizes
+        identical = np.tile(scale * rng.normal(size=4), (12, 1))
+        bound, tightest = self.check(identical, CHAINS[chain], RegularizerConfig(), rng, k)
+        assert tightest >= bound * (1.0 - 1e-9) / (1.0 if k == 2 else 2.0)
 
-    def test_zero_rows_bound_only_the_rounding(self):
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e7])
+    def test_column_within_one_cluster_attains_the_bound(self, k, chain, scale):
+        # U positive entries in a column, the rest 0: the sorted labeling puts them in
+        # cluster 1, so S_p = t_p e_1 and t_p = A_p, and a unit weight on them scores
+        # the bound up to rounding, which only the rounding allowance covers (at n = K
+        # every cluster holds one row, fewer than U)
+        rng = np.random.default_rng(5)
+        for n in (k + 1, 9, 40):
+            upper = balance_bounds(n, k).upper
+            for _ in range(5):
+                x = scale * 1e-6 * rng.normal(size=(n, 4))
+                x[:, 0] = 0.0
+                x[rng.choice(n, upper, replace=False), 0] = scale * rng.uniform(1.0, 2.0, size=upper)
+                bound, tightest = self.check(x, CHAINS[chain], RegularizerConfig(), rng, k)
+                assert tightest >= bound * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_zero_rows_bound_only_the_rounding(self, k):
         x = np.zeros((6, 3))
+        assert score_bound(x, Regularizer(RegularizerConfig(), (), k, 3), k) == 0.0
         x[0, 0] = 1e-300
-        assert 0.0 < score_bound(x, Regularizer(RegularizerConfig(), (), 2, 3)) < 1e-290
+        assert 0.0 < score_bound(x, Regularizer(RegularizerConfig(), (), k, 3), k) < 1e-290
 
-    def test_overflowing_column_is_no_bound(self):
-        # the column sums overflow to inf - inf; an infinite bound keeps the leaf evaluated
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_overflowing_column_is_no_bound(self, k):
+        # the column sums overflow: inf - inf at K = 2, inf at K >= 3; an
+        # infinite bound keeps the leaf evaluated
         x = np.array([[1e308], [1e308], [-1e308], [-1e308]])
         with np.errstate(over="ignore", invalid="ignore"):
-            assert score_bound(x, Regularizer(RegularizerConfig(), (), 2, 1)) == float("inf")
+            assert score_bound(x, Regularizer(RegularizerConfig(), (), k, 1), k) == float("inf")
 
     SHAPES = {"planted-small": (2, 50), "planted-large": (2, 400), "planted-wide": (4, 50)}
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_every_split_of_a_build(self, shape):
-        # every leaf's candidate, the ones a bounded build skips included, at K = 2
+    def test_every_split_of_a_build(self, shape, k):
+        # every leaf's candidate, the ones a bounded build skips included
         branching, per_class = self.SHAPES[shape]
         ds, _ = generate_synthetic(SyntheticSpec(branching=branching, per_class=per_class, seed=1))
-        config = BuildConfig(k=2, stop=StoppingCriterion(max_leaves=5), reg=RegularizerConfig())
+        config = BuildConfig(k=k, stop=StoppingCriterion(max_leaves=3 * k - 1), reg=RegularizerConfig())
         checked = []
 
         def candidate(hierarchy, leaf):
             x = leaf.data.features
-            regularizer = Regularizer(config.reg, ancestor_chain(hierarchy, leaf.id), 2, x.shape[1])
+            regularizer = Regularizer(config.reg, ancestor_chain(hierarchy, leaf.id), k, x.shape[1])
 
             def split():
-                result = split_node(x, regularizer, 2, node_seed(config.seed, leaf.id))
-                assert result.score <= score_bound(x, regularizer)
+                result = split_node(x, regularizer, k, node_seed(config.seed, leaf.id))
+                assert result.score <= score_bound(x, regularizer, k)
                 checked.append(leaf.id)
                 return result
 
             return math.inf, split
 
-        grow_tree(ds, 2, config.stop, candidate)
-        assert len(checked) == 7
+        grow_tree(ds, k, config.stop, candidate)
+        # four rounds, each evaluating the K children of the last
+        assert len(checked) == 1 + 3 * k
