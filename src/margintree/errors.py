@@ -25,7 +25,3 @@ class StructureError(ValidationError):
 
 class SolverError(RuntimeError):
     """Numerical optimization failed; message carries diagnostics."""
-
-
-class UnsplittableNodeError(Exception):
-    """Signal: node has too few instances to split; caller keeps it a leaf."""

@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import Hierarchy
 from .errors import ValidationError
+from .objective import column_norms
 
 SCHEMA_NAME = "margintree-hierarchy"
 SCHEMA_VERSION = 1
@@ -39,8 +40,7 @@ def hierarchy_to_dict(hierarchy: Hierarchy, top_features: int = 3) -> dict:
             "split_score": None if node.split is None or node.split.score is None else float(node.split.score),
         }
         if node.child_ids and node.split is not None:
-            norms = np.linalg.norm(node.split.weights, axis=0)
-            order = np.argsort(-norms, kind="stable")
+            order = np.argsort(-column_norms(node.split.weights), kind="stable")
             record["top_features"] = [int(i) for i in order[:top_features]]
         if node.is_leaf:
             record["members"] = node.data.ids.tolist()
@@ -99,13 +99,19 @@ def read_json(path: str):
             raise ValidationError(f"{path}: not a json file ({err})") from None
 
 
+def _is_int(value) -> bool:
+    """A json integer; json true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_hierarchy_json(path: str) -> dict:
     """The payload hierarchy_to_dict wrote to an exported json file. Its
     nodes must be objects with a distinct integer id, a children list and a
-    size; a split_score, when given, a number or null, and a leaf's members
-    a list of instance ids. The root and the children lists must form one
-    tree over all the nodes: each node but the root a child of exactly one
-    node, and reached from the root."""
+    size, a non-negative integer; a split_score, when given, a number or
+    null, and a leaf's members a list of instance ids as long as its size.
+    json true and false are neither integers nor numbers. The root and the
+    children lists must form one tree over all the nodes: each node but the
+    root a child of exactly one node, and reached from the root."""
     payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != SCHEMA_NAME:
         raise ValidationError(f"{path}: not a {SCHEMA_NAME} file")
@@ -116,19 +122,25 @@ def load_hierarchy_json(path: str) -> dict:
         raise ValidationError(f"{path}: nodes must be a list of objects")
     ids: set[int] = set()
     for pos, record in enumerate(nodes):
-        if not isinstance(record.get("id"), int) or not isinstance(record.get("children"), list) or "size" not in record:
+        if not _is_int(record.get("id")) or not isinstance(record.get("children"), list) or "size" not in record:
             raise ValidationError(f"{path}: nodes[{pos}] needs an integer id, a children list and a size")
         if record["id"] in ids:
             raise ValidationError(f"{path}: node id {record['id']} appears more than once")
         ids.add(record["id"])
+        if not _is_int(record["size"]) or record["size"] < 0:
+            raise ValidationError(f"{path}: the size of node {record['id']} must be a non-negative integer")
         score = record.get("split_score")
-        if score is not None and not isinstance(score, (int, float)):
+        if score is not None and (isinstance(score, bool) or not isinstance(score, (int, float))):
             raise ValidationError(f"{path}: the split_score of node {record['id']} must be a number or null")
+        if record["children"]:
+            continue
         members = record.get("members", [])  # integer ids from the loaders; a library Dataset's may be text
-        if not record["children"] and not (isinstance(members, list) and set(map(type, members)) <= {int, float, str}):
+        if not (isinstance(members, list) and set(map(type, members)) <= {int, float, str}):
             raise ValidationError(f"{path}: the members of leaf {record['id']} must be a list of instance ids")
+        if len(members) != record["size"]:
+            raise ValidationError(f"{path}: leaf {record['id']} has size {record['size']} but {len(members)} members")
     def is_node(node_id):
-        return isinstance(node_id, int) and node_id in ids
+        return _is_int(node_id) and node_id in ids
     root = payload["root"]
     if not is_node(root):
         raise ValidationError(f"{path}: root {root!r} is not a node id")

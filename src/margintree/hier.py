@@ -1,19 +1,20 @@
-"""Greedy top-down hierarchy construction with per-leaf split caching.
+"""Greedy top-down hierarchy construction over one table of the current leaves.
 
 Every round finalizes the leaf with the highest splitting score (ties to the
 lowest node id): Hierarchy.add_children records its Split and adds its K
-children as new leaves. A leaf is prepared once: the builder's candidate
-callback reads its rows and returns an upper bound on its score with a
-callable that computes its Split, with a seed derived from the run seed and
-the node id, so results do not depend on evaluation order and caching is
-transparent. A round evaluates leaves in decreasing bound and leaves out
-those whose bound is below the best score found: a lazy greedy evaluation
-that picks the same leaf as evaluating every candidate, without solving the
-losers. The max-margin builder bounds a leaf's score from its rows at
-every K (split.score_bound), HKM-D by the score itself; a builder without
-a bound (math.inf, HKM) evaluates every splittable leaf. The split
-objective of a built tree is read from its split records.
-"""
+children as new leaves. A leaf of at least K rows is prepared once, when it
+is created: the builder's candidate callback reads its rows and returns an
+upper bound on its score with a callable that computes its Split, with a
+seed derived from the run seed and the node id, so results do not depend on
+evaluation order. A leaf is evaluated at most once, and evaluate_leaf alone
+decides that it is unsplittable. A round evaluates leaves in decreasing
+bound and leaves out those whose bound is below the best score found: a
+lazy greedy evaluation that picks the same leaf as evaluating every
+candidate, without solving the losers. The max-margin builder bounds a
+leaf's score from its rows at every K (split.score_bound), HKM-D by the
+score itself; a builder without a bound (math.inf, HKM) evaluates every
+splittable leaf. The split objective of a built tree is read from its split
+records."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Dataset, Hierarchy, Split, TreeNode, ancestor_chain
-from .errors import UnsplittableNodeError, ValidationError
+from .errors import ValidationError
 from .objective import Regularizer, RegularizerConfig
 from .objective import node_objective  # noqa: F401  perfbench/layers.py traces calls through hier.node_objective
 from .split import score_bound, split_node
@@ -76,6 +77,16 @@ def should_stop(hierarchy: Hierarchy, stop: StoppingCriterion) -> bool:
     return hierarchy.height() >= stop.max_height
 
 
+def evaluate_leaf(split: Callable[[], Split], k: int) -> Split | None:
+    """The leaf's Split from its candidate callable, or None when the leaf
+    is unsplittable: the split leaves a cluster empty (an empty leaf) or its
+    score is not finite."""
+    result = split()
+    if np.unique(result.labels).size < k or not np.isfinite(result.score):
+        return None
+    return result
+
+
 def grow_tree(
     dataset: Dataset,
     k: int,
@@ -83,74 +94,51 @@ def grow_tree(
     candidate: Callable[[Hierarchy, TreeNode], tuple[float, Callable[[], Split]]],
 ) -> Hierarchy:
     """Shared greedy builder used by the max-margin method and the k-means
-    baselines. `candidate(hierarchy, leaf)`, called once per splittable leaf,
-    returns an upper bound on the leaf's score (math.inf where the builder
-    has none) and a callable returning its candidate Split. A leaf whose
-    split raises UnsplittableNodeError, or leaves a cluster empty, is
-    unsplittable. Each round evaluates the pending leaves in decreasing
-    bound (ties to the lowest id) and leaves unevaluated every leaf whose
-    bound is below the best score among the current leaves: that leaf cannot
-    win the round, and a later round evaluates it if its bound no longer
-    falls short. The chosen leaves are those of evaluating every leaf."""
+    baselines. `candidate(hierarchy, leaf)`, called once for each leaf of at
+    least k rows, returns an upper bound on the leaf's score (math.inf where
+    the builder has none) and a callable returning its candidate Split;
+    evaluate_leaf decides whether the leaf is splittable. The current leaves
+    sit in one table of two dicts keyed by id: `pending` holds the prepared
+    leaves not yet evaluated, `splits` the evaluated ones. Each round
+    evaluates the pending leaves in decreasing bound (ties to the lowest id)
+    and leaves unevaluated every leaf whose bound is below the best score
+    found: that leaf cannot win the round, and a later round evaluates it if
+    its bound no longer falls short. The chosen leaves are those of
+    evaluating every leaf."""
     if dataset.n < k:
         raise ValidationError(f"dataset of {dataset.n} instances cannot be split into {k} clusters")
     hierarchy = Hierarchy.with_root(dataset)
-    cache: dict[int, Split | None] = {}
-    prepared: dict[int, tuple[float, Callable[[], Split]]] = {}  # pending leaves, popped when evaluated
+    pending: dict[int, tuple[float, Callable[[], Split]]] = {}
+    splits: dict[int, Split | None] = {}  # None: the leaf is unsplittable
+    new_leaves = [hierarchy.root]
     round_no = 0
-
-    def scored() -> list[tuple[int, Split]]:
-        return [
-            (leaf.id, cache[leaf.id])
-            for leaf in hierarchy.leaves()
-            if cache.get(leaf.id) is not None and np.isfinite(cache[leaf.id].score)
-        ]
-
     while not should_stop(hierarchy, stop):
-        pending = []
-        for leaf in sorted(hierarchy.leaves(), key=lambda node: node.id):
-            if leaf.id in cache:
-                continue
-            if leaf.data.size < k:
-                cache[leaf.id] = None
-                continue
-            if leaf.id not in prepared:
-                prepared[leaf.id] = candidate(hierarchy, leaf)
-            pending.append(leaf)
-        pending.sort(key=lambda node: -prepared[node.id][0])  # stable: equal bounds stay in id order
-        best = max((split.score for _, split in scored()), default=-math.inf)
-        for position, leaf in enumerate(pending):
-            if prepared[leaf.id][0] < best:
+        for leaf in new_leaves:
+            if leaf.data.size >= k:
+                pending[leaf.id] = candidate(hierarchy, leaf)
+        # the best evaluated leaf as (score, -id), so that ties go to the lowest id; (-inf, 0) before one is found
+        ranked = [(split.score, -node_id) for node_id, split in splits.items() if split is not None]
+        best, minus_id = max(ranked, default=(-math.inf, 0))
+        order = sorted(pending, key=lambda node_id: (-pending[node_id][0], node_id))
+        for position, node_id in enumerate(order):
+            if pending[node_id][0] < best:
                 if logger.isEnabledFor(logging.DEBUG):
-                    deferred = ", ".join(f"{node.id} (bound {prepared[node.id][0]:.6e})" for node in pending[position:])
+                    deferred = ", ".join(f"{i} (bound {pending[i][0]:.6e})" for i in order[position:])
                     logger.debug("round %d: deferred leaves %s below the best score %.6e", round_no + 1, deferred, best)
                 break
-            try:
-                split = prepared.pop(leaf.id)[1]()
-            except UnsplittableNodeError:
-                split = None
-            if split is not None and np.unique(split.labels).size < k:
-                split = None  # an empty cluster would be an empty leaf
-            cache[leaf.id] = split
-            if split is not None and np.isfinite(split.score):
-                best = max(best, split.score)
-
-        candidates = scored()
-        if not candidates:
+            split = splits[node_id] = evaluate_leaf(pending.pop(node_id)[1], k)
+            if split is not None and (split.score, -node_id) > (best, minus_id):
+                best, minus_id = split.score, -node_id
+        if minus_id == 0:
             hierarchy.incomplete = True
             logger.warning("no splittable leaf remains before the stopping criterion was met")
             break
-        best_id, best = max(candidates, key=lambda item: (item[1].score, -item[0]))
 
-        hierarchy.add_children(hierarchy.node(best_id), best)
+        node = hierarchy.node(-minus_id)
+        hierarchy.add_children(node, splits.pop(node.id))
+        new_leaves = [hierarchy.node(child_id) for child_id in node.child_ids]
         round_no += 1
-        logger.info(
-            "round %d: split node %d (score %.6e), %d leaves",
-            round_no,
-            best_id,
-            best.score,
-            len(hierarchy.leaves()),
-        )
+        logger.info("round %d: split node %d (score %.6e), %d leaves", round_no, node.id, best, len(hierarchy.leaves()))
     return hierarchy
 
 

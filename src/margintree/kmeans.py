@@ -42,9 +42,14 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return x[chosen].copy()
 
 
+def squared_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """n x K squared Euclidean distances of the n x P rows x to the K x P
+    centroids."""
+    return ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    return squared_distances(x, centroids).argmin(axis=1)
 
 
 def kmeans(x: np.ndarray, k: int, seed: int) -> KMeansResult:

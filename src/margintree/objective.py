@@ -163,17 +163,11 @@ def hinge_grad(w: np.ndarray, x: np.ndarray, labels) -> np.ndarray:
     return label_margins(w, x, labels).grad()
 
 
-def margin_map(z: np.ndarray, x: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """n x K linear part of the margins at K x P weights z:
-    z_y.x_i - z_{y_i}.x_i (zero at y = y_i); y0 holds 0-based labels."""
-    scores = x @ z.T
-    return scores - scores[np.arange(x.shape[0]), y0][:, None]
-
-
 def margin_adjoint(lam: np.ndarray, x: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """K x P adjoint of margin_map: sum_i sum_{y != y_i} lam[i, y] (e_y -
-    e_{y_i}) x_i^T for an n x K array lam (its own-label entries are
-    ignored)."""
+    """K x P adjoint of the margin map, the n x K linear part z_y.x_i -
+    z_{y_i}.x_i of the margins at K x P weights z (y0 holds 0-based labels):
+    sum_i sum_{y != y_i} lam[i, y] (e_y - e_{y_i}) x_i^T for an n x K array
+    lam (its own-label entries are ignored)."""
     rows = np.arange(x.shape[0])
     coef = lam.copy()
     coef[rows, y0] = 0.0

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Split
-from .errors import SolverError, UnsplittableNodeError
+from .errors import ConfigError, SolverError
 from .flow import solve_balanced_assignment
-from .kmeans import kmeans
+from .kmeans import kmeans, squared_distances
 from .objective import Regularizer, cost_matrix, node_objective
 from .optim import SQRT2, solve_w
 
@@ -47,15 +47,16 @@ class BalanceBounds:
 def balance_bounds(n: int, k: int) -> BalanceBounds:
     """Cluster-size bounds floor(0.9 n/K) and ceil(1.1 n/K), repaired to
     feasibility when rounding breaks K*L <= n <= K*U, and with L at least 1
-    so that no cluster is empty (feasible, since n >= K).
+    so that no cluster is empty (feasible, since n >= K). n < K or K < 2 is
+    a ConfigError.
 
     Integer arithmetic throughout (0.9 = 9/10) so results never depend on
     float rounding.
     """
     if k < 2:
-        raise UnsplittableNodeError(f"need at least 2 clusters, got {k}")
+        raise ConfigError(f"need at least 2 clusters, got {k}")
     if n < k:
-        raise UnsplittableNodeError(f"cannot split {n} instances into {k} clusters")
+        raise ConfigError(f"cannot split {n} instances into {k} clusters")
     lower = max((9 * n) // (10 * k), 1)
     upper = -((-11 * n) // (10 * k))
     if k * lower > n:
@@ -69,8 +70,7 @@ def init_assignment(x: np.ndarray, k: int, bounds: BalanceBounds, seed: int) -> 
     """Seeded k-means labels of the n x P features repaired to the balance
     bounds by solving the assignment with squared-distance costs."""
     result = kmeans(x, k, seed)
-    costs = ((x[:, None, :] - result.centroids[None, :, :]) ** 2).sum(axis=2)
-    return solve_balanced_assignment(costs, bounds.lower, bounds.upper)
+    return solve_balanced_assignment(squared_distances(x, result.centroids), bounds.lower, bounds.upper)
 
 
 def _score(w: np.ndarray, labels: np.ndarray, x: np.ndarray, regularizer: Regularizer) -> float:

@@ -56,6 +56,17 @@ def hinge_loss_loops(w: np.ndarray, x: np.ndarray, labels: np.ndarray) -> float:
     return total / (n * k)
 
 
+def margin_map_loops(z: np.ndarray, x: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """Plain-loop n x K linear part of the margins at K x P weights z:
+    z_y.x_i - z_{y_i}.x_i (zero at y = y_i); y0 holds 0-based labels."""
+    n, k = x.shape[0], z.shape[0]
+    out = np.zeros((n, k))
+    for i in range(n):
+        for y in range(k):
+            out[i, y] = float(z[y] @ x[i]) - float(z[y0[i]] @ x[i])
+    return out
+
+
 def hinge_grad_loops(w: np.ndarray, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     n, k = x.shape[0], w.shape[0]
     grad = np.zeros_like(w, dtype=float)

@@ -328,8 +328,9 @@ class TestRepeatedMainCalls:
 
 
 def node(node_id, *children, **fields):
-    """A node record of a hierarchy file: its id, children and fields, size 1."""
-    return {"id": node_id, "children": list(children), "size": 1, **fields}
+    """A node record of a hierarchy file: its id, children and fields, size 1
+    (a leaf's one member is instance 0)."""
+    return {"id": node_id, "children": list(children), "size": 1, **({} if children else {"members": [0]}), **fields}
 
 
 class TestInputErrors:
@@ -373,6 +374,16 @@ class TestInputErrors:
         "member_not_an_id": ([node(1, members=[0, [1]])], 1, "the members of leaf 1 must be a list of instance ids"),
         "boolean_member": ([node(1, members=[True])], 1, "the members of leaf 1 must be a list of instance ids"),
         "text_split_score": ([node(1, split_score="abc")], 1, "the split_score of node 1 must be a number or null"),
+        "boolean_split_score": ([node(1, split_score=True)], 1, "the split_score of node 1 must be a number or null"),
+        "text_size": ([node(1, size="abc")], 1, "the size of node 1 must be a non-negative integer"),
+        "negative_size": ([node(1, size=-3)], 1, "the size of node 1 must be a non-negative integer"),
+        "float_size": ([node(1, size=1.0)], 1, "the size of node 1 must be a non-negative integer"),
+        "boolean_size": ([node(1, size=True)], 1, "the size of node 1 must be a non-negative integer"),
+        "size_not_members": ([node(1, size=2)], 1, "leaf 1 has size 2 but 1 members"),
+        "no_members": ([node(1, members=[])], 1, "leaf 1 has size 1 but 0 members"),
+        "boolean_id": ([node(True)], True, "nodes[0] needs an integer id"),
+        "boolean_root": ([node(1)], True, "root True is not a node id"),
+        "boolean_child": ([node(1, True), node(2)], 1, "child True of node 1 is not a node id"),
         "duplicate_id": ([node(1), node(1)], 1, "node id 1 appears more than once"),
         "cycle_through_the_root": ([node(1, 2, 3), node(2), node(3, 1)], 1, "root 1 is a child of node 3, a cycle"),
         "two_parents": ([node(1, 2, 3), node(2), node(3, 2)], 1, "node 2 is a child of node 1 and of node 3"),
@@ -447,6 +458,7 @@ class TestInputErrors:
         first, second = [record for record in payload["nodes"] if not record["children"]][:2]
         copied = first["members"][3]
         second["members"].append(copied)
+        second["size"] += 1  # a consistent leaf: the load checks that its size counts its members
         hier_path.write_text(json.dumps(payload))
         capsys.readouterr()
         argv = ["evaluate", "--hierarchy", str(hier_path), "--input", data, "--label-column"]

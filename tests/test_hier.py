@@ -22,7 +22,6 @@ import margintree.baselines
 import margintree.hier
 from margintree.cli import ExperimentSpec, build_method, main, restart_seed
 from margintree.core import Hierarchy, NodeData, Split, ancestor_chain, flat_hierarchy
-from margintree.errors import UnsplittableNodeError
 from margintree.export import hierarchy_to_dict, render_json
 from margintree.hier import grow_tree, node_seed, should_stop
 from margintree.metrics import leaf_of
@@ -129,13 +128,19 @@ class TestBuildHierarchy:
             assert [leaf.data.size for leaf in h.leaves()] == [1] * k
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_candidate_with_an_empty_cluster_is_unsplittable(self, k):
-        # the root's candidate leaves cluster k empty; every other leaf's fills each cluster
+    @pytest.mark.parametrize(
+        "empty, score",
+        [(True, 1.0), (False, -math.inf), (False, math.inf), (False, math.nan)],
+        ids=["empty-cluster", "minus-inf", "plus-inf", "nan"],
+    )
+    def test_candidate_with_an_empty_cluster_is_unsplittable(self, k, empty, score):
+        # the root's candidate leaves cluster k empty or has a score that is not
+        # finite; every other leaf's fills each cluster and scores 1
         ds = blob_dataset(0, [[0.0, 0.0]], per_blob=12)
 
         def candidate(hierarchy, leaf):
-            labels = np.arange(leaf.data.size) % (k - 1 if leaf.id == 1 else k) + 1
-            return math.inf, lambda: Split(labels, np.eye(k, 2), 1.0)
+            labels = np.arange(leaf.data.size) % (k - 1 if leaf.id == 1 and empty else k) + 1
+            return math.inf, lambda: Split(labels, np.eye(k, 2), score if leaf.id == 1 else 1.0)
 
         h = grow_tree(ds, k, StoppingCriterion(max_leaves=k), candidate)
         assert h.incomplete
@@ -257,9 +262,11 @@ class TestBoundedRounds:
     @staticmethod
     def candidates(seed, k, bounded=True):
         """A candidate callback over made-up candidates: integer scores, so
-        that scores tie, some -inf or unsplittable leaves, and bounds equal to
-        the score or above it (math.inf when not bounded)."""
-        evaluated = []
+        that scores tie, some unsplittable leaves, and bounds equal to the
+        score or above it (math.inf when not bounded). Returns the callback,
+        the ids of the evaluated leaves and the unsplittable kinds evaluated:
+        0 a cluster left empty, 1-3 a score of -inf, +inf or NaN."""
+        evaluated, unsplittable = [], []
 
         def draw(node_id):
             return np.random.default_rng([seed, node_id])
@@ -269,34 +276,36 @@ class TestBoundedRounds:
                 evaluated.append(leaf.id)
                 rng = draw(leaf.id)
                 score = float(rng.integers(0, 6))
-                kind = rng.random()
-                if kind < 0.1:
-                    raise UnsplittableNodeError("made up")
-                labels = np.arange(leaf.data.size) % k + 1
+                kind = int(rng.random() / 0.05)  # kinds 4-19 are splittable
+                if kind < 4:
+                    unsplittable.append(kind)
+                labels = np.arange(leaf.data.size) % (k - 1 if kind == 0 else k) + 1
                 rng.shuffle(labels)
-                return Split(labels, np.eye(k, 2), -np.inf if kind < 0.2 else score)
+                return Split(labels, np.eye(k, 2), (-math.inf, math.inf, math.nan)[kind - 1] if 1 <= kind <= 3 else score)
 
             rng = draw(leaf.id)
             bound = float(rng.integers(0, 6)) + float(rng.choice([0.0, 0.0, 0.5, 3.0], p=[0.4, 0.2, 0.2, 0.2]))
             return (bound if bounded else math.inf), split
 
-        return candidate, evaluated
+        return candidate, evaluated, unsplittable
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("stop", STOPS, ids=["max_leaves", "min_node_size", "max_height"])
     def test_made_up_candidates(self, k, stop):
         ds = blob_dataset(0, [[0.0, 0.0]], per_blob=64)
-        saved = 0
+        saved, kinds = 0, set()
         for seed in range(40):
-            candidate, full = self.candidates(seed, k, bounded=False)
+            candidate, full, _ = self.candidates(seed, k, bounded=False)
             reference = grow_tree(ds, k, stop, candidate)
-            candidate, lazy = self.candidates(seed, k)
+            candidate, lazy, unsplittable = self.candidates(seed, k)
             bounded = grow_tree(ds, k, stop, candidate)
             assert render_json(hierarchy_to_dict(bounded)) == render_json(hierarchy_to_dict(reference))
             assert bounded.incomplete == reference.incomplete
             assert len(lazy) == len(set(lazy)) and set(lazy) <= set(full)
             saved += len(full) - len(lazy)
+            kinds.update(unsplittable)
         assert saved > 0
+        assert kinds == {0, 1, 2, 3}  # the bounded builds evaluated each unsplittable kind
 
     def test_deferred_leaves_logged_at_debug(self, caplog):
         ds, _ = generate_synthetic(SyntheticSpec(per_class=50, seed=0))

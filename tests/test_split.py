@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import margintree.split
 from margintree import Dataset, RegularizerConfig, SyntheticSpec, generate_synthetic, rand_index
 from margintree.core import NodeData, ancestor_chain, subset
-from margintree.errors import UnsplittableNodeError
+from margintree.errors import ConfigError, ValidationError
 from margintree.hier import BuildConfig, StoppingCriterion, grow_tree, node_seed
 from margintree.objective import VARIANTS, Regularizer, group_reg, hinge_loss
 from margintree.split import _score, balance_bounds, init_assignment, score_bound, split_node
@@ -30,14 +30,15 @@ class TestBalanceBounds:
         assert (b.lower, b.upper) == (1, 2)
 
     def test_unsplittable(self):
-        with pytest.raises(UnsplittableNodeError):
+        with pytest.raises(ConfigError) as err:
             balance_bounds(1, 2)
+        assert isinstance(err.value, ValidationError)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 5000), st.integers(2, 12))
     def test_always_feasible(self, n, k):
         if n < k:
-            with pytest.raises(UnsplittableNodeError):
+            with pytest.raises(ConfigError):
                 balance_bounds(n, k)
             return
         b = balance_bounds(n, k)
@@ -158,8 +159,11 @@ class TestSplitNode:
     def test_too_small_node(self):
         ds = blob_dataset(8, [[0.0, 0.0]], per_blob=1)
         nd = subset(ds, [0])
-        with pytest.raises(UnsplittableNodeError):
+        with pytest.raises(ConfigError) as err:
             split_rows(nd.features, (), 2, RegularizerConfig(), seed=0)
+        assert isinstance(err.value, ValidationError)
+        with pytest.raises(ConfigError):
+            score_bound(nd.features, Regularizer(RegularizerConfig(), (), 2, 2), 2)
 
 
 class TestSplittingScore:
