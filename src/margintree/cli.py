@@ -333,8 +333,8 @@ def _cmd_generate(args) -> int:
     spec = _spec_from_args(SyntheticSpec, args)
     dataset, truth = generate_synthetic(spec)
     with open(args.out, "w") as fh:
-        for row, label in zip(dataset.features, dataset.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
+        for row, label in zip(dataset.features.tolist(), dataset.labels.tolist()):
+            fh.write(",".join(map(repr, row)) + f",{label}\n")
     if args.truth_out:
         save_class_tree(truth, args.truth_out)
     print(f"wrote {dataset.n} instances x {dataset.p} features ({spec.n_classes} classes) to {args.out}")

@@ -59,7 +59,13 @@ def _read_csv_plain(text: str, label_column: bool) -> Dataset | None:
     differ from the row-wise reader's, which then parses the text."""
     if any(c in text for c in _ROW_WISE_ONLY):
         return None
-    lines = [line for line in text.split("\n") if line and not line.isspace()]
+    return _read_csv_lines(text.split("\n"), label_column)
+
+
+def _read_csv_lines(lines: list[str], label_column: bool) -> Dataset | None:
+    """_read_csv_plain of the text's LF-split lines, which contain none of
+    _ROW_WISE_ONLY."""
+    lines = [line for line in lines if line and not line.isspace()]
     commas = {line.count(",") for line in lines}
     if len(commas) != 1 or max(map(len, lines)) > csv.field_size_limit():
         return None
@@ -103,10 +109,16 @@ def _read_csv_rows(text: str, label_column: bool) -> Dataset:
 
 
 def _load_csv(path: str, label_column: bool) -> Dataset:
+    """The csv file's Dataset, its text held once: plain text is dropped once
+    split into lines, which the row-wise fallback joins back into the text."""
     with open(path, newline="") as fh:
         text = fh.read()
-    plain = _read_csv_plain(text, label_column)
-    return plain if plain is not None else _read_csv_rows(text, label_column)
+    if any(c in text for c in _ROW_WISE_ONLY):
+        return _read_csv_rows(text, label_column)
+    lines = text.split("\n")
+    del text
+    plain = _read_csv_lines(lines, label_column)
+    return plain if plain is not None else _read_csv_rows("\n".join(lines), label_column)
 
 
 def _load_libsvm(path: str) -> Dataset:

@@ -111,7 +111,8 @@ def load_hierarchy_json(path: str) -> dict:
     null, and a leaf's members a list of instance ids as long as its size.
     json true and false are neither integers nor numbers. The root and the
     children lists must form one tree over all the nodes: each node but the
-    root a child of exactly one node, and reached from the root."""
+    root a child of exactly one node, and reached from the root; a split
+    node's size is the sum of its children's."""
     payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != SCHEMA_NAME:
         raise ValidationError(f"{path}: not a {SCHEMA_NAME} file")
@@ -162,4 +163,9 @@ def load_hierarchy_json(path: str) -> dict:
             stack.append(kid)
     if reached != ids:
         raise ValidationError(f"{path}: node {min(ids - reached)} is not reached from root {root}")
+    sizes = {record["id"]: record["size"] for record in nodes}
+    for record in nodes:
+        held = sum(sizes[kid] for kid in record["children"])
+        if record["children"] and held != record["size"]:
+            raise ValidationError(f"{path}: node {record['id']} has size {record['size']} but its children hold {held}")
     return payload

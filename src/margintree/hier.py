@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, Hierarchy, Split, TreeNode, ancestor_chain
+from .core import Dataset, Hierarchy, Split, TreeNode, ancestor_chain, distinct
 from .errors import ValidationError
 from .objective import Regularizer, RegularizerConfig
 from .objective import node_objective  # noqa: F401  perfbench/layers.py traces calls through hier.node_objective
@@ -82,7 +82,7 @@ def evaluate_leaf(split: Callable[[], Split], k: int) -> Split | None:
     is unsplittable: the split leaves a cluster empty (an empty leaf) or its
     score is not finite."""
     result = split()
-    if np.unique(result.labels).size < k or not np.isfinite(result.score):
+    if distinct(result.labels).size < k or not np.isfinite(result.score):
         return None
     return result
 

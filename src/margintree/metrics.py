@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .core import Dataset, Hierarchy
+from .core import Dataset, Hierarchy, distinct
 from .errors import StructureError, ValidationError
 from .export import hierarchy_to_dict
 
@@ -175,7 +175,7 @@ def _pair_score(counts: np.ndarray, learned_table, truth_table) -> float:
         return 1.0
     counts = counts.astype(float)
     total = 0.0
-    for value in np.unique(learned_table):
+    for value in distinct(learned_table):
         pairs = counts.T @ (learned_table == value) @ counts
         total += float(np.sum(pairs * (value - truth_table) ** 2))
     return 1.0 - total / (n * (n - 1))

@@ -89,6 +89,13 @@ def cost_matrix(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (_pairwise_hinge(w, x) ** 2).sum(axis=2)
 
 
+def rows_of(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """a[mask] along the first axis, or a itself when the mask keeps every
+    row of a C-ordered a (as at w = 0, where every margin is positive): the
+    same contents, shape and layout, so the same products, without the copy."""
+    return a if a.flags.c_contiguous and mask.all() else a[mask]
+
+
 class Margins:
     """The label margins of K x P weights w on n x P features x under 0-based
     labels y0, from one product x w^T: values[i, y] = 1 - w_{y_i}.x_i +
@@ -125,7 +132,7 @@ class Margins:
         positive margin, c the per-instance coefficient of the block."""
         (n, k), p = self.values.shape, self.x.shape[1]
         rows = self.active.any(axis=1)
-        active, y0, x = self.active[rows].astype(float), self.y0[rows], self.x[rows]
+        active, y0, x = rows_of(self.active, rows).astype(float), rows_of(self.y0, rows), rows_of(self.x, rows)
         own = active.sum(axis=1)
         hess = np.zeros((k, p, k, p))
         for a in range(k):

@@ -69,6 +69,7 @@ from .objective import (
     hinge_loss,  # noqa: F401  optim.hinge_loss
     label_margins,
     regularizer_value,  # noqa: F401  and optim.regularizer_value
+    rows_of,
 )
 
 logger = logging.getLogger(__name__)
@@ -276,7 +277,7 @@ class _PairMargins:
         return np.maximum(self.values, 0.0) @ self.xhat / self.values.size
 
     def hessian(self) -> np.ndarray:
-        rows = self.xhat[self.active]
+        rows = rows_of(self.xhat, self.active)
         return rows.T @ rows / self.values.size
 
     hessian_once = Margins.hessian_once
@@ -340,7 +341,7 @@ class _Pair:
         return z, z, float(self.l1 @ magnitudes)
 
     def margin_map(self, margins):
-        return _Rows(margins.xhat[margins.active])
+        return _Rows(rows_of(margins.xhat, margins.active))
 
     def jacobian(self, z, s):
         """J at the prox point z: a scalar times the 0/1 diagonal of the free coordinates."""

@@ -709,3 +709,11 @@ def reference_parse_csv(path: str, label_column: bool) -> np.ndarray:
                 row.append(float(token))
             rows.append(row)
     return np.array(rows, dtype=float)
+
+
+def reference_write_csv(dataset, path: str) -> None:
+    """The generate command's csv rows written one float at a time: repr of
+    each feature as a Python float, then the label."""
+    with open(path, "w") as fh:
+        for row, label in zip(dataset.features, dataset.labels):
+            fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")

@@ -16,12 +16,14 @@ from margintree import (
     StoppingCriterion,
     SyntheticSpec,
     export_hierarchy,
+    generate_synthetic,
     load_hierarchy_json,
 )
 from margintree.cli import METHODS, ExperimentSpec, main, run_experiment
 from margintree.export import hierarchy_to_dict, render
 from margintree.metrics import leaf_of
 from helpers import blob_dataset, manual_hierarchy
+from oracles import reference_write_csv
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +112,15 @@ class TestGenerate(object):
         assert len(lines[0].split(",")) == 31
         payload = json.loads(open(truth).read())
         assert payload["root"] == "r"
+
+    @pytest.mark.parametrize("shape", [[], ["--branching", "3", "--depth", "1", "--magnitudes", "4", "--noise-scale", "0"]])
+    def test_rows_byte_for_byte(self, tmp_path, shape):
+        # the rows are the one-float-at-a-time writer's, byte for byte
+        path, reference = tmp_path / "data.csv", tmp_path / "reference.csv"
+        assert main(["generate", "--out", str(path), "--per-class", "30", "--seed", "6", *shape]) == 0
+        options = {"branching": 3, "depth": 1, "magnitudes": (4.0,), "noise_scale": 0.0} if shape else {}
+        reference_write_csv(generate_synthetic(SyntheticSpec(per_class=30, seed=6, **options))[0], str(reference))
+        assert path.read_bytes() == reference.read_bytes()
 
 
 class TestClusterCommand:
@@ -389,6 +400,12 @@ class TestInputErrors:
         "two_parents": ([node(1, 2, 3), node(2), node(3, 2)], 1, "node 2 is a child of node 1 and of node 3"),
         "unreached_node": ([node(1), node(2)], 1, "node 2 is not reached from root 1"),
         "cycle_off_the_root": ([node(1), node(2, 3), node(3, 2)], 1, "node 2 is not reached from root 1"),
+        "size_not_children": ([node(1, 2, 3, size=7), node(2), node(3)], 1, "node 1 has size 7 but its children hold 2"),
+        "inner_size_not_children": (
+            [node(1, 2, 3, size=2), node(2, 4, 5), node(3), node(4), node(5)],
+            1,
+            "node 2 has size 1 but its children hold 2",
+        ),
     }
 
     @pytest.mark.parametrize("command", ["evaluate", "export"])
@@ -459,6 +476,7 @@ class TestInputErrors:
         copied = first["members"][3]
         second["members"].append(copied)
         second["size"] += 1  # a consistent leaf: the load checks that its size counts its members
+        payload["nodes"][0]["size"] += 1  # and that the root's counts its children's
         hier_path.write_text(json.dumps(payload))
         capsys.readouterr()
         argv = ["evaluate", "--hierarchy", str(hier_path), "--input", data, "--label-column"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from margintree import Dataset, ValidationError
-from margintree.core import ancestor_chain, subset
+from margintree.core import ancestor_chain, distinct, subset
 from margintree.errors import StructureError
 from margintree.export import hierarchy_to_dict
 from margintree.metrics import leaf_of
@@ -34,6 +34,47 @@ class TestDataset:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             Dataset(features=np.ones((0, 2)), ids=np.array([]))
+
+
+class TestDistinct:
+    """core.distinct is np.unique(values) on every input its callers give it."""
+
+    CASES = {
+        "ints": np.array([3, 1, 2, 3, 1, -7]),
+        "permuted ids": np.random.default_rng(0).permutation(50),
+        "labels 1..K": np.array([[2, 1], [2, 2]]),
+        "floats": np.array([0.5, 1.0, 0.0, 0.5, 1.0 / 3.0]),
+        "NaNs": np.array([np.nan, 1.0, np.nan, 0.0, 1.0, np.nan]),
+        "only NaN": np.array([np.nan, np.nan]),
+        "complex NaNs": np.array([complex(np.nan, 0), 1j, complex(0, np.nan), 1j]),
+        "NaT": np.array(["NaT", "2020-01-01", "NaT", "2019-01-01"], dtype="datetime64[D]"),
+        "strings": np.array(["b", "a", "10", "b", "a"]),
+        "object strings": np.array(["b", "a", "b"], dtype=object),
+        "object ints": np.array([3, 1, 3], dtype=object),
+        "empty floats": np.array([]),
+        "empty ints": np.array([], dtype=np.int64),
+        "empty strings": np.array([], dtype=str),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_np_unique(self, name):
+        values = self.CASES[name]
+        ours, theirs = distinct(values), np.unique(values)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tolist() == theirs.tolist() or np.array_equal(ours, theirs, equal_nan=True)
+
+    def test_mixed_object_types_raise(self):
+        values = np.array([1, "a", 2], dtype=object)
+        with pytest.raises(TypeError):
+            np.unique(values)
+        with pytest.raises(TypeError):
+            distinct(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, -2.5, 1e300, np.nan, np.inf, -np.inf]), max_size=12))
+    def test_random_floats(self, values):
+        values = np.asarray(values, dtype=float)
+        assert np.array_equal(distinct(values), np.unique(values), equal_nan=True)
 
 
 class TestSubset:

@@ -178,7 +178,7 @@ class TestPlainPath:
             fh.write(text)
         assert (_read_csv_plain(text, label_column) is not None) == plain
         ours = read_outcome(lambda: load_dataset(str(path), label_column=label_column))
-        monkeypatch.setattr(margintree.data, "_read_csv_plain", lambda text, label_column: None)
+        monkeypatch.setattr(margintree.data, "_read_csv_lines", lambda lines, label_column: None)
         assert ours == read_outcome(lambda: load_dataset(str(path), label_column=label_column))
 
     @settings(max_examples=60, deadline=None)
