@@ -11,8 +11,8 @@ added everywhere, so the planted tree is recoverable level by level.
 from __future__ import annotations
 
 import csv
-import io
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,30 +47,22 @@ def _parse_row(tokens: list[str], line_no: int) -> list[float]:
     return [_parse_float(tok, line_no) for tok in tokens]
 
 
-# text with any of these goes to the row-wise reader: the csv quote, CR line
-# ends, NUL (a csv.Error before Python 3.11) and \x1c-\x1f, which loadtxt
-# strips around a number as whitespace but float() rejects
-_ROW_WISE_ONLY = '"\r\x00\x1c\x1d\x1e\x1f'
+# a line with any of these goes to the row-wise reader: the csv quote, NUL (a
+# csv.Error before Python 3.11) and \x1c-\x1f, which loadtxt strips around a
+# number as whitespace but float() rejects
+_ROW_WISE_ONLY = '"\x00\x1c\x1d\x1e\x1f'
 
 
-def _read_csv_plain(text: str, label_column: bool) -> Dataset | None:
-    """One loadtxt pass over plain csv text: unquoted, LF line ends and one
-    comma count on every non-blank line. Returns None where the result could
-    differ from the row-wise reader's, which then parses the text."""
-    if any(c in text for c in _ROW_WISE_ONLY):
+def _read_plain(lines: list[str], label_column: bool) -> Dataset | None:
+    """One loadtxt pass over plain csv lines (LF, CRLF or CR ends): unquoted
+    and one comma count on every non-blank line. Returns None where the result
+    could differ from the row-wise reader's, which then parses the lines."""
+    if any(c in line for line in lines for c in _ROW_WISE_ONLY):
         return None
-    return _read_csv_lines(text.split("\n"), label_column)
-
-
-def _read_csv_lines(lines: list[str], label_column: bool) -> Dataset | None:
-    """_read_csv_plain of the text's LF-split lines, which contain none of
-    _ROW_WISE_ONLY."""
-    lines = [line for line in lines if line and not line.isspace()]
+    lines = [line for line in lines if not line.isspace()]
     commas = {line.count(",") for line in lines}
-    if len(commas) != 1 or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    width = commas.pop() + (0 if label_column else 1)
-    if width == 0:
+    width = max(commas, default=0) + (0 if label_column else 1)
+    if len(commas) != 1 or width == 0 or max(map(len, lines)) > csv.field_size_limit():
         return None
     try:
         features = np.loadtxt(lines, delimiter=",", usecols=range(width), comments=None, dtype=float, ndmin=2)
@@ -82,91 +74,92 @@ def _read_csv_lines(lines: list[str], label_column: bool) -> Dataset | None:
     return Dataset(features=features, ids=np.arange(len(lines)), labels=labels)
 
 
-def _read_csv_rows(text: str, label_column: bool) -> Dataset:
-    """The row-wise reader: csv.reader over the text, one _parse_row per row,
-    and a ParseError naming the line of the first bad row."""
-    rows = []
-    labels = []
+def _csv_rows(lines: list[str], label_column: bool):
+    """The row-wise csv reader: csv.reader over the lines, one _parse_row per
+    record, and a ParseError naming the line its first bad record starts on.
+    Yields (label or None, values, None) per record."""
+    reader = csv.reader(lines)
     width = None
-    for line_no, record in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+    start = 1
+    for record in reader:
+        line_no, start = start, reader.line_num + 1
         if not record or (len(record) == 1 and not record[0].strip()):
             continue
-        if width is None:
-            width = len(record)
-        elif len(record) != width:
+        width = width or len(record)
+        if len(record) != width:
             raise ParseError(f"expected {width} columns, found {len(record)}", line=line_no)
-        if label_column:
-            labels.append(record[-1].strip())
-            record = record[:-1]
+        label = record.pop().strip() if label_column else None
         if not record:
             raise ParseError("no feature columns", line=line_no)
-        rows.append(_parse_row(record, line_no))
-    if not rows:
-        raise ParseError("file contains no data rows", line=1)
-    features = np.asarray(rows, dtype=float)
-    ids = np.arange(features.shape[0])
-    return Dataset(features=features, ids=ids, labels=np.asarray(labels) if label_column else None)
+        yield label, _parse_row(record, line_no), None
 
 
-def _load_csv(path: str, label_column: bool) -> Dataset:
-    """The csv file's Dataset, its text held once: plain text is dropped once
-    split into lines, which the row-wise fallback joins back into the text."""
-    with open(path, newline="") as fh:
-        text = fh.read()
-    if any(c in text for c in _ROW_WISE_ONLY):
-        return _read_csv_rows(text, label_column)
-    lines = text.split("\n")
-    del text
-    plain = _read_csv_lines(lines, label_column)
-    return plain if plain is not None else _read_csv_rows("\n".join(lines), label_column)
+def _libsvm_rows(fh):
+    """The libsvm reader, one `label idx:val ...` line at a time (# starts a
+    comment). Yields (label, values, 0-based columns) per non-blank line."""
+    for line_no, line in enumerate(fh, start=1):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if ":" in tokens[0]:
+            raise ParseError(f"expected a label before the index:value pairs, found {tokens[0]!r}", line=line_no)
+        values, cols, seen = [], [], set()
+        for tok in tokens[1:]:
+            if ":" not in tok:
+                raise ParseError(f"expected index:value, found {tok!r}", line=line_no)
+            idx_str, val_str = tok.split(":", 1)
+            try:
+                idx = int(idx_str)
+            except ValueError:
+                raise ParseError(f"bad feature index {idx_str!r}", line=line_no) from None
+            if idx < 1:
+                raise ParseError(f"feature indices are 1-based, found {idx}", line=line_no)
+            if idx in seen:
+                raise ParseError(f"duplicate feature index {idx}", line=line_no)
+            seen.add(idx)
+            cols.append(idx - 1)
+            values.append(_parse_float(val_str, line_no))
+        yield tokens[0], values, cols
 
 
-def _load_libsvm(path: str) -> Dataset:
-    labels = []
-    entry_rows, entry_cols, entry_values = [], [], []  # one entry per index:value token
-    max_index = 0
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            row = len(labels)
-            labels.append(tokens[0])
-            seen = set()
-            for tok in tokens[1:]:
-                if ":" not in tok:
-                    raise ParseError(f"expected index:value, found {tok!r}", line=line_no)
-                idx_str, val_str = tok.split(":", 1)
-                try:
-                    idx = int(idx_str)
-                except ValueError:
-                    raise ParseError(f"bad feature index {idx_str!r}", line=line_no) from None
-                if idx < 1:
-                    raise ParseError(f"feature indices are 1-based, found {idx}", line=line_no)
-                if idx in seen:
-                    raise ParseError(f"duplicate feature index {idx}", line=line_no)
-                seen.add(idx)
-                entry_rows.append(row)
-                entry_cols.append(idx - 1)
-                entry_values.append(_parse_float(val_str, line_no))
-            max_index = max(max_index, max(seen, default=0))
+def _table(rows) -> Dataset:
+    """The Dataset of a row reader's (label, values, columns) rows. The values
+    are kept in one array of doubles and the features made once from it:
+    in place for dense rows (columns None, one width), or densified to the
+    largest column for sparse ones."""
+    labels, values, cols, counts = [], array("d"), array("q"), []
+    for label, row_values, row_cols in rows:
+        labels.append(label)
+        values.extend(row_values)
+        if row_cols is not None:
+            cols.extend(row_cols)
+            counts.append(len(row_cols))
     if not labels:
         raise ParseError("file contains no data rows", line=1)
-    if max_index == 0:
+    n = len(labels)
+    if not counts:
+        features = np.frombuffer(values).reshape(n, -1)
+    elif not cols:
         raise ParseError("no feature values found", line=1)
-    features = np.zeros((len(labels), max_index))
-    features[entry_rows, entry_cols] = entry_values
-    return Dataset(features=features, ids=np.arange(len(labels)), labels=np.asarray(labels))
+    else:
+        cols = np.frombuffer(cols, dtype=np.int64)
+        features = np.zeros((n, cols.max() + 1))
+        features[np.repeat(np.arange(n), counts), cols] = np.frombuffer(values)
+    return Dataset(features=features, ids=np.arange(n), labels=None if labels[0] is None else np.asarray(labels))
 
 
 def load_dataset(path: str, format: str = "csv", label_column: bool = False) -> Dataset:
     """Load a dense dataset from csv (optional trailing label column) or
-    libsvm sparse text (label field kept as ground truth)."""
+    libsvm sparse text (label field kept as ground truth), reading it once."""
     if format not in FORMATS:
         raise ValidationError(f"unknown format {format!r}; expected csv or libsvm")
     try:
-        return _load_csv(path, label_column) if format == "csv" else _load_libsvm(path)
+        if format == "libsvm":
+            with open(path) as fh:
+                return _table(_libsvm_rows(fh))
+        with open(path, newline="") as fh:  # split at LF, CRLF and CR, as csv.reader does
+            lines = fh.readlines()
+        return _read_plain(lines, label_column) or _table(_csv_rows(lines, label_column))
     except (UnicodeDecodeError, csv.Error) as err:
         raise ParseError(f"{path}: not a {format} text file ({err})") from None
 

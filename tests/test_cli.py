@@ -512,6 +512,12 @@ class TestInputErrors:
         path.write_bytes(bytes(range(256)))
         self.check(capsys, ["cluster", "--input", str(path), "--format", fmt], f"not a {fmt} text file")
 
+    def test_libsvm_row_without_a_label(self, tmp_path, capsys):
+        path = tmp_path / "data.libsvm"
+        path.write_text("1 1:0.5 2:1.0\n1:0.5 2:1.0\n")
+        argv = ["cluster", "--input", str(path), "--format", "libsvm"]
+        self.check(capsys, argv, "line 2: expected a label before the index:value pairs, found '1:0.5'")
+
     def test_bad_flag_value(self, planted_files, capsys):
         self.check(capsys, ["cluster", "--input", planted_files[0], "--k", "abc"], "invalid int value: 'abc'")
 

@@ -1,5 +1,7 @@
 import csv
+import io
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 import margintree.data
 from margintree import SyntheticSpec, ValidationError, generate_synthetic, load_dataset, pca_reduce
 from margintree.cli import main
-from margintree.data import _read_csv_plain, _read_csv_rows, standardize
+from margintree.data import _csv_rows, _read_plain, _table, standardize
 from margintree.errors import ParseError
 from oracles import reference_parse_csv
 
@@ -106,6 +108,20 @@ class TestLoadCsv:
         ds = load_dataset(self.write(tmp_path, "1e308,1e308\n-1e308,-1e308\n"))
         assert np.array_equal(ds.features, [[1e308, 1e308], [-1e308, -1e308]])
 
+    @pytest.mark.parametrize(
+        "text, label_column, message",
+        [
+            ('1,"a\nb"\nx,c\n', True, "line 3: cannot parse 'x' as a number"),  # record 1 spans lines 1 and 2
+            ('1,2\n3,"4\n5",6\n7,8\n', False, "line 2: expected 2 columns, found 3"),  # record 2 ends on line 3
+            ('1,"a\r\nb"\r\n\r\ny,c\r\n', True, "line 4: cannot parse 'y' as a number"),
+        ],
+    )
+    def test_error_names_the_line_a_record_starts_on(self, tmp_path, text, label_column, message):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            load_dataset(str(path), label_column=label_column)
+
     @needs_dev_fd
     def test_non_finite_from_a_pipe(self, pipe_path):
         with pytest.raises(ParseError, match=r"^line 3: non-finite value 'nan'$"):
@@ -145,8 +161,8 @@ PLAIN_PATH_CASES = {
     "nan": ("1,nan,a\n3,4,b\n", True, False),
     "nan label": ("1,2,nan\n", True, True),
     "subnormal, negative zero, underflow": ("4.9e-324,-0.0\n1e-400,-4.9e-324\n", False, True),
-    "CRLF": ("1,2,a\r\n3,4,b\r\n", True, False),
-    "lone CR": ("1,2\r3,4\r", False, False),
+    "CRLF": ("1,2,a\r\n3,4,b\r\n", True, True),
+    "lone CR": ("1,2\r3,4\r", False, True),
     "CR inside a row": ("1,2\n3\r,4\n", False, False),
     "quoted fields": ('"1",2\n3,"4"\n', False, False),
     "quoted label with a comma": ('1,2,"a,b"\n3,4,c\n', True, False),
@@ -166,6 +182,12 @@ PLAIN_PATH_CASES = {
 }
 
 
+def lines_of(text):
+    """The text's lines as load_dataset reads them from a file: split at LF,
+    CRLF and CR, each with its line end."""
+    return io.StringIO(text, newline="").readlines()
+
+
 class TestPlainPath:
     """Plain csv text is read in one loadtxt pass, with the row-wise reader's
     features (to the byte), labels and errors (text and line)."""
@@ -176,9 +198,9 @@ class TestPlainPath:
         path = tmp_path / "data.csv"
         with open(path, "w", newline="") as fh:
             fh.write(text)
-        assert (_read_csv_plain(text, label_column) is not None) == plain
+        assert (_read_plain(lines_of(text), label_column) is not None) == plain
         ours = read_outcome(lambda: load_dataset(str(path), label_column=label_column))
-        monkeypatch.setattr(margintree.data, "_read_csv_lines", lambda lines, label_column: None)
+        monkeypatch.setattr(margintree.data, "_read_plain", lambda lines, label_column: None)
         assert ours == read_outcome(lambda: load_dataset(str(path), label_column=label_column))
 
     @settings(max_examples=60, deadline=None)
@@ -193,9 +215,9 @@ class TestPlainPath:
     def test_random_doubles(self, values, width, fmt, label_column):
         rows = [[fmt(v) for v in row[:width]] + ([f"c{i % 2}"] if label_column else []) for i, row in enumerate(values)]
         text = "".join(",".join(row) + "\n" for row in rows)
-        plain = _read_csv_plain(text, label_column)
+        plain = _read_plain(lines_of(text), label_column)
         assert plain is not None
-        assert read_outcome(lambda: plain) == read_outcome(lambda: _read_csv_rows(text, label_column))
+        assert read_outcome(lambda: plain) == read_outcome(lambda: _table(_csv_rows(lines_of(text), label_column)))
 
     @pytest.mark.parametrize("shape", [[], ["--branching", "4", "--per-class", "10", "--noise-dims", "0"]])
     def test_generated_files_skip_the_row_parser(self, tmp_path, monkeypatch, shape):
@@ -205,13 +227,17 @@ class TestPlainPath:
         parse_row = margintree.data._parse_row
         monkeypatch.setattr(margintree.data, "_parse_row", lambda tokens, line_no: rows.append(line_no) or parse_row(tokens, line_no))
         plain = load_dataset(str(path), label_column=True)
-        assert rows == []
-        # the spy sees the row-wise reader: the same file with CRLF line ends
+        # the same file with CRLF line ends takes the same path
         crlf = tmp_path / "crlf.csv"
         crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        row_wise = load_dataset(str(crlf), label_column=True)
+        plain_crlf = load_dataset(str(crlf), label_column=True)
+        assert rows == []
+        # the spy sees the row-wise reader: the same file with quoted labels
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_bytes(re.sub(rb",([^,\n]*)\n", rb',"\1"\n', path.read_bytes()))
+        row_wise = load_dataset(str(quoted), label_column=True)
         assert rows == list(range(1, plain.n + 1))
-        assert read_outcome(lambda: plain) == read_outcome(lambda: row_wise)
+        assert read_outcome(lambda: plain) == read_outcome(lambda: plain_crlf) == read_outcome(lambda: row_wise)
 
 
 class TestLoadLibsvm:
@@ -253,6 +279,11 @@ class TestLoadLibsvm:
     def test_non_finite_reported_before_a_later_bad_token(self, tmp_path):
         with pytest.raises(ParseError, match=r"^line 2: non-finite value 'nan'$"):
             load_dataset(self.write(tmp_path, "1 1:0.5\n2 1:nan 0:1\n1 x\n"), format="libsvm")
+
+    def test_row_without_a_label(self, tmp_path):
+        # LIBSVM's own reader rejects it too: the first token is the label
+        with pytest.raises(ParseError, match=r"^line 3: expected a label before the index:value pairs, found '1:0.5'$"):
+            load_dataset(self.write(tmp_path, "1 1:0.5\n\n1:0.5 2:1.0\n"), format="libsvm")
 
     @needs_dev_fd
     def test_non_finite_from_a_pipe(self, pipe_path):

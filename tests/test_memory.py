@@ -1,5 +1,6 @@
-"""The program's own working set: no masked-array module, the csv text held
-once, and no row copies while every margin is positive."""
+"""The program's own working set: no masked-array module, each input format
+loaded at most twice its file size, and no row copies while every margin is
+positive."""
 
 import os
 import subprocess
@@ -46,19 +47,45 @@ def test_no_masked_array_module(tmp_path):
     assert run_python(OPS, tmp_path) == "False"
 
 
-def test_csv_load_peak(tmp_path):
-    # the text is split into lines and dropped before loadtxt runs: the
-    # load peaks near twice the file size, not at text + lines + features
-    path = tmp_path / "planted.csv"
+def copy_as(text, layout):
+    """A generated csv file's text in one of the layouts load_dataset reads,
+    and its format: the same rows and labels in each."""
+    rows = [line.split(",") for line in text.splitlines()]
+    if layout == "lf":
+        return text, "csv"
+    if layout == "crlf":
+        return text.replace("\n", "\r\n"), "csv"
+    if layout == "quoted":  # quoted labels: the row-wise reader
+        return "".join(",".join(row[:-1]) + f',"{row[-1]}"\n' for row in rows), "csv"
+    return "".join(" ".join([row[-1]] + [f"{j}:{v}" for j, v in enumerate(row[:-1], 1)]) + "\n" for row in rows), "libsvm"
+
+
+@pytest.fixture(scope="module")
+def generated_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("load") / "planted.csv"
     assert main(["generate", "--out", str(path), "--per-class", "250", "--seed", "2"]) == 0
+    return path
+
+
+@pytest.mark.parametrize("layout", ["lf", "crlf", "quoted", "libsvm"])
+def test_load_peak(tmp_path, generated_csv, layout):
+    # the file is read once as lines (csv) or streamed (libsvm), and the
+    # values go straight into one array: no load holds the text, the lines and
+    # the features at once, or the values as Python float lists
+    text, fmt = copy_as(generated_csv.read_text(), layout)
+    path = tmp_path / f"planted.{layout}"
+    path.write_bytes(text.encode())
     tracemalloc.start()
     try:
-        dataset = load_dataset(str(path), label_column=True)
+        dataset = load_dataset(str(path), fmt, label_column=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert dataset.n == 1000
-    assert peak <= 2.3 * path.stat().st_size
+    assert peak <= 2.0 * path.stat().st_size
+    lf = load_dataset(str(generated_csv), label_column=True)
+    assert dataset.features.tobytes() == lf.features.tobytes()
+    assert dataset.labels.tolist() == lf.labels.tolist()
 
 
 class RowsSpy:
