@@ -48,17 +48,13 @@ def squared_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
 
-def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return squared_distances(x, centroids).argmin(axis=1)
-
-
 def kmeans(x: np.ndarray, k: int, seed: int) -> KMeansResult:
     n = x.shape[0]
     if n < k:
         raise ValidationError(f"cannot fit {k} clusters to {n} instances")
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(x, k, rng)
-    labels = _assign(x, centroids)
+    labels = squared_distances(x, centroids).argmin(axis=1)
     prev_inertia = np.inf
     iterations = 0
     for iterations in range(1, MAX_ITERS + 1):
@@ -71,7 +67,7 @@ def kmeans(x: np.ndarray, k: int, seed: int) -> KMeansResult:
                 far = int(np.argmax(((x - centroids[labels]) ** 2).sum(axis=1)))
                 centroids[j] = x[far]
                 labels[far] = j
-        new_labels = _assign(x, centroids)
+        new_labels = squared_distances(x, centroids).argmin(axis=1)
         inertia = float(((x - centroids[new_labels]) ** 2).sum())
         converged = np.array_equal(new_labels, labels) or prev_inertia - inertia < TOL
         labels = new_labels

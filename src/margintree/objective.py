@@ -73,20 +73,15 @@ def _check_dims(w: np.ndarray, x: np.ndarray) -> None:
         raise ValidationError(f"model dimension {w.shape[1]} != feature dimension {x.shape[1]}")
 
 
-def _pairwise_hinge(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # out[i, y, y'] = [1 - w_y.x_i + w_y'.x_i]_+ with the y'=y diagonal zeroed
-    scores = x @ w.T
-    margins = 1.0 - scores[:, :, None] + scores[:, None, :]
-    k = w.shape[0]
-    margins[:, np.arange(k), np.arange(k)] = 0.0
-    return np.maximum(margins, 0.0)
-
-
 def cost_matrix(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-instance, per-cluster assignment costs of K x P weights on n x P
     features: cost[i, y] = sum_{y' != y} [1 - w_y.x_i + w_y'.x_i]_+^2."""
     _check_dims(w, x)
-    return (_pairwise_hinge(w, x) ** 2).sum(axis=2)
+    scores = x @ w.T
+    margins = 1.0 - scores[:, :, None] + scores[:, None, :]
+    k = w.shape[0]
+    margins[:, np.arange(k), np.arange(k)] = 0.0
+    return (np.maximum(margins, 0.0) ** 2).sum(axis=2)
 
 
 def rows_of(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -109,7 +104,6 @@ class Margins:
         values = 1.0 - scores[rows, y0][:, None] + scores
         values[rows, y0] = 0.0
         self.x, self.y0, self.values, self.active = x, y0, values, values > 0.0
-        self.kept = None  # the Hessian, once hessian_once() has built it
 
     def at(self, w: np.ndarray) -> "Margins":
         return Margins(w, self.x, self.y0)
@@ -120,32 +114,23 @@ class Margins:
     def grad(self) -> np.ndarray:
         return margin_adjoint(2.0 * np.maximum(self.values, 0.0), self.x, self.y0) / self.values.size
 
-    def hessian_once(self) -> np.ndarray:
-        """hessian(), built once and kept: one record serves one model of the weight update."""
-        self.kept = self.hessian() if self.kept is None else self.kept
-        return self.kept
-
     def hessian(self) -> np.ndarray:
-        """(2/(n K)) sum over positive margins (i, y) of (e_y - e_{y_i})(e_y -
-        e_{y_i})^T kron x_i x_i^T over the row-major K x P weights, block by
-        block as the Gram products x^T diag(c) x over the instances with a
-        positive margin, c the per-instance coefficient of the block."""
+        """(2/(n K)) sum over positive margins (i, y) of s s^T kron x_i x_i^T,
+        s = e_y - e_{y_i}, over the row-major K x P weights. Instance i's K x K
+        coefficient C_i = sum s s^T over its positive margins comes from its sign
+        vectors in one batched product, exact in the least integer type that
+        holds -K; block (a, b) is the Gram product x^T diag(C[:, a, b]) x over
+        the instances with a positive margin."""
         (n, k), p = self.values.shape, self.x.shape[1]
         rows = self.active.any(axis=1)
-        active, y0, x = rows_of(self.active, rows).astype(float), rows_of(self.y0, rows), rows_of(self.x, rows)
-        own = active.sum(axis=1)
+        active, y0, x = rows_of(self.active, rows), rows_of(self.y0, rows), rows_of(self.x, rows)
+        eye = np.eye(k, dtype=np.min_scalar_type(-k))
+        signs = (eye - eye[y0][:, None, :]) * active[:, :, None]  # signs[i, y] = s at a positive margin, else 0
+        coef = signs.transpose(0, 2, 1) @ signs
         hess = np.zeros((k, p, k, p))
         for a in range(k):
             for b in range(a, k):
-                # coefficient of x_i x_i^T in block (a, b): on the diagonal, the
-                # count of positive margins if a is the own label, else whether the
-                # margin against a is positive; off it, -1 if one of a, b is the own
-                # label and the margin against the other is positive
-                if a == b:
-                    coef = np.where(y0 == a, own, active[:, a])
-                else:
-                    coef = np.where(y0 == a, -active[:, b], 0.0) + np.where(y0 == b, -active[:, a], 0.0)
-                block = (x * coef[:, None]).T @ x
+                block = (x * coef[:, a, b, None]).T @ x
                 hess[a, :, b, :] = block
                 if a != b:
                     hess[b, :, a, :] = block.T

@@ -55,6 +55,7 @@ Newton step; K >= 3 keeps its summed products.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 
@@ -62,7 +63,6 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .objective import (
-    Margins,
     Regularizer,
     column_norms,
     hinge_grad,  # noqa: F401  perfbench/layers.py traces calls through optim.hinge_grad,
@@ -264,7 +264,7 @@ class _PairMargins:
 
     def __init__(self, xhat: np.ndarray, u: np.ndarray):
         self.xhat, self.values = xhat, 1.0 + xhat @ u
-        self.active, self.kept = self.values > 0.0, None
+        self.active = self.values > 0.0
 
     def at(self, u: np.ndarray) -> "_PairMargins":
         return _PairMargins(self.xhat, u)
@@ -279,8 +279,6 @@ class _PairMargins:
     def hessian(self) -> np.ndarray:
         rows = rows_of(self.xhat, self.active)
         return rows.T @ rows / self.values.size
-
-    hessian_once = Margins.hessian_once
 
 
 class _Rows:
@@ -476,8 +474,10 @@ def _descend(space, w: np.ndarray) -> np.ndarray:
             break
         r_norm = math.sqrt(space.dot(r, r))
         a = space.margin_map(margins)
-        # the Hessian is built on the first weight-space Newton step of this model, if any
-        z = _solve_dual_model(w, grad, margins.hessian_once, DAMPING * r_norm, a, space.c, space, INEXACTNESS * r_norm)
+        # the Hessian is built on the model's first weight-space Newton step, if any, kept for the model's
+        # later steps and freed with the model
+        z = _solve_dual_model(w, grad, functools.cache(margins.hessian), DAMPING * r_norm, a, space.c, space,
+                              INEXACTNESS * r_norm)
         if not np.all(np.isfinite(z)):
             raise SolverError(f"iterate diverged at outer iteration {outer}")
         d = z - w

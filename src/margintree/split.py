@@ -136,44 +136,38 @@ def score_bound(x: np.ndarray, regularizer: Regularizer, k: int) -> float:
     return float("inf") if np.isnan(bound) else bound
 
 
+def _descended(after: float, before: float, half: str) -> float:
+    """The objective after the named half-step; a SolverError if it rose from before beyond the slack."""
+    if after > before + _slack(DESCENT_TOL, before):
+        raise SolverError(f"objective rose after {half} half-step: {before:.12e} -> {after:.12e}")
+    return after
+
+
 def split_node(x: np.ndarray, regularizer: Regularizer, k: int, seed: int) -> Split:
     """Split the node's n x P features x into k clusters under the split's
     regularizer (lambda_E from the ancestor rows of core.ancestor_chain):
     alternate weight fitting and balanced assignment until the labels reach
     a fixed point, the relative objective change drops below REL_OBJ_TOL, or
-    MAX_ALTERNATIONS alternations are done. The split's objective is the
-    last entry of its trace."""
+    MAX_ALTERNATIONS alternations are done. One evaluation per labelling:
+    each labels and weights pair is evaluated once, as one trace entry (an
+    unchanged assignment ends the run first); the last is the split's objective."""
     bounds = balance_bounds(x.shape[0], k)
     labels = init_assignment(x, k, bounds, seed)
     w = solve_w(x, labels, regularizer, np.zeros((k, x.shape[1])))
-    objective = node_objective(w, labels, regularizer, x)
-    trace = [objective]
+    trace = [node_objective(w, labels, regularizer, x)]
 
-    iterations = 0
-    for iterations in range(1, MAX_ALTERNATIONS + 1):
-        costs = cost_matrix(w, x)
-        new_labels = solve_balanced_assignment(costs, bounds.lower, bounds.upper)
-        after_assign = node_objective(w, new_labels, regularizer, x)
-        if after_assign > trace[-1] + _slack(DESCENT_TOL, trace[-1]):
-            raise SolverError(
-                f"objective rose after assignment half-step: {trace[-1]:.12e} -> {after_assign:.12e}"
-            )
+    for _ in range(MAX_ALTERNATIONS):
+        new_labels = solve_balanced_assignment(cost_matrix(w, x), bounds.lower, bounds.upper)
         if np.array_equal(new_labels, labels):
-            iterations -= 1
             break
         labels = new_labels
-        trace.append(after_assign)
-
+        trace.append(_descended(node_objective(w, labels, regularizer, x), trace[-1], "assignment"))
         w = solve_w(x, labels, regularizer, w)
-        objective = node_objective(w, labels, regularizer, x)
-        if objective > after_assign + _slack(DESCENT_TOL, after_assign):
-            raise SolverError(
-                f"objective rose after weight half-step: {after_assign:.12e} -> {objective:.12e}"
-            )
-        trace.append(objective)
-        if trace[-3] - objective < _slack(REL_OBJ_TOL, trace[-3]):
+        trace.append(_descended(node_objective(w, labels, regularizer, x), trace[-1], "weight"))
+        if trace[-3] - trace[-1] < _slack(REL_OBJ_TOL, trace[-3]):
             break
 
-    score = _score(w, labels, x, regularizer)
-    logger.debug("split converged: n=%d iterations=%d objective=%.6e score=%.6e", len(x), iterations, trace[-1], score)
-    return Split(labels, w, score, tuple(trace))
+    split = Split(labels, w, _score(w, labels, x, regularizer), tuple(trace))
+    logger.debug("split converged: n=%d iterations=%d objective=%.6e score=%.6e",
+                 len(x), split.iterations, trace[-1], split.score)
+    return split

@@ -219,6 +219,28 @@ class TestClusterCommand:
         assert (count, incomplete) == (2, False)
         assert leaves == self.blob_leaves(tmp_path, 1.0)[2]
 
+    def test_pca_dim(self, planted_files, tmp_path, capsys):
+        # --pca-dim reduces the features the build sees; --no-standardize acts
+        # only together with it
+        data, _ = planted_files
+
+        def report(*flags):
+            path = tmp_path / "report.json"
+            assert main(["cluster", "--input", data, "--label-column", "--k", "2", "--max-leaves", "4",
+                         "--report-out", str(path), *flags]) == 0
+            payload = json.loads(path.read_text())
+            del payload["runtime_seconds"], payload["outputs"]
+            return payload
+
+        reduced = report("--pca-dim", "5")
+        assert (reduced["n_features"], reduced["params"]["pca_dim"]) == (5, 5)
+        raw = report("--pca-dim", "5", "--no-standardize")
+        assert raw["n_features"] == 5 and raw["objective"] != reduced["objective"]
+        assert report("--no-standardize") == report()
+        capsys.readouterr()
+        assert main(["cluster", "--input", data, "--label-column", "--pca-dim", "31"]) == 1
+        assert "d must lie in [1, min(N, P)] = [1, 30], got 31" in capsys.readouterr().err
+
     def test_validation_exit_code(self, tmp_path):
         missing = str(tmp_path / "missing.csv")
         assert main(["cluster", "--input", missing, "--method", "hmmc"]) == 1

@@ -162,12 +162,26 @@ def problem_away_from_kinks(rng, k, gap=1e-4):
 
 
 class TestHingeHessian:
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_matches_loop_oracle(self, k):
         rng = np.random.default_rng(30 + k)
         for _ in range(10):
             w, x, labels = problem_away_from_kinks(rng, k)
             assert np.abs(label_margins(w, x, labels).hessian() - hinge_hessian_loops(w, x, labels)).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 4, 128])
+    def test_all_active_matches_loop_oracle_bit_for_bit(self, k):
+        # at w = 0 every margin is positive, so every coefficient case occurs:
+        # the own label's count K - 1 (127 at K = 128, the most the sign
+        # vectors' 8-bit type holds), 1 against another label, -1 between the
+        # own label and another, 0 between two others; integer features and
+        # n K a power of two keep both sums and the scaling exact
+        rng = np.random.default_rng(50 + k)
+        x = rng.integers(-3, 4, size=(256 // k, 3)).astype(float)
+        labels = np.resize(np.arange(1, k + 1), x.shape[0])
+        w = np.zeros((k, 3))
+        assert label_margins(w, x, labels).active.sum() == x.shape[0] * (k - 1)
+        assert label_margins(w, x, labels).hessian().tobytes() == hinge_hessian_loops(w, x, labels).tobytes()
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_finite_differences_of_gradient(self, k):

@@ -850,7 +850,7 @@ class TestDualLineSearch:
         if coords == "pair":
             w = (w[0] - w[1]) / SQRT2
         margins = space.origin.at(w)
-        return w, margins.grad(), margins.hessian_once, cls.MU, space.margin_map(margins), space.c, space, 0.0
+        return w, margins.grad(), margins.hessian, cls.MU, space.margin_map(margins), space.c, space, 0.0
 
     @staticmethod
     def solve(monkeypatch, model, search):

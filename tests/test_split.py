@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import margintree.split
 from margintree import Dataset, RegularizerConfig, SyntheticSpec, generate_synthetic, rand_index
 from margintree.core import NodeData, ancestor_chain, subset
-from margintree.errors import ConfigError, ValidationError
+from margintree.errors import ConfigError, SolverError, ValidationError
 from margintree.hier import BuildConfig, StoppingCriterion, grow_tree, node_seed
 from margintree.objective import VARIANTS, Regularizer, group_reg, hinge_loss
-from margintree.split import _score, balance_bounds, init_assignment, score_bound, split_node
+from margintree.split import _descended, _score, balance_bounds, init_assignment, score_bound, split_node
 from helpers import blob_dataset, split_rows
 from test_objective import chain_of, exclusive_terms
 
@@ -155,6 +155,30 @@ class TestSplitNode:
         res = split_rows(nd.features, (), 2, RegularizerConfig(0.01, 0.01), seed=3)
         assert res.iterations >= 1
         assert len(reads) == 1
+
+    @pytest.mark.parametrize("k, strength, alternates", [(2, 0.01, False), (2, 1.0, False), (3, 5.0, True)])
+    def test_one_objective_per_trace_entry(self, monkeypatch, k, strength, alternates):
+        # each labelling's objective is evaluated once: at a fixed point of the
+        # first assignment (alpha = beta = 0.01 and 1 on this data) and along
+        # the alternations that alpha = beta = 5 takes at K = 3 alike
+        ds, _ = generate_synthetic(SyntheticSpec(per_class=25, seed=2))
+        calls = []
+        objective = margintree.split.node_objective
+
+        def spy(*args):
+            calls.append(objective(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(margintree.split, "node_objective", spy)
+        res = split_rows(ds.features, (), k, RegularizerConfig(strength, strength), seed=0)
+        assert (len(res.trace) > 1) == alternates
+        assert len(calls) == len(res.trace)
+        assert tuple(calls) == res.trace
+
+    def test_descent_check_names_the_half_step(self):
+        assert _descended(1.0, 1.0, "weight") == 1.0
+        with pytest.raises(SolverError, match=r"^objective rose after assignment half-step: 1\.0+e\+00 -> 2\.0+e\+00$"):
+            _descended(2.0, 1.0, "assignment")
 
     def test_too_small_node(self):
         ds = blob_dataset(8, [[0.0, 0.0]], per_blob=1)
