@@ -234,10 +234,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
-def _options(spec_cls) -> typing.Iterator[tuple[dataclasses.Field, type]]:
-    """The fields of an option-table dataclass with their resolved types."""
+@functools.cache
+def _options(spec_cls) -> tuple[tuple[dataclasses.Field, type], ...]:
+    """The fields of an option-table dataclass with their resolved types,
+    resolved once per class."""
     hints = typing.get_type_hints(spec_cls)
-    return ((f, hints[f.name]) for f in dataclasses.fields(spec_cls))
+    return tuple((f, hints[f.name]) for f in dataclasses.fields(spec_cls))
 
 
 def _add_options(parser: argparse.ArgumentParser, spec_cls) -> None:

@@ -42,10 +42,20 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return x[chosen].copy()
 
 
-def squared_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def squared_norms(x: np.ndarray) -> np.ndarray:
+    """The squared Euclidean norms of the rows of x."""
+    return np.einsum("ij,ij->i", x, x)
+
+
+def squared_distances(x: np.ndarray, centroids: np.ndarray, x_norms: np.ndarray) -> np.ndarray:
     """n x K squared Euclidean distances of the n x P rows x to the K x P
-    centroids."""
-    return ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    centroids, |x|^2 - 2 x.c + |c|^2 clamped at 0, given x_norms =
+    squared_norms(x): no array larger than n x K."""
+    distances = x @ centroids.T
+    distances *= -2.0
+    distances += x_norms[:, None]
+    distances += squared_norms(centroids)
+    return np.maximum(distances, 0.0, out=distances)
 
 
 def kmeans(x: np.ndarray, k: int, seed: int) -> KMeansResult:
@@ -54,7 +64,8 @@ def kmeans(x: np.ndarray, k: int, seed: int) -> KMeansResult:
         raise ValidationError(f"cannot fit {k} clusters to {n} instances")
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(x, k, rng)
-    labels = squared_distances(x, centroids).argmin(axis=1)
+    x_norms = squared_norms(x)
+    labels = squared_distances(x, centroids, x_norms).argmin(axis=1)
     prev_inertia = np.inf
     iterations = 0
     for iterations in range(1, MAX_ITERS + 1):
@@ -67,7 +78,7 @@ def kmeans(x: np.ndarray, k: int, seed: int) -> KMeansResult:
                 far = int(np.argmax(((x - centroids[labels]) ** 2).sum(axis=1)))
                 centroids[j] = x[far]
                 labels[far] = j
-        new_labels = squared_distances(x, centroids).argmin(axis=1)
+        new_labels = squared_distances(x, centroids, x_norms).argmin(axis=1)
         inertia = float(((x - centroids[new_labels]) ** 2).sum())
         converged = np.array_equal(new_labels, labels) or prev_inertia - inertia < TOL
         labels = new_labels

@@ -4,7 +4,8 @@ regularizer.
 
 Each outer iteration damps the exact generalized Hessian H of the squared
 hinge at the current point w by mu = |r|, r the prox-gradient residual at
-the step 1/L (L = 2 lambda_max(X^T X)/n bounds the Lipschitz constant of
+the step 1/L (L = 2 ||X^T X||_F/n, since the Frobenius norm of X^T X bounds
+its largest eigenvalue, bounds the Lipschitz constant of
 the hinge gradient), and minimizes the model grad.d + d.(H + mu I)d/2 +
 R(w + d) to a residual of |r|/10 by semismooth Newton on its dual. An Armijo
 backtracking on the true objective takes the step, or the prox-gradient
@@ -16,7 +17,8 @@ call. One margins record per iterate gives the loss, the gradient, the
 active margins and H; the accepted Armijo trial's record serves the next
 iteration.
 
-The dual maps A, A^T touch only the m positive margins (MarginMap). Each
+The dual maps A, A^T touch only the m positive margins and read each
+instance's row at most once (MarginMap). Each
 dual Newton system is solved over the m margins when m is at most the
 number of free weights (those the prox Jacobian does not zero), else over
 the free weights through the Woodbury identity, the only case that builds
@@ -160,28 +162,50 @@ def _jacobian_product(blocks: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 class MarginMap:
-    """A, the linear map from K x P weights z to the positive margins (i, y)
+    """A, the linear map from K x P weights z to the m positive margins (i, y)
     of an n x K mask, (A z)_(i, y) = z_y.x_i - z_{y_i}.x_i in row-major order
-    (y0 the 0-based labels), and A^T: they gather the m instance rows and
-    scatter through the m x K signs of e_y - e_{y_i}, or, once matrix() has
-    built it, go through the m x K P matrix of A."""
+    (y0 the 0-based labels), and A^T. It holds the rows of the n_a instances
+    with a positive margin, once each (x itself while every instance has
+    one), and two flat indices per margin into the n_a x K scores rows z^T,
+    made once per model: its own entry's and that of its instance's label.
+    A z is the difference of the two entries; A^T lam is C^T rows, C the
+    n_a x K coefficients that hold lam at the margins and minus each row's
+    sum of lam at its label. Once matrix() has built the m x K P matrix of
+    A, both go through it."""
 
     def __init__(self, x: np.ndarray, y0: np.ndarray, mask: np.ndarray):
-        inst, cls = np.nonzero(mask)
-        eye = np.eye(mask.shape[1])
-        self.rows, self.signs = x[inst], eye[cls] - eye[y0[inst]]
-        self.size, self.shape, self.a = inst.size, (mask.shape[1], x.shape[1]), None
+        k = mask.shape[1]
+        rows = mask.any(axis=1)
+        inst, cls = np.nonzero(rows_of(mask, rows))
+        start = inst * k  # where each margin's row starts in the flat scores
+        self.rows, self.at, self.own_at = rows_of(x, rows), start + cls, start + rows_of(y0, rows)[inst]
+        self.size, self.shape, self.a = inst.size, (k, x.shape[1]), None
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        return ((self.rows @ z.T) * self.signs).sum(axis=1) if self.a is None else self.a @ z.ravel()
+        if self.a is not None:
+            return self.a @ z.ravel()
+        scores = self.rows @ z.T
+        return scores.take(self.at) - scores.take(self.own_at)
 
     def adjoint(self, lam: np.ndarray) -> np.ndarray:
-        return (self.signs.T * lam) @ self.rows if self.a is None else (lam @ self.a).reshape(self.shape)
+        if self.a is not None:
+            return (lam @ self.a).reshape(self.shape)
+        k = self.shape[0]
+        coef = np.bincount(self.own_at, lam, self.rows.shape[0] * k)
+        np.negative(coef, out=coef)
+        coef[self.at] = lam
+        return coef.reshape(-1, k).T @ self.rows
 
     def matrix(self) -> np.ndarray:
         if self.a is None:
-            self.a = (self.signs[:, :, None] * self.rows[:, None, :]).reshape(self.size, -1)
-            self.rows = self.signs = None
+            (k, p), margins = self.shape, np.arange(self.size)
+            inst, cls = np.divmod(self.at, k)
+            rows = self.rows[inst]
+            a = np.zeros((self.size, k, p))
+            a[margins, cls] = rows
+            a[margins, self.own_at - inst * k] = -rows
+            self.a = a.reshape(self.size, k * p)
+            self.rows = self.at = self.own_at = None
         return self.a
 
 
@@ -473,11 +497,10 @@ def _descend(space, w: np.ndarray) -> np.ndarray:
                            outer, residual / scale)
             break
         r_norm = math.sqrt(space.dot(r, r))
-        a = space.margin_map(margins)
-        # the Hessian is built on the model's first weight-space Newton step, if any, kept for the model's
-        # later steps and freed with the model
-        z = _solve_dual_model(w, grad, functools.cache(margins.hessian), DAMPING * r_norm, a, space.c, space,
-                              INEXACTNESS * r_norm)
+        # the margin map and the Hessian, built on the model's first weight-space Newton step if any, serve
+        # the model's steps and are freed with the model
+        z = _solve_dual_model(w, grad, functools.cache(margins.hessian), DAMPING * r_norm,
+                              space.margin_map(margins), space.c, space, INEXACTNESS * r_norm)
         if not np.all(np.isfinite(z)):
             raise SolverError(f"iterate diverged at outer iteration {outer}")
         d = z - w

@@ -19,7 +19,7 @@ import numpy as np
 from .core import Split
 from .errors import ConfigError, SolverError
 from .flow import solve_balanced_assignment
-from .kmeans import kmeans, squared_distances
+from .kmeans import kmeans, squared_distances, squared_norms
 from .objective import Regularizer, cost_matrix, node_objective
 from .optim import SQRT2, solve_w
 
@@ -70,7 +70,8 @@ def init_assignment(x: np.ndarray, k: int, bounds: BalanceBounds, seed: int) -> 
     """Seeded k-means labels of the n x P features repaired to the balance
     bounds by solving the assignment with squared-distance costs."""
     result = kmeans(x, k, seed)
-    return solve_balanced_assignment(squared_distances(x, result.centroids), bounds.lower, bounds.upper)
+    costs = squared_distances(x, result.centroids, squared_norms(x))
+    return solve_balanced_assignment(costs, bounds.lower, bounds.upper)
 
 
 def _score(w: np.ndarray, labels: np.ndarray, x: np.ndarray, regularizer: Regularizer) -> float:

@@ -67,6 +67,12 @@ def margin_map_loops(z: np.ndarray, x: np.ndarray, y0: np.ndarray) -> np.ndarray
     return out
 
 
+def squared_distances_tensor(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """n x K squared distances through the n x K x P difference tensor: the
+    reference for kmeans.squared_distances, which expands the square."""
+    return ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
 def hinge_grad_loops(w: np.ndarray, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     n, k = x.shape[0], w.shape[0]
     grad = np.zeros_like(w, dtype=float)

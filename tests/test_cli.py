@@ -326,6 +326,17 @@ class TestRepeatedMainCalls:
     def test_parser_is_built_once(self):
         assert margintree.cli._build_parser() is margintree.cli._build_parser()
 
+    def test_type_hints_are_resolved_once(self, tmp_path, monkeypatch):
+        # each option table's annotations are resolved on its first use, not on every op
+        resolve, resolved = margintree.cli.typing.get_type_hints, []
+        monkeypatch.setattr(margintree.cli.typing, "get_type_hints", lambda cls: resolved.append(cls) or resolve(cls))
+        margintree.cli._options.cache_clear()
+        margintree.cli._build_parser.cache_clear()
+        for run in range(2):
+            assert main(["generate", "--out", str(tmp_path / f"d{run}.csv"), "--per-class", "5"]) == 0
+        # building the parser resolves both tables, and neither generate op resolves one again
+        assert sorted(cls.__name__ for cls in resolved) == ["ExperimentSpec", "SyntheticSpec"]
+
     def test_no_state_between_calls(self, planted_files, tmp_path, capsys):
         data, _ = planted_files
         fresh = tmp_path / "fresh.json"

@@ -1,6 +1,7 @@
 """The program's own working set: no masked-array module, each input format
-loaded at most twice its file size, and no row copies while every margin is
-positive."""
+loaded at most twice its file size, no row copies while every margin is
+positive, at most one row per instance in the margin map, and no n x K x P
+array in the k-means distances."""
 
 import os
 import subprocess
@@ -13,10 +14,20 @@ import pytest
 import margintree
 import margintree.objective
 import margintree.optim
-from margintree import RegularizerConfig, load_dataset
-from margintree.cli import main
+from margintree import (
+    BuildConfig,
+    RegularizerConfig,
+    StoppingCriterion,
+    SyntheticSpec,
+    build_hierarchy,
+    generate_synthetic,
+    load_dataset,
+)
+from margintree.cli import main, restart_seed
+from margintree.kmeans import kmeans, squared_distances, squared_norms
 from margintree.objective import Regularizer, label_margins, rows_of
-from margintree.optim import _Pair
+from margintree.optim import _General, _Pair
+from oracles import margin_map_loops, squared_distances_tensor
 
 OPS = """
 import sys
@@ -163,3 +174,85 @@ class TestRowsAtZero:
         x = np.asfortranarray(np.arange(12.0).reshape(4, 3))
         rows = rows_of(x, np.ones(4, dtype=bool))
         assert not np.shares_memory(rows, x) and rows.flags.c_contiguous and np.array_equal(rows, x)
+
+
+def traced_peak(run):
+    """run()'s result and the peak of the memory it allocated, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMarginMapRows:
+    """At K >= 3 the margin map holds each instance's row at most once: x
+    itself while every instance has a positive margin, else the rows of those
+    that have one, with the margins read through flat indices."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_x_itself_at_zero(self, k):
+        x, labels, regularizer = problem(k)
+        general = _General(label_margins(np.zeros((k, x.shape[1])), x, labels), regularizer)
+        assert general.margin_map(general.origin).rows is x
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_one_row_per_instance(self, k):
+        # instance 0 has no positive margin and the others some: the map holds
+        # one row per instance with one, and applies A and A^T as the loops do
+        x, labels, regularizer = problem(k, n=40)
+        rng = np.random.default_rng(k)
+        w = rng.normal(size=(k, x.shape[1]))
+        w[labels[0] - 1] += 40.0 * x[0] / (x[0] @ x[0])
+        margins = label_margins(w, x, labels)
+        active, rows = margins.active, margins.active.any(axis=1)
+        assert not rows[0] and rows.any() and active.sum() > rows.sum()
+        a = _General(label_margins(np.zeros_like(w), x, labels), regularizer).margin_map(margins)
+        assert a.rows.shape[0] == rows.sum() and np.array_equal(a.rows, x[rows])
+        z, lam = rng.normal(size=w.shape), rng.normal(size=a.size)
+        forward, adjoint = a(z), a.adjoint(lam)
+        assert np.allclose(forward, margin_map_loops(z, x, margins.y0)[active], rtol=0, atol=1e-12)
+        full = np.zeros(active.shape)
+        full[active] = lam
+        expected = np.stack([(margin_map_loops(e.reshape(w.shape), x, margins.y0) * full).sum()
+                             for e in np.eye(w.size)]).reshape(w.shape)
+        assert np.allclose(adjoint, expected, rtol=0, atol=1e-12)
+        assert abs(float(forward @ lam) - float((z * adjoint).sum())) <= 1e-12 * max(1.0, float(np.abs(forward).sum()))
+
+
+class TestSquaredDistances:
+    """kmeans.squared_distances is |x|^2 - 2 x.c + |c|^2 clamped at 0: no
+    n x K x P temporary, the difference tensor's values to rounding and the
+    same nearest centroids on the planted shapes."""
+
+    def test_peak_below_the_tensor(self):
+        n, k, p = 5000, 4, 30
+        rng = np.random.default_rng(5)
+        x, centroids = rng.normal(size=(n, p)), rng.normal(size=(k, p))
+        norms = squared_norms(x)
+        distances, peak = traced_peak(lambda: squared_distances(x, centroids, norms))
+        assert distances.shape == (n, k)
+        assert peak < n * k * p * 8
+
+    @pytest.mark.parametrize("branching, per_class, k", [(2, 50, 2), (2, 400, 2), (4, 50, 4)])
+    def test_the_tensor_form(self, branching, per_class, k):
+        x = generate_synthetic(SyntheticSpec(branching=branching, per_class=per_class, seed=0))[0].features
+        for centroids in (kmeans(x, k, seed=1).centroids, x[:k]):
+            ours, tensor = squared_distances(x, centroids, squared_norms(x)), squared_distances_tensor(x, centroids)
+            assert ours.min() >= 0.0
+            assert np.abs(ours - tensor).max() <= 1e-9 * tensor.max()
+            assert np.array_equal(ours.argmin(axis=1), tensor.argmin(axis=1))
+
+
+def test_planted_wide_build_peak():
+    # a K = 4 build of the planted-wide workload's dataset 0, as `cluster --k 4
+    # --max-leaves 10 --seed 0` makes it: about 1.1 MB with one row per active
+    # instance in the margin maps and n x K k-means distances, 1.6 MB with a
+    # row per positive margin and the n x K x P difference tensor
+    ds, _ = generate_synthetic(SyntheticSpec(branching=4, per_class=50, seed=0))
+    config = BuildConfig(k=4, stop=StoppingCriterion(max_leaves=10), reg=RegularizerConfig(alpha=0.01, beta=0.01),
+                         seed=restart_seed(0, 0))
+    hierarchy, peak = traced_peak(lambda: build_hierarchy(ds, config))
+    assert len(hierarchy.leaves()) == 10
+    assert peak < 1.35 * 2**20
