@@ -209,7 +209,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

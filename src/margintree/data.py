@@ -150,14 +150,15 @@ def _table(rows) -> Dataset:
 
 def load_dataset(path: str, format: str = "csv", label_column: bool = False) -> Dataset:
     """Load a dense dataset from csv (optional trailing label column) or
-    libsvm sparse text (label field kept as ground truth), reading it once."""
+    libsvm sparse text (label field kept as ground truth), reading it once as
+    UTF-8, past a byte-order mark if the file starts with one."""
     if format not in FORMATS:
         raise ValidationError(f"unknown format {format!r}; expected csv or libsvm")
     try:
         if format == "libsvm":
-            with open(path) as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 return _table(_libsvm_rows(fh))
-        with open(path, newline="") as fh:  # split at LF, CRLF and CR, as csv.reader does
+        with open(path, encoding="utf-8-sig", newline="") as fh:  # split at LF, CRLF and CR, as csv.reader does
             lines = fh.readlines()
         return _read_plain(lines, label_column) or _table(_csv_rows(lines, label_column))
     except (UnicodeDecodeError, csv.Error) as err:

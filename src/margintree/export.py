@@ -92,7 +92,7 @@ def export_hierarchy(hierarchy: Hierarchy, path: str, format: str = "json", top_
 
 def read_json(path: str):
     """The json value in the file at path; a malformed file is a ValidationError."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except ValueError as err:  # malformed json or undecodable bytes

@@ -65,7 +65,8 @@ def kmeans(x: np.ndarray, k: int, seed: int) -> KMeansResult:
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(x, k, rng)
     x_norms = squared_norms(x)
-    labels = squared_distances(x, centroids, x_norms).argmin(axis=1)
+    distances = squared_distances(x, centroids, x_norms)
+    labels, inertia = distances.argmin(axis=1), float(distances.min(axis=1).sum())
     prev_inertia = np.inf
     iterations = 0
     for iterations in range(1, MAX_ITERS + 1):
@@ -78,12 +79,11 @@ def kmeans(x: np.ndarray, k: int, seed: int) -> KMeansResult:
                 far = int(np.argmax(((x - centroids[labels]) ** 2).sum(axis=1)))
                 centroids[j] = x[far]
                 labels[far] = j
-        new_labels = squared_distances(x, centroids, x_norms).argmin(axis=1)
-        inertia = float(((x - centroids[new_labels]) ** 2).sum())
+        distances = squared_distances(x, centroids, x_norms)
+        new_labels, inertia = distances.argmin(axis=1), float(distances.min(axis=1).sum())
         converged = np.array_equal(new_labels, labels) or prev_inertia - inertia < TOL
         labels = new_labels
         prev_inertia = inertia
         if converged:
             break
-    inertia = float(((x - centroids[labels]) ** 2).sum())
     return KMeansResult(centroids=centroids, labels=labels + 1, inertia=inertia, iterations=iterations)

@@ -96,7 +96,7 @@ class Margins:
     labels y0, from one product x w^T: values[i, y] = 1 - w_{y_i}.x_i +
     w_y.x_i, zero at y = y_i (row i of the cost tensor at the own label), and
     active, the n x K mask of the positive ones (the hinge terms with
-    curvature). The loss, gradient and Hessian at w read this one record."""
+    curvature). The loss and gradient at w read this one record."""
 
     def __init__(self, w: np.ndarray, x: np.ndarray, y0: np.ndarray):
         scores = x @ w.T
@@ -113,28 +113,6 @@ class Margins:
 
     def grad(self) -> np.ndarray:
         return margin_adjoint(2.0 * np.maximum(self.values, 0.0), self.x, self.y0) / self.values.size
-
-    def hessian(self) -> np.ndarray:
-        """(2/(n K)) sum over positive margins (i, y) of s s^T kron x_i x_i^T,
-        s = e_y - e_{y_i}, over the row-major K x P weights. Instance i's K x K
-        coefficient C_i = sum s s^T over its positive margins comes from its sign
-        vectors in one batched product, exact in the least integer type that
-        holds -K; block (a, b) is the Gram product x^T diag(C[:, a, b]) x over
-        the instances with a positive margin."""
-        (n, k), p = self.values.shape, self.x.shape[1]
-        rows = self.active.any(axis=1)
-        active, y0, x = rows_of(self.active, rows), rows_of(self.y0, rows), rows_of(self.x, rows)
-        eye = np.eye(k, dtype=np.min_scalar_type(-k))
-        signs = (eye - eye[y0][:, None, :]) * active[:, :, None]  # signs[i, y] = s at a positive margin, else 0
-        coef = signs.transpose(0, 2, 1) @ signs
-        hess = np.zeros((k, p, k, p))
-        for a in range(k):
-            for b in range(a, k):
-                block = (x * coef[:, a, b, None]).T @ x
-                hess[a, :, b, :] = block
-                if a != b:
-                    hess[b, :, a, :] = block.T
-        return hess.reshape(k * p, k * p) * (2.0 / (n * k))
 
 
 def label_margins(w: np.ndarray, x: np.ndarray, labels) -> Margins:

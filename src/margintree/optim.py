@@ -13,19 +13,21 @@ step, which always decreases the objective, when the model step is no
 descent direction. The run stops once the largest entry of r falls below
 REL_OBJ_TOL times that of the hinge gradient at w = 0, or after
 MAX_OUTER_ITERS outer iterations; both are module constants, read at each
-call. One margins record per iterate gives the loss, the gradient, the
-active margins and H; the accepted Armijo trial's record serves the next
+call. One margins record per iterate gives the loss, the gradient and the
+active margins; the accepted Armijo trial's record serves the next
 iteration.
 
-The dual maps A, A^T touch only the m positive margins and read each
-instance's row at most once (MarginMap). Each
-dual Newton system is solved over the m margins when m is at most the
-number of free weights (those the prox Jacobian does not zero), else over
-the free weights through the Woodbury identity, the only case that builds
-H. The prox soft-thresholds each entry by the ancestor-induced per-feature
-weights, then shrinks each column as a group (a closed-form rescale for a
-quadratic term), with the coefficients of the split's Regularizer, and
-hands its pieces on to the Jacobian and the regularizer value.
+One model's map A (MarginMap) holds what its dual Newton solve reads of
+the hinge: A, A^T over the m positive margins, the matrix of A, c and H =
+c A^T A, from the rows of the instances with a positive margin, selected
+once. Each dual Newton system is solved over the m margins when m is at
+most the number of free weights (those the prox Jacobian does not zero),
+else over the free weights through the Woodbury identity, the only case
+that builds H. The prox soft-thresholds each entry by the ancestor-induced
+per-feature weights, then shrinks each column as a group (a closed-form
+rescale for a quadratic term), with the coefficients of the split's
+Regularizer, and hands its pieces on to the Jacobian and the regularizer
+value.
 
 At K = 2 the hinge depends on w_1 - w_2 only, and both loops run on the
 P-vector u = (w_1 - w_2)/sqrt 2 (_Pair). w = (u, -u)/sqrt 2 is an isometry
@@ -57,7 +59,6 @@ Newton step; K >= 3 keeps its summed products.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 
@@ -164,22 +165,23 @@ def _jacobian_product(blocks: np.ndarray, m: np.ndarray) -> np.ndarray:
 class MarginMap:
     """A, the linear map from K x P weights z to the m positive margins (i, y)
     of an n x K mask, (A z)_(i, y) = z_y.x_i - z_{y_i}.x_i in row-major order
-    (y0 the 0-based labels), and A^T. It holds the rows of the n_a instances
-    with a positive margin, once each (x itself while every instance has
-    one), and two flat indices per margin into the n_a x K scores rows z^T,
-    made once per model: its own entry's and that of its instance's label.
-    A z is the difference of the two entries; A^T lam is C^T rows, C the
-    n_a x K coefficients that hold lam at the margins and minus each row's
-    sum of lam at its label. Once matrix() has built the m x K P matrix of
-    A, both go through it."""
+    (y0 the 0-based labels), A^T, c = 2/(n K) and the Hessian c A^T A. It
+    holds the rows of the n_a instances with a positive margin, once each (x
+    itself while every instance has one), and two flat indices per margin
+    into the n_a x K scores rows z^T, made once per model: its own entry's
+    and that of its instance's label. A z is the difference of the two
+    entries; A^T lam is C^T rows, C the n_a x K coefficients that hold lam at
+    the margins and minus each row's sum of lam at its label. Once matrix()
+    has built the m x K P matrix of A, both go through it."""
 
     def __init__(self, x: np.ndarray, y0: np.ndarray, mask: np.ndarray):
         k = mask.shape[1]
         rows = mask.any(axis=1)
-        inst, cls = np.nonzero(rows_of(mask, rows))
+        self.mask, self.y0 = rows_of(mask, rows), rows_of(y0, rows)
+        inst, cls = np.nonzero(self.mask)
         start = inst * k  # where each margin's row starts in the flat scores
-        self.rows, self.at, self.own_at = rows_of(x, rows), start + cls, start + rows_of(y0, rows)[inst]
-        self.size, self.shape, self.a = inst.size, (k, x.shape[1]), None
+        self.rows, self.at, self.own_at = rows_of(x, rows), start + cls, start + self.y0[inst]
+        self.size, self.shape, self.c, self.a, self.hess = inst.size, (k, x.shape[1]), 2.0 / mask.size, None, None
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         if self.a is not None:
@@ -205,8 +207,26 @@ class MarginMap:
             a[margins, cls] = rows
             a[margins, self.own_at - inst * k] = -rows
             self.a = a.reshape(self.size, k * p)
-            self.rows = self.at = self.own_at = None
         return self.a
+
+    def hessian(self) -> np.ndarray:
+        """c A^T A over the row-major K x P weights, built from the map's rows on
+        the first call: block (a, b) is rows^T diag(C[:, a, b]) rows, C_i = sum
+        s s^T over instance i's positive margins (s = e_y - e_{y_i}) from its
+        sign vectors in one batched product, exact in the least integer type
+        that holds -K."""
+        if self.hess is None:
+            k, p = self.shape
+            eye = np.eye(k, dtype=np.min_scalar_type(-k))
+            signs = (eye - eye[self.y0][:, None, :]) * self.mask[:, :, None]  # s at a positive margin, else 0
+            coef = signs.transpose(0, 2, 1) @ signs
+            hess = np.zeros((k, p, k, p))
+            for a in range(k):
+                for b in range(a, k):
+                    block = (self.rows * coef[:, a, b, None]).T @ self.rows
+                    hess[b, :, a, :], hess[a, :, b, :] = block.T, block  # block last: a diagonal block is block
+            self.hess = hess.reshape(k * p, k * p) * self.c
+        return self.hess
 
 
 def _margin_space_step(jac, grad_dual, c, mu, a):
@@ -248,7 +268,7 @@ class _General:
     the sparse-group prox and the Newton step in the smaller space."""
 
     def __init__(self, at_zero, regularizer: Regularizer):
-        self.origin, self.x, self.c, self.regularizer = at_zero, at_zero.x, 2.0 / at_zero.values.size, regularizer
+        self.origin, self.x, self.regularizer = at_zero, at_zero.x, regularizer
         self.value = regularizer.value
 
     @staticmethod
@@ -272,19 +292,19 @@ class _General:
     def margin_map(self, margins):
         return MarginMap(self.x, margins.y0, margins.active)
 
-    def step(self, parts, s, grad_dual, at_grad, c, mu, a, hessian):
+    def step(self, parts, s, grad_dual, at_grad, mu, a):
         jac = prox_jacobian(*parts, self.regularizer, s)
         if a.size <= np.count_nonzero(jac[2]):
-            return _margin_space_step(jac, grad_dual, c, mu, a.matrix())
-        return _weight_space_step(jac, grad_dual, at_grad, c, mu, a, hessian())
+            return _margin_space_step(jac, grad_dual, a.c, mu, a.matrix())
+        return _weight_space_step(jac, grad_dual, at_grad, a.c, mu, a, a.hessian())
 
 
 SQRT2 = math.sqrt(2.0)
 
 
 class _PairMargins:
-    """The K = 2 margins 1 + xhat_i.u, one per instance, with the loss,
-    gradient and Hessian they give (c = 1/n)."""
+    """The K = 2 margins 1 + xhat_i.u, one per instance, with the loss and
+    gradient they give."""
 
     def __init__(self, xhat: np.ndarray, u: np.ndarray):
         self.xhat, self.values = xhat, 1.0 + xhat @ u
@@ -300,23 +320,25 @@ class _PairMargins:
     def grad(self) -> np.ndarray:
         return np.maximum(self.values, 0.0) @ self.xhat / self.values.size
 
-    def hessian(self) -> np.ndarray:
-        rows = rows_of(self.xhat, self.active)
-        return rows.T @ rows / self.values.size
-
 
 class _Rows:
     """A at K = 2, MarginMap's matrix form in the u coordinates: the m x P
-    active rows of xhat, applied as plain products."""
+    active rows of xhat of n instances as plain products, c = 1/n and c A^T A."""
 
-    def __init__(self, rows: np.ndarray):
-        self.a, self.size = rows, rows.shape[0]
+    def __init__(self, xhat: np.ndarray, active: np.ndarray):
+        self.a, self.n = rows_of(xhat, active), active.size
+        self.size, self.c, self.hess = self.a.shape[0], 1.0 / self.n, None
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return self.a @ z
 
     def adjoint(self, lam: np.ndarray) -> np.ndarray:
         return lam @ self.a
+
+    def hessian(self) -> np.ndarray:
+        if self.hess is None:
+            self.hess = self.a.T @ self.a / self.n
+        return self.hess
 
 
 class _Pair:
@@ -325,9 +347,8 @@ class _Pair:
     the l1 norm weighted by sqrt 2 l1 + group (or quad |u|^2)."""
 
     def __init__(self, at_zero, regularizer: Regularizer):
-        x, y0 = at_zero.x, at_zero.y0
-        self.x, self.c = x, 2.0 / at_zero.values.size
-        self.origin = _PairMargins(x * np.where(y0 == 1, SQRT2, -SQRT2)[:, None], np.zeros(x.shape[1]))
+        self.x, y0 = at_zero.x, at_zero.y0
+        self.origin = _PairMargins(self.x * np.where(y0 == 1, SQRT2, -SQRT2)[:, None], np.zeros(self.x.shape[1]))
         self.l1, self.quad = SQRT2 * regularizer.l1 + regularizer.group, regularizer.quad
         self.step_size, self.thresholds = None, None  # s * l1 of the last prox_parts step s
 
@@ -363,24 +384,24 @@ class _Pair:
         return z, z, float(self.l1 @ magnitudes)
 
     def margin_map(self, margins):
-        return _Rows(rows_of(margins.xhat, margins.active))
+        return _Rows(margins.xhat, margins.active)
 
     def jacobian(self, z, s):
         """J at the prox point z: a scalar times the 0/1 diagonal of the free coordinates."""
         return 1.0 / (1.0 + 2.0 * s * self.quad), np.ones(z.size, dtype=bool) if self.quad else z != 0.0
 
-    def step(self, z, s, grad_dual, at_grad, c, mu, a, hessian):
+    def step(self, z, s, grad_dual, at_grad, mu, a):
         """Over the m active rows restricted to the f free columns while m <= 2 f
         (the free weights of w), else over the f free columns."""
         jac, free = self.jacobian(z, s)
-        f = np.count_nonzero(free)
+        f, c = np.count_nonzero(free), a.c
         if a.size <= 2 * f:
             rows = a.a[:, free]
             system = (jac / mu) * (rows @ rows.T)
             system.flat[:: a.size + 1] += 1.0 / c
             delta = np.linalg.solve(system, grad_dual)
             return delta, delta @ a.a
-        hess = hessian()
+        hess = a.hessian()
         system = jac * hess[np.ix_(free, free)]
         system.flat[:: f + 1] += mu
         step = np.zeros(z.size)
@@ -418,11 +439,11 @@ def _line_search(trial, dual, slope, size):
     return ARMIJO_STEPS[j], tried[j]
 
 
-def _solve_dual_model(w, grad, hessian, mu, a, c, space, tol):
+def _solve_dual_model(w, grad, mu, a, space, tol):
     """Minimize the model q(z) + R(z), q(z) = grad.(z - w) + c |A(z - w)|^2/2
-    + mu |z - w|^2/2 with hessian() = c A^T A, over z in the coordinates of
-    space (_General or _Pair), to a subgradient residual of tol; returns the
-    last primal point. a is the map A to the m positive margins.
+    + mu |z - w|^2/2, over z in the coordinates of space (_General or _Pair),
+    to a subgradient residual of tol; returns the last primal point. a is the
+    map A to the m positive margins, which also holds c and c A^T A.
 
     Semismooth Newton runs on the dual, maximizing D(lam) = -|lam|^2/(2c) +
     lam.A(z - w) + psi(z), z = prox_{R/mu}(w - (grad + A^T lam)/mu), psi the
@@ -430,9 +451,9 @@ def _solve_dual_model(w, grad, hessian, mu, a, c, space, tol):
     -(I/c + A J A^T/mu) is negative definite whatever the conditioning of
     c A^T A (J the Jacobian of the prox), and A^T(c grad D) is the model's
     subgradient residual at z. In the general coordinates the m x K P matrix
-    of A is built on the first margin-space step (m <= K P there), hessian()
+    of A is built on the first margin-space step (m <= K P there), c A^T A
     on the first weight-space one. Each step's Armijo search is _line_search."""
-    s = 1.0 / mu
+    s, c = 1.0 / mu, a.c
     base = w - s * grad
 
     def primal(at_lam, lam_sq):
@@ -450,7 +471,7 @@ def _solve_dual_model(w, grad, hessian, mu, a, c, space, tol):
         if c * math.sqrt(space.dot(at_grad, at_grad)) <= tol:
             break
         try:
-            delta, at_delta = space.step(parts, s, grad_dual, at_grad, c, mu, a, hessian)
+            delta, at_delta = space.step(parts, s, grad_dual, at_grad, mu, a)
         except np.linalg.LinAlgError:
             break
         slope = float(grad_dual.dot(delta))
@@ -497,10 +518,9 @@ def _descend(space, w: np.ndarray) -> np.ndarray:
                            outer, residual / scale)
             break
         r_norm = math.sqrt(space.dot(r, r))
-        # the margin map and the Hessian, built on the model's first weight-space Newton step if any, serve
-        # the model's steps and are freed with the model
-        z = _solve_dual_model(w, grad, functools.cache(margins.hessian), DAMPING * r_norm,
-                              space.margin_map(margins), space.c, space, INEXACTNESS * r_norm)
+        # the margin map, with the Hessian it builds on the model's first weight-space Newton step if any,
+        # serves the model's steps and is freed with the model
+        z = _solve_dual_model(w, grad, DAMPING * r_norm, space.margin_map(margins), space, INEXACTNESS * r_norm)
         if not np.all(np.isfinite(z)):
             raise SolverError(f"iterate diverged at outer iteration {outer}")
         d = z - w

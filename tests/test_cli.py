@@ -676,6 +676,33 @@ class TestEvaluateAndExport:
         assert json.loads(eval_path.read_text())["metrics"] == cluster_metrics
         assert set(cluster_metrics) == {"rand_index", "sp", "ps"}
 
+    def test_byte_order_mark(self, planted_files, tmp_path):
+        # input files that start with a UTF-8 byte-order mark (a data csv, a truth
+        # tree, a hierarchy json and a config file) read as the same files without one
+        data, truth = planted_files
+        marked = {}
+        for name, path in (("data.csv", data), ("truth.json", truth)):
+            marked[name] = tmp_path / name
+            marked[name].write_bytes("\ufeff".encode() + open(path, "rb").read())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("\ufeffk = 2\nmax_leaves = 4\nseed = 0\n".encode())
+        hier_path, report_path = tmp_path / "h.json", tmp_path / "r.json"
+        common = ["--input", data, "--label-column", "--truth-tree", truth]
+        assert main(["cluster", *common, "--config", str(cfg), "--hierarchy-out", str(hier_path),
+                     "--report-out", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["leaf_count"] == 4
+        marked["h.json"] = tmp_path / "bom-h.json"
+        marked["h.json"].write_bytes("\ufeff".encode() + hier_path.read_bytes())
+        reports = []
+        for csv_path, truth_path, hierarchy in ((data, truth, hier_path),
+                                                (marked["data.csv"], marked["truth.json"], marked["h.json"])):
+            eval_path = tmp_path / f"eval-{len(reports)}.json"
+            assert main(["evaluate", "--input", str(csv_path), "--label-column", "--truth-tree", str(truth_path),
+                         "--hierarchy", str(hierarchy), "--report-out", str(eval_path)]) == 0
+            reports.append(json.loads(eval_path.read_text())["metrics"])
+        assert reports[0] == reports[1]
+        assert reports[0] == json.loads(report_path.read_text())["metrics"]
+
     def test_export_to_dot(self, planted_files, tmp_path):
         data, _ = planted_files
         hier_path = tmp_path / "h.json"

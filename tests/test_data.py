@@ -240,6 +240,38 @@ class TestPlainPath:
         assert read_outcome(lambda: plain) == read_outcome(lambda: plain_crlf) == read_outcome(lambda: row_wise)
 
 
+BOM = "\ufeff".encode()
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark loads as the same file
+    without one, in each reader: the one-pass csv reader (LF and CRLF), the
+    row-wise csv reader (quoted labels) and the libsvm reader."""
+
+    @pytest.mark.parametrize("layout", ["lf", "crlf", "quoted", "libsvm"])
+    def test_loads_as_without(self, tmp_path, layout):
+        plain = tmp_path / "planted.csv"
+        assert main(["generate", "--out", str(plain), "--per-class", "5", "--seed", "6"]) == 0
+        text = plain.read_bytes()
+        fmt = "libsvm" if layout == "libsvm" else "csv"
+        if layout == "crlf":
+            text = text.replace(b"\n", b"\r\n")
+        elif layout == "quoted":
+            text = re.sub(rb",([^,\n]*)\n", rb',"\1"\n', text)
+        elif layout == "libsvm":
+            text = b"".join(
+                b" ".join([row[-1]] + [b"%d:%s" % (j, v) for j, v in enumerate(row[:-1], 1)]) + b"\n"
+                for row in (line.split(b",") for line in text.splitlines())
+            )
+        path, marked = tmp_path / f"plain.{layout}", tmp_path / f"bom.{layout}"
+        path.write_bytes(text)
+        marked.write_bytes(BOM + text)
+        ours, expected = (load_dataset(str(f), fmt, label_column=True) for f in (marked, path))
+        assert ours.features.tobytes() == expected.features.tobytes()
+        assert ours.labels.tolist() == expected.labels.tolist()
+        assert "\ufeff" not in "".join(ours.labels.tolist())
+
+
 class TestLoadLibsvm:
     def write(self, tmp_path, text):
         path = tmp_path / "data.libsvm"

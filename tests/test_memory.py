@@ -1,7 +1,8 @@
 """The program's own working set: no masked-array module, each input format
 loaded at most twice its file size, no row copies while every margin is
-positive, at most one row per instance in the margin map, and no n x K x P
-array in the k-means distances."""
+positive, at most one row per instance in the margin map, which its Hessian
+reads too, and no n x K x P array in the k-means distances or n x P array
+in its inertia."""
 
 import os
 import subprocess
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 import margintree
-import margintree.objective
 import margintree.optim
 from margintree import (
     BuildConfig,
@@ -127,12 +127,13 @@ class TestRowsAtZero:
         x, labels, regularizer = problem(2)
         pair = _Pair(label_margins(np.zeros((2, x.shape[1])), x, labels), regularizer)
         origin = pair.origin
-        assert np.shares_memory(pair.margin_map(origin).a, origin.xhat)
         spy = RowsSpy(monkeypatch, margintree.optim)
-        hessian = origin.hessian()
-        assert [np.shares_memory(a, rows) for a, rows in spy.calls] == [True]
+        a = pair.margin_map(origin)
+        hessian = a.hessian()
+        assert np.shares_memory(a.a, origin.xhat)
+        assert [np.shares_memory(array, rows) for array, rows in spy.calls] == [True]
         RowsSpy(monkeypatch, margintree.optim, copy=True)
-        assert np.array_equal(hessian, origin.hessian())
+        assert np.array_equal(hessian, pair.margin_map(origin).hessian())
 
     def test_pair_copies_with_an_inactive_margin(self, monkeypatch):
         x, labels, regularizer = problem(2)
@@ -140,35 +141,36 @@ class TestRowsAtZero:
         xhat = pair.origin.xhat
         margins = pair.origin.at(-2.0 * xhat[0] / (xhat[0] @ xhat[0]))  # instance 0's margin is 1 - 2
         assert not margins.active[0] and margins.active.sum() < x.shape[0]
-        rows = pair.margin_map(margins).a
-        assert not np.shares_memory(rows, xhat)
-        assert np.array_equal(rows, xhat[margins.active])
         spy = RowsSpy(monkeypatch, margintree.optim)
-        margins.hessian()
-        assert [np.shares_memory(a, rows) for a, rows in spy.calls] == [False]
+        a = pair.margin_map(margins)
+        a.hessian()
+        assert not np.shares_memory(a.a, xhat)
+        assert np.array_equal(a.a, xhat[margins.active])
+        assert [np.shares_memory(array, rows) for array, rows in spy.calls] == [False]
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_margins_hessian(self, monkeypatch, k):
-        x, labels, _ = problem(k)
-        margins = label_margins(np.zeros((k, x.shape[1])), x, labels)
-        spy = RowsSpy(monkeypatch, margintree.objective)
-        hessian = margins.hessian()
+        x, labels, regularizer = problem(k)
+        general = _General(label_margins(np.zeros((k, x.shape[1])), x, labels), regularizer)
+        spy = RowsSpy(monkeypatch, margintree.optim)
+        hessian = general.margin_map(general.origin).hessian()
         assert len(spy.calls) == 3 and all(np.shares_memory(a, rows) for a, rows in spy.calls)
         assert any(a is x for a, _ in spy.calls)
-        RowsSpy(monkeypatch, margintree.objective, copy=True)
-        assert np.array_equal(hessian, margins.hessian())
+        RowsSpy(monkeypatch, margintree.optim, copy=True)
+        assert np.array_equal(hessian, general.margin_map(general.origin).hessian())
 
     def test_margins_hessian_copies_with_an_inactive_instance(self, monkeypatch):
-        x, labels, _ = problem(3)
+        x, labels, regularizer = problem(3)
         w = np.zeros((3, x.shape[1]))
         w[labels[0] - 1] = 2.0 * x[0] / (x[0] @ x[0])  # every margin of instance 0 is 1 - 2
-        margins = label_margins(w, x, labels)
+        general = _General(label_margins(np.zeros_like(w), x, labels), regularizer)
+        margins = general.origin.at(w)
         assert not margins.active[0].any() and margins.active.any()
-        spy = RowsSpy(monkeypatch, margintree.objective)
-        hessian = margins.hessian()
+        spy = RowsSpy(monkeypatch, margintree.optim)
+        hessian = general.margin_map(margins).hessian()
         assert len(spy.calls) == 3 and not any(np.shares_memory(a, rows) for a, rows in spy.calls)
-        RowsSpy(monkeypatch, margintree.objective, copy=True)
-        assert np.array_equal(hessian, margins.hessian())
+        RowsSpy(monkeypatch, margintree.optim, copy=True)
+        assert np.array_equal(hessian, general.margin_map(margins).hessian())
 
     def test_rows_of_copies_a_strided_array(self):
         x = np.asfortranarray(np.arange(12.0).reshape(4, 3))
@@ -220,6 +222,30 @@ class TestMarginMapRows:
         assert np.allclose(adjoint, expected, rtol=0, atol=1e-12)
         assert abs(float(forward @ lam) - float((z * adjoint).sum())) <= 1e-12 * max(1.0, float(np.abs(forward).sum()))
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_hessian_reads_the_map_rows(self, k):
+        # with instance 0 inactive, the Hessian's Gram blocks read the rows the
+        # map selected: its peak holds the Hessian twice (the blocks and their
+        # scaling) and, at K >= 3, one n_a x P block product at a time, not a
+        # second selection of the rows
+        x, labels, regularizer = problem(k, n=2000, p=30)
+        at_zero = label_margins(np.zeros((k, x.shape[1])), x, labels)
+        if k == 2:
+            space = _Pair(at_zero, regularizer)
+            xhat = space.origin.xhat
+            margins = space.origin.at(-2.0 * xhat[0] / (xhat[0] @ xhat[0]))
+        else:
+            space = _General(at_zero, regularizer)
+            w = np.zeros((k, x.shape[1]))
+            w[labels[0] - 1] = 2.0 * x[0] / (x[0] @ x[0])  # every margin of instance 0 is 1 - 2
+            margins = space.origin.at(w)
+        a = space.margin_map(margins)
+        rows = a.a if k == 2 else a.rows
+        assert rows.shape[0] < x.shape[0]
+        hessian, peak = traced_peak(a.hessian)
+        assert a.hessian() is hessian
+        assert peak < 2 * hessian.nbytes + (0.5 if k == 2 else 1.5) * rows.nbytes
+
 
 class TestSquaredDistances:
     """kmeans.squared_distances is |x|^2 - 2 x.c + |c|^2 clamped at 0: no
@@ -245,6 +271,16 @@ class TestSquaredDistances:
             assert np.array_equal(ours.argmin(axis=1), tensor.argmin(axis=1))
 
 
+def test_kmeans_peak():
+    # Lloyd's inertia is read from the n x K distances, so a call holds no n x P
+    # array beside x: about 1.1 x.nbytes, 2.1 with the difference form
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(5000, 30))
+    result, peak = traced_peak(lambda: kmeans(x, 4, seed=1))
+    assert result.labels.shape == (5000,)
+    assert peak < 1.5 * x.nbytes
+
+
 def test_planted_wide_build_peak():
     # a K = 4 build of the planted-wide workload's dataset 0, as `cluster --k 4
     # --max-leaves 10 --seed 0` makes it: about 1.1 MB with one row per active
@@ -256,3 +292,16 @@ def test_planted_wide_build_peak():
     hierarchy, peak = traced_peak(lambda: build_hierarchy(ds, config))
     assert len(hierarchy.leaves()) == 10
     assert peak < 1.35 * 2**20
+
+
+def test_planted_large_build_peak():
+    # a K = 2 build of the planted-large workload's dataset 0, as `cluster --k 2
+    # --max-leaves 4 --seed 0` makes it: about 1.2 MB with the Hessian read from
+    # the margin map's rows and the k-means inertia from the n x K distances,
+    # 1.45 MB with a second selection of the rows and the n x P differences
+    ds, _ = generate_synthetic(SyntheticSpec(branching=2, per_class=400, seed=0))
+    config = BuildConfig(k=2, stop=StoppingCriterion(max_leaves=4), reg=RegularizerConfig(alpha=0.01, beta=0.01),
+                         seed=restart_seed(0, 0))
+    hierarchy, peak = traced_peak(lambda: build_hierarchy(ds, config))
+    assert len(hierarchy.leaves()) == 4
+    assert peak < 1.3 * 2**20

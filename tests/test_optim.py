@@ -596,7 +596,7 @@ class TestDualNewtonSpaces:
         at_grad = (grad_dual @ a).reshape(w.shape)
         delta, at_delta = _margin_space_step(jac, grad_dual, c, self.MU, a)
         woodbury, at_woodbury = _weight_space_step(
-            jac, grad_dual, at_grad, c, self.MU, lambda z: a @ z.ravel(), label_margins(w, x, labels).hessian()
+            jac, grad_dual, at_grad, c, self.MU, lambda z: a @ z.ravel(), MarginMap(*margins).hessian()
         )
         assert relative_gap(delta, woodbury) <= 1e-9
         assert relative_gap(at_delta, at_woodbury) <= 1e-9
@@ -626,14 +626,14 @@ class TestDualNewtonSpaces:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_model_minimizer_agrees(self, k, variant, chain_name, sizes, monkeypatch):
         _, x, labels, w, chain, regularizer, margins, c = self.problem(k, variant, chain_name, sizes, seed=71 + k)
-        grad, hess = hinge_grad(w, x, labels), label_margins(w, x, labels).hessian()
+        grad, hess = hinge_grad(w, x, labels), MarginMap(*margins).hessian()
         minimizers = []
         for space in ("margin", "weight"):
             with monkeypatch.context() as patch:
                 self.pin_space(patch, space, margins, hess)
                 a = MarginMap(*margins)
                 general = _General(label_margins(w, x, labels), regularizer)
-                minimizers.append(_solve_dual_model(w, grad, lambda: hess, self.MU, a, c, general, 0.0))
+                minimizers.append(_solve_dual_model(w, grad, self.MU, a, general, 0.0))
         ours, woodbury = minimizers
         # with tol 0 each solve runs until the dual stops rising above its
         # rounding, which leaves model residuals of up to a few 1e-8 here
@@ -643,14 +643,14 @@ class TestDualNewtonSpaces:
 
     def test_space_follows_sizes_and_hessian_is_lazy(self, monkeypatch):
         # each step runs in the smaller space, and the K P x K P Hessian is built
-        # at most once per outer iteration (one model solve), and only in one
-        # that takes a weight-space step
+        # at most once per outer iteration (one model solve), by its margin map,
+        # and only in one that takes a weight-space step
         x, labels, p = planted_node(4)
         models, spaces = [], []
         solve = margintree.optim._solve_dual_model
 
         def spy_solve(*args):
-            models.append({"weight": 0, "hessians": 0})
+            models.append({"weight": 0, "hessians": []})
             return solve(*args)
 
         monkeypatch.setattr(margintree.optim, "_solve_dual_model", spy_solve)
@@ -663,18 +663,20 @@ class TestDualNewtonSpaces:
                 return _step(jac, grad_dual, *args)
 
             monkeypatch.setattr(margintree.optim, f"_{name}_space_step", spy)
-        hessian = margintree.objective.Margins.hessian
+        hessian = margintree.optim.MarginMap.hessian
 
-        def spy_hessian(margins):
-            models[-1]["hessians"] += 1
-            return hessian(margins)
+        def spy_hessian(a):
+            models[-1]["hessians"].append(hessian(a))
+            return models[-1]["hessians"][-1]
 
-        monkeypatch.setattr(margintree.objective.Margins, "hessian", spy_hessian)
+        monkeypatch.setattr(margintree.optim.MarginMap, "hessian", spy_hessian)
         regularizer = Regularizer(RegularizerConfig(alpha=0.01, beta=0.01), (), 4, p)
         solve_w(x, labels, regularizer, np.zeros((4, p)))
         assert {name for name, _ in spaces} == {"margin", "weight"}
         assert all(smaller == (name == "margin") for name, smaller in spaces)
-        assert all(model["hessians"] == min(model["weight"], 1) for model in models)
+        # one call per weight-space step, each returning the model's one Hessian
+        assert all(len(model["hessians"]) == model["weight"] for model in models)
+        assert all(hess is model["hessians"][0] for model in models for hess in model["hessians"])
 
 
 def antisymmetric(u):
@@ -797,21 +799,22 @@ class TestPairCoordinates:
         x, labels, regularizer, pair = self.node_and_pair(variant, chain_name, n, p, rng, alpha=0.3, beta=0.3)
         u = rng.normal(size=p) * 0.3
         margins, ours = label_margins(antisymmetric(u), x, labels), pair.origin.at(u)
-        a, rows = MarginMap(x, margins.y0, margins.active).matrix(), pair.margin_map(ours)
+        general_map, rows = MarginMap(x, margins.y0, margins.active), pair.margin_map(ours)
+        a = general_map.matrix()
         # A (u, -u)/sqrt 2 = xhat_active u: the general margins' rows, seen along u
         assert np.allclose((a[:, :p] - a[:, p:]) / SQRT2, rows.a, rtol=0, atol=1e-12)
         mu = TestDualNewtonSpaces.MU
-        s, c = 1.0 / mu, pair.c
+        s, c = 1.0 / mu, rows.c
         v = u - s * (ours.grad() + rng.uniform(0.0, 1.0, size=rows.size) @ rows.a)
         z = pair.prox(v, s)
         assert (rows.size <= 2 * np.count_nonzero(pair.jacobian(z, s)[1])) == (sizes == "m < free")
         grad_dual = rng.normal(size=rows.size)
-        delta, at_delta = pair.step(z, s, grad_dual, grad_dual @ rows.a, c, mu, rows, ours.hessian)
+        delta, at_delta = pair.step(z, s, grad_dual, grad_dual @ rows.a, mu, rows)
         jac = jacobian_at(antisymmetric(v), regularizer, s)
         at_grad = (grad_dual @ a).reshape(2, p)
         for general, at_general in (
             _margin_space_step(jac, grad_dual, c, mu, a),
-            _weight_space_step(jac, grad_dual, at_grad, c, mu, lambda d: a @ d.ravel(), margins.hessian()),
+            _weight_space_step(jac, grad_dual, at_grad, c, mu, lambda d: a @ d.ravel(), general_map.hessian()),
         ):
             assert relative_gap(delta, general) <= 1e-9
             assert relative_gap(antisymmetric(at_delta), at_general) <= 1e-9
@@ -850,7 +853,7 @@ class TestDualLineSearch:
         if coords == "pair":
             w = (w[0] - w[1]) / SQRT2
         margins = space.origin.at(w)
-        return w, margins.grad(), margins.hessian, cls.MU, space.margin_map(margins), space.c, space, 0.0
+        return w, margins.grad(), cls.MU, space.margin_map(margins), space, 0.0
 
     @staticmethod
     def solve(monkeypatch, model, search):
@@ -858,7 +861,7 @@ class TestDualLineSearch:
         primal point and, per Newton step, lam before it and the search's
         step, value and state, its trial count and whether a trial other
         than t = 1 was rejected within the rounding bound."""
-        space, steps = model[6], []
+        space, steps = model[4], []
 
         def spy_search(trial, dual, slope, size):
             tried = {}
